@@ -3,7 +3,7 @@ GO ?= go
 # Total statement coverage (make cover) must not drop below this.
 COVER_FLOOR ?= 75
 
-.PHONY: ci check vet lint build test race chaos cover bench-strict bench-smoke fuzz-smoke
+.PHONY: ci check vet lint build cross test race chaos cover bench-strict bench-smoke fuzz-smoke
 
 .DEFAULT_GOAL := ci
 
@@ -11,7 +11,7 @@ COVER_FLOOR ?= 75
 # (including the project-specific swarmlint analyzers), the full test
 # suite, a race pass over every package, the coverage floor, and a
 # small benchmark smoke run.
-ci: vet lint build test race cover bench-smoke
+ci: vet lint build cross test race cover bench-smoke
 
 # Historical alias for the same gate.
 check: ci
@@ -32,6 +32,12 @@ lint:
 
 build:
 	$(GO) build ./...
+
+# Vet and build for arm64, where no assembly kernel exists, so the
+# portable fallbacks (e.g. the erasure coder's scalar loop) keep
+# compiling.
+cross:
+	GOARCH=arm64 $(GO) vet ./... && GOARCH=arm64 $(GO) build ./...
 
 test:
 	$(GO) test ./...

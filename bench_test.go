@@ -12,6 +12,7 @@ import (
 	"swarm/internal/bench"
 	"swarm/internal/core"
 	"swarm/internal/disk"
+	"swarm/internal/erasure"
 	"swarm/internal/server"
 	"swarm/internal/transport"
 	"swarm/internal/wire"
@@ -124,14 +125,19 @@ func BenchmarkAblationDegradedRead(b *testing.B) {
 
 // ------------------------- component micro-benchmarks (native speed)
 
-// BenchmarkParityXOR measures the raw XOR kernel of parity computation.
+// BenchmarkParityXOR measures the raw XOR kernel of parity computation:
+// one 1 MB data shard folded into the paper's single XOR parity.
 func BenchmarkParityXOR(b *testing.B) {
-	dst := make([]byte, 1<<20)
+	code, err := erasure.New(erasure.KindXOR, 1, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	parity := [][]byte{make([]byte, 1<<20)}
 	src := make([]byte, 1<<20)
 	b.SetBytes(1 << 20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.XORInto(dst, src)
+		code.AddData(0, src, parity)
 	}
 }
 

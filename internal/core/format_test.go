@@ -310,20 +310,6 @@ func TestCheckpointRecordDeterministicEncoding(t *testing.T) {
 	}
 }
 
-func TestXORInto(t *testing.T) {
-	dst := []byte{1, 2, 3, 4}
-	XORInto(dst, []byte{1, 2})
-	if !bytes.Equal(dst, []byte{0, 0, 3, 4}) {
-		t.Fatalf("dst = %v", dst)
-	}
-	// src longer than dst: only dst's length is touched.
-	dst2 := []byte{0xFF}
-	XORInto(dst2, []byte{0x0F, 0xAA, 0xBB})
-	if dst2[0] != 0xF0 {
-		t.Fatalf("dst2 = %v", dst2)
-	}
-}
-
 // Property: reconstructing any member of a random stripe from the others
 // plus parity yields the original payload.
 func TestQuickParityReconstruction(t *testing.T) {
@@ -345,14 +331,13 @@ func TestQuickParityReconstruction(t *testing.T) {
 			acc.add(i, i, data[i])
 		}
 		miss := int(missSeed) % nData
-		var others [][]byte
-		for i, d := range data {
-			if i != miss {
-				others = append(others, d)
-			}
+		shards := append(append([][]byte{}, data...), acc.bufs[0])
+		shards[miss] = nil
+		got, err := code.Reconstruct(shards, miss, payloadSize)
+		if err != nil {
+			t.Fatal(err)
 		}
-		got := ReconstructPayload(acc.bufs[0], others, uint32(len(data[miss])))
-		return bytes.Equal(got, data[miss])
+		return bytes.Equal(got[:len(data[miss])], data[miss])
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)

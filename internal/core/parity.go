@@ -1,34 +1,6 @@
 package core
 
-import (
-	"encoding/binary"
-
-	"swarm/internal/erasure"
-)
-
-// XORInto accumulates src into dst (dst ^= src). src may be shorter than
-// dst; missing bytes are treated as zero, which is exactly the padding
-// rule for short fragments in a stripe.
-func XORInto(dst, src []byte) {
-	n := len(src)
-	if n > len(dst) {
-		n = len(dst)
-	}
-	dst = dst[:n]
-	src = src[:n]
-	// Word-at-a-time for the bulk; parity runs over every data byte
-	// written, so this is the client's hottest loop.
-	for len(dst) >= 8 {
-		d := binary.LittleEndian.Uint64(dst)
-		s := binary.LittleEndian.Uint64(src)
-		binary.LittleEndian.PutUint64(dst, d^s)
-		dst = dst[8:]
-		src = src[8:]
-	}
-	for i := range dst {
-		dst[i] ^= src[i]
-	}
-}
+import "swarm/internal/erasure"
 
 // parityAccum incrementally computes a stripe's parity payloads as data
 // fragments are sealed, so parity is ready the moment the stripe closes
@@ -68,16 +40,4 @@ func (p *parityAccum) reset() {
 	}
 	p.lens = [MaxWidth]uint32{}
 	p.members = 0
-}
-
-// ReconstructPayload rebuilds one missing member's payload from the
-// parity payload and the other members' payloads. The caller passes the
-// missing member's data length (from the parity header's MemberLens).
-func ReconstructPayload(parity []byte, others [][]byte, missingLen uint32) []byte {
-	out := make([]byte, len(parity))
-	copy(out, parity)
-	for _, p := range others {
-		XORInto(out, p)
-	}
-	return out[:missingLen]
 }

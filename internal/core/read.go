@@ -39,7 +39,8 @@ func (frameFormat) Verify(decoded any, payload []byte) error {
 }
 
 // fragCache holds recently reconstructed fragments so a stream of reads
-// against a failed server doesn't redo the XOR per block.
+// against a failed server doesn't redo the stripe gather and decode per
+// block.
 type fragCache struct {
 	mu   sync.Mutex
 	cap  int
@@ -449,8 +450,8 @@ func (l *Log) reconstructFragment(fid wire.FID) (Header, []byte, error) {
 	results := l.engine.GatherK(members, k)
 	// Member payloads only feed the decode below; nothing past this
 	// function aliases them, so they go back to the transport's buffer
-	// pool on every exit path. (Reconstructed shards are fresh
-	// allocations, never pooled.)
+	// pool on every exit path. (The reconstructed shard is a fresh
+	// allocation, never pooled.)
 	defer func() {
 		for _, r := range results {
 			wire.PutBuffer(r.Payload)
@@ -504,10 +505,10 @@ func (l *Log) reconstructFragment(fid wire.FID) (Header, []byte, error) {
 	}
 	l.mu.Unlock()
 
-	if err := code.Reconstruct(shards, l.payloadSize); err != nil {
+	full, err := code.Reconstruct(shards, sib.ShardOrdinal(missIdx), l.payloadSize)
+	if err != nil {
 		return Header{}, nil, fmt.Errorf("%w: stripe %d: %v", ErrLost, sib.StripeID, err)
 	}
-	full := shards[sib.ShardOrdinal(missIdx)]
 
 	if _, isParity := sib.ParityOrdinal(missIdx); isParity {
 		// Rebuilding a parity member. Its header carries every data

@@ -76,11 +76,13 @@ type Code interface {
 	// write path's shape: parity is computed as fragments seal (§2.1.2),
 	// never from a re-read of the whole stripe.
 	AddData(di int, data []byte, parity [][]byte)
-	// Reconstruct fills every nil entry of shards (length k+m) with a
-	// freshly allocated shard of size bytes, given at least k non-nil
-	// survivors. Surviving shards may be shorter than size; the caller
-	// trims reconstructed data shards to their true lengths.
-	Reconstruct(shards [][]byte, size int) error
+	// Reconstruct returns shard want of a stripe whose shards (length
+	// k+m) are nil where missing: a freshly allocated size-byte shard
+	// computed from k non-nil survivors, or shards[want] itself when it
+	// is present. Only the wanted shard is decoded — other nil entries
+	// stay nil. Surviving shards may be shorter than size; the caller
+	// trims a reconstructed data shard to its true length.
+	Reconstruct(shards [][]byte, want, size int) ([]byte, error)
 }
 
 // New returns the code for (kind, k, m).
@@ -116,30 +118,34 @@ func (xorCode) AddData(_ int, data []byte, parity [][]byte) {
 	xorSliceInto(parity[0], data)
 }
 
-func (c xorCode) Reconstruct(shards [][]byte, size int) error {
-	if len(shards) != c.k+1 {
-		return fmt.Errorf("%w: %d shards for k=%d m=1", ErrConfig, len(shards), c.k)
+func (c xorCode) Reconstruct(shards [][]byte, want, size int) ([]byte, error) {
+	if err := checkWant(len(shards), c.k+1, want); err != nil {
+		return nil, err
 	}
-	missing := -1
-	for i, s := range shards {
-		if s != nil {
-			continue
-		}
-		if missing >= 0 {
-			return fmt.Errorf("%w: xor parity cannot repair 2+ losses", ErrInsufficient)
-		}
-		missing = i
-	}
-	if missing < 0 {
-		return nil
+	if shards[want] != nil {
+		return shards[want], nil
 	}
 	out := make([]byte, size)
 	for i, s := range shards {
-		if i != missing {
-			xorSliceInto(out, s)
+		if i == want {
+			continue
 		}
+		if s == nil {
+			return nil, fmt.Errorf("%w: xor parity cannot repair 2+ losses", ErrInsufficient)
+		}
+		xorSliceInto(out, s)
 	}
-	shards[missing] = out
+	return out, nil
+}
+
+// checkWant validates a Reconstruct call's shard count and target.
+func checkWant(got, n, want int) error {
+	if got != n {
+		return fmt.Errorf("%w: %d shards for a %d-shard code", ErrConfig, got, n)
+	}
+	if want < 0 || want >= n {
+		return fmt.Errorf("%w: shard %d outside 0..%d", ErrConfig, want, n-1)
+	}
 	return nil
 }
 
@@ -175,73 +181,51 @@ func (r *rs) encodeRow(i int) []byte {
 	return r.par[i-r.k]
 }
 
-func (r *rs) Reconstruct(shards [][]byte, size int) error {
-	n := r.k + r.m
-	if len(shards) != n {
-		return fmt.Errorf("%w: %d shards for k=%d m=%d", ErrConfig, len(shards), r.k, r.m)
+// Reconstruct decodes one shard with k multiply-accumulate passes. Take
+// k survivors (data rows first: identity rows keep the inversion sparse)
+// and stack their encode rows into the k×k matrix S, so survivors = S ·
+// data and data = S⁻¹ · survivors. Shard want is encodeRow(want) · data,
+// hence encodeRow(want) · S⁻¹ · survivors: one k-coefficient decode row
+// applied to the survivors. The same derivation covers a data target
+// (its encode row is a unit vector, picking a row of S⁻¹) and a parity
+// target (a Cauchy row), so nothing outside the wanted shard is computed.
+func (r *rs) Reconstruct(shards [][]byte, want, size int) ([]byte, error) {
+	if err := checkWant(len(shards), r.k+r.m, want); err != nil {
+		return nil, err
 	}
-	present := make([]int, 0, n)
-	dataMissing := false
+	if shards[want] != nil {
+		return shards[want], nil
+	}
+	chosen := make([]int, 0, r.k)
 	for i, s := range shards {
-		if s != nil {
-			present = append(present, i)
-		} else if i < r.k {
-			dataMissing = true
+		if s != nil && len(chosen) < r.k {
+			chosen = append(chosen, i)
 		}
 	}
-	if len(present) == n {
-		return nil
+	if len(chosen) < r.k {
+		return nil, fmt.Errorf("%w: %d of %d shards present, need %d", ErrInsufficient, len(chosen), r.k+r.m, r.k)
 	}
-	if len(present) < r.k {
-		return fmt.Errorf("%w: %d of %d shards present, need %d", ErrInsufficient, len(present), n, r.k)
+	sub := newMatrix(r.k, r.k)
+	for ri, i := range chosen {
+		copy(sub[ri], r.encodeRow(i))
 	}
-
-	if dataMissing {
-		// Decode-matrix selection: take k surviving rows of the encode
-		// matrix, data rows first — identity rows keep the inversion
-		// sparse and make the decode multiply skip them entirely (their
-		// coefficients for other survivors are mostly 0/1).
-		chosen := make([]int, 0, r.k)
-		for _, i := range present {
-			if i < r.k {
-				chosen = append(chosen, i)
-			}
-		}
-		for _, i := range present {
-			if i >= r.k && len(chosen) < r.k {
-				chosen = append(chosen, i)
-			}
-		}
-		chosen = chosen[:r.k]
-		sub := newMatrix(r.k, r.k)
-		for ri, i := range chosen {
-			copy(sub[ri], r.encodeRow(i))
-		}
-		dec, err := sub.invert()
-		if err != nil {
-			return err
-		}
-		for d := 0; d < r.k; d++ {
-			if shards[d] != nil {
-				continue
-			}
-			out := make([]byte, size)
-			for j, src := range chosen {
-				mulSliceXor(dec[d][j], out, shards[src])
-			}
-			shards[d] = out
-		}
+	dec, err := sub.invert()
+	if err != nil {
+		return nil, err
 	}
-	// With every data shard in hand, missing parity is a re-encode.
-	for j := 0; j < r.m; j++ {
-		if shards[r.k+j] != nil {
+	row := r.encodeRow(want)
+	coef := make([]byte, r.k)
+	for d, e := range row {
+		if e == 0 {
 			continue
 		}
-		out := make([]byte, size)
-		for i := 0; i < r.k; i++ {
-			mulSliceXor(r.par[j][i], out, shards[i])
+		for j := range coef {
+			coef[j] ^= mul(e, dec[d][j])
 		}
-		shards[r.k+j] = out
 	}
-	return nil
+	out := make([]byte, size)
+	for j, src := range chosen {
+		mulSliceXor(coef[j], out, shards[src])
+	}
+	return out, nil
 }

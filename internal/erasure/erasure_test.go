@@ -62,20 +62,58 @@ func TestGFTables(t *testing.T) {
 }
 
 func TestMulSliceXorMatchesScalar(t *testing.T) {
+	// The scalar loop is the reference: check it against the field
+	// multiply once, then hold mulSliceXor (vector kernel + scalar tail
+	// where the CPU has one) to it for every coefficient, every short
+	// length, a long unaligned run, and dst/src at unaligned offsets.
 	rng := rand.New(rand.NewSource(1))
-	src := make([]byte, 300)
-	rng.Read(src)
-	for _, c := range []byte{0, 1, 2, 0x53, 0xCA, 0xFF} {
-		dst := make([]byte, 300)
-		rng.Read(dst)
-		want := make([]byte, 300)
-		for i := range want {
-			want[i] = dst[i] ^ mul(c, src[i])
+	every := make([]byte, 256)
+	for i := range every {
+		every[i] = byte(i)
+	}
+	for c := 0; c < 256; c++ {
+		dst := make([]byte, 256)
+		mulSliceXorScalar(byte(c), dst, every)
+		for i, b := range dst {
+			if b != mul(byte(c), byte(i)) {
+				t.Fatalf("scalar %#x·%#x = %#x, want %#x", c, i, b, mul(byte(c), byte(i)))
+			}
 		}
-		mulSliceXor(c, dst, src)
-		if !bytes.Equal(dst, want) {
-			t.Fatalf("mulSliceXor(%#x) mismatch", c)
+	}
+
+	const pad = 80 // room for offsets and untouched guard bytes
+	const long = 1<<20 + 13
+	noise := make([]byte, 2*(long+pad))
+	rng.Read(noise)
+	src := noise[:long+pad]
+	got := make([]byte, long+pad)
+	want := make([]byte, long+pad)
+	check := func(c byte, n, dOff, sOff int) {
+		t.Helper()
+		g, w := got[:n+pad], want[:n+pad]
+		copy(g, noise[long+pad+int(c):])
+		copy(w, g)
+		// Either side may be the longer; only the shorter length changes.
+		d, sv := g[dOff:dOff+n], src[sOff:sOff+n]
+		if dOff%2 == 0 {
+			d = g[dOff : dOff+n+3]
+		} else {
+			sv = src[sOff : sOff+n+3]
 		}
+		mulSliceXor(c, d, sv)
+		mulSliceXorScalar(c, w[dOff:dOff+n], src[sOff:sOff+n])
+		if !bytes.Equal(g, w) {
+			t.Fatalf("mulSliceXor(c=%#x, n=%d, dst+%d, src+%d) differs from the scalar loop", c, n, dOff, sOff)
+		}
+	}
+	offsets := [][2]int{{0, 0}, {1, 0}, {0, 7}, {13, 33}}
+	for c := 0; c < 256; c++ {
+		for n := 0; n <= 257; n++ {
+			for _, o := range offsets {
+				check(byte(c), n, o[0], o[1])
+			}
+		}
+		check(byte(c), long, 3, 5)
 	}
 }
 
@@ -126,14 +164,41 @@ func TestXORMatchesLegacyParity(t *testing.T) {
 	// And it refuses double losses.
 	shards := append(append([][]byte{}, data...), parity...)
 	shards[0], shards[1] = nil, nil
-	if err := c.Reconstruct(shards, size); !errors.Is(err, ErrInsufficient) {
+	if _, err := c.Reconstruct(shards, 0, size); !errors.Is(err, ErrInsufficient) {
 		t.Fatalf("two losses: err = %v, want ErrInsufficient", err)
 	}
 }
 
+// checkReconstruct asks for every shard of a stripe with the lost set
+// missing and asserts each answer is byte-exact and that only the wanted
+// shard is decoded: Reconstruct never fills in the shards slice.
+func checkReconstruct(t *testing.T, c Code, full [][]byte, lost map[int]bool, size int) {
+	t.Helper()
+	shards := make([][]byte, len(full))
+	for i := range shards {
+		if !lost[i] {
+			shards[i] = full[i]
+		}
+	}
+	for want := range shards {
+		got, err := c.Reconstruct(shards, want, size)
+		if err != nil {
+			t.Fatalf("want %d, lost %v: %v", want, lost, err)
+		}
+		if !bytes.Equal(padded(got, size), padded(full[want], size)) {
+			t.Fatalf("want %d, lost %v: shard differs", want, lost)
+		}
+		for i, s := range shards {
+			if lost[i] != (s == nil) {
+				t.Fatalf("want %d, lost %v: shard %d presence changed", want, lost, i)
+			}
+		}
+	}
+}
+
 func TestReconstructEveryLossPattern(t *testing.T) {
-	// RS(4,2): drop every 1- and 2-subset of the 6 members; every
-	// reconstruction must be byte-exact.
+	// RS(4,2): for every 0-, 1- and 2-subset of the 6 members lost, ask
+	// for every shard — data and parity, lost and present.
 	rng := rand.New(rand.NewSource(3))
 	const size = 333
 	c, err := New(KindRS, 4, 2)
@@ -145,22 +210,10 @@ func TestReconstructEveryLossPattern(t *testing.T) {
 	full := append(append([][]byte{}, data...), parity...)
 	for a := 0; a < 6; a++ {
 		for b := a; b < 6; b++ {
-			shards := make([][]byte, 6)
-			for i := range shards {
-				if i != a && i != b {
-					shards[i] = full[i]
-				}
-			}
-			if err := c.Reconstruct(shards, size); err != nil {
-				t.Fatalf("drop {%d,%d}: %v", a, b, err)
-			}
-			for i := range shards {
-				if !bytes.Equal(padded(shards[i], size), padded(full[i], size)) {
-					t.Fatalf("drop {%d,%d}: shard %d differs", a, b, i)
-				}
-			}
+			checkReconstruct(t, c, full, map[int]bool{a: true, b: true}, size)
 		}
 	}
+	checkReconstruct(t, c, full, nil, size)
 }
 
 func TestReconstructRejectsTooManyLosses(t *testing.T) {
@@ -169,8 +222,16 @@ func TestReconstructRejectsTooManyLosses(t *testing.T) {
 	shards[0] = make([]byte, 8)
 	shards[1] = make([]byte, 8)
 	shards[2] = make([]byte, 8)
-	if err := c.Reconstruct(shards, 8); !errors.Is(err, ErrInsufficient) {
+	if _, err := c.Reconstruct(shards, 3, 8); !errors.Is(err, ErrInsufficient) {
 		t.Fatalf("err = %v, want ErrInsufficient", err)
+	}
+	for _, want := range []int{-1, 6} {
+		if _, err := c.Reconstruct(shards, want, 8); !errors.Is(err, ErrConfig) {
+			t.Fatalf("want %d: err = %v, want ErrConfig", want, err)
+		}
+	}
+	if _, err := c.Reconstruct(shards[:5], 0, 8); !errors.Is(err, ErrConfig) {
+		t.Fatalf("5 shards: err = %v, want ErrConfig", err)
 	}
 }
 
@@ -215,33 +276,23 @@ func TestRSWideConfig(t *testing.T) {
 	data := randShards(rng, 12, size)
 	parity := encode(t, c, data, size)
 	full := append(append([][]byte{}, data...), parity...)
-	shards := make([][]byte, 16)
-	copy(shards, full)
-	for _, drop := range []int{0, 5, 12, 15} {
-		shards[drop] = nil
-	}
-	if err := c.Reconstruct(shards, size); err != nil {
-		t.Fatal(err)
-	}
-	for i := range shards {
-		if !bytes.Equal(padded(shards[i], size), padded(full[i], size)) {
-			t.Fatalf("shard %d differs", i)
-		}
-	}
+	checkReconstruct(t, c, full, map[int]bool{0: true, 5: true, 12: true, 15: true}, size)
 }
 
 // FuzzErasureRoundTrip: encode random shards under a random (k, m),
 // drop up to m members, and assert byte-exact reconstruction of every
-// shard. Wired into `make fuzz-smoke`.
+// shard. Shard sizes run to 4 KB so the vector kernel's 64-byte blocks
+// and the scalar tail both run. Wired into `make fuzz-smoke`.
 func FuzzErasureRoundTrip(f *testing.F) {
 	f.Add(int64(1), uint8(4), uint8(2), uint16(64), uint8(0b11))
 	f.Add(int64(2), uint8(1), uint8(1), uint16(1), uint8(0b1))
 	f.Add(int64(3), uint8(8), uint8(2), uint16(300), uint8(0b10000001))
 	f.Add(int64(4), uint8(3), uint8(1), uint16(9), uint8(0))
+	f.Add(int64(5), uint8(4), uint8(2), uint16(4095), uint8(0b100001))
 	f.Fuzz(func(t *testing.T, seed int64, kSeed, mSeed uint8, sizeSeed uint16, dropMask uint8) {
 		k := int(kSeed)%12 + 1
 		m := int(mSeed)%4 + 1
-		size := int(sizeSeed)%1024 + 1
+		size := int(sizeSeed)%4096 + 1
 		kind := KindRS
 		if m == 1 && seed%2 == 0 {
 			kind = KindXOR
@@ -256,23 +307,61 @@ func FuzzErasureRoundTrip(f *testing.F) {
 		full := append(append([][]byte{}, data...), parity...)
 
 		// Drop up to m shards, chosen by the mask.
-		n := k + m
-		shards := make([][]byte, n)
-		copy(shards, full)
-		dropped := 0
-		for i := 0; i < n && dropped < m; i++ {
+		lost := map[int]bool{}
+		for i := 0; i < k+m && len(lost) < m; i++ {
 			if dropMask&(1<<(i%8)) != 0 {
-				shards[i] = nil
-				dropped++
+				lost[i] = true
 			}
 		}
-		if err := c.Reconstruct(shards, size); err != nil {
-			t.Fatalf("reconstruct k=%d m=%d dropped=%d: %v", k, m, dropped, err)
-		}
-		for i := range shards {
-			if !bytes.Equal(padded(shards[i], size), padded(full[i], size)) {
-				t.Fatalf("k=%d m=%d kind=%v: shard %d differs after reconstruction", k, m, kind, i)
-			}
-		}
+		checkReconstruct(t, c, full, lost, size)
 	})
+}
+
+// Micro-benchmarks over 1 MB shards, the default fragment payload.
+const benchShard = 1 << 20
+
+func BenchmarkMulSliceXor(b *testing.B) {
+	dst := make([]byte, benchShard)
+	src := make([]byte, benchShard)
+	rand.New(rand.NewSource(1)).Read(src)
+	b.SetBytes(benchShard)
+	for b.Loop() {
+		mulSliceXor(0x53, dst, src)
+	}
+}
+
+// BenchmarkAddDataRS42 folds one 1 MB data shard into RS(4,2)'s two
+// parity accumulators: the write path's per-fragment encode cost.
+func BenchmarkAddDataRS42(b *testing.B) {
+	c, _ := New(KindRS, 4, 2)
+	data := make([]byte, benchShard)
+	rand.New(rand.NewSource(1)).Read(data)
+	parity := [][]byte{make([]byte, benchShard), make([]byte, benchShard)}
+	b.SetBytes(benchShard)
+	for b.Loop() {
+		c.AddData(1, data, parity)
+	}
+}
+
+// BenchmarkReconstructRS42 rebuilds one lost 1 MB data shard from four
+// survivors, with the sixth member (the straggler a k-of-n gather does
+// not wait for) also nil: the degraded read path's decode.
+func BenchmarkReconstructRS42(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	c, _ := New(KindRS, 4, 2)
+	data := make([][]byte, 4)
+	for i := range data {
+		data[i] = make([]byte, benchShard)
+		rng.Read(data[i])
+	}
+	full := append(data, encode(b, c, data, benchShard)...)
+	shards := make([][]byte, 6)
+	copy(shards, full)
+	shards[0], shards[5] = nil, nil
+	b.SetBytes(benchShard)
+	for b.Loop() {
+		if _, err := c.Reconstruct(shards, 0, benchShard); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -145,3 +145,14 @@ func TestBufferPoolReuse(t *testing.T) {
 		t.Errorf("GetBuffer(0) = %v, want nil", got)
 	}
 }
+
+// A small request must not be handed a pooled fragment-sized buffer: a
+// 4 KB read that escapes into a block cache would pin the whole 2 MB
+// array, and the next fragment gather would allocate a fresh one.
+func TestBufferPoolSmallRequestSkipsLargeBins(t *testing.T) {
+	PutBuffer(make([]byte, 2<<20))
+	const small = 4<<10 + 40 // a 4 KB read response frame body
+	if p := GetBuffer(small); cap(p) >= 4*small {
+		t.Errorf("GetBuffer(%d) after PutBuffer(2 MB): cap %d, want < %d", small, cap(p), 4*small)
+	}
+}

@@ -13,7 +13,9 @@ import (
 //
 // Ownership rules (documented in DESIGN.md §3.9):
 //
-//   - GetBuffer hands out a buffer owned exclusively by the caller.
+//   - GetBuffer hands out a buffer owned exclusively by the caller, taken
+//     only from the request's own size bin or the one above — never a
+//     much larger pooled buffer.
 //   - PutBuffer recycles a buffer; the caller must not touch it afterward.
 //     Releasing is always optional — a buffer that escapes (e.g. data
 //     returned to the application) is simply collected by the GC and the
@@ -95,9 +97,13 @@ func GetBuffer(n int) []byte {
 	}
 	if i := binFor(n); i >= 0 {
 		// The buffer's own bin may hold a fit (bins span [base, 2·base),
-		// so entries there need a capacity check); any higher bin fits by
-		// construction.
-		for ; i < poolBins; i++ {
+		// so entries there need a capacity check); the bin above fits by
+		// construction and is where GetBuffer's power-of-two rounding
+		// files a fresh buffer. The search stops there: a buffer from
+		// further up is at least twice the request, and a small read
+		// that escapes (into a block cache, say) would pin a whole
+		// fragment-sized array for as long as it lives.
+		for top := min(i+1, poolBins-1); i <= top; i++ {
 			if p := bufferPool[i].take(n); p != nil {
 				return p[:n]
 			}
