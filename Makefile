@@ -74,12 +74,13 @@ bench-strict:
 bench-smoke:
 	$(GO) test -count=1 -run 'TestWirepath|TestServercommit|TestErasure|TestRebalance|TestReadpath|TestQoS' ./internal/bench
 
-# Short fuzzing pass over the wire codecs and the erasure coder (not
-# part of ci: fuzzing is open-ended by nature; run it before touching
-# frame, message, or parity code).
+# Short fuzzing pass over the wire codecs, the CRC-32 combination math
+# and the erasure coder (not part of ci: fuzzing is open-ended by
+# nature; run it before touching frame, message, CRC or parity code).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFrameRoundTrip -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzReadRequestFrame -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzReadResponseFrame -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzResponseStreamDemux -fuzztime 10s ./internal/wire
+	$(GO) test -run '^$$' -fuzz FuzzCRCCombine -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzErasureRoundTrip -fuzztime 10s ./internal/erasure

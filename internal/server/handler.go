@@ -84,6 +84,7 @@ func (s *Store) handle(client wire.ClientID, op wire.Op, body []byte) (wire.Stat
 			return wire.StatusOK, &cachedReadResponse{
 				ReadResponse: wire.ReadResponse{Data: data},
 				ext:          ext,
+				off:          int(req.Off),
 			}
 		}
 		return wire.StatusOK, &wire.ReadResponse{Data: data}
@@ -208,10 +209,24 @@ func (s *Store) handle(client wire.ClientID, op wire.Op, body []byte) (wire.Stat
 type cachedReadResponse struct {
 	wire.ReadResponse
 	ext *Extent
+	off int // Data == ext.buf[off : off+len(Data)]
 }
 
 // ReleasePayload implements wire.PayloadReleaser.
 func (m *cachedReadResponse) ReleasePayload() { m.ext.Release() }
+
+// PayloadCRC implements wire.PayloadChecksummer for a range that ends at
+// the extent's end and starts before its middle — fragio's payload fetch
+// skipping the fragment header is the case that matters. Its CRC comes
+// from the extent's own checksum and a hash of the short prefix; any
+// other range is cheaper to hash directly.
+func (m *cachedReadResponse) PayloadCRC() (uint32, bool) {
+	n := len(m.Data)
+	if m.off+n != len(m.ext.buf) || m.off >= n {
+		return 0, false
+	}
+	return m.ext.tailCRC(m.off), true
+}
 
 // errBody carries an error string; non-OK responses encode it.
 type errBody struct{ msg string }

@@ -3,6 +3,7 @@ package server
 import (
 	"container/list"
 	"fmt"
+	"hash/crc32"
 	"sync"
 	"sync/atomic"
 
@@ -68,6 +69,27 @@ type Extent struct {
 	gen  uint64
 	buf  []byte // pooled; len == the fragment's stored size
 	refs atomic.Int32
+	// crc is crcValid|crc32.ChecksumIEEE(buf) once a response needed it,
+	// zero before. It is computed on first use, not at fill: most
+	// extents a miss fills serve only small interior reads, which never
+	// need it, and a fill-time pass would add 1 MB of hashing to each
+	// of those misses.
+	crc atomic.Uint64
+}
+
+const crcValid = 1 << 32
+
+// tailCRC returns the CRC-32 (IEEE) of buf[off:], derived from the whole
+// buffer's checksum and that of the off-byte prefix. Only the first call
+// hashes the whole buffer; concurrent first callers may each do so, and
+// they store the same value.
+func (e *Extent) tailCRC(off int) uint32 {
+	v := e.crc.Load()
+	if v == 0 {
+		v = crcValid | uint64(crc32.ChecksumIEEE(e.buf))
+		e.crc.Store(v)
+	}
+	return wire.SuffixCRC(uint32(v), crc32.ChecksumIEEE(e.buf[:off]), len(e.buf)-off)
 }
 
 // Release drops one reference; the last one returns the pooled buffer.

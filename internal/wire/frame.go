@@ -99,7 +99,9 @@ func IsStatus(err error, s Status) bool {
 // frame body: callers that pass one must have encoded its length prefix
 // at the end of body (see PayloadMessage), which keeps the format
 // byte-identical to encoding the payload inline while never copying it.
-func writeFrame(w io.Writer, kind uint8, op Op, id uint64, aux uint32, status Status, body, payload []byte) error {
+// When crcKnown is set, payloadCRC is the payload's CRC-32 and the frame
+// checksum is combined from it rather than computed over the payload.
+func writeFrame(w io.Writer, kind uint8, op Op, id uint64, aux uint32, status Status, body, payload []byte, payloadCRC uint32, crcKnown bool) error {
 	if len(body)+len(payload) > MaxFrameSize {
 		return ErrFrameTooLarge
 	}
@@ -113,7 +115,11 @@ func writeFrame(w io.Writer, kind uint8, op Op, id uint64, aux uint32, status St
 	binary.LittleEndian.PutUint32(hdr[19:], uint32(len(body)+len(payload)))
 	crc := crc32.Update(0, crc32.IEEETable, hdr[:])
 	crc = crc32.Update(crc, crc32.IEEETable, body)
-	crc = crc32.Update(crc, crc32.IEEETable, payload)
+	if crcKnown {
+		crc = CombineCRC(crc, payloadCRC, len(payload))
+	} else {
+		crc = crc32.Update(crc, crc32.IEEETable, payload)
+	}
 	var sum [4]byte
 	binary.LittleEndian.PutUint32(sum[:], crc)
 
@@ -189,7 +195,7 @@ func encodeMessage(msg Message) (body, payload []byte) {
 // WriteRequest frames and writes a request carrying msg.
 func WriteRequest(w io.Writer, op Op, id uint64, client ClientID, msg Message) error {
 	body, payload := encodeMessage(msg)
-	return writeFrame(w, frameKindReq, op, id, uint32(client), 0, body, payload)
+	return writeFrame(w, frameKindReq, op, id, uint32(client), 0, body, payload, 0, false)
 }
 
 // ReadRequestFrame reads one request frame.
@@ -204,17 +210,24 @@ func ReadRequestFrame(r io.Reader) (*Request, error) {
 	return &Request{Op: op, ID: id, Client: ClientID(aux), Body: body}, nil
 }
 
-// WriteResponse frames and writes an OK response carrying msg.
+// WriteResponse frames and writes an OK response carrying msg. A msg
+// that knows its payload's CRC (PayloadChecksummer) spares the payload
+// a hashing pass.
 func WriteResponse(w io.Writer, op Op, id uint64, msg Message) error {
 	body, payload := encodeMessage(msg)
-	return writeFrame(w, frameKindRsp, op, id, 0, StatusOK, body, payload)
+	var crc uint32
+	var known bool
+	if pc, ok := msg.(PayloadChecksummer); ok {
+		crc, known = pc.PayloadCRC()
+	}
+	return writeFrame(w, frameKindRsp, op, id, 0, StatusOK, body, payload, crc, known)
 }
 
 // WriteErrorResponse frames and writes a non-OK response with a message.
 func WriteErrorResponse(w io.Writer, op Op, id uint64, status Status, msg string) error {
 	e := NewEncoder(len(msg) + 4)
 	e.String32(msg)
-	return writeFrame(w, frameKindRsp, op, id, 0, status, e.Bytes(), nil)
+	return writeFrame(w, frameKindRsp, op, id, 0, status, e.Bytes(), nil, 0, false)
 }
 
 // ReadResponseFrame reads one response frame.

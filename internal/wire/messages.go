@@ -34,6 +34,18 @@ type PayloadMessage interface {
 	Payload() []byte
 }
 
+// PayloadChecksummer is implemented by payload messages that can know
+// their payload's CRC-32 (IEEE) without hashing it — a server read-cache
+// extent checksums its bytes once and serves many responses from them.
+// WriteResponse then derives the frame checksum by CRC combination
+// instead of rehashing the payload. The frame bytes are identical either
+// way, and the receiver still verifies every byte it reads.
+type PayloadChecksummer interface {
+	// PayloadCRC returns crc32.ChecksumIEEE(Payload()) and true, or false
+	// when the value is not known cheaply and the writer should hash.
+	PayloadCRC() (uint32, bool)
+}
+
 // PayloadReleaser is implemented by responses whose payload aliases a
 // shared, reference-counted buffer (a server read-cache extent) instead
 // of an exclusively-owned pooled buffer. After the payload has been
