@@ -191,8 +191,24 @@ func TestChaosSurvivesServerOutages(t *testing.T) {
 // older than what was durably committed before the read began: a cached
 // extent surviving slot recycling, reconstruction, or rebuild would
 // surface here as stale or torn bytes (the generation-counter invariant,
-// DESIGN.md §3.13).
+// DESIGN.md §3.13). The second case gives each server a cache smaller
+// than the data it holds, so misses past the cache's capacity are range
+// reads racing the same overwrites, cleaner passes, kills and rebuilds.
 func TestChaosZipfReadsAlwaysFresh(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		cacheBytes int64 // 0 = NewServer's default
+	}{
+		{"default cache", 0},
+		{"cache smaller than the data", 2 * chaosZipfFragment},
+	} {
+		t.Run(tc.name, func(t *testing.T) { chaosZipfReads(t, tc.cacheBytes) })
+	}
+}
+
+const chaosZipfFragment = 16 << 10
+
+func chaosZipfReads(t *testing.T, cacheBytes int64) {
 	const (
 		nServers  = 5
 		nBlocks   = 64
@@ -211,7 +227,7 @@ func TestChaosZipfReadsAlwaysFresh(t *testing.T) {
 	flaky := make([]*transport.Flaky, nServers)
 	servers := make([]*Server, nServers)
 	for i := 0; i < nServers; i++ {
-		s, err := NewServer(ServerOptions{DiskBytes: 64 << 20, FragmentSize: 16 << 10})
+		s, err := NewServer(ServerOptions{DiskBytes: 64 << 20, FragmentSize: chaosZipfFragment, ReadCacheBytes: cacheBytes})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +236,7 @@ func TestChaosZipfReadsAlwaysFresh(t *testing.T) {
 		flaky[i] = transport.NewFlaky(transport.NewLocal(ServerID(i+1), s.store, 1))
 		conns[i] = transport.NewResilient(flaky[i], cfg)
 	}
-	c, err := connect(1, conns, ClientOptions{FragmentSize: 16 << 10})
+	c, err := connect(1, conns, ClientOptions{FragmentSize: chaosZipfFragment})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,6 +396,24 @@ func TestChaosZipfReadsAlwaysFresh(t *testing.T) {
 	}
 	if hits == 0 {
 		t.Fatal("chaos run never hit the server read caches")
+	}
+	if cacheBytes == 0 {
+		return
+	}
+	// Past the cache's capacity most misses must have been range reads:
+	// had each filled its extent, the disk bytes foreground misses read
+	// would come to nearly a fragment apiece. Readahead fills are
+	// charged a whole fragment each, which only makes this harder.
+	var misses, raLoads, diskBytes int64
+	for _, s := range servers {
+		st := s.store.Stats()
+		misses += st.ReadMisses
+		raLoads += st.ReadaheadLoads
+		diskBytes += st.ReadBytesDisk
+	}
+	if fg := diskBytes - raLoads*chaosZipfFragment; misses == 0 || fg >= misses*chaosZipfFragment/2 {
+		t.Fatalf("%d misses read %d disk bytes beside %d readahead loads: the range-read path was not exercised",
+			misses, diskBytes, raLoads)
 	}
 }
 

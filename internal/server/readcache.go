@@ -24,6 +24,11 @@ import (
 // extent can never serve another fragment's bytes; Delete also drops the
 // FID's entry eagerly to free memory.
 //
+// Admission is rent-or-buy once the cache is full: a miss that would
+// evict another extent to fill its own reads only the requested range,
+// and the fragment is filled by the partial read that brings its running
+// total to the extent size (see admit).
+//
 // Extent buffers come from the wire buffer pool and flow to the network
 // with zero copies: a cached read's response payload aliases the extent,
 // so the buffer cannot return to the pool until both the cache and every
@@ -38,12 +43,16 @@ type readCache struct {
 	misses      atomic.Int64
 	raLoads     atomic.Int64 // extents filled by the readahead worker
 	bytesCached atomic.Int64 // payload bytes served from cache (zero-copy)
-	bytesDisk   atomic.Int64 // bytes read from disk to fill extents
+	bytesDisk   atomic.Int64 // bytes read from disk: fills and range reads
 
 	mu    sync.Mutex
 	bytes int64
 	lru   *list.List // front = most recent; values are *Extent
 	index map[wire.FID]*list.Element
+	// partial holds, per non-resident FID, the bytes range reads have
+	// served since the cache was full (admit). Dropped on fill and in
+	// invalidate, so it never outlives the fragment.
+	partial map[wire.FID]partialReads
 
 	// raCh feeds the readahead worker the FIDs whose neighbors should be
 	// prefetched. Sends never block: under load, dropping a readahead
@@ -79,6 +88,15 @@ type Extent struct {
 
 const crcValid = 1 << 32
 
+// partialReads is a fragment's running total of range-read bytes,
+// stamped like an Extent with the (slot, gen) it was counted under; a
+// recycled slot starts the total again from zero.
+type partialReads struct {
+	slot  int
+	gen   uint64
+	bytes int64
+}
+
 // tailCRC returns the CRC-32 (IEEE) of buf[off:], derived from the whole
 // buffer's checksum and that of the off-byte prefix. Only the first call
 // hashes the whole buffer; concurrent first callers may each do so, and
@@ -107,6 +125,7 @@ func newReadCache(capBytes int64, depth int) *readCache {
 		depth:    depth,
 		lru:      list.New(),
 		index:    make(map[wire.FID]*list.Element),
+		partial:  make(map[wire.FID]partialReads),
 		raCh:     make(chan wire.FID, 256),
 		raStop:   make(chan struct{}),
 	}
@@ -145,6 +164,7 @@ func (rc *readCache) get(fid wire.FID, slot int, gen uint64) *Extent {
 // swarmlint:returns-ref
 func (rc *readCache) insert(fid wire.FID, slot int, gen uint64, buf []byte) *Extent {
 	rc.mu.Lock()
+	delete(rc.partial, fid)
 	if el, ok := rc.index[fid]; ok {
 		ext := el.Value.(*Extent)
 		if ext.slot == slot && ext.gen == gen {
@@ -194,8 +214,47 @@ func (rc *readCache) contains(fid wire.FID, slot int, gen uint64) bool {
 // check is the braces).
 func (rc *readCache) invalidate(fid wire.FID) {
 	rc.mu.Lock()
+	delete(rc.partial, fid)
 	if el, ok := rc.index[fid]; ok {
 		rc.removeLocked(el)
+	}
+	rc.mu.Unlock()
+}
+
+// admit decides how a miss of n bytes of fid's size-byte extent is
+// served: true fills the whole extent, false reads only the range. While
+// the extent fits beside the resident ones every miss fills. Once
+// filling would evict, a fragment must earn its fill: each range read
+// adds n to the fragment's running total, and the read that brings the
+// total to at least size fills. A whole-extent read therefore fills at
+// once, and so does fragio's header probe followed by its payload fetch;
+// a fragment read once in 4 KB costs 4 KB of disk, not a 1 MB fill.
+func (rc *readCache) admit(fid wire.FID, slot int, gen uint64, n, size uint32) bool {
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	if rc.bytes+int64(size) <= rc.capBytes {
+		return true
+	}
+	p := rc.partial[fid]
+	if p.slot != slot || p.gen != gen {
+		p = partialReads{slot: slot, gen: gen}
+	}
+	p.bytes += int64(n)
+	if p.bytes >= int64(size) {
+		delete(rc.partial, fid)
+		return true
+	}
+	rc.partial[fid] = p
+	return false
+}
+
+// forget drops fid's partial-read total if it was counted under (slot,
+// gen). A miss whose slot was recycled between its lookup and admit
+// calls it, so Delete's invalidate cannot be overtaken by a stale total.
+func (rc *readCache) forget(fid wire.FID, slot int, gen uint64) {
+	rc.mu.Lock()
+	if p, ok := rc.partial[fid]; ok && p.slot == slot && p.gen == gen {
+		delete(rc.partial, fid)
 	}
 	rc.mu.Unlock()
 }
@@ -245,9 +304,11 @@ const DefaultReadahead = 4
 // SetReadCache enables the serving-tier extent cache: reads are answered
 // from (and fill) an LRU of whole fragment extents bounded by capBytes,
 // and a miss on fragment i prefetches the next depth fragments of the
-// same log off the same disk pass (depth 0 disables readahead). Call it
-// once, before serving traffic; passing capBytes <= 0 leaves the cache
-// disabled.
+// same log off the same disk pass (depth 0 disables readahead). While
+// the cache has room every miss fills; once it is full, a miss reads
+// only its range until the fragment's range reads add up to its size,
+// so capBytes should cover the hot set. Call it once, before serving
+// traffic; passing capBytes <= 0 leaves the cache disabled.
 func (s *Store) SetReadCache(capBytes int64, depth int) {
 	if capBytes <= 0 {
 		return
@@ -273,12 +334,14 @@ func (s *Store) Close() {
 
 // readExtent is the cached read path: resolve fid under the metadata
 // lock, serve from the extent cache when the (slot, gen) identity still
-// holds, otherwise fill the whole extent from disk — outside any lock —
-// and revalidate before caching. The returned data aliases the extent's
-// pooled buffer; the caller must release the extent exactly once after
-// the bytes are on the wire (or copied). Range and ACL checks happen on
-// every request, cached or not, so readahead never bypasses access
-// control.
+// holds, otherwise read from disk — outside any lock — and revalidate.
+// A miss the cache admits (admit) fills the whole extent and caches it;
+// the returned data aliases the extent's pooled buffer, and the caller
+// must release the extent exactly once after the bytes are on the wire
+// (or copied). A miss it does not admit is Read's range read: the data
+// is a pooled buffer of n bytes and the extent is nil. Range and ACL
+// checks happen on every request, cached or not, so readahead never
+// bypasses access control.
 // swarmlint:returns-ref
 func (s *Store) readExtent(rc *readCache, client wire.ClientID, fid wire.FID, off, n uint32) ([]byte, *Extent, error) {
 	for {
@@ -309,15 +372,21 @@ func (s *Store) readExtent(rc *readCache, client wire.ClientID, fid wire.FID, of
 		}
 		rc.misses.Add(1)
 
-		// Miss: one disk pass loads the whole extent, so the sibling
-		// header probe and the payload fetch that follow it — and every
-		// later reader of this fragment — hit.
-		buf := wire.GetBuffer(int(ent.size))
-		if err := s.d.ReadAt(buf, dataOff); err != nil {
+		// Miss: a fill loads the whole extent in one disk pass, so the
+		// header probe and payload fetch that follow it — and every
+		// later reader of this fragment — hit. Unadmitted, read just the
+		// requested bytes.
+		fill := rc.admit(fid, slot, gen, n, ent.size)
+		at, size := dataOff, ent.size
+		if !fill {
+			at, size = dataOff+int64(off), n
+		}
+		buf := wire.GetBuffer(int(size))
+		if err := s.d.ReadAt(buf, at); err != nil {
 			wire.PutBuffer(buf)
 			return nil, nil, fmt.Errorf("read fragment data: %w", err)
 		}
-		rc.bytesDisk.Add(int64(ent.size))
+		rc.bytesDisk.Add(int64(size))
 		// Same revalidation as the uncached path (see Store.Read): the
 		// lock was dropped across the disk read, so the slot may have
 		// been recycled mid-read. Never cache — or serve — such bytes.
@@ -327,10 +396,14 @@ func (s *Store) readExtent(rc *readCache, client wire.ClientID, fid wire.FID, of
 		s.mu.RUnlock()
 		if !valid {
 			wire.PutBuffer(buf)
+			rc.forget(fid, slot, gen)
 			continue
 		}
-		ext := rc.insert(fid, slot, gen, buf)
 		rc.schedule(fid)
+		if !fill {
+			return buf, nil, nil
+		}
+		ext := rc.insert(fid, slot, gen, buf)
 		return ext.buf[off : off+n : off+n], ext, nil
 	}
 }

@@ -689,10 +689,10 @@ type Stats struct {
 	// Read-path counters (all zero while the serving-tier extent cache
 	// is disabled), cumulative since open.
 	ReadHits        int64 // reads served from the extent cache
-	ReadMisses      int64 // reads that had to fill from disk
+	ReadMisses      int64 // reads not answered from the cache
 	ReadaheadLoads  int64 // extents prefetched by the readahead worker
 	ReadBytesCached int64 // payload bytes served zero-copy from cache
-	ReadBytesDisk   int64 // bytes read from disk to fill extents
+	ReadBytesDisk   int64 // bytes read from disk: extent fills and range reads
 	ReadCacheBytes  int64 // current extent cache occupancy
 
 	// Per-tenant QoS accounting (empty while the fair scheduler is

@@ -451,9 +451,9 @@ type StatResponse struct {
 	StoreNanos     uint64
 
 	// Read-path counters (the serving-tier extent cache; all zero when
-	// it is disabled): cache hits and fills, readahead prefetches, bytes
-	// served zero-copy from memory vs read from disk, and current cache
-	// occupancy.
+	// it is disabled): cache hits and misses, readahead prefetches,
+	// bytes served zero-copy from memory vs read from disk (extent fills
+	// and range reads), and current cache occupancy.
 	ReadHits        uint64
 	ReadMisses      uint64
 	ReadaheadLoads  uint64
