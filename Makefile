@@ -3,18 +3,23 @@ GO ?= go
 # Total statement coverage (make cover) must not drop below this.
 COVER_FLOOR ?= 75
 
-.PHONY: ci check vet lint build cross test race chaos cover bench-strict bench-smoke fuzz-smoke
+.PHONY: ci check fmt vet lint build cross test race chaos cover bench-strict bench-smoke fuzz-smoke
 
 .DEFAULT_GOAL := ci
 
-# The CI gate — what `make` with no arguments runs: static checks
-# (including the project-specific swarmlint analyzers), the full test
-# suite, a race pass over every package, the coverage floor, and a
-# small benchmark smoke run.
-ci: vet lint build cross test race cover bench-smoke
+# The CI gate — what `make` with no arguments runs: formatting and
+# static checks (including the project-specific swarmlint analyzers),
+# the full test suite, a race pass over every package, the coverage
+# floor, and a small benchmark smoke run.
+ci: fmt vet lint build cross test race cover bench-smoke
 
 # Historical alias for the same gate.
 check: ci
+
+# Every Go file in the tree must be gofmt-clean; lists the files that
+# are not. Read-only: it never rewrites a file.
+fmt:
+	@test -z "$$(gofmt -l . | tee /dev/stderr)"
 
 vet:
 	$(GO) vet ./...
@@ -65,12 +70,14 @@ bench-strict:
 	SWARM_BENCH_STRICT=1 $(GO) test ./internal/bench
 
 # Tiny wirepath (serial vs multiplexed wire path, DESIGN.md §3.9),
-# servercommit (serial vs group-committed store path, DESIGN.md §3.10),
-# erasure-geometry (write amplification vs reconstruction cost,
-# DESIGN.md §3.11), rebalance (foreground throughput during an elastic
-# drain, DESIGN.md §3.12), and readpath (Zipf serving-tier sweep,
-# DESIGN.md §3.13) runs as CI smoke checks. Shape only by default; set
-# SWARM_BENCH_STRICT=1 to also assert the >= 2x speedup ratios.
+# servercommit (group-committed store path over a writer sweep,
+# DESIGN.md §3.10), erasure-geometry (write amplification vs
+# reconstruction cost, DESIGN.md §3.11), rebalance (foreground
+# throughput during an elastic drain, DESIGN.md §3.12), and readpath
+# (Zipf serving-tier sweep, DESIGN.md §3.13) runs as CI smoke checks.
+# Shape only by default; set SWARM_BENCH_STRICT=1 to also assert the
+# environment-sensitive bars (>= 2x speedup ratios, < 1 fsync per
+# store at depth 4).
 bench-smoke:
 	$(GO) test -count=1 -run 'TestWirepath|TestServercommit|TestErasure|TestRebalance|TestReadpath|TestQoS' ./internal/bench
 

@@ -81,9 +81,6 @@ type ClientOptions struct {
 	// defaults documented on ResilientConfig. In-process clusters connect
 	// directly and ignore this.
 	Resilience ResilientConfig
-	// DisableResilience connects over raw TCP with no retries, breakers,
-	// or health tracking (mainly for benchmarking the bare protocol).
-	DisableResilience bool
 }
 
 // Client is one Swarm client: the owner of one striped log, plus the
@@ -107,33 +104,40 @@ type Client struct {
 // running swarmd processes, in cluster order) and opens/recovers the
 // client's log.
 func ConnectAddrs(id ClientID, addrs []string, opts ClientOptions) (*Client, error) {
-	tcpOpts := transport.TCPOptions{PoolSize: opts.PipelineDepth, MaxInFlight: opts.MaxInFlight}
 	conns := make([]transport.ServerConn, 0, len(addrs))
 	for i, addr := range addrs {
-		var sc transport.ServerConn
-		tc, err := transport.DialTCPOpts(ServerID(i+1), addr, id, tcpOpts)
-		switch {
-		case err == nil:
-			sc = tc
-		case !opts.DisableResilience && errors.Is(err, transport.ErrUnavailable):
-			// The server is unreachable right now, not misconfigured: a
-			// degraded cluster must still be connectable (reads
-			// reconstruct and writes degrade around the dead member), so
-			// fall back to a lazily-dialed connection and let the
-			// circuit breaker track the outage until the server answers.
-			sc = transport.NewTCPConnOpts(ServerID(i+1), addr, id, tcpOpts)
-		default:
+		sc, err := dialResilient(ServerID(i+1), addr, id, opts)
+		if err != nil {
 			for _, c := range conns {
 				c.Close()
 			}
-			return nil, fmt.Errorf("connect server %d (%s): %w", i+1, addr, err)
-		}
-		if !opts.DisableResilience {
-			sc = transport.NewResilient(sc, opts.Resilience)
+			return nil, err
 		}
 		conns = append(conns, sc)
 	}
 	return connect(id, conns, opts)
+}
+
+// dialResilient dials one storage server over TCP and wraps the
+// connection in the retry/circuit-breaker layer.
+func dialResilient(sid ServerID, addr string, id ClientID, opts ClientOptions) (transport.ServerConn, error) {
+	tcpOpts := transport.TCPOptions{PoolSize: opts.PipelineDepth, MaxInFlight: opts.MaxInFlight}
+	var sc transport.ServerConn
+	tc, err := transport.DialTCPOpts(sid, addr, id, tcpOpts)
+	switch {
+	case err == nil:
+		sc = tc
+	case errors.Is(err, transport.ErrUnavailable):
+		// The server is unreachable right now, not misconfigured: a
+		// degraded cluster must still be connectable (reads
+		// reconstruct and writes degrade around the dead member), so
+		// fall back to a lazily-dialed connection and let the
+		// circuit breaker track the outage until the server answers.
+		sc = transport.NewTCPConnOpts(sid, addr, id, tcpOpts)
+	default:
+		return nil, fmt.Errorf("connect server %d (%s): %w", sid, addr, err)
+	}
+	return transport.NewResilient(sc, opts.Resilience), nil
 }
 
 // connectLocal wires a client directly to in-process servers.
@@ -276,20 +280,15 @@ type FSConfig struct {
 	CacheBytes int64
 	// DirtyLimit is the write-back threshold. Default 4 MB.
 	DirtyLimit int64
-	// ReadaheadFragments arms the block cache's sequential readahead:
-	// misses walking forward through the log prefetch this many upcoming
-	// fragments. Zero disables. Only effective with CacheBytes > 0.
-	ReadaheadFragments int
 }
 
 // Mount mounts the Sting file system on this client's log, replaying any
 // recovered state.
 func (c *Client) Mount(cfg FSConfig) (*FS, error) {
 	return sting.Mount(c.log, c.reg, c.rec, sting.Config{
-		BlockSize:          cfg.BlockSize,
-		CacheBytes:         cfg.CacheBytes,
-		DirtyLimit:         cfg.DirtyLimit,
-		ReadaheadFragments: cfg.ReadaheadFragments,
+		BlockSize:  cfg.BlockSize,
+		CacheBytes: cfg.CacheBytes,
+		DirtyLimit: cfg.DirtyLimit,
 	})
 }
 
@@ -340,9 +339,9 @@ func (c *Client) RebuildServer(id ServerID) (int, error) {
 
 // Health reports per-server circuit-breaker state and retry/failure
 // counters for connections wrapped by the resilient transport layer
-// (ConnectAddrs wraps every TCP connection unless DisableResilience is
-// set). Connections without a resilience layer report nothing, so an
-// in-process cluster returns an empty slice.
+// (ConnectAddrs and AddServer wrap every TCP connection). Connections
+// without a resilience layer report nothing, so an in-process cluster
+// returns an empty slice.
 func (c *Client) Health() []Health {
 	return transport.HealthOf(c.servers())
 }

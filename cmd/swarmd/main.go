@@ -16,7 +16,6 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"swarm"
 	"swarm/internal/server"
@@ -24,14 +23,12 @@ import (
 
 func main() {
 	var (
-		listen      = flag.String("listen", "127.0.0.1:7700", "TCP address to serve the wire protocol on")
-		diskPath    = flag.String("disk", "", "backing disk file (created if absent); empty with -mem for memory")
-		mem         = flag.Bool("mem", false, "use an in-memory disk (data lost on exit)")
-		size        = flag.Int64("size", 1<<30, "disk capacity in bytes")
-		fragSize    = flag.Int("fragsize", 1<<20, "fragment slot size in bytes (must match the cluster)")
-		reuse       = flag.Bool("reuse", false, "reopen an existing formatted disk instead of formatting")
-		commitDelay = flag.Duration("commit-delay", 0,
-			"group-commit coalescing window (0 = opportunistic; see README on tuning)")
+		listen    = flag.String("listen", "127.0.0.1:7700", "TCP address to serve the wire protocol on")
+		diskPath  = flag.String("disk", "", "backing disk file (created if absent); empty with -mem for memory")
+		mem       = flag.Bool("mem", false, "use an in-memory disk (data lost on exit)")
+		size      = flag.Int64("size", 1<<30, "disk capacity in bytes")
+		fragSize  = flag.Int("fragsize", 1<<20, "fragment slot size in bytes (must match the cluster)")
+		reuse     = flag.Bool("reuse", false, "reopen an existing formatted disk instead of formatting")
 		readCache = flag.Int64("read-cache", 0,
 			"read cache size in bytes (0 = default 64 MB, negative = disabled)")
 		readahead = flag.Int("readahead", 0,
@@ -44,14 +41,14 @@ func main() {
 			`per-tenant quotas as client=byterate[:oprate], e.g. "7=8M:200,default=1M" (implies -qos)`)
 	)
 	flag.Parse()
-	if err := run(*listen, *diskPath, *mem, *size, *fragSize, *reuse, *commitDelay, *readCache, *readahead,
+	if err := run(*listen, *diskPath, *mem, *size, *fragSize, *reuse, *readCache, *readahead,
 		*qos, *qosWeights, *qosQuota); err != nil {
 		fmt.Fprintln(os.Stderr, "swarmd:", err)
 		os.Exit(1)
 	}
 }
 
-func run(listen, diskPath string, mem bool, size int64, fragSize int, reuse bool, commitDelay time.Duration, readCache int64, readahead int, qos bool, qosWeights, qosQuota string) error {
+func run(listen, diskPath string, mem bool, size int64, fragSize int, reuse bool, readCache int64, readahead int, qos bool, qosWeights, qosQuota string) error {
 	if !mem && diskPath == "" {
 		return fmt.Errorf("need -disk PATH or -mem")
 	}
@@ -74,7 +71,6 @@ func run(listen, diskPath string, mem bool, size int64, fragSize int, reuse bool
 		Listen:       listen,
 		Logger:       logger,
 		Reuse:        reuse,
-		CommitDelay:  commitDelay,
 
 		ReadCacheBytes:     readCache,
 		ReadaheadFragments: readahead,

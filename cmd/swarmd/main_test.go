@@ -9,7 +9,7 @@ import (
 )
 
 func TestRunRequiresBackingStore(t *testing.T) {
-	if err := run("127.0.0.1:0", "", false, 1<<20, 1<<20, false, 0, 0, 0, false, "", ""); err == nil {
+	if err := run("127.0.0.1:0", "", false, 1<<20, 1<<20, false, 0, 0, false, "", ""); err == nil {
 		t.Fatal("run without -disk or -mem succeeded")
 	}
 }
@@ -17,7 +17,7 @@ func TestRunRequiresBackingStore(t *testing.T) {
 func TestRunServesUntilSignal(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
-		done <- run("127.0.0.1:0", "", true, 16<<20, 64<<10, false, 0, 0, 0, true, "default=2", "default=100M:10000")
+		done <- run("127.0.0.1:0", "", true, 16<<20, 64<<10, false, 0, 0, true, "default=2", "default=100M:10000")
 	}()
 	// Give the server a moment to come up, then ask it to stop the way
 	// an operator would.
@@ -45,7 +45,7 @@ func TestRunRejectsBusyAddress(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if err := run(s.Addr(), "", true, 8<<20, 64<<10, false, 0, 0, 0, false, "", ""); err == nil {
+	if err := run(s.Addr(), "", true, 8<<20, 64<<10, false, 0, 0, false, "", ""); err == nil {
 		t.Fatal("run on a busy address succeeded")
 	}
 }

@@ -3,9 +3,9 @@
 // a dataset; a fleet of reader clients then hammers it with Zipf(1.0)
 // block reads — the hot-set skew typical of "millions of readers, few
 // writers" serving. The workload runs once with the serving tier off
-// (no server extent cache, no readahead anywhere — the prototype's
-// behaviour) and again across a sweep of server cache sizes and
-// readahead depths with client readahead armed. Hit rates and
+// (no server extent cache, no readahead — the prototype's behaviour)
+// and again across a sweep of server cache sizes and readahead depths.
+// Hit rates and
 // bytes-copied counters come back through server.Stats, the same
 // counters swarmctl stat prints against a live cluster.
 package bench
@@ -64,7 +64,6 @@ type ReadpathResult struct {
 	Mode          string  `json:"mode"` // "off" or "cache<N>MB+ra<D>"
 	ServerCacheMB int     `json:"server_cache_mb"`
 	ServerRA      int     `json:"server_readahead"`
-	ClientRA      int     `json:"client_readahead"`
 	Clients       int     `json:"clients"`
 	Ops           int     `json:"ops_total"`
 	ElapsedMS     float64 `json:"elapsed_ms"`
@@ -77,8 +76,7 @@ type ReadpathResult struct {
 	BytesCachedMB  float64 `json:"bytes_from_cache_mb"`
 	BytesDiskMB    float64 `json:"bytes_from_disk_mb"`
 	// Client-side block cache behaviour, summed across readers.
-	ClientHitRate       float64 `json:"client_hit_rate"`
-	PrefetchedFragments int64   `json:"prefetched_fragments"`
+	ClientHitRate float64 `json:"client_hit_rate"`
 }
 
 // zipfRanks returns n Zipf(s=1.0) samples in [0,n) using inverse-CDF
@@ -110,7 +108,6 @@ type readpathMode struct {
 	name     string
 	cacheMB  int // server extent cache; 0 = serving tier off
 	serverRA int
-	clientRA int
 }
 
 // RunReadpath measures the Zipf read workload with the serving tier off
@@ -122,11 +119,10 @@ func RunReadpath(cfg ReadpathConfig, progress func(string)) ([]ReadpathResult, e
 		progress = func(string) {}
 	}
 	modes := []readpathMode{
-		{name: "off", cacheMB: 0, serverRA: 0, clientRA: 0},
-		{name: "cache16MB", cacheMB: 16, serverRA: 0, clientRA: 0},
-		{name: "cache16MB+ra4", cacheMB: 16, serverRA: 4, clientRA: 0},
-		{name: "cache64MB+ra4", cacheMB: 64, serverRA: 4, clientRA: 0},
-		{name: "cache64MB+ra4+clientra16", cacheMB: 64, serverRA: 4, clientRA: 16},
+		{name: "off", cacheMB: 0, serverRA: 0},
+		{name: "cache16MB", cacheMB: 16, serverRA: 0},
+		{name: "cache16MB+ra4", cacheMB: 16, serverRA: 4},
+		{name: "cache64MB+ra4", cacheMB: 64, serverRA: 4},
 	}
 	var out []ReadpathResult
 	for _, m := range modes {
@@ -203,20 +199,15 @@ func runReadpathMode(cfg ReadpathConfig, mode readpathMode) (ReadpathResult, err
 	for i := range readers {
 		renv := cluster.Client(1)
 		rlog, _, oerr := core.Open(core.Config{
-			Client:             1,
-			Servers:            renv.Conns,
-			CPU:                renv.CPU,
-			FragOverhead:       params.ClientFragOverhead,
-			ReadaheadFragments: mode.clientRA,
+			Client:       1,
+			Servers:      renv.Conns,
+			CPU:          renv.CPU,
+			FragOverhead: params.ClientFragOverhead,
 		})
 		if oerr != nil {
 			return ReadpathResult{}, oerr
 		}
-		c := blockcache.New(rlog, clientCache)
-		if mode.clientRA > 0 {
-			c.SetReadahead(mode.clientRA)
-		}
-		readers[i] = readerState{log: rlog, cache: c}
+		readers[i] = readerState{log: rlog, cache: blockcache.New(rlog, clientCache)}
 	}
 
 	var firstErr atomic.Value
@@ -244,12 +235,11 @@ func runReadpathMode(cfg ReadpathConfig, mode readpathMode) (ReadpathResult, err
 	}
 
 	// Gather counters before tearing the readers down.
-	var cHits, cMisses, prefetched int64
+	var cHits, cMisses int64
 	for _, rd := range readers {
 		h, m, _ := rd.cache.Stats()
 		cHits += h
 		cMisses += m
-		prefetched += rd.log.Stats().PrefetchedFragments
 		if cerr := rd.log.Close(); cerr != nil {
 			return ReadpathResult{}, cerr
 		}
@@ -270,19 +260,17 @@ func runReadpathMode(cfg ReadpathConfig, mode readpathMode) (ReadpathResult, err
 		Mode:          mode.name,
 		ServerCacheMB: mode.cacheMB,
 		ServerRA:      mode.serverRA,
-		ClientRA:      mode.clientRA,
 		Clients:       cfg.Clients,
 		Ops:           totalOps,
 		ElapsedMS:     float64(elapsed) / float64(time.Millisecond),
 		// Normalized to 1999-equivalents like the write figures; the
 		// ratio between modes (the speedup) is scale-invariant.
-		ReadMBps:            totalBytes / elapsed.Seconds() / model.MB / cfg.Scale,
-		ServerHits:          sHits,
-		ServerMisses:        sMisses,
-		ReadaheadLoads:      raLoads,
-		BytesCachedMB:       float64(bytesCached) / model.MB,
-		BytesDiskMB:         float64(bytesDisk) / model.MB,
-		PrefetchedFragments: prefetched,
+		ReadMBps:       totalBytes / elapsed.Seconds() / model.MB / cfg.Scale,
+		ServerHits:     sHits,
+		ServerMisses:   sMisses,
+		ReadaheadLoads: raLoads,
+		BytesCachedMB:  float64(bytesCached) / model.MB,
+		BytesDiskMB:    float64(bytesDisk) / model.MB,
 	}
 	if sHits+sMisses > 0 {
 		res.ServerHitRate = float64(sHits) / float64(sHits+sMisses)

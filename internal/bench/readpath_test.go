@@ -37,11 +37,6 @@ func TestReadpathSmoke(t *testing.T) {
 			t.Fatalf("%s: zero server hit rate on a Zipf workload", r.Mode)
 		}
 	}
-	// The client-readahead row must actually have prefetched fragments.
-	last := rows[len(rows)-1]
-	if last.ClientRA > 0 && last.PrefetchedFragments == 0 {
-		t.Fatalf("%s: client readahead armed but no fragments prefetched", last.Mode)
-	}
 	if speedup := ReadpathSpeedup(rows); benchStrict() && speedup < 2 {
 		t.Fatalf("serving-tier speedup = %.2fx, want >= 2x", speedup)
 	}

@@ -200,13 +200,13 @@ func PrintRebalanceResult(w io.Writer, r RebalanceResult) {
 // (consumed by CI and tracked across PRs in EXPERIMENTS.md).
 func WriteRebalanceJSON(path string, r RebalanceResult) error {
 	doc := struct {
-		Figure  string          `json:"figure"`
-		Meta    RunMeta         `json:"meta"`
-		Result  RebalanceResult `json:"result"`
+		Figure string          `json:"figure"`
+		Meta   RunMeta         `json:"meta"`
+		Result RebalanceResult `json:"result"`
 	}{
-		Figure:  "rebalance",
-		Meta:    NewRunMeta(),
-		Result:  r,
+		Figure: "rebalance",
+		Meta:   NewRunMeta(),
+		Result: r,
 	}
 	data, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {

@@ -1,10 +1,7 @@
-// Servercommit benchmark: what group commit buys on the storage server's
-// store path. The same store workload — N concurrent writers pumping
-// whole fragments into one server.Store — is driven down two write
-// paths: the serial baseline (one exclusive lock across the data write
-// and two private fsyncs, the pre-group-commit design) and the
-// group-committed path (metadata-only critical section, unlocked data
-// writes, coalesced fsyncs; DESIGN.md §3.10). Two disks bracket the
+// Servercommit benchmark: how the storage server's group-committed store
+// path (metadata-only critical section, unlocked data writes, coalesced
+// fsyncs; DESIGN.md §3.10) scales with concurrent writers. N writers
+// pump whole fragments into one server.Store. Two disks bracket the
 // regimes: a FileDisk with real fsyncs (fsync-bound — where coalescing
 // pays) and a SimDisk charging mechanical seek/rotation/transfer time
 // (arm-bound — where the one-head queue dominates either way).
@@ -26,7 +23,7 @@ import (
 	"swarm/internal/wire"
 )
 
-// ServercommitConfig parameterizes the serial-vs-group-commit sweep.
+// ServercommitConfig parameterizes the group-commit writer sweep.
 type ServercommitConfig struct {
 	// Stores is the number of fragment stores per measurement.
 	Stores int
@@ -37,15 +34,6 @@ type ServercommitConfig struct {
 	// SimScale speeds up the simulated disk's mechanical model
 	// (RunWriteSweep's -scale; default 10).
 	SimScale float64
-	// CommitWindow is the group-commit coalescing window: how long a
-	// sync leader lingers for joiners before issuing the fsync. The
-	// default 0 is pure opportunistic coalescing (syncs queued behind an
-	// in-flight fsync share the next one), which is the right setting
-	// when the window would rival the device's fsync latency; a nonzero
-	// window buys bigger batches at the cost of per-store latency and
-	// only pays off when fsyncs are expensive relative to it (see
-	// README, "Tuning the coalescing window").
-	CommitWindow time.Duration
 	// Dir hosts the FileDisk backing files ("" = a fresh temp dir).
 	Dir string
 }
@@ -66,10 +54,9 @@ func (c ServercommitConfig) withDefaults() ServercommitConfig {
 	return c
 }
 
-// ServercommitResult is one (disk, mode, writers) measurement.
+// ServercommitResult is one (disk, writers) measurement.
 type ServercommitResult struct {
 	Disk           string  `json:"disk"` // "filedisk" or "simdisk"
-	Mode           string  `json:"mode"` // "serial" or "group"
 	Writers        int     `json:"writers"`
 	Stores         int     `json:"stores"`
 	PayloadKB      int     `json:"payload_kb"`
@@ -82,8 +69,8 @@ type ServercommitResult struct {
 	AvgStoreMicros float64 `json:"avg_store_us"`
 }
 
-// RunServercommit measures the store commit path, serial vs
-// group-committed, across the writer sweep on both disk models.
+// RunServercommit measures the group-committed store path across the
+// writer sweep on both disk models.
 func RunServercommit(cfg ServercommitConfig, progress func(string)) ([]ServercommitResult, error) {
 	cfg = cfg.withDefaults()
 	if progress == nil {
@@ -101,27 +88,25 @@ func RunServercommit(cfg ServercommitConfig, progress func(string)) ([]Servercom
 
 	var out []ServercommitResult
 	for _, diskKind := range []string{"filedisk", "simdisk"} {
-		for _, mode := range []string{"serial", "group"} {
-			for _, writers := range cfg.Writers {
-				progress(fmt.Sprintf("servercommit: %s %s, %d writers", diskKind, mode, writers))
-				r, err := runServercommitPoint(cfg, dir, diskKind, mode, writers)
-				if err != nil {
-					return out, fmt.Errorf("servercommit %s/%s/%d: %w", diskKind, mode, writers, err)
-				}
-				out = append(out, r)
+		for _, writers := range cfg.Writers {
+			progress(fmt.Sprintf("servercommit: %s, %d writers", diskKind, writers))
+			r, err := runServercommitPoint(cfg, dir, diskKind, writers)
+			if err != nil {
+				return out, fmt.Errorf("servercommit %s/%d: %w", diskKind, writers, err)
 			}
+			out = append(out, r)
 		}
 	}
 	return out, nil
 }
 
-func runServercommitPoint(cfg ServercommitConfig, dir, diskKind, mode string, writers int) (ServercommitResult, error) {
+func runServercommitPoint(cfg ServercommitConfig, dir, diskKind string, writers int) (ServercommitResult, error) {
 	fragSize := cfg.PayloadKB << 10
 	diskSize := int64(cfg.Stores+16)*int64(fragSize) + (8 << 20)
 	var d disk.Disk
 	switch diskKind {
 	case "filedisk":
-		path := filepath.Join(dir, fmt.Sprintf("commit-%s-%d.img", mode, writers))
+		path := filepath.Join(dir, fmt.Sprintf("commit-%d.img", writers))
 		fd, err := disk.OpenFileDisk(path, diskSize)
 		if err != nil {
 			return ServercommitResult{}, err
@@ -140,10 +125,6 @@ func runServercommitPoint(cfg ServercommitConfig, dir, diskKind, mode string, wr
 	st, err := server.Format(d, server.Config{FragmentSize: fragSize})
 	if err != nil {
 		return ServercommitResult{}, err
-	}
-	st.SetSerialCommit(mode == "serial")
-	if mode == "group" && writers > 1 {
-		st.SetCommitDelay(cfg.CommitWindow)
 	}
 
 	payload := make([]byte, fragSize)
@@ -185,7 +166,6 @@ func runServercommitPoint(cfg ServercommitConfig, dir, diskKind, mode string, wr
 	mb := float64(cfg.Stores) * float64(fragSize) / (1 << 20)
 	r := ServercommitResult{
 		Disk:         diskKind,
-		Mode:         mode,
 		Writers:      writers,
 		Stores:       cfg.Stores,
 		PayloadKB:    cfg.PayloadKB,
@@ -207,52 +187,23 @@ func runServercommitPoint(cfg ServercommitConfig, dir, diskKind, mode string, wr
 	return r, nil
 }
 
-// ServercommitSpeedup returns group MB/s over serial MB/s at the deepest
-// measured writer count on the given disk kind (the headline ratio is
-// filedisk: real fsyncs are what group commit coalesces).
-func ServercommitSpeedup(rows []ServercommitResult, diskKind string) float64 {
-	maxW := 0
-	for _, r := range rows {
-		if r.Disk == diskKind && r.Writers > maxW {
-			maxW = r.Writers
-		}
-	}
-	var serial, group float64
-	for _, r := range rows {
-		if r.Disk != diskKind || r.Writers != maxW {
-			continue
-		}
-		switch r.Mode {
-		case "serial":
-			serial = r.MBps
-		case "group":
-			group = r.MBps
-		}
-	}
-	if serial == 0 {
-		return 0
-	}
-	return group / serial
-}
-
 // PrintServercommitResults renders the sweep.
 func PrintServercommitResults(w io.Writer, rows []ServercommitResult) {
 	if len(rows) == 0 {
 		return
 	}
-	fmt.Fprintf(w, "Servercommit — serial vs group-committed store path (%d stores of %d KB)\n",
+	fmt.Fprintf(w, "Servercommit — group-committed store path (%d stores of %d KB)\n",
 		rows[0].Stores, rows[0].PayloadKB)
-	fmt.Fprintf(w, "%-10s %-8s %-8s %-10s %-10s %-12s %-12s %-12s %s\n",
-		"disk", "mode", "writers", "elapsed", "MB/s", "fsync/store", "sync batch", "entry batch", "store lat")
+	fmt.Fprintf(w, "%-10s %-8s %-10s %-10s %-12s %-12s %-12s %s\n",
+		"disk", "writers", "elapsed", "MB/s", "fsync/store", "sync batch", "entry batch", "store lat")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-10s %-8s %-8d %-10s %-10.1f %-12.2f %-12.1f %-12.1f %s\n",
-			r.Disk, r.Mode, r.Writers,
+		fmt.Fprintf(w, "%-10s %-8d %-10s %-10.1f %-12.2f %-12.1f %-12.1f %s\n",
+			r.Disk, r.Writers,
 			(time.Duration(r.ElapsedMS * float64(time.Millisecond))).Round(time.Millisecond).String(),
 			r.MBps, r.SyncsPerStore, r.MeanSyncBatch, r.MeanEntryBatch,
 			(time.Duration(r.AvgStoreMicros * float64(time.Microsecond))).Round(10*time.Microsecond).String())
 	}
-	fmt.Fprintf(w, "speedup (filedisk, deepest sweep point): %.2fx\n\n",
-		ServercommitSpeedup(rows, "filedisk"))
+	fmt.Fprintln(w)
 }
 
 // WriteServercommitJSON writes the machine-readable benchmark record
@@ -261,12 +212,10 @@ func WriteServercommitJSON(path string, rows []ServercommitResult) error {
 	doc := struct {
 		Figure  string               `json:"figure"`
 		Meta    RunMeta              `json:"meta"`
-		Speedup float64              `json:"speedup_filedisk"`
 		Results []ServercommitResult `json:"results"`
 	}{
 		Figure:  "servercommit",
 		Meta:    NewRunMeta(),
-		Speedup: ServercommitSpeedup(rows, "filedisk"),
 		Results: rows,
 	}
 	data, err := json.MarshalIndent(doc, "", "  ")

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -12,9 +13,9 @@ func TestServercommitSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 2 disks × 2 modes × 2 writer counts.
-	if len(rows) != 8 {
-		t.Fatalf("rows = %d, want 8", len(rows))
+	// 2 disks × 2 writer counts.
+	if len(rows) != 4 {
+		t.Fatalf("rows = %d, want 4", len(rows))
 	}
 	byKey := map[string]ServercommitResult{}
 	for _, r := range rows {
@@ -24,61 +25,32 @@ func TestServercommitSmall(t *testing.T) {
 		if r.AvgStoreMicros <= 0 {
 			t.Fatalf("no store latency measured: %+v", r)
 		}
-		byKey[key(r)] = r
+		byKey[fmt.Sprintf("%s/%d", r.Disk, r.Writers)] = r
 	}
-	// The serial path pays exactly two private fsyncs per store; the
-	// group path at depth 4 must coalesce below that.
+	// Every store needs two barriers (data, then slot entry); at depth 4
+	// the group path must coalesce below that.
 	for _, d := range []string{"filedisk", "simdisk"} {
-		serial := byKey[d+"/serial/4"]
-		if serial.SyncsPerStore < 1.9 || serial.SyncsPerStore > 2.1 {
-			t.Fatalf("%s serial syncs/store = %.2f, want ≈2", d, serial.SyncsPerStore)
+		g := byKey[d+"/4"]
+		if g.SyncsPerStore >= 2 {
+			t.Fatalf("%s syncs/store at depth 4 = %.2f, want <2: no coalescing", d, g.SyncsPerStore)
 		}
-		group := byKey[d+"/group/4"]
-		if group.SyncsPerStore >= serial.SyncsPerStore {
-			t.Fatalf("%s group syncs/store %.2f ≥ serial %.2f: no coalescing",
-				d, group.SyncsPerStore, serial.SyncsPerStore)
-		}
-		if group.MeanEntryBatch < 1 {
-			t.Fatalf("%s entry batch %.2f < 1", d, group.MeanEntryBatch)
+		if g.MeanEntryBatch < 1 {
+			t.Fatalf("%s entry batch %.2f < 1", d, g.MeanEntryBatch)
 		}
 	}
-	// The acceptance bars — ≥2x filedisk throughput at the deepest sweep
-	// point and <1 fsync per fragment at depth ≥4 — hold on unloaded
-	// hosts with real fsync latency, but depend on the host's storage
-	// stack; enforced in strict mode (and verified in BENCH_servercommit.json).
+	// The acceptance bar — <1 fsync per fragment at depth ≥4 — holds on
+	// unloaded hosts with real fsync latency, but depends on the host's
+	// storage stack; enforced in strict mode (and verified in
+	// BENCH_servercommit.json).
 	if benchStrict() {
-		if sp := ServercommitSpeedup(rows, "filedisk"); sp < 2 {
-			t.Fatalf("filedisk group/serial speedup = %.2fx, want ≥2x", sp)
-		}
-		if g := byKey["filedisk/group/4"]; g.SyncsPerStore >= 1 {
-			t.Fatalf("filedisk group syncs/store at depth 4 = %.2f, want <1", g.SyncsPerStore)
+		if g := byKey["filedisk/4"]; g.SyncsPerStore >= 1 {
+			t.Fatalf("filedisk syncs/store at depth 4 = %.2f, want <1", g.SyncsPerStore)
 		}
 	}
 
 	var sb strings.Builder
 	PrintServercommitResults(&sb, rows)
-	if !strings.Contains(sb.String(), "speedup") {
-		t.Fatalf("render missing speedup:\n%s", sb.String())
-	}
-}
-
-func key(r ServercommitResult) string {
-	return r.Disk + "/" + r.Mode + "/" + string(rune('0'+r.Writers))
-}
-
-func TestServercommitSpeedupPicksDeepestPoint(t *testing.T) {
-	rows := []ServercommitResult{
-		{Disk: "filedisk", Mode: "serial", Writers: 1, MBps: 10},
-		{Disk: "filedisk", Mode: "group", Writers: 1, MBps: 11},
-		{Disk: "filedisk", Mode: "serial", Writers: 8, MBps: 10},
-		{Disk: "filedisk", Mode: "group", Writers: 8, MBps: 30},
-		{Disk: "simdisk", Mode: "serial", Writers: 8, MBps: 5},
-		{Disk: "simdisk", Mode: "group", Writers: 8, MBps: 5},
-	}
-	if sp := ServercommitSpeedup(rows, "filedisk"); sp != 3 {
-		t.Fatalf("speedup = %.2f, want 3 (depth-8 pair)", sp)
-	}
-	if sp := ServercommitSpeedup(nil, "filedisk"); sp != 0 {
-		t.Fatalf("empty speedup = %.2f, want 0", sp)
+	if !strings.Contains(sb.String(), "fsync/store") {
+		t.Fatalf("render missing fsync/store column:\n%s", sb.String())
 	}
 }

@@ -15,12 +15,10 @@
 // Misses fall through to the Reader below (normally *core.Log) under a
 // per-block singleflight: N concurrent readers of one uncached block
 // produce exactly one lower-level fill and share its result. Fills —
-// including fragment-grained readahead — are issued through the log's
-// fragment I/O engine (internal/fragio), so they share the same
-// per-server queues, parallel fan-out, and reconstruction deduplication
-// as every other fetch path. When the lower Reader also implements
-// Prefetcher and readahead is enabled, a log-address-sequential miss
-// pattern triggers asynchronous prefetch of the following fragments.
+// including the log's fragment-grained readahead — are issued through
+// the log's fragment I/O engine (internal/fragio), so they share the
+// same per-server queues, parallel fan-out, and reconstruction
+// deduplication as every other fetch path.
 package blockcache
 
 import (
@@ -35,15 +33,6 @@ import (
 // *core.Log).
 type Reader interface {
 	Read(addr core.BlockAddr, off, n uint32) ([]byte, error)
-}
-
-// Prefetcher is optionally implemented by the lower Reader (satisfied by
-// *core.Log): Prefetch asynchronously warms the reader's own
-// fragment-level cache with the fragments following addr's, so the
-// sequential misses about to arrive find their fragments already
-// resident.
-type Prefetcher interface {
-	Prefetch(addr core.BlockAddr, fragments int)
 }
 
 const (
@@ -85,8 +74,7 @@ type cacheEntry struct {
 
 // Cache is a sharded LRU block cache with per-block singleflight fills.
 type Cache struct {
-	lower  Reader
-	prefet Prefetcher // non-nil iff lower implements Prefetcher
+	lower Reader
 
 	shards []shard
 	mask   uint64 // len(shards)-1; len is a power of two
@@ -97,18 +85,6 @@ type Cache struct {
 
 	flightMu sync.Mutex
 	flights  map[core.BlockAddr]*flight
-
-	// Readahead state: raDepth > 0 arms sequential-miss detection. A
-	// miss whose address follows the previous miss in log order (further
-	// into the same fragment, or the next fragment) triggers one
-	// Prefetch per fragment entered.
-	raMu       sync.Mutex
-	raDepth    int
-	raTriggers atomic.Int64
-	lastMiss   core.BlockAddr
-	haveMiss   bool
-	lastRASeq  uint64
-	haveRASeq  bool
 }
 
 // flight is one in-progress lower-level block fill; concurrent readers
@@ -125,9 +101,6 @@ func New(lower Reader, capBytes int64) *Cache {
 		lower:   lower,
 		flights: make(map[core.BlockAddr]*flight),
 	}
-	if p, ok := lower.(Prefetcher); ok {
-		c.prefet = p
-	}
 	n := shardsFor(capBytes)
 	c.shards = make([]shard, n)
 	c.mask = uint64(n - 1)
@@ -138,17 +111,6 @@ func New(lower Reader, capBytes int64) *Cache {
 		c.shards[i].index = make(map[core.BlockAddr]*list.Element)
 	}
 	return c
-}
-
-// SetReadahead arms log-address-sequential readahead: when a miss
-// pattern walks forward through the log, the next `fragments` fragments
-// are prefetched through the lower Reader's Prefetch (a no-op if the
-// Reader doesn't implement Prefetcher). 0 disables. Not safe to switch
-// concurrently with reads; set it at mount time.
-func (c *Cache) SetReadahead(fragments int) {
-	c.raMu.Lock()
-	c.raDepth = fragments
-	c.raMu.Unlock()
 }
 
 // shardOf hashes a block address onto its shard.
@@ -193,7 +155,6 @@ func (c *Cache) ReadBlock(addr core.BlockAddr, blockLen, off, n uint32) ([]byte,
 		return c.lower.Read(addr, off, n)
 	}
 	c.misses.Add(1)
-	c.maybeReadahead(addr)
 
 	// Per-block singleflight: the first reader fills, the rest wait and
 	// share. (fragio dedups per-FID flights below us, but a block read
@@ -234,36 +195,6 @@ func (c *Cache) ReadBlock(addr core.BlockAddr, blockLen, off, n uint32) ([]byte,
 		return c.lower.Read(addr, off, n)
 	}
 	return f.data[off : off+n : off+n], nil
-}
-
-// maybeReadahead feeds the sequential-miss detector. Two consecutive
-// misses walking forward in log order — deeper into one fragment, or
-// into the next — predict a scan; the predictor fires one Prefetch per
-// fragment entered.
-func (c *Cache) maybeReadahead(addr core.BlockAddr) {
-	if c.prefet == nil {
-		return
-	}
-	c.raMu.Lock()
-	if c.raDepth <= 0 {
-		c.raMu.Unlock()
-		return
-	}
-	seq := addr.FID.Seq()
-	sequential := c.haveMiss && addr.FID.Client() == c.lastMiss.FID.Client() &&
-		((addr.FID == c.lastMiss.FID && addr.Off > c.lastMiss.Off) ||
-			seq == c.lastMiss.FID.Seq()+1)
-	c.lastMiss, c.haveMiss = addr, true
-	fire := sequential && (!c.haveRASeq || seq != c.lastRASeq)
-	depth := c.raDepth
-	if fire {
-		c.lastRASeq, c.haveRASeq = seq, true
-	}
-	c.raMu.Unlock()
-	if fire {
-		c.raTriggers.Add(1)
-		c.prefet.Prefetch(addr, depth)
-	}
 }
 
 // Put inserts (or refreshes) a block. Writers use it to warm the cache
@@ -324,10 +255,6 @@ func (c *Cache) Stats() (hits, misses, bytes int64) {
 // Fills returns how many lower-level block reads the cache actually
 // issued: misses minus the singleflight sharing.
 func (c *Cache) Fills() int64 { return c.fills.Load() }
-
-// ReadaheadTriggers returns how many times sequential-miss detection
-// fired a prefetch.
-func (c *Cache) ReadaheadTriggers() int64 { return c.raTriggers.Load() }
 
 // Len returns the number of cached blocks.
 func (c *Cache) Len() int {

@@ -118,83 +118,6 @@ func TestHitPathZeroAlloc(t *testing.T) {
 	}
 }
 
-// prefetchReader records Prefetch calls so the sequential-miss detector
-// can be observed.
-type prefetchReader struct {
-	fakeReader
-	mu       sync.Mutex
-	prefetch []core.BlockAddr
-	depths   []int
-}
-
-func (p *prefetchReader) Prefetch(addr core.BlockAddr, fragments int) {
-	p.mu.Lock()
-	p.prefetch = append(p.prefetch, addr)
-	p.depths = append(p.depths, fragments)
-	p.mu.Unlock()
-}
-
-// TestReadaheadFiresOnSequentialMisses: misses walking forward in log
-// order trigger exactly one Prefetch per fragment entered; random-order
-// misses trigger none.
-func TestReadaheadFiresOnSequentialMisses(t *testing.T) {
-	p := &prefetchReader{fakeReader: *newFake(8, 64)}
-	c := New(p, 1<<20)
-	c.SetReadahead(4)
-
-	// Sequential walk: addr(0), addr(1), addr(2). The first miss arms the
-	// detector; the second and third each enter a new fragment → 2 fires.
-	for i := 0; i < 3; i++ {
-		if _, err := c.ReadBlock(addr(i), 64, 0, 64); err != nil {
-			t.Fatal(err)
-		}
-	}
-	p.mu.Lock()
-	fired := len(p.prefetch)
-	p.mu.Unlock()
-	if fired != 2 {
-		t.Fatalf("prefetches = %d, want 2", fired)
-	}
-	if got := c.ReadaheadTriggers(); got != 2 {
-		t.Fatalf("ReadaheadTriggers = %d, want 2", got)
-	}
-	if p.depths[0] != 4 {
-		t.Fatalf("prefetch depth = %d, want 4", p.depths[0])
-	}
-
-	// Re-reading a cached fragment (hit) must not re-fire, and a
-	// backwards jump breaks the run.
-	if _, err := c.ReadBlock(addr(1), 64, 0, 64); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.ReadBlock(addr(6), 64, 0, 64); err != nil {
-		t.Fatal(err)
-	}
-	p.mu.Lock()
-	fired = len(p.prefetch)
-	p.mu.Unlock()
-	if fired != 2 {
-		t.Fatalf("non-sequential miss fired prefetch (total %d)", fired)
-	}
-}
-
-// TestReadaheadDisabledByDefault: without SetReadahead, sequential misses
-// never call Prefetch.
-func TestReadaheadDisabledByDefault(t *testing.T) {
-	p := &prefetchReader{fakeReader: *newFake(4, 64)}
-	c := New(p, 1<<20)
-	for i := 0; i < 4; i++ {
-		if _, err := c.ReadBlock(addr(i), 64, 0, 64); err != nil {
-			t.Fatal(err)
-		}
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.prefetch) != 0 {
-		t.Fatalf("prefetch fired with readahead disabled (%d)", len(p.prefetch))
-	}
-}
-
 // TestShardsFor pins the capacity→shards policy: tiny caches get one
 // shard (exact global LRU), serving-scale caches get the full fan-out.
 func TestShardsFor(t *testing.T) {

@@ -69,7 +69,7 @@ type Config struct {
 	// ReadaheadFragments, when positive, enables fragment-grained read
 	// caching: a block read that misses fetches the whole fragment and
 	// caches it, so sequential cold reads cost one server round trip per
-	// fragment instead of one per block. This is the prefetching the
+	// fragment instead of one per block. This is the prefetch the
 	// paper names as the obvious missing read optimization (§3.4: "the
 	// clients do not prefetch blocks from the servers. Both of these
 	// optimizations would greatly improve the performance of reads that
@@ -131,18 +131,18 @@ type Log struct {
 	payloadSize int
 
 	mu         sync.Mutex
-	closed     bool                       // guarded by mu
-	seq        uint64                     // next fragment sequence number; guarded by mu
-	cur        *fragBuilder               // guarded by mu
-	pacc       *parityAccum               // guarded by mu
-	ckpts      map[ServiceID]BlockAddr    // guarded by mu
-	registered map[ServiceID]bool         // guarded by mu
-	locations  map[wire.FID]wire.ServerID // guarded by mu
-	inflight   map[wire.FID][]byte        // guarded by mu
+	closed     bool                                  // guarded by mu
+	seq        uint64                                // next fragment sequence number; guarded by mu
+	cur        *fragBuilder                          // guarded by mu
+	pacc       *parityAccum                          // guarded by mu
+	ckpts      map[ServiceID]BlockAddr               // guarded by mu
+	registered map[ServiceID]bool                    // guarded by mu
+	locations  map[wire.FID]wire.ServerID            // guarded by mu
+	inflight   map[wire.FID][]byte                   // guarded by mu
 	degraded   map[uint64]map[wire.FID]wire.ServerID // per-stripe set of stores skipped: server unreachable, stripe still redundancy-covered; guarded by mu
-	pendingDel map[wire.FID]wire.ServerID // reclaim deletes deferred: server unreachable when its stripe died; guarded by mu
-	prealloced map[uint64]bool            // stripes whose slots have been reserved; guarded by mu
-	needPre    []uint64                   // stripes awaiting preallocation; guarded by mu
+	pendingDel map[wire.FID]wire.ServerID            // reclaim deletes deferred: server unreachable when its stripe died; guarded by mu
+	prealloced map[uint64]bool                       // stripes whose slots have been reserved; guarded by mu
+	needPre    []uint64                              // stripes awaiting preallocation; guarded by mu
 	// stripeEpochs pins each live stripe written this session to the
 	// placement epoch it opened under; membership changes close the open
 	// stripe first, so a stripe is wholly placed under one view. Entries
@@ -150,16 +150,10 @@ type Log struct {
 	stripeEpochs map[uint64]uint32
 	// acls is the per-server fragment protection, mutable because
 	// AddServer admits new servers with their own AIDs. Guarded by mu.
-	acls  map[wire.ServerID]wire.AID
-	usage *UsageTable
+	acls      map[wire.ServerID]wire.AID
+	usage     *UsageTable
 	recon     *fragCache
 	readahead bool
-	// prefetching dedups async fragment prefetches: a FID present here
-	// has a speculative fetch in flight, so readahead triggers arriving
-	// while it runs don't issue duplicates. Guarded by mu. (Deliberately
-	// NOT the engine's singleflight: a failed speculative flight must
-	// never poison a demand read joined to it.)
-	prefetching map[wire.FID]bool
 
 	// engine is the fragment I/O engine: per-server request queues,
 	// scatter-gather fetch, singleflight, and the store/retry policy.
@@ -183,10 +177,6 @@ type LogStats struct {
 	Checkpoints       int64
 	Reconstructions   int64
 	BroadcastFallback int64
-	// PrefetchedFragments counts whole fragments pulled into the client's
-	// fragment cache by speculative readahead (Prefetch) rather than by a
-	// demand read.
-	PrefetchedFragments int64
 	// DegradedWrites counts fragment stores skipped because the server
 	// was unreachable while the stripe stayed parity-covered; the write
 	// path degrades instead of failing (RebuildServer restores them).
@@ -297,7 +287,6 @@ func Open(cfg Config) (*Log, *Recovery, error) {
 		usage:        NewUsageTable(),
 		recon:        newFragCache(max(8, 2*cfg.ReadaheadFragments)),
 		readahead:    cfg.ReadaheadFragments > 0,
-		prefetching:  make(map[wire.FID]bool),
 	}
 	for id, aid := range cfg.ACLs {
 		l.acls[id] = aid

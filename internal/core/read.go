@@ -155,74 +155,6 @@ func (l *Log) Read(addr BlockAddr, off, n uint32) ([]byte, error) {
 	return sliceBlock(payload, addr, off, n)
 }
 
-// Prefetch implements the block cache's readahead hook
-// (blockcache.Prefetcher): it asynchronously warms the
-// reconstructed-fragment cache with up to `fragments` data fragments
-// following addr's in log order, so the sequential misses about to
-// arrive find whole fragments already resident — one disk pass and one
-// round trip per fragment instead of one per block. Fetches are
-// advisory: each target is deduplicated per FID, failures are swallowed
-// (the demand read retries and reports), and only direct reads are
-// issued — a reconstruction fan-out is too expensive to spend on
-// speculation, and sharing the engine's demand-read singleflight would
-// let a failed speculative flight poison a joined demand read.
-func (l *Log) Prefetch(addr BlockAddr, fragments int) {
-	if fragments <= 0 {
-		return
-	}
-	var targets []wire.FID
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return
-	}
-	head := l.seq
-	next := addr.FID.Seq()
-	for len(targets) < fragments {
-		next = l.nextDataSeq(next + 1)
-		if next >= head {
-			break // nothing sealed past here yet
-		}
-		fid := wire.MakeFID(l.client, next)
-		if _, ok := l.inflight[fid]; ok {
-			continue // read-your-writes already serves it locally
-		}
-		if l.prefetching[fid] {
-			continue
-		}
-		l.prefetching[fid] = true
-		targets = append(targets, fid)
-	}
-	l.mu.Unlock()
-	for _, fid := range targets {
-		// One-shot speculative fetch: it runs one RPC round and exits,
-		// and the prefetching dedup map bounds how many run at once.
-		// swarmlint:goroleak-ok — self-terminating one-shot fetch
-		go l.prefetchOne(fid)
-	}
-}
-
-// prefetchOne fetches one fragment speculatively into the fragment
-// cache. It must clear the prefetching mark on every path.
-func (l *Log) prefetchOne(fid wire.FID) {
-	defer func() {
-		l.mu.Lock()
-		delete(l.prefetching, fid)
-		l.mu.Unlock()
-	}()
-	if _, ok := l.recon.get(fid); ok {
-		return
-	}
-	h, payload, err := l.fetchDirect(fid)
-	if err != nil {
-		return // advisory: the demand read will retry and report
-	}
-	l.recon.put(fid, cachedFrag{header: h, payload: payload})
-	l.mu.Lock()
-	l.stats.PrefetchedFragments++
-	l.mu.Unlock()
-}
-
 // isHardReadError reports errors that reconstruction cannot help with
 // (bad request, access denied).
 func isHardReadError(err error) bool {

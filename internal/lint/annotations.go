@@ -21,10 +21,6 @@ const (
 	// DirectiveLocked on a function asserts its callers hold the mutex
 	// guarding the fields it touches.
 	DirectiveLocked = "swarmlint:locked"
-	// DirectiveLockedIO on a statement or function asserts I/O under a
-	// held mutex is intentional there (e.g. the serial-commit ablation
-	// baseline).
-	DirectiveLockedIO = "swarmlint:locked-io"
 	// DirectiveIOMutex on a mutex field asserts the mutex exists to
 	// serialize I/O (a connection write lock), so I/O under it is its
 	// purpose, not a bug.

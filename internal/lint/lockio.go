@@ -22,16 +22,15 @@ import (
 //     which is how framed writes hide behind helpers like
 //     wire.WriteRequest.
 //
-// Escape hatches: a mutex field annotated swarmlint:io-mutex exists to
-// serialize I/O (connection write locks), so its regions are exempt; a
-// statement or function annotated swarmlint:locked-io is deliberate
-// (the serial-commit ablation baseline). Function literals are not
-// entered — a goroutine body runs after the spawning region ends.
+// Escape hatch: a mutex field annotated swarmlint:io-mutex exists to
+// serialize I/O (connection write locks), so its regions are exempt.
+// Function literals are not entered — a goroutine body runs after the
+// spawning region ends.
 //
 // The analysis is lexical and intraprocedural: I/O reached through a
 // same-package helper call is not traced, and a lock released in every
 // branch of an if/else is conservatively still considered held after
-// it. The annotations exist precisely for those edges.
+// it.
 type LockIO struct {
 	diskPath string
 	skip     map[string]bool
@@ -76,9 +75,6 @@ func (l *LockIO) Run(p *Package) []Diagnostic {
 			}
 			if body == nil {
 				return true
-			}
-			if p.Annotations().funcHas(p.Info, n, DirectiveLockedIO) {
-				return false
 			}
 			diags = append(diags, l.scanBlock(p, body.List, nil)...)
 			return true // nested FuncLits are scanned as their own functions
@@ -317,12 +313,9 @@ func (l *LockIO) scanExprs(p *Package, held []heldLock, exprs ...ast.Expr) []Dia
 			if reason == "" {
 				return true
 			}
-			if p.Annotations().onLine(call.Pos(), DirectiveLockedIO) {
-				return true
-			}
 			diags = append(diags, Diagnostic{
 				Pos:      p.Fset.Position(call.Pos()),
-				Message:  fmt.Sprintf("%s while holding %s; release the lock first or annotate with %s", reason, held[len(held)-1].path, DirectiveLockedIO),
+				Message:  fmt.Sprintf("%s while holding %s; release the lock first", reason, held[len(held)-1].path),
 				Analyzer: l.Name(),
 			})
 			return true

@@ -184,9 +184,9 @@ type refcountFlow struct {
 	lo, hi  token.Pos // the analyzed function's extent: vars outside are free
 	removes bool
 
-	acquires map[*types.Var]token.Pos  // tracked var -> acquisition site
+	acquires map[*types.Var]token.Pos    // tracked var -> acquisition site
 	errBuddy map[*types.Var][]*types.Var // error var -> refs from the same call
-	source   map[*types.Var]*types.Var // extracted var -> container element var
+	source   map[*types.Var]*types.Var   // extracted var -> container element var
 	reported map[*types.Var]bool
 	diags    []Diagnostic
 }

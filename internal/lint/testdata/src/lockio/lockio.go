@@ -85,16 +85,18 @@ func (s *srv) goodWriteMutex() {
 	s.wlock.Unlock()
 }
 
-// goodAnnotatedFunc is a deliberate ablation baseline. swarmlint:locked-io
-func (s *srv) goodAnnotatedFunc() {
+// badAnnotatedFunc: swarmlint:locked-io is not an escape hatch, on a
+// function or on a statement; I/O under the lock is still flagged.
+// swarmlint:locked-io
+func (s *srv) badAnnotatedFunc() {
 	s.mu.Lock()
-	s.d.Sync()
+	s.d.Sync() // want "disk I/O"
 	s.mu.Unlock()
 }
 
-func (s *srv) goodAnnotatedStmt() {
+func (s *srv) badAnnotatedStmt() {
 	s.mu.Lock()
-	s.d.Sync() // swarmlint:locked-io
+	s.d.Sync() // swarmlint:locked-io // want "disk I/O"
 	s.mu.Unlock()
 }
 

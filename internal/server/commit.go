@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"time"
 
 	"swarm/internal/disk"
 )
@@ -19,8 +18,8 @@ import (
 //     barrier sync that *starts* after registration.
 //
 //   - entryCommitter batches slot-entry writes: concurrent commits that
-//     land inside one coalescing window are written by a single leader
-//     (sorted by disk offset) and made durable by one shared sync.
+//     overlap in time are written by a single leader (sorted by disk
+//     offset) and made durable by one shared sync.
 //
 // Ownership rule: neither structure ever takes the store mutex, so
 // callers may hold it (Delete, Prealloc do) or not (Store does not)
@@ -39,12 +38,6 @@ type syncCoalescer struct {
 	syncing bool       // a physical d.Sync is running; guarded by mu
 	pending *syncBatch // batch currently accepting joiners, if any; guarded by mu
 
-	// window is the group-commit delay: how long a batch leader waits
-	// for followers before issuing the sync. Zero (the default) relies
-	// on the natural window — batches accumulate while the previous
-	// sync is in flight. Guarded by mu.
-	window time.Duration
-
 	requests int64 // logical barriers requested; guarded by mu
 	syncs    int64 // physical d.Sync calls issued; guarded by mu
 }
@@ -60,12 +53,6 @@ func newSyncCoalescer(d disk.Disk) *syncCoalescer {
 	return c
 }
 
-func (c *syncCoalescer) setWindow(w time.Duration) {
-	c.mu.Lock()
-	c.window = w
-	c.mu.Unlock()
-}
-
 // Sync registers with the current batch (or leads a new one) and blocks
 // until a physical sync covering the caller's writes has completed.
 func (c *syncCoalescer) Sync() error {
@@ -78,18 +65,14 @@ func (c *syncCoalescer) Sync() error {
 		return b.err
 	}
 	// Lead a new batch. It stays open to joiners until the previous
-	// sync (if any) finishes and the optional window elapses.
+	// sync (if any) finishes.
 	b := &syncBatch{done: make(chan struct{})}
 	c.pending = b
-	if w := c.window; w > 0 {
-		c.mu.Unlock()
-		time.Sleep(w)
-		c.mu.Lock()
-	} else if !c.syncing {
-		// Idle coalescer, no configured window: linger a few scheduler
-		// yields (microseconds, far below time.Sleep granularity) so
-		// committers arriving near-simultaneously on other CPUs join
-		// this batch instead of each paying a private fsync.
+	if !c.syncing {
+		// Idle coalescer: linger a few scheduler yields (microseconds,
+		// far below time.Sleep granularity) so committers arriving
+		// near-simultaneously on other CPUs join this batch instead of
+		// each paying a private fsync.
 		for i := 0; i < 4 && !c.syncing; i++ {
 			c.mu.Unlock()
 			runtime.Gosched()

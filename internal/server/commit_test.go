@@ -162,28 +162,6 @@ func TestSyncCoalescerPropagatesErrors(t *testing.T) {
 	wg.Wait()
 }
 
-// The coalescing window delays the leader so followers arriving within
-// it share the fsync even when the disk is idle.
-func TestSyncCoalescerWindow(t *testing.T) {
-	d := &countingDisk{Disk: disk.NewMemDisk(1 << 16)}
-	c := newSyncCoalescer(d)
-	c.setWindow(5 * time.Millisecond)
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := c.Sync(); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	wg.Wait()
-	if phys := d.syncs.Load(); phys >= 8 {
-		t.Fatalf("window did not coalesce: %d physical syncs for 8 barriers", phys)
-	}
-}
-
 // --- group-commit store path ---
 
 func fragPattern(fid wire.FID, n int) []byte {
@@ -289,28 +267,6 @@ func TestConcurrentStoresSameFID(t *testing.T) {
 	}
 	if want := *winnerData.Load(); !bytes.Equal(got, want) {
 		t.Fatalf("stored bytes are not the winner's: got %x.., want %x..", got[0], want[0])
-	}
-}
-
-// The serial-commit ablation path must still work and pay its two
-// private fsyncs per store.
-func TestSerialCommitMode(t *testing.T) {
-	s, _ := newTestStore(t, 8)
-	s.SetSerialCommit(true)
-	fid := wire.MakeFID(1, 0)
-	if err := s.Store(fid, []byte("serial"), false, nil); err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.Read(1, fid, 0, 6)
-	if err != nil || string(got) != "serial" {
-		t.Fatalf("read = %q, %v", got, err)
-	}
-	st := s.Stats()
-	if st.Stores != 1 || st.Syncs != 2 || st.SyncRequests != 2 {
-		t.Fatalf("serial stats = %+v, want 1 store / 2 syncs", st)
-	}
-	if st.CoalescedSyncs() != 0 {
-		t.Fatalf("serial path coalesced: %+v", st)
 	}
 }
 

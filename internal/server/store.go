@@ -151,14 +151,8 @@ type Store struct {
 	committer *syncCoalescer  // shared-fsync barrier (data + entry syncs)
 	entries   *entryCommitter // batched slot-entry commits
 
-	// serialCommit restores the pre-group-commit write path (one
-	// exclusive lock across the data write and both fsyncs). Benchmark
-	// and ablation hook only — see SetSerialCommit.
-	serialCommit atomic.Bool
-
-	stores      atomic.Int64 // committed fragment stores
-	storeNanos  atomic.Int64 // cumulative wall time of committed stores
-	serialSyncs atomic.Int64 // private fsyncs issued by the serial baseline path
+	stores     atomic.Int64 // committed fragment stores
+	storeNanos atomic.Int64 // cumulative wall time of committed stores
 
 	// rcache is the serving-tier extent read cache (nil = disabled).
 	// Set once by SetReadCache before traffic; see readcache.go.
@@ -330,19 +324,11 @@ func (s *Store) entryOff(slot int) int64 { return entryTableOff + int64(slot)*en
 func (s *Store) slotOff(slot int) int64  { return s.slotsOff + int64(slot)*int64(s.fragSize) }
 
 // writeEntry durably rewrites one slot entry and mirrors it in memory.
-// The write goes through the batched entry committer (which never takes
-// s.mu, so callers may hold it while waiting on a shared batch); in
-// serial-commit mode it issues its own write and fsync like the
-// pre-group-commit store did. Callers hold s.mu. swarmlint:locked
+// The write goes through the batched entry committer, which never takes
+// s.mu, so callers may hold it while waiting on a shared batch. Callers
+// hold s.mu. swarmlint:locked
 func (s *Store) writeEntry(slot int, ent slotEntry) error {
-	if s.serialCommit.Load() {
-		if err := s.d.WriteAt(ent.encode(), s.entryOff(slot)); err != nil {
-			return fmt.Errorf("write slot entry: %w", err)
-		}
-		if err := s.d.Sync(); err != nil {
-			return fmt.Errorf("sync slot entry: %w", err)
-		}
-	} else if err := s.entries.commit(s.entryOff(slot), ent.encode()); err != nil {
+	if err := s.entries.commit(s.entryOff(slot), ent.encode()); err != nil {
 		return fmt.Errorf("write slot entry: %w", err)
 	}
 	s.slots[slot] = ent
@@ -378,9 +364,6 @@ func (s *Store) Store(fid wire.FID, data []byte, mark bool, ranges []wire.ACLRan
 	}
 	if len(ranges) > maxACLRanges {
 		return fmt.Errorf("server: too many ACL ranges: %d > %d", len(ranges), maxACLRanges)
-	}
-	if s.serialCommit.Load() {
-		return s.storeSerial(fid, data, mark, ranges)
 	}
 	start := time.Now()
 
@@ -443,70 +426,6 @@ func (s *Store) Store(fid wire.FID, data []byte, mark bool, ranges []wire.ACLRan
 	s.storeNanos.Add(int64(time.Since(start)))
 	return nil
 }
-
-// storeSerial is the pre-group-commit write path: one exclusive lock
-// across the data write and two private fsyncs. Kept as the measured
-// baseline for the servercommit benchmark (SetSerialCommit); holding
-// s.mu across the disk I/O is the very behavior the baseline measures.
-// swarmlint:locked-io
-func (s *Store) storeSerial(fid wire.FID, data []byte, mark bool, ranges []wire.ACLRange) error {
-	start := time.Now()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	slot, preallocated := s.bySID[fid]
-	if preallocated {
-		if !s.slots[slot].prealloc() {
-			return fmt.Errorf("%w: %v", ErrExists, fid)
-		}
-	} else {
-		if len(s.free) == 0 {
-			return ErrNoSpace
-		}
-		slot = s.free[len(s.free)-1]
-		s.free = s.free[:len(s.free)-1]
-	}
-	rollback := func() {
-		if !preallocated {
-			s.free = append(s.free, slot)
-		}
-	}
-	if err := s.d.WriteAt(data, s.slotOff(slot)); err != nil {
-		rollback()
-		return fmt.Errorf("write fragment data: %w", err)
-	}
-	if err := s.d.Sync(); err != nil {
-		rollback()
-		return fmt.Errorf("sync fragment data: %w", err)
-	}
-	flags := uint16(flagUsed)
-	if mark {
-		flags |= flagMarked
-	}
-	ent := slotEntry{fid: fid, size: uint32(len(data)), flags: flags, ranges: ranges}
-	if err := s.writeEntry(slot, ent); err != nil {
-		rollback()
-		return err
-	}
-	s.bySID[fid] = slot
-	s.serialSyncs.Add(2)
-	s.stores.Add(1)
-	s.storeNanos.Add(int64(time.Since(start)))
-	return nil
-}
-
-// SetSerialCommit switches between the group-committed write path
-// (default, false) and the serial baseline that holds one exclusive lock
-// across the data write and both fsyncs. Benchmark/ablation hook only;
-// switch while no stores are in flight.
-func (s *Store) SetSerialCommit(on bool) { s.serialCommit.Store(on) }
-
-// SetCommitDelay sets the group-commit coalescing window: how long a
-// sync-batch leader waits for followers before issuing its fsync. Zero
-// (the default) coalesces only naturally — writers arriving while a sync
-// is in flight batch behind it. A small window (tens to hundreds of
-// microseconds) trades single-store latency for fewer, larger fsyncs
-// under concurrent load.
-func (s *Store) SetCommitDelay(d time.Duration) { s.committer.setWindow(d) }
 
 // checkAccess verifies client may touch [off,off+n) of the entry's data.
 // Unprotected ranges (no AID assigned) are open to everyone.
@@ -714,7 +633,8 @@ func (st Stats) ReadHitRate() float64 {
 func (st Stats) CoalescedSyncs() int64 { return st.SyncRequests - st.Syncs }
 
 // SyncsPerStore is the physical fsyncs paid per committed fragment
-// (2.0 for the serial path; < 1 under effective group commit).
+// (2.0 when every store pays its own data and entry barriers; < 1
+// under effective group commit).
 func (st Stats) SyncsPerStore() float64 {
 	if st.Stores == 0 {
 		return 0
@@ -751,17 +671,15 @@ func (st Stats) AvgStoreLatency() time.Duration {
 func (s *Store) Stats() Stats {
 	req, syncs := s.committer.counters()
 	batches, entries := s.entries.counters()
-	serial := s.serialSyncs.Load()
 	s.mu.RLock()
 	st := Stats{
-		FragmentSize: s.fragSize,
-		TotalSlots:   s.numSlots,
-		FreeSlots:    len(s.free),
-		Fragments:    len(s.bySID),
-		// Serial-path fsyncs are their own barrier: one request, one sync.
+		FragmentSize:   s.fragSize,
+		TotalSlots:     s.numSlots,
+		FreeSlots:      len(s.free),
+		Fragments:      len(s.bySID),
 		Stores:         s.stores.Load(),
-		SyncRequests:   req + serial,
-		Syncs:          syncs + serial,
+		SyncRequests:   req,
+		Syncs:          syncs,
 		EntryBatches:   batches,
 		EntriesBatched: entries,
 		StoreNanos:     s.storeNanos.Load(),

@@ -43,11 +43,6 @@ type Config struct {
 	// most reads to be handled by the client cache", §3.4). Zero
 	// disables the cache.
 	CacheBytes int64
-	// ReadaheadFragments arms the block cache's sequential readahead:
-	// when cache misses walk forward through the log, this many upcoming
-	// fragments are prefetched into the log's fragment cache. Zero
-	// disables. Only effective with CacheBytes > 0.
-	ReadaheadFragments int
 }
 
 // Stats counts file-system activity.
@@ -132,9 +127,6 @@ func Mount(log *core.Log, reg *service.Registry, rec *core.Recovery, cfg Config)
 	}
 	if cfg.CacheBytes > 0 {
 		fs.cache = blockcache.New(log, cfg.CacheBytes)
-		if cfg.ReadaheadFragments > 0 {
-			fs.cache.SetReadahead(cfg.ReadaheadFragments)
-		}
 	}
 	var recovered *core.RecoveredService
 	if rec != nil {

@@ -2,7 +2,6 @@ package swarm
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"swarm/internal/rebalance"
@@ -36,19 +35,9 @@ type drainJob struct {
 // must be granted again for the new server to enforce it.
 func (c *Client) AddServer(addr string) (ServerID, error) {
 	id := c.log.NextServerID()
-	tcpOpts := transport.TCPOptions{PoolSize: c.opts.PipelineDepth, MaxInFlight: c.opts.MaxInFlight}
-	var sc transport.ServerConn
-	tc, err := transport.DialTCPOpts(id, addr, c.id, tcpOpts)
-	switch {
-	case err == nil:
-		sc = tc
-	case !c.opts.DisableResilience && errors.Is(err, transport.ErrUnavailable):
-		sc = transport.NewTCPConnOpts(id, addr, c.id, tcpOpts)
-	default:
-		return 0, fmt.Errorf("connect server %d (%s): %w", id, addr, err)
-	}
-	if !c.opts.DisableResilience {
-		sc = transport.NewResilient(sc, c.opts.Resilience)
+	sc, err := dialResilient(id, addr, c.id, c.opts)
+	if err != nil {
+		return 0, err
 	}
 	if err := c.admit(sc); err != nil {
 		sc.Close()

@@ -3,7 +3,6 @@ package swarm
 import (
 	"fmt"
 	"log"
-	"time"
 
 	"swarm/internal/disk"
 	"swarm/internal/server"
@@ -26,11 +25,6 @@ type ServerOptions struct {
 	Logger *log.Logger
 	// Reuse opens an existing formatted disk instead of formatting.
 	Reuse bool
-	// CommitDelay is the group-commit coalescing window: how long a
-	// store commit lingers for concurrent commits to share its fsync.
-	// Zero (the default, right for fast local disks) coalesces only
-	// opportunistically; see README, "Tuning the coalescing window".
-	CommitDelay time.Duration
 	// ReadCacheBytes sizes the server's fragment-extent read cache
 	// (DESIGN.md §3.13). Zero uses the default (64 MB); negative
 	// disables caching entirely.
@@ -83,9 +77,6 @@ func NewServer(opts ServerOptions) (*Server, error) {
 	if err != nil {
 		d.Close()
 		return nil, err
-	}
-	if opts.CommitDelay > 0 {
-		st.SetCommitDelay(opts.CommitDelay)
 	}
 	cacheBytes := opts.ReadCacheBytes
 	if cacheBytes == 0 {
