@@ -81,9 +81,10 @@ bench-strict:
 bench-smoke:
 	$(GO) test -count=1 -run 'TestWirepath|TestServercommit|TestErasure|TestRebalance|TestReadpath|TestQoS' ./internal/bench
 
-# Short fuzzing pass over the wire codecs, the CRC-32 combination math
-# and the erasure coder (not part of ci: fuzzing is open-ended by
-# nature; run it before touching frame, message, CRC or parity code).
+# Short fuzzing pass over the wire codecs, the CRC-32 combination math,
+# the erasure coder and Sting's metadata codecs (not part of ci: fuzzing
+# is open-ended by nature; run it before touching frame, message, CRC,
+# parity or Sting metadata code).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFrameRoundTrip -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzReadRequestFrame -fuzztime 10s ./internal/wire
@@ -91,3 +92,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzResponseStreamDemux -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzCRCCombine -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzErasureRoundTrip -fuzztime 10s ./internal/erasure
+	$(GO) test -run '^$$' -fuzz FuzzDecodeInode -fuzztime 10s ./internal/sting
+	$(GO) test -run '^$$' -fuzz FuzzDecodeMapBlock -fuzztime 10s ./internal/sting
+	$(GO) test -run '^$$' -fuzz FuzzDecodeBucket -fuzztime 10s ./internal/sting
+	$(GO) test -run '^$$' -fuzz FuzzRestoreCheckpoint -fuzztime 10s ./internal/sting
+	$(GO) test -run '^$$' -fuzz FuzzDecodeHint -fuzztime 10s ./internal/sting

@@ -47,7 +47,7 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	bs := int64(fs.blockSize)
 	read := 0
 	for read < n {
-		idx := uint32((off + int64(read)) / bs)
+		idx := uint64((off + int64(read)) / bs)
 		blockOff := int((off + int64(read)) % bs)
 		chunk := fs.blockSize - blockOff
 		if chunk > n-read {
@@ -64,19 +64,19 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 
 // readBlockInto fills dst from block idx starting at blockOff, treating
 // holes and short blocks as zeros. Caller holds fs.mu.
-func (fs *FS) readBlockInto(in *inode, idx uint32, blockOff int, dst []byte) error {
+func (fs *FS) readBlockInto(in *inode, idx uint64, blockOff int, dst []byte) error {
 	for i := range dst {
 		dst[i] = 0
 	}
 	// Dirty page wins.
-	if page, ok := fs.pages[pageKey{ino: in.ino, idx: idx}]; ok {
+	if page, ok := fs.pages[pageKey{ino: in.ino, idx: uint32(idx)}]; ok {
 		copy(dst, page[blockOff:])
 		return nil
 	}
-	if int(idx) >= len(in.blocks) {
-		return nil // hole past last block
+	b, err := in.tree.get(fs, idx)
+	if err != nil {
+		return err
 	}
-	b := in.blocks[idx]
 	if b.isHole() {
 		return nil
 	}
@@ -87,10 +87,7 @@ func (fs *FS) readBlockInto(in *inode, idx uint32, blockOff int, dst []byte) err
 	if want > int(b.len)-blockOff {
 		want = int(b.len) - blockOff
 	}
-	var (
-		data []byte
-		err  error
-	)
+	var data []byte
 	if fs.cache != nil {
 		data, err = fs.cache.ReadBlock(b.addr, b.len, uint32(blockOff), uint32(want))
 	} else {
@@ -113,9 +110,9 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 		fs.mu.Unlock()
 		return 0, err
 	}
-	if off < 0 {
+	if err := fs.checkSize(off, len(p)); err != nil {
 		fs.mu.Unlock()
-		return 0, vfs.ErrInvalid
+		return 0, err
 	}
 	bs := int64(fs.blockSize)
 	written := 0
@@ -127,7 +124,7 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 		if chunk > len(p)-written {
 			chunk = len(p) - written
 		}
-		page, err := fs.dirtyPage(in, idx)
+		page, err := fs.dirtyPage(in, idx, chunk < fs.blockSize)
 		if err != nil {
 			fs.mu.Unlock()
 			return written, err
@@ -138,7 +135,6 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 	if off+int64(written) > in.size {
 		in.size = off + int64(written)
 	}
-	fs.ensureBlocks(in)
 	fs.markDirty(in)
 	fs.stats.BytesWritten += int64(written)
 	needFlush := fs.dirtyBytes >= fs.dirtyMax
@@ -153,36 +149,40 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 	return written, nil
 }
 
+// checkSize rejects a write of n bytes at off, or a size (n == 0), that
+// the block index cannot address. Caller holds fs.mu.
+func (fs *FS) checkSize(off int64, n int) error {
+	limit := int64(maxIndex) * int64(fs.blockSize)
+	if off < 0 || off > limit-int64(n) {
+		return fmt.Errorf("%w: offset %d + %d bytes past the %d-byte file limit", vfs.ErrInvalid, off, n, limit)
+	}
+	return nil
+}
+
 // dirtyPage returns the (blockSize-long) dirty page for idx, creating it
-// from the stored block contents if necessary. Caller holds fs.mu.
-func (fs *FS) dirtyPage(in *inode, idx uint32) ([]byte, error) {
+// if necessary. A page the caller will not overwrite whole is faulted
+// in from the stored block first. Caller holds fs.mu.
+func (fs *FS) dirtyPage(in *inode, idx uint32, fault bool) ([]byte, error) {
 	k := pageKey{ino: in.ino, idx: idx}
 	if page, ok := fs.pages[k]; ok {
 		return page, nil
 	}
 	page := make([]byte, fs.blockSize)
-	if int(idx) < len(in.blocks) {
-		b := in.blocks[idx]
-		if !b.isHole() {
-			data, err := fs.log.Read(b.addr, 0, b.len)
-			if err != nil {
-				return nil, fmt.Errorf("fault block %d of inode %d: %w", idx, in.ino, err)
+	if fault {
+		b, err := in.tree.get(fs, uint64(idx))
+		if err == nil && !b.isHole() {
+			var data []byte
+			if data, err = fs.log.Read(b.addr, 0, b.len); err == nil {
+				copy(page, data)
 			}
-			copy(page, data)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("fault block %d of inode %d: %w", idx, in.ino, err)
 		}
 	}
 	fs.pages[k] = page
 	fs.dirtyBytes += int64(len(page))
 	return page, nil
-}
-
-// ensureBlocks extends the block table to cover the file size. Caller
-// holds fs.mu.
-func (fs *FS) ensureBlocks(in *inode) {
-	need := int((in.size + int64(fs.blockSize) - 1) / int64(fs.blockSize))
-	for len(in.blocks) < need {
-		in.blocks = append(in.blocks, blockPtr{})
-	}
 }
 
 // Size implements vfs.File.
@@ -206,8 +206,8 @@ func (f *File) Truncate(size int64) error {
 	if err != nil {
 		return err
 	}
-	if size < 0 {
-		return vfs.ErrInvalid
+	if err := fs.checkSize(size, 0); err != nil {
+		return err
 	}
 	return fs.truncateLocked(in, size)
 }
@@ -215,39 +215,32 @@ func (f *File) Truncate(size int64) error {
 // truncateLocked sets in's size, freeing blocks beyond it and zeroing the
 // tail of the new last block so a later extension reads zeros.
 func (fs *FS) truncateLocked(in *inode, size int64) error {
-	bs := int64(fs.blockSize)
 	if size < in.size {
-		keep := int((size + bs - 1) / bs)
-		for idx := keep; idx < len(in.blocks); idx++ {
-			k := pageKey{ino: in.ino, idx: uint32(idx)}
-			if p, ok := fs.pages[k]; ok {
+		keep := fs.blocks(size)
+		for k, p := range fs.pages {
+			if k.ino == in.ino && uint64(k.idx) >= keep {
 				fs.dirtyBytes -= int64(len(p))
 				delete(fs.pages, k)
 			}
-			b := in.blocks[idx]
-			if !b.isHole() {
-				if err := fs.log.DeleteBlock(b.addr, b.len, fs.svcID); err != nil {
-					return err
-				}
-				if fs.cache != nil {
-					fs.cache.Invalidate(b.addr)
-				}
-			}
 		}
-		in.blocks = in.blocks[:keep]
+		var freed freeList
+		err := in.tree.truncate(fs, keep, freed.add)
+		if err == nil {
+			err = fs.deleteBlocks(freed)
+		}
+		if err != nil {
+			return err
+		}
 		// Zero the tail of the last partial block via a dirty page.
-		if tail := size % bs; tail != 0 && keep > 0 {
-			page, err := fs.dirtyPage(in, uint32(keep-1))
+		if tail := size % int64(fs.blockSize); tail != 0 {
+			page, err := fs.dirtyPage(in, uint32(keep-1), true)
 			if err != nil {
 				return err
 			}
-			for i := tail; i < bs; i++ {
-				page[i] = 0
-			}
+			clear(page[tail:])
 		}
 	}
 	in.size = size
-	fs.ensureBlocks(in)
 	fs.markDirty(in)
 	return nil
 }

@@ -4,12 +4,17 @@
 // Sprite LFS but is smaller and simpler, because log management, storage,
 // cleaning, and reconstruction are all handled by the Swarm layers below.
 //
-// Structure: an in-memory inode map (ino → inode-block address) that is
-// checkpointed into the log; inodes stored as variable-size log blocks;
-// file data in fixed-size blocks with a write-back page cache (the
-// prototype ran on a Linux "modified to support a write-back page cache",
-// §3.3); and crash recovery by replaying the log layer's creation records
-// plus Sting's own unlink records.
+// Structure: as in Sprite LFS, every piece of metadata is a pointer tree
+// of fixed-size map blocks (ptree.go). A file's inode holds the root of
+// its block tree, a directory's the root of its hashed entry buckets
+// (dir.go), and the inode map is a tree over inode numbers whose root is
+// the checkpoint. A flush appends dirty data, then the dirty map blocks
+// bottom-up, then the inode, so a Sync ships what it changed rather than
+// a whole table, and no structure is capped at one fragment. File data
+// sits in fixed-size blocks behind a write-back page cache (the prototype
+// ran on a Linux "modified to support a write-back page cache", §3.3).
+// Crash recovery replays the log layer's creation records plus Sting's
+// own unlink and void records.
 package sting
 
 import (
@@ -50,14 +55,10 @@ type Stats struct {
 	Flushes      int64
 	BlocksOut    int64 // data blocks appended
 	InodesOut    int64 // inode blocks appended
+	MapBlocksOut int64 // map and bucket blocks appended
 	BytesWritten int64 // application bytes accepted by WriteAt
 	BytesRead    int64
 	Checkpoints  int64
-}
-
-type imapEntry struct {
-	addr core.BlockAddr
-	size uint32
 }
 
 type pageKey struct {
@@ -76,21 +77,17 @@ type FS struct {
 
 	mu         sync.Mutex
 	closed     bool
-	imap       map[uint64]imapEntry
+	imap       ptree        // inode number → inode block
+	seq        uint64       // numbers flushes and checkpoints; what each writes carries it as gen
+	ckptSeq    uint64       // seq of the newest checkpoint, the gen of its inode-map blocks
+	replay     *replayState // records gathered while mounting; nil after
 	nextIno    uint64
-	inodes     map[uint64]*inode // cache of loaded inodes
+	inodes     map[uint64]*inode // loaded inodes, with their loaded map blocks
 	dirtyIno   map[uint64]bool
 	pages      map[pageKey][]byte // dirty data pages (write-back cache)
 	dirtyBytes int64
-	pending    map[uint64][]patch // replay patches awaiting their inode
+	unlinked   []uint64 // removed inodes whose unlink records the next flush appends
 	stats      Stats
-}
-
-type patch struct {
-	idx  uint32
-	addr core.BlockAddr
-	len  uint32
-	size int64
 }
 
 var _ service.Service = (*FS)(nil)
@@ -106,8 +103,8 @@ func Mount(log *core.Log, reg *service.Registry, rec *core.Recovery, cfg Config)
 	if cfg.BlockSize == 0 {
 		cfg.BlockSize = 4096
 	}
-	if cfg.BlockSize > log.MaxBlockSize() {
-		return nil, fmt.Errorf("sting: block size %d exceeds log max %d", cfg.BlockSize, log.MaxBlockSize())
+	if max(cfg.BlockSize, 64+2*mapBlockSize) > log.MaxBlockSize() {
+		return nil, fmt.Errorf("sting: block size %d or metadata block exceeds log max %d", cfg.BlockSize, log.MaxBlockSize())
 	}
 	if cfg.DirtyLimit == 0 {
 		cfg.DirtyLimit = 4 << 20
@@ -118,12 +115,10 @@ func Mount(log *core.Log, reg *service.Registry, rec *core.Recovery, cfg Config)
 		blockSize: cfg.BlockSize,
 		dirtyMax:  cfg.DirtyLimit,
 		now:       time.Now,
-		imap:      make(map[uint64]imapEntry),
 		nextIno:   RootIno + 1,
 		inodes:    make(map[uint64]*inode),
 		dirtyIno:  make(map[uint64]bool),
 		pages:     make(map[pageKey][]byte),
-		pending:   make(map[uint64][]patch),
 	}
 	if cfg.CacheBytes > 0 {
 		fs.cache = blockcache.New(log, cfg.CacheBytes)
@@ -137,11 +132,14 @@ func Mount(log *core.Log, reg *service.Registry, rec *core.Recovery, cfg Config)
 	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	if _, ok := fs.imap[RootIno]; !ok {
-		if _, ok := fs.inodes[RootIno]; !ok {
-			fs.inodes[RootIno] = newDirInode(RootIno, fs.now())
-			fs.dirtyIno[RootIno] = true
-		}
+	if err := fs.finishReplayLocked(); err != nil {
+		return nil, err
+	}
+	if _, err := fs.loadInode(RootIno); errors.Is(err, vfs.ErrNotExist) {
+		fs.inodes[RootIno] = newDirInode(RootIno, fs.now())
+		fs.dirtyIno[RootIno] = true
+	} else if err != nil {
+		return nil, err
 	}
 	return fs, nil
 }
@@ -167,11 +165,14 @@ func (fs *FS) loadInode(ino uint64) (*inode, error) {
 	if in, ok := fs.inodes[ino]; ok {
 		return in, nil
 	}
-	ent, ok := fs.imap[ino]
-	if !ok {
+	p, err := fs.imap.get(fs, ino)
+	if err != nil {
+		return nil, err
+	}
+	if p.isHole() {
 		return nil, fmt.Errorf("%w: inode %d", vfs.ErrNotExist, ino)
 	}
-	data, err := fs.log.Read(ent.addr, 0, ent.size)
+	data, err := fs.log.Read(p.addr, 0, p.len)
 	if err != nil {
 		return nil, fmt.Errorf("read inode %d: %w", ino, err)
 	}
@@ -179,8 +180,21 @@ func (fs *FS) loadInode(ino uint64) (*inode, error) {
 	if err != nil {
 		return nil, err
 	}
+	if in.ino != ino {
+		return nil, fmt.Errorf("sting: inode map slot %d holds inode %d", ino, in.ino)
+	}
+	in.flushedAt = core.PosOf(p.addr)
 	fs.inodes[ino] = in
 	return in, nil
+}
+
+// readNode loads a map block; it then stays resident in its tree.
+func (fs *FS) readNode(p blockPtr) (*node, error) {
+	data, err := fs.log.Read(p.addr, 0, p.len)
+	if err != nil {
+		return nil, fmt.Errorf("read map block %v: %w", p.addr, err)
+	}
+	return decodeNode(data)
 }
 
 func (fs *FS) markDirty(in *inode) {
@@ -188,10 +202,41 @@ func (fs *FS) markDirty(in *inode) {
 	fs.dirtyIno[in.ino] = true
 }
 
-func (fs *FS) allocIno() uint64 {
+func (fs *FS) allocIno() (uint64, error) {
+	if fs.nextIno >= maxIndex {
+		return 0, fmt.Errorf("%w: inode numbers exhausted", vfs.ErrNoSpace)
+	}
 	ino := fs.nextIno
 	fs.nextIno++
-	return ino
+	return ino, nil
+}
+
+// blocks returns how many blocks a file of size bytes spans.
+func (fs *FS) blocks(size int64) uint64 {
+	return uint64((size + int64(fs.blockSize) - 1) / int64(fs.blockSize))
+}
+
+// freeList collects blocks to delete once the metadata that stops using
+// them is written; holes are skipped.
+type freeList []blockPtr
+
+func (f *freeList) add(p blockPtr) {
+	if !p.isHole() {
+		*f = append(*f, p)
+	}
+}
+
+// deleteBlocks marks ps deleted in the log and drops them from the cache.
+func (fs *FS) deleteBlocks(ps freeList) error {
+	for _, p := range ps {
+		if err := fs.log.DeleteBlock(p.addr, p.len, fs.svcID); err != nil {
+			return err
+		}
+		if fs.cache != nil {
+			fs.cache.Invalidate(p.addr)
+		}
+	}
+	return nil
 }
 
 // ------------------------------------------------------------ name paths
@@ -207,7 +252,10 @@ func (fs *FS) resolve(parts []string) (*inode, error) {
 		if !in.isDir() {
 			return nil, fmt.Errorf("%w: %s", vfs.ErrNotDir, name)
 		}
-		ent, ok := in.entries[name]
+		ent, ok, err := fs.lookup(in, name)
+		if err != nil {
+			return nil, err
+		}
 		if !ok {
 			return nil, fmt.Errorf("%w: %s", vfs.ErrNotExist, name)
 		}
@@ -236,100 +284,129 @@ func (fs *FS) resolveParent(path string) (*inode, string, error) {
 
 // --------------------------------------------------------------- flushing
 
-// flushLocked writes every dirty page and inode to the log. Data blocks
-// go first so a flushed inode always references flushed blocks; within a
-// crash window, later creation records supersede earlier state exactly as
-// in the write path. Caller holds fs.mu.
+// flushLocked writes every dirty page and inode to the log, inode by
+// inode: data blocks, then the map blocks on their paths bottom-up, then
+// the inode, so a flushed inode always references flushed blocks. The
+// inode map is updated in memory; its blocks go out with the next
+// checkpoint, and until then replaying the inode records rebuilds it.
+// The blocks a flush replaces are deleted after every inode is written,
+// so no deletion record precedes the metadata that stops using the
+// block; likewise the unlink records follow the directories that drop
+// the names, so a crash can orphan an inode but never leave a name
+// pointing at a removed one. Caller holds fs.mu.
 func (fs *FS) flushLocked() error {
-	if len(fs.pages) == 0 && len(fs.dirtyIno) == 0 {
+	if len(fs.pages) == 0 && len(fs.dirtyIno) == 0 && len(fs.unlinked) == 0 {
 		return nil
 	}
 	// Deterministic order: by inode then block index.
 	keys := make([]pageKey, 0, len(fs.pages))
 	for k := range fs.pages {
 		keys = append(keys, k)
+		fs.dirtyIno[k.ino] = true
 	}
 	sortPageKeys(keys)
-	for _, k := range keys {
-		page := fs.pages[k]
-		in, err := fs.loadInode(k.ino)
-		if err != nil {
-			// Inode vanished (unlinked with dirty pages): drop them.
-			if errors.Is(err, vfs.ErrNotExist) {
-				delete(fs.pages, k)
-				continue
-			}
-			return err
-		}
-		if int(k.idx) >= len(in.blocks) {
-			// The file shrank under this page; nothing to persist.
-			delete(fs.pages, k)
-			continue
-		}
-		// Trim the tail block to the file size.
-		dataLen := fs.blockSize
-		if tail := in.size - int64(k.idx)*int64(fs.blockSize); tail < int64(dataLen) {
-			dataLen = int(tail)
-		}
-		if dataLen <= 0 {
-			delete(fs.pages, k)
-			continue
-		}
-		hint := encodeDataHint(k.ino, k.idx, in.size)
-		addr, err := fs.log.AppendBlock(fs.svcID, page[:dataLen], hint)
-		if err != nil {
-			return fmt.Errorf("flush data block %d/%d: %w", k.ino, k.idx, err)
-		}
-		old := in.blocks[k.idx]
-		in.blocks[k.idx] = blockPtr{addr: addr, len: uint32(dataLen)}
-		fs.dirtyIno[k.ino] = true
-		if fs.cache != nil {
-			fs.cache.Put(addr, page[:dataLen])
-			if !old.isHole() {
-				fs.cache.Invalidate(old.addr)
-			}
-		}
-		if !old.isHole() {
-			if err := fs.log.DeleteBlock(old.addr, old.len, fs.svcID); err != nil {
-				return err
-			}
-		}
-		delete(fs.pages, k)
-		fs.stats.BlocksOut++
-	}
-	fs.dirtyBytes = 0
-
-	// Inodes, in ascending ino order.
 	inos := make([]uint64, 0, len(fs.dirtyIno))
 	for ino := range fs.dirtyIno {
 		inos = append(inos, ino)
 	}
 	sortUint64s(inos)
+	fs.seq++
+	var freed freeList
 	for _, ino := range inos {
-		in, ok := fs.inodes[ino]
-		if !ok {
-			delete(fs.dirtyIno, ino)
-			continue
+		n := 0
+		for n < len(keys) && keys[n].ino == ino {
+			n++
 		}
-		buf := in.encode()
-		addr, err := fs.log.AppendBlock(fs.svcID, buf, encodeInodeHint(ino))
-		if err != nil {
-			return fmt.Errorf("flush inode %d: %w", ino, err)
+		pages := keys[:n]
+		keys = keys[n:]
+		if err := fs.flushInodeLocked(ino, pages, freed.add); err != nil {
+			return err
 		}
-		if old, ok := fs.imap[ino]; ok {
-			if err := fs.log.DeleteBlock(old.addr, old.size, fs.svcID); err != nil {
-				return err
-			}
-			if fs.cache != nil {
-				fs.cache.Invalidate(old.addr)
-			}
-		}
-		fs.imap[ino] = imapEntry{addr: addr, size: uint32(len(buf))}
-		delete(fs.dirtyIno, ino)
-		fs.stats.InodesOut++
 	}
+	fs.dirtyBytes = 0
+	for _, ino := range fs.unlinked {
+		if _, err := fs.log.AppendRecord(fs.svcID, encodeUnlinkRecord(ino)); err != nil {
+			return err
+		}
+	}
+	fs.unlinked = nil
 	fs.stats.Flushes++
+	return fs.deleteBlocks(freed)
+}
+
+// flushInodeLocked writes ino's dirty pages, buckets, map blocks and
+// inode block, stamped with the flush's seq. Caller holds fs.mu.
+func (fs *FS) flushInodeLocked(ino uint64, pages []pageKey, free func(blockPtr)) error {
+	in, ok := fs.inodes[ino]
+	if !ok {
+		// Unlinked with dirty pages: nothing to persist.
+		for _, k := range pages {
+			delete(fs.pages, k)
+		}
+		delete(fs.dirtyIno, ino)
+		return nil
+	}
+	in.gen = fs.seq
+	nblocks := fs.blocks(in.size)
+	for _, k := range pages {
+		page := fs.pages[k]
+		delete(fs.pages, k)
+		if uint64(k.idx) >= nblocks {
+			continue // the file shrank under this page
+		}
+		// Trim the tail block to the file size.
+		dataLen := int64(fs.blockSize)
+		if tail := in.size - int64(k.idx)*int64(fs.blockSize); tail < dataLen {
+			dataLen = tail
+		}
+		p, err := fs.appendBlock(page[:dataLen], hint{kind: hintData, ino: ino, pos: uint64(k.idx), gen: in.gen})
+		if err != nil {
+			return err
+		}
+		old, err := in.tree.set(fs, uint64(k.idx), p)
+		if err != nil {
+			return err
+		}
+		if fs.cache != nil {
+			fs.cache.Put(p.addr, page[:dataLen])
+		}
+		free(old)
+		fs.stats.BlocksOut++
+	}
+	if in.isDir() {
+		if err := fs.flushBuckets(in, free); err != nil {
+			return err
+		}
+	}
+	err := in.tree.flush(func(level int, pos uint64, data []byte) (blockPtr, error) {
+		fs.stats.MapBlocksOut++
+		return fs.appendBlock(data, hint{kind: hintMap, ino: ino, level: uint8(level), pos: pos, gen: in.gen})
+	}, free)
+	if err != nil {
+		return err
+	}
+	p, err := fs.appendBlock(in.encode(), hint{kind: hintInode, ino: ino, pos: ino, gen: in.gen})
+	if err != nil {
+		return err
+	}
+	old, err := fs.imap.set(fs, ino, p)
+	if err != nil {
+		return err
+	}
+	free(old)
+	in.flushedAt = core.PosOf(p.addr)
+	delete(fs.dirtyIno, ino)
+	fs.stats.InodesOut++
 	return nil
+}
+
+// appendBlock appends one block under hint h. Caller holds fs.mu.
+func (fs *FS) appendBlock(data []byte, h hint) (blockPtr, error) {
+	addr, err := fs.log.AppendBlock(fs.svcID, data, h.encode())
+	if err != nil {
+		return blockPtr{}, fmt.Errorf("flush block %+v: %w", h, err)
+	}
+	return blockPtr{addr: addr, len: uint32(len(data))}, nil
 }
 
 // Sync implements vfs.FileSystem: flush the page cache and the log.
@@ -347,42 +424,45 @@ func (fs *FS) Sync() error {
 	return fs.log.Sync()
 }
 
-// Checkpoint flushes and writes Sting's checkpoint (the inode map and
-// allocator), bounding future recovery time.
+// Checkpoint flushes and writes Sting's checkpoint, bounding future
+// recovery time: the inode map's dirty map blocks, then a checkpoint
+// record holding the allocator and the inode map's root.
 func (fs *FS) Checkpoint() error {
 	fs.mu.Lock()
+	defer fs.mu.Unlock()
 	if fs.closed {
-		fs.mu.Unlock()
 		return vfs.ErrClosed
 	}
-	if err := fs.flushLocked(); err != nil {
-		fs.mu.Unlock()
-		return err
-	}
-	payload := fs.encodeCheckpointLocked()
-	fs.stats.Checkpoints++
-	fs.mu.Unlock()
-	_, err := fs.log.WriteCheckpoint(fs.svcID, payload)
-	return err
+	return fs.checkpointLocked()
 }
 
-func (fs *FS) encodeCheckpointLocked() []byte {
-	e := wire.NewEncoder(16 + len(fs.imap)*24)
+// checkpointLocked holds fs.mu across the checkpoint write, so no flush
+// can land between the inode map it captures and its record. Caller
+// holds fs.mu.
+func (fs *FS) checkpointLocked() error {
+	if err := fs.flushLocked(); err != nil {
+		return err
+	}
+	fs.seq++
+	gen := fs.seq
+	var freed freeList
+	err := fs.imap.flush(func(level int, pos uint64, data []byte) (blockPtr, error) {
+		fs.stats.MapBlocksOut++
+		return fs.appendBlock(data, hint{kind: hintImap, level: uint8(level), pos: pos, gen: gen})
+	}, freed.add)
+	if err != nil {
+		return err
+	}
+	fs.ckptSeq = gen
+	e := wire.NewEncoder(32 + mapBlockSize)
 	e.U64(fs.nextIno)
-	e.U32(uint32(len(fs.imap)))
-	inos := make([]uint64, 0, len(fs.imap))
-	for ino := range fs.imap {
-		inos = append(inos, ino)
+	e.U64(gen)
+	fs.imap.encodeRoot(e)
+	if _, err := fs.log.WriteCheckpoint(fs.svcID, e.Bytes()); err != nil {
+		return err
 	}
-	sortUint64s(inos)
-	for _, ino := range inos {
-		ent := fs.imap[ino]
-		e.U64(ino)
-		e.U64(uint64(ent.addr.FID))
-		e.U32(ent.addr.Off)
-		e.U32(ent.size)
-	}
-	return e.Bytes()
+	fs.stats.Checkpoints++
+	return fs.deleteBlocks(freed)
 }
 
 // Unmount implements vfs.FileSystem: flush, checkpoint, and close. The

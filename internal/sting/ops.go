@@ -2,6 +2,7 @@ package sting
 
 import (
 	"fmt"
+	"sort"
 
 	"swarm/internal/vfs"
 )
@@ -17,7 +18,11 @@ func (fs *FS) Create(path string) (vfs.File, error) {
 	if err != nil {
 		return nil, err
 	}
-	if ent, ok := dir.entries[name]; ok {
+	ent, ok, err := fs.lookup(dir, name)
+	if err != nil {
+		return nil, err
+	}
+	if ok {
 		in, err := fs.loadInode(ent.ino)
 		if err != nil {
 			return nil, err
@@ -30,11 +35,16 @@ func (fs *FS) Create(path string) (vfs.File, error) {
 		}
 		return &File{fs: fs, ino: in.ino}, nil
 	}
-	ino := fs.allocIno()
+	ino, err := fs.allocIno()
+	if err != nil {
+		return nil, err
+	}
+	if err := fs.link(dir, name, dirEnt{ino: ino, mode: vfs.ModeFile}); err != nil {
+		return nil, err
+	}
 	in := newFileInode(ino, fs.now())
 	fs.inodes[ino] = in
 	fs.markDirty(in)
-	dir.entries[name] = dirEnt{ino: ino, mode: vfs.ModeFile}
 	fs.markDirty(dir)
 	return &File{fs: fs, ino: ino}, nil
 }
@@ -71,14 +81,23 @@ func (fs *FS) Mkdir(path string) error {
 	if err != nil {
 		return err
 	}
-	if _, ok := dir.entries[name]; ok {
+	_, exists, err := fs.lookup(dir, name)
+	if err != nil {
+		return err
+	}
+	if exists {
 		return fmt.Errorf("%w: %s", vfs.ErrExist, path)
 	}
-	ino := fs.allocIno()
+	ino, err := fs.allocIno()
+	if err != nil {
+		return err
+	}
+	if err := fs.link(dir, name, dirEnt{ino: ino, mode: vfs.ModeDir}); err != nil {
+		return err
+	}
 	in := newDirInode(ino, fs.now())
 	fs.inodes[ino] = in
 	fs.markDirty(in)
-	dir.entries[name] = dirEnt{ino: ino, mode: vfs.ModeDir}
 	dir.nlink++
 	fs.markDirty(dir)
 	return nil
@@ -95,7 +114,10 @@ func (fs *FS) Rmdir(path string) error {
 	if err != nil {
 		return err
 	}
-	ent, ok := dir.entries[name]
+	ent, ok, err := fs.lookup(dir, name)
+	if err != nil {
+		return err
+	}
 	if !ok {
 		return fmt.Errorf("%w: %s", vfs.ErrNotExist, path)
 	}
@@ -106,10 +128,12 @@ func (fs *FS) Rmdir(path string) error {
 	if !child.isDir() {
 		return fmt.Errorf("%w: %s", vfs.ErrNotDir, path)
 	}
-	if len(child.entries) != 0 {
+	if child.nents != 0 {
 		return fmt.Errorf("%w: %s", vfs.ErrNotEmpty, path)
 	}
-	delete(dir.entries, name)
+	if err := fs.unlinkName(dir, name); err != nil {
+		return err
+	}
 	dir.nlink--
 	fs.markDirty(dir)
 	return fs.removeInodeLocked(child)
@@ -126,7 +150,10 @@ func (fs *FS) Unlink(path string) error {
 	if err != nil {
 		return err
 	}
-	ent, ok := dir.entries[name]
+	ent, ok, err := fs.lookup(dir, name)
+	if err != nil {
+		return err
+	}
 	if !ok {
 		return fmt.Errorf("%w: %s", vfs.ErrNotExist, path)
 	}
@@ -137,42 +164,38 @@ func (fs *FS) Unlink(path string) error {
 	if child.isDir() {
 		return fmt.Errorf("%w: %s", vfs.ErrIsDir, path)
 	}
-	delete(dir.entries, name)
+	if err := fs.unlinkName(dir, name); err != nil {
+		return err
+	}
 	fs.markDirty(dir)
 	return fs.removeInodeLocked(child)
 }
 
-// removeInodeLocked frees an inode: its data blocks, its inode block, its
-// map entry, and an unlink record so replay removes it too.
+// removeInodeLocked frees an inode: its data and map blocks, its inode
+// block and its inode-map slot, and queues an unlink record for the
+// next flush so replay removes it too.
 func (fs *FS) removeInodeLocked(in *inode) error {
-	// Drop dirty pages and delete stored blocks.
-	for idx := range in.blocks {
-		k := pageKey{ino: in.ino, idx: uint32(idx)}
-		if p, ok := fs.pages[k]; ok {
+	for k, p := range fs.pages {
+		if k.ino == in.ino {
 			fs.dirtyBytes -= int64(len(p))
 			delete(fs.pages, k)
 		}
-		b := in.blocks[idx]
-		if !b.isHole() {
-			if err := fs.log.DeleteBlock(b.addr, b.len, fs.svcID); err != nil {
-				return err
-			}
-			if fs.cache != nil {
-				fs.cache.Invalidate(b.addr)
-			}
-		}
 	}
-	if ent, ok := fs.imap[in.ino]; ok {
-		if err := fs.log.DeleteBlock(ent.addr, ent.size, fs.svcID); err != nil {
-			return err
-		}
-		delete(fs.imap, in.ino)
+	var freed freeList
+	if err := in.tree.truncate(fs, 0, freed.add); err != nil {
+		return err
+	}
+	old, err := fs.imap.set(fs, in.ino, blockPtr{})
+	if err != nil {
+		return err
+	}
+	freed.add(old)
+	if err := fs.deleteBlocks(freed); err != nil {
+		return err
 	}
 	delete(fs.inodes, in.ino)
 	delete(fs.dirtyIno, in.ino)
-	if _, err := fs.log.AppendRecord(fs.svcID, encodeUnlinkRecord(in.ino)); err != nil {
-		return err
-	}
+	fs.unlinked = append(fs.unlinked, in.ino)
 	return nil
 }
 
@@ -187,7 +210,10 @@ func (fs *FS) Rename(oldPath, newPath string) error {
 	if err != nil {
 		return err
 	}
-	ent, ok := oldDir.entries[oldName]
+	ent, ok, err := fs.lookup(oldDir, oldName)
+	if err != nil {
+		return err
+	}
 	if !ok {
 		return fmt.Errorf("%w: %s", vfs.ErrNotExist, oldPath)
 	}
@@ -195,7 +221,14 @@ func (fs *FS) Rename(oldPath, newPath string) error {
 	if err != nil {
 		return err
 	}
-	if existing, ok := newDir.entries[newName]; ok {
+	if newDir == oldDir && newName == oldName {
+		return nil
+	}
+	existing, ok, err := fs.lookup(newDir, newName)
+	if err != nil {
+		return err
+	}
+	if ok {
 		// Replacing: only file-over-file is allowed.
 		target, err := fs.loadInode(existing.ino)
 		if err != nil {
@@ -212,8 +245,12 @@ func (fs *FS) Rename(oldPath, newPath string) error {
 			return err
 		}
 	}
-	delete(oldDir.entries, oldName)
-	newDir.entries[newName] = ent
+	if err := fs.unlinkName(oldDir, oldName); err != nil {
+		return err
+	}
+	if err := fs.link(newDir, newName, ent); err != nil {
+		return err
+	}
 	if ent.mode == vfs.ModeDir && oldDir.ino != newDir.ino {
 		oldDir.nlink--
 		newDir.nlink++
@@ -270,10 +307,14 @@ func (fs *FS) ReadDir(path string) ([]vfs.DirEntry, error) {
 	if !in.isDir() {
 		return nil, fmt.Errorf("%w: %s", vfs.ErrNotDir, path)
 	}
-	out := make([]vfs.DirEntry, 0, len(in.entries))
-	for _, name := range in.names() {
-		ent := in.entries[name]
+	ents, err := fs.allEntries(in)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]vfs.DirEntry, 0, len(ents))
+	for name, ent := range ents {
 		out = append(out, vfs.DirEntry{Name: name, Ino: ent.ino, Mode: ent.mode})
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out, nil
 }

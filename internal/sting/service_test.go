@@ -23,32 +23,21 @@ func TestBlockLiveAnswers(t *testing.T) {
 	}
 
 	// Find the file's inode and block addresses.
-	e.fs.mu.Lock()
-	root, err := e.fs.loadInode(RootIno)
-	if err != nil {
-		e.fs.mu.Unlock()
-		t.Fatal(err)
-	}
-	ino := root.entries["f"].ino
-	in, err := e.fs.loadInode(ino)
-	if err != nil {
-		e.fs.mu.Unlock()
-		t.Fatal(err)
-	}
-	dataAddr := in.blocks[1].addr
-	inodeAddr := e.fs.imap[ino].addr
-	e.fs.mu.Unlock()
+	in := inodeAt(t, e.fs, "/f")
+	ino := in.ino
+	dataAddr := ptrAt(t, e.fs, in, 1).addr
+	inodeAddr := imapPtr(t, e.fs, ino).addr
 
 	// Live data block and live inode block answer true.
-	if !e.fs.BlockLive(dataAddr, encodeDataHint(ino, 1, in.size)) {
+	if !e.fs.BlockLive(dataAddr, dataHint(ino, 1)) {
 		t.Fatal("live data block reported dead")
 	}
-	if !e.fs.BlockLive(inodeAddr, encodeInodeHint(ino)) {
+	if !e.fs.BlockLive(inodeAddr, inodeHint(ino)) {
 		t.Fatal("live inode block reported dead")
 	}
 	// A stale address answers false.
 	stale := core.BlockAddr{FID: dataAddr.FID, Off: dataAddr.Off + 1}
-	if e.fs.BlockLive(stale, encodeDataHint(ino, 1, in.size)) {
+	if e.fs.BlockLive(stale, dataHint(ino, 1)) {
 		t.Fatal("stale data address reported live")
 	}
 	// Unparseable hints answer true (safe default).
@@ -59,10 +48,10 @@ func TestBlockLiveAnswers(t *testing.T) {
 	if err := e.fs.Unlink("/f"); err != nil {
 		t.Fatal(err)
 	}
-	if e.fs.BlockLive(dataAddr, encodeDataHint(ino, 1, in.size)) {
+	if e.fs.BlockLive(dataAddr, dataHint(ino, 1)) {
 		t.Fatal("unlinked file's data reported live")
 	}
-	if e.fs.BlockLive(inodeAddr, encodeInodeHint(ino)) {
+	if e.fs.BlockLive(inodeAddr, inodeHint(ino)) {
 		t.Fatal("unlinked file's inode reported live")
 	}
 }
@@ -77,22 +66,17 @@ func TestBlockMovedRebindsMetadata(t *testing.T) {
 	if err := e.fs.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	e.fs.mu.Lock()
-	root, _ := e.fs.loadInode(RootIno)
-	ino := root.entries["f"].ino
-	in, _ := e.fs.loadInode(ino)
-	old := in.blocks[0]
-	size := in.size
-	e.fs.mu.Unlock()
+	in := inodeAt(t, e.fs, "/f")
+	ino := in.ino
+	old := ptrAt(t, e.fs, in, 0)
 
 	// Pretend the cleaner moved block 0.
 	newAddr := core.BlockAddr{FID: old.addr.FID, Off: old.addr.Off + 12345}
-	if err := e.fs.BlockMoved(old.addr, newAddr, old.len, encodeDataHint(ino, 0, size)); err != nil {
+	if err := e.fs.BlockMoved(old.addr, newAddr, old.len, dataHint(ino, 0)); err != nil {
 		t.Fatal(err)
 	}
+	got := ptrAt(t, e.fs, in, 0).addr
 	e.fs.mu.Lock()
-	in, _ = e.fs.loadInode(ino)
-	got := in.blocks[0].addr
 	dirty := e.fs.dirtyIno[ino]
 	e.fs.mu.Unlock()
 	if got != newAddr {
@@ -102,27 +86,20 @@ func TestBlockMovedRebindsMetadata(t *testing.T) {
 		t.Fatal("inode not marked dirty after move")
 	}
 	// Moving with a stale old address is a no-op.
-	if err := e.fs.BlockMoved(old.addr, core.BlockAddr{}, old.len, encodeDataHint(ino, 0, size)); err != nil {
+	if err := e.fs.BlockMoved(old.addr, core.BlockAddr{}, old.len, dataHint(ino, 0)); err != nil {
 		t.Fatal(err)
 	}
-	e.fs.mu.Lock()
-	in, _ = e.fs.loadInode(ino)
-	still := in.blocks[0].addr
-	e.fs.mu.Unlock()
+	still := ptrAt(t, e.fs, in, 0).addr
 	if still != newAddr {
 		t.Fatal("stale move overwrote current binding")
 	}
 	// Moving an inode block rebinds the imap.
-	e.fs.mu.Lock()
-	oldIno := e.fs.imap[ino]
-	e.fs.mu.Unlock()
+	oldIno := imapPtr(t, e.fs, ino)
 	newInoAddr := core.BlockAddr{FID: oldIno.addr.FID, Off: oldIno.addr.Off + 7}
-	if err := e.fs.BlockMoved(oldIno.addr, newInoAddr, oldIno.size, encodeInodeHint(ino)); err != nil {
+	if err := e.fs.BlockMoved(oldIno.addr, newInoAddr, oldIno.len, inodeHint(ino)); err != nil {
 		t.Fatal(err)
 	}
-	e.fs.mu.Lock()
-	got2 := e.fs.imap[ino].addr
-	e.fs.mu.Unlock()
+	got2 := imapPtr(t, e.fs, ino).addr
 	if got2 != newInoAddr {
 		t.Fatalf("imap not rebound: %v", got2)
 	}

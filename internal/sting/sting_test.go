@@ -24,6 +24,7 @@ const (
 )
 
 type env struct {
+	frag  int
 	flaky []*transport.Flaky
 	conns []transport.ServerConn
 	log   *core.Log
@@ -33,10 +34,16 @@ type env struct {
 
 func newEnv(t *testing.T, servers int) *env {
 	t.Helper()
-	e := &env{}
+	return newEnvSized(t, servers, testFragSize, 64<<20)
+}
+
+// newEnvSized is newEnv with a given fragment size and per-server disk.
+func newEnvSized(t *testing.T, servers, fragSize int, diskBytes int64) *env {
+	t.Helper()
+	e := &env{frag: fragSize}
 	for i := 0; i < servers; i++ {
-		d := disk.NewMemDisk(64 << 20)
-		st, err := server.Format(d, server.Config{FragmentSize: testFragSize})
+		d := disk.NewMemDisk(diskBytes)
+		st, err := server.Format(d, server.Config{FragmentSize: fragSize})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +58,7 @@ func newEnv(t *testing.T, servers int) *env {
 // mount (re)opens the log and mounts Sting, simulating a client restart.
 func (e *env) mount(t *testing.T) {
 	t.Helper()
-	l, rec, err := core.Open(core.Config{Client: 1, Servers: e.conns, FragmentSize: testFragSize})
+	l, rec, err := core.Open(core.Config{Client: 1, Servers: e.conns, FragmentSize: e.frag})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,31 +348,42 @@ func TestAutoFlushOnDirtyLimit(t *testing.T) {
 func TestInodeEncodeDecodeRoundTrip(t *testing.T) {
 	in := newFileInode(42, time.Unix(100, 0))
 	in.size = 12345
-	in.blocks = []blockPtr{
-		{addr: core.BlockAddr{FID: wire.MakeFID(1, 2), Off: 3}, len: 1024},
-		{}, // hole
-		{addr: core.BlockAddr{FID: wire.MakeFID(1, 5), Off: 9}, len: 100},
-	}
+	in.gen = 3
+	in.tree.root.ptrs[0] = blockPtr{addr: core.BlockAddr{FID: wire.MakeFID(1, 2), Off: 3}, len: 1024}
+	// slot 1 is a hole
+	in.tree.root.ptrs[2] = blockPtr{addr: core.BlockAddr{FID: wire.MakeFID(1, 5), Off: 9}, len: 100}
 	got, err := decodeInode(in.encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.ino != 42 || got.size != 12345 || got.mode != vfs.ModeFile || len(got.blocks) != 3 {
+	if got.ino != 42 || got.size != 12345 || got.gen != 3 || got.mode != vfs.ModeFile || got.tree.depth != 0 {
 		t.Fatalf("roundtrip = %+v", got)
 	}
-	if got.blocks[0] != in.blocks[0] || !got.blocks[1].isHole() || got.blocks[2] != in.blocks[2] {
-		t.Fatalf("blocks = %+v", got.blocks)
+	if got.tree.root.ptrs != in.tree.root.ptrs {
+		t.Fatalf("root = %+v", got.tree.root.ptrs)
 	}
 
 	dir := newDirInode(7, time.Unix(100, 0))
-	dir.entries["a"] = dirEnt{ino: 9, mode: vfs.ModeFile}
-	dir.entries["b"] = dirEnt{ino: 10, mode: vfs.ModeDir}
+	dir.buckets[0].put("a", dirEnt{ino: 9, mode: vfs.ModeFile})
+	dir.buckets[0].put("b", dirEnt{ino: 10, mode: vfs.ModeDir})
+	dir.nents = 2
 	got, err = decodeInode(dir.encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.isDir() || len(got.entries) != 2 || got.entries["a"].ino != 9 || got.entries["b"].mode != vfs.ModeDir {
+	ents := got.buckets[0].ents
+	if !got.isDir() || got.nents != 2 || len(ents) != 2 || ents["a"].ino != 9 || ents["b"].mode != vfs.ModeDir {
 		t.Fatalf("dir roundtrip = %+v", got)
+	}
+
+	// A bucketed directory carries its tree root instead of entries.
+	dir.nb = 4
+	dir.buckets = make([]*bucket, 4)
+	dir.tree.depth = 1
+	dir.tree.root.ptrs[0] = in.tree.root.ptrs[0]
+	got, err = decodeInode(dir.encode())
+	if err != nil || got.nb != 4 || len(got.buckets) != 4 || got.tree.depth != 1 || got.tree.root.ptrs[0] != dir.tree.root.ptrs[0] {
+		t.Fatalf("bucketed dir roundtrip = (%+v,%v)", got, err)
 	}
 	if _, err := decodeInode([]byte{1, 2}); err == nil {
 		t.Fatal("garbage inode decoded")
@@ -373,16 +391,25 @@ func TestInodeEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestHintRoundTrip(t *testing.T) {
-	h, err := decodeHint(encodeInodeHint(99))
-	if err != nil || h.kind != hintInode || h.ino != 99 {
-		t.Fatalf("inode hint = (%+v,%v)", h, err)
+	for _, want := range []hint{
+		{kind: hintInode, ino: 99, pos: 99, gen: 4},
+		{kind: hintData, ino: 5, pos: 12, gen: 7},
+		{kind: hintMap, ino: 5, level: 2, pos: 3, gen: 7},
+		{kind: hintImap, level: 1, pos: 8, gen: 2},
+	} {
+		got, err := decodeHint(want.encode())
+		if err != nil || got != want {
+			t.Fatalf("hint %+v = (%+v,%v)", want, got, err)
+		}
 	}
-	h, err = decodeHint(encodeDataHint(5, 12, 99999))
-	if err != nil || h.kind != hintData || h.ino != 5 || h.idx != 12 || h.size != 99999 {
-		t.Fatalf("data hint = (%+v,%v)", h, err)
-	}
-	if _, err := decodeHint([]byte{9, 0, 0, 0, 0, 0, 0, 0, 0}); err == nil {
+	if _, err := decodeHint(hint{kind: 9}.encode()); err == nil {
 		t.Fatal("unknown hint kind accepted")
+	}
+	if _, err := decodeHint(hint{kind: hintData, level: 1}.encode()); err == nil {
+		t.Fatal("data hint above level 0 accepted")
+	}
+	if _, err := decodeHint(hint{kind: hintMap}.encode()); err == nil {
+		t.Fatal("map hint at level 0 accepted")
 	}
 	if _, err := decodeHint(nil); err == nil {
 		t.Fatal("empty hint accepted")
@@ -390,12 +417,20 @@ func TestHintRoundTrip(t *testing.T) {
 }
 
 func TestUnlinkRecordRoundTrip(t *testing.T) {
-	ino, err := decodeUnlinkRecord(encodeUnlinkRecord(77))
-	if err != nil || ino != 77 {
-		t.Fatalf("unlink record = (%d,%v)", ino, err)
+	r, err := decodeRecord(encodeUnlinkRecord(77))
+	if err != nil || r.kind != recUnlinkInode || r.ino != 77 {
+		t.Fatalf("unlink record = (%+v,%v)", r, err)
 	}
-	if _, err := decodeUnlinkRecord([]byte{9, 0, 0, 0, 0, 0, 0, 0, 0}); err == nil {
+	addr := core.BlockAddr{FID: wire.MakeFID(1, 9), Off: 40}
+	r, err = decodeRecord(encodeVoidRecord(addr))
+	if err != nil || r.kind != recVoidCopy || r.addr != addr {
+		t.Fatalf("void record = (%+v,%v)", r, err)
+	}
+	if _, err := decodeRecord([]byte{9, 0, 0, 0, 0, 0, 0, 0, 0}); err == nil {
 		t.Fatal("unknown record kind accepted")
+	}
+	if _, err := decodeRecord([]byte{recVoidCopy, 1}); err == nil {
+		t.Fatal("short record accepted")
 	}
 }
 
