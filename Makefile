@@ -52,9 +52,11 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The chaos harness alone, under the race detector.
+# The chaos harness alone, under the race detector, plus the transport's
+# retry, breaker and failure-injection tests.
 chaos:
 	$(GO) test -race -v -run 'TestChaos|TestDegradedWrites' .
+	$(GO) test -race -run 'Resilient|Flaky|Retry' ./internal/transport
 
 # Statement coverage across all packages, with a floor: fails if the
 # total drops below COVER_FLOOR percent.

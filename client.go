@@ -52,16 +52,6 @@ type ClientOptions struct {
 	Codec string
 	// PipelineDepth bounds in-flight fragments per server. Default 2.
 	PipelineDepth int
-	// FetchConcurrency bounds concurrent fragment fetches per server in
-	// the fragment I/O engine (reads, reconstruction, rebuild, recovery,
-	// and the cleaner all share it). Default 4.
-	FetchConcurrency int
-	// MaxInFlight bounds concurrent RPCs multiplexed on each pooled TCP
-	// connection (default transport.DefaultMaxInFlight). Raise it along
-	// with FetchConcurrency when wide fan-outs must not queue behind one
-	// another; 1 forces lock-step request/response per connection.
-	// In-process clusters connect directly and ignore this.
-	MaxInFlight int
 	// PreallocStripes reserves stripe slots on the servers when a stripe
 	// opens, guaranteeing started stripes (and their parity) can always
 	// be stored even if other clients fill the servers meanwhile.
@@ -121,7 +111,7 @@ func ConnectAddrs(id ClientID, addrs []string, opts ClientOptions) (*Client, err
 // dialResilient dials one storage server over TCP and wraps the
 // connection in the retry/circuit-breaker layer.
 func dialResilient(sid ServerID, addr string, id ClientID, opts ClientOptions) (transport.ServerConn, error) {
-	tcpOpts := transport.TCPOptions{PoolSize: opts.PipelineDepth, MaxInFlight: opts.MaxInFlight}
+	tcpOpts := transport.TCPOptions{PoolSize: opts.PipelineDepth}
 	var sc transport.ServerConn
 	tc, err := transport.DialTCPOpts(sid, addr, id, tcpOpts)
 	switch {
@@ -185,8 +175,6 @@ func connect(id ClientID, conns []transport.ServerConn, opts ClientOptions) (*Cl
 		ParityShards:       opts.ParityShards,
 		Codec:              codec,
 		PipelineDepth:      opts.PipelineDepth,
-		FetchConcurrency:   opts.FetchConcurrency,
-		MaxInFlight:        opts.MaxInFlight,
 		PreallocStripes:    opts.PreallocStripes,
 		ReadaheadFragments: opts.ReadaheadFragments,
 		ACLs:               acls,

@@ -55,7 +55,7 @@ func main() {
 func dialAll(addrs []string, client wire.ClientID) ([]transport.ServerConn, error) {
 	conns := make([]transport.ServerConn, 0, len(addrs))
 	for i, addr := range addrs {
-		sc, err := transport.DialTCP(wire.ServerID(i+1), strings.TrimSpace(addr), client, 0)
+		sc, err := transport.DialTCPOpts(wire.ServerID(i+1), strings.TrimSpace(addr), client, transport.TCPOptions{})
 		if err != nil {
 			return nil, err
 		}

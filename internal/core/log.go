@@ -76,15 +76,6 @@ type Config struct {
 	// miss in the client cache"). The value is the number of fragments
 	// held.
 	ReadaheadFragments int
-	// FetchConcurrency bounds concurrent fragment fetches per server in
-	// the fragment I/O engine — the fan-out width available to stripe
-	// reconstruction, cleaner scans, recovery, and readahead. Default 4.
-	FetchConcurrency int
-	// MaxInFlight, when positive, caps combined concurrent operations
-	// (stores + fetches) per server in the engine, matching the
-	// transport's per-connection multiplexing budget. 0 means no
-	// combined cap.
-	MaxInFlight int
 	// ACLs, when non-empty, protects every stored fragment with the
 	// given per-server access control list (each server assigns its own
 	// AIDs, hence the map). Fragments are stored with a single byte
@@ -296,10 +287,8 @@ func Open(cfg Config) (*Log, *Recovery, error) {
 		l.pacc = newParityAccum(code, l.payloadSize)
 	}
 	l.engine = fragio.New(cfg.Servers, fragio.Options{
-		Format:      frameFormat{},
-		StoreDepth:  cfg.PipelineDepth,
-		FetchDepth:  cfg.FetchConcurrency,
-		MaxInFlight: cfg.MaxInFlight,
+		Format:     frameFormat{},
+		StoreDepth: cfg.PipelineDepth,
 	})
 	// Sanity-check the fragment size against every reachable server: a
 	// mismatch would otherwise surface as confusing store failures deep

@@ -15,9 +15,11 @@
 //   - singleflight deduplication keyed by FID (Single, Locate), so N
 //     concurrent readers of the same lost fragment pay for one
 //     reconstruction and one broadcast discovery, not N;
-//   - a unified store/retry policy that composes with the resilient
-//     transport layer instead of duplicating it: a connection that
-//     already retries internally is never retried again by the engine.
+//   - one store path that never re-sends: retry, backoff and the
+//     circuit breaker belong to transport.Resilient alone, so a failed
+//     store costs at most that layer's attempts, not a product of
+//     layers. A StatusExists answer (a retried store whose first attempt
+//     committed) counts as success.
 //
 // The engine sits below internal/core (which owns the log format and
 // reconstruction math) and above internal/transport (which owns the wire
@@ -67,19 +69,12 @@ type Options struct {
 	// pipeline depth (§2.1.2: one fragment crosses the network while the
 	// server writes the previous one). Default 2.
 	StoreDepth int
-	// FetchDepth bounds concurrent fetches per server, so scatter-gather
-	// bursts from reconstruction, the cleaner, and readahead don't flood
-	// one server. Default 4.
-	FetchDepth int
-	// MaxInFlight, when > 0, caps combined concurrent operations (stores
-	// + fetches) per server. It exists to match the transport layer's
-	// per-connection multiplexing budget (transport.TCPOptions.MaxInFlight
-	// × pool size): capping here keeps requests queued client-side, where
-	// they can be reordered and cancelled, instead of deep in socket
-	// buffers. 0 leaves stores and fetches bounded only by their own
-	// depths.
-	MaxInFlight int
 }
+
+// fetchDepth bounds concurrent fetches per server, so scatter-gather
+// bursts from reconstruction, the cleaner, and readahead don't flood one
+// server.
+const fetchDepth = 4
 
 // Stats counts engine activity. Retrieve a snapshot with Engine.Stats.
 type Stats struct {
@@ -93,8 +88,9 @@ type Stats struct {
 	GatherMembers int64
 	// Stores counts store operations issued.
 	Stores int64
-	// StoreRetries counts stores the engine retried itself (only ever on
-	// connections without their own resilience layer).
+	// StoreRetries is always 0: the engine never re-sends a store
+	// (retries are transport.Resilient's, counted in its Health). It is
+	// kept because the perfbench report still reads it.
 	StoreRetries int64
 	// Broadcasts counts broadcast discoveries actually performed.
 	Broadcasts int64
@@ -121,8 +117,6 @@ type Stats struct {
 type Engine struct {
 	format     Format
 	storeDepth int
-	fetchDepth int
-	opDepth    int // 0 = no combined cap
 
 	flights singleflight // reconstruction and other per-FID work
 	locates singleflight // broadcast discovery
@@ -132,7 +126,6 @@ type Engine struct {
 	byID      map[wire.ServerID]transport.ServerConn // guarded by mu
 	storeSems map[wire.ServerID]chan struct{}        // guarded by mu
 	fetchSems map[wire.ServerID]chan struct{}        // guarded by mu
-	opSems    map[wire.ServerID]chan struct{}        // guarded by mu; nil when opDepth == 0
 	inflight  int                                    // dispatched async stores not yet complete; guarded by mu
 	cond      *sync.Cond
 	stats     Stats // guarded by mu
@@ -143,14 +136,9 @@ func New(servers []transport.ServerConn, opts Options) *Engine {
 	if opts.StoreDepth <= 0 {
 		opts.StoreDepth = 2
 	}
-	if opts.FetchDepth <= 0 {
-		opts.FetchDepth = 4
-	}
 	e := &Engine{
 		format:     opts.Format,
 		storeDepth: opts.StoreDepth,
-		fetchDepth: opts.FetchDepth,
-		opDepth:    opts.MaxInFlight,
 		byID:       make(map[wire.ServerID]transport.ServerConn, len(servers)),
 		storeSems:  make(map[wire.ServerID]chan struct{}, len(servers)),
 		fetchSems:  make(map[wire.ServerID]chan struct{}, len(servers)),
@@ -158,9 +146,6 @@ func New(servers []transport.ServerConn, opts Options) *Engine {
 	e.cond = sync.NewCond(&e.mu)
 	e.flights.init()
 	e.locates.init()
-	if opts.MaxInFlight > 0 {
-		e.opSems = make(map[wire.ServerID]chan struct{}, len(servers))
-	}
 	for _, sc := range servers {
 		e.servers = append(e.servers, sc)
 		e.addLocked(sc)
@@ -173,10 +158,7 @@ func (e *Engine) addLocked(sc transport.ServerConn) {
 	id := sc.ID()
 	e.byID[id] = sc
 	e.storeSems[id] = make(chan struct{}, e.storeDepth)
-	e.fetchSems[id] = make(chan struct{}, e.fetchDepth)
-	if e.opSems != nil {
-		e.opSems[id] = make(chan struct{}, e.opDepth)
-	}
+	e.fetchSems[id] = make(chan struct{}, fetchDepth)
 }
 
 // AddServer admits a new server to the engine: it becomes a valid
@@ -213,9 +195,6 @@ func (e *Engine) RemoveServer(id wire.ServerID) {
 	delete(e.byID, id)
 	delete(e.storeSems, id)
 	delete(e.fetchSems, id)
-	if e.opSems != nil {
-		delete(e.opSems, id)
-	}
 }
 
 // Stats returns a snapshot of the engine's counters.
@@ -240,22 +219,6 @@ func (e *Engine) acquireFetch(id wire.ServerID) func() {
 	if !ok {
 		// Unknown or just-removed server: no queue to respect. The fetch
 		// itself will fail or succeed on the connection's own terms.
-		return func() {}
-	}
-	sem <- struct{}{}
-	releaseOp := e.acquireOp(id)
-	return func() { releaseOp(); <-sem }
-}
-
-// acquireOp takes a slot in the server's combined in-flight cap (a no-op
-// when MaxInFlight is unset). Always acquired after the store/fetch
-// depth semaphore — one consistent order, so the two levels cannot
-// deadlock against each other.
-func (e *Engine) acquireOp(id wire.ServerID) func() {
-	e.mu.Lock()
-	sem, ok := e.opSems[id]
-	e.mu.Unlock()
-	if !ok {
 		return func() {}
 	}
 	sem <- struct{}{}
@@ -478,36 +441,13 @@ func (e *Engine) Single(fid wire.FID, fn func() (any, error)) (v any, shared boo
 
 // -------------------------------------------------------------- storing
 
-// selfRetrying reports whether conn carries its own retry/backoff layer
-// (the resilient transport); the engine must not stack retries on top of
-// it — that would multiply attempts against a down server.
-func selfRetrying(conn transport.ServerConn) bool {
-	_, ok := conn.(transport.HealthReporter)
-	return ok
-}
-
-// transient mirrors the resilient layer's classification: a
-// *wire.StatusError is the server's authoritative answer and is never
-// worth retrying; anything else is a transport-level failure that might
-// succeed on a second attempt.
-func transient(err error) bool {
-	var se *wire.StatusError
-	return err != nil && !errors.As(err, &se)
-}
-
-// Store writes a fragment with the engine's unified retry policy: one
-// extra attempt for transient failures on bare connections (a response
-// lost after the server committed surfaces as StatusExists on the
-// retry), no engine-level retries when the connection already has a
-// resilience layer. StatusExists maps to success either way — the
-// fragment is committed, which is what the caller asked for.
+// Store writes a fragment with exactly one call on conn: re-sending is
+// the resilient transport's job. StatusExists maps to success — the
+// fragment is committed (typically by an attempt whose response was
+// lost), which is what the caller asked for.
 func (e *Engine) Store(conn transport.ServerConn, fid wire.FID, frame []byte, mark bool, ranges []wire.ACLRange) error {
 	e.bump(func(s *Stats) { s.Stores++ })
 	err := conn.Store(fid, frame, mark, ranges)
-	if transient(err) && !selfRetrying(conn) {
-		e.bump(func(s *Stats) { s.StoreRetries++ })
-		err = conn.Store(fid, frame, mark, ranges)
-	}
 	if wire.IsStatus(err, wire.StatusExists) {
 		err = nil
 	}
@@ -527,14 +467,12 @@ func (e *Engine) StoreAsync(conn transport.ServerConn, fid wire.FID, frame []byt
 	if sem != nil {
 		sem <- struct{}{}
 	}
-	releaseOp := e.acquireOp(conn.ID())
 	e.mu.Lock()
 	e.inflight++
 	e.mu.Unlock()
 	go func() {
 		err := e.Store(conn, fid, frame, mark, ranges)
 		done(err)
-		releaseOp()
 		if sem != nil {
 			<-sem
 		}

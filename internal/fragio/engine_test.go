@@ -149,8 +149,8 @@ func (c *fakeConn) Stat() (wire.StatResponse, error)                          { 
 func (c *fakeConn) Ping() error                                               { return nil }
 func (c *fakeConn) Close() error                                              { return nil }
 
-// retryingConn marks a fakeConn as carrying its own resilience layer by
-// implementing transport.HealthReporter.
+// retryingConn makes a fakeConn report a resilience layer by implementing
+// transport.HealthReporter.
 type retryingConn struct{ *fakeConn }
 
 func (retryingConn) Health() transport.Health { return transport.Health{} }
@@ -295,33 +295,27 @@ func TestLocateNotFound(t *testing.T) {
 	}
 }
 
-func TestStoreRetriesBareConn(t *testing.T) {
-	c := newFakeConn(1)
-	c.storeErrs = []error{transport.ErrUnavailable} // transient once
-	e := newEngine(c)
-	if err := e.Store(c, fid(1), frame(nil), false, nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.storeCalls.Load(); got != 2 {
-		t.Fatalf("store attempts = %d, want 2 (one retry)", got)
-	}
-	if st := e.Stats(); st.StoreRetries != 1 {
-		t.Fatalf("retries = %d, want 1", st.StoreRetries)
-	}
-}
-
 func TestStoreDoesNotStackRetries(t *testing.T) {
-	c := newFakeConn(1)
-	c.storeErrs = []error{transport.ErrUnavailable, transport.ErrUnavailable}
-	rc := retryingConn{c}
-	e := newEngine(rc)
-	// The conn reports its own resilience layer: the engine must issue
-	// exactly one attempt and surface the error as-is.
-	if err := e.Store(rc, fid(1), frame(nil), false, nil); !errors.Is(err, transport.ErrUnavailable) {
-		t.Fatalf("err = %v, want ErrUnavailable", err)
-	}
-	if got := c.storeCalls.Load(); got != 1 {
-		t.Fatalf("store attempts = %d, want 1 (no engine retry)", got)
+	// Re-sending belongs to the resilient transport alone: the engine
+	// makes exactly one attempt and surfaces the error as-is, whether or
+	// not the conn reports a resilience layer of its own.
+	for _, name := range []string{"bare", "health-reporting"} {
+		c := newFakeConn(1)
+		c.storeErrs = []error{transport.ErrUnavailable, transport.ErrUnavailable}
+		var sc transport.ServerConn = c
+		if name == "health-reporting" {
+			sc = retryingConn{c}
+		}
+		e := newEngine(sc)
+		if err := e.Store(sc, fid(1), frame(nil), false, nil); !errors.Is(err, transport.ErrUnavailable) {
+			t.Fatalf("%s: err = %v, want ErrUnavailable", name, err)
+		}
+		if got := c.storeCalls.Load(); got != 1 {
+			t.Fatalf("%s: store attempts = %d, want 1 (no engine retry)", name, got)
+		}
+		if st := e.Stats(); st.StoreRetries != 0 {
+			t.Fatalf("%s: StoreRetries = %d, want 0", name, st.StoreRetries)
+		}
 	}
 }
 
@@ -339,9 +333,10 @@ func TestStoreNoRetryOnAuthoritativeError(t *testing.T) {
 
 func TestStoreExistsIsSuccess(t *testing.T) {
 	c := newFakeConn(1)
-	c.storeErrs = []error{transport.ErrUnavailable, &wire.StatusError{Status: wire.StatusExists}}
+	c.storeErrs = []error{&wire.StatusError{Status: wire.StatusExists}}
 	e := newEngine(c)
-	// Lost response then Exists on retry: the fragment committed.
+	// Exists (a resilient-layer retry after a lost response): the
+	// fragment committed.
 	if err := e.Store(c, fid(1), frame(nil), false, nil); err != nil {
 		t.Fatal(err)
 	}

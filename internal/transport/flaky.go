@@ -16,7 +16,8 @@ import (
 // fail each call with a seeded probability, or given injected latency —
 // the chaos-harness modes exercised by the fault-tolerance tests.
 type Flaky struct {
-	inner ServerConn
+	conn
+	inner rpc
 	down  atomic.Bool
 
 	mu        sync.Mutex
@@ -32,7 +33,11 @@ type Flaky struct {
 var _ ServerConn = (*Flaky)(nil)
 
 // NewFlaky wraps inner; the connection starts healthy.
-func NewFlaky(inner ServerConn) *Flaky { return &Flaky{inner: inner} }
+func NewFlaky(inner ServerConn) *Flaky {
+	f := &Flaky{inner: rpcOf(inner)}
+	f.conn = conn{id: inner.ID(), r: f}
+	return f
+}
 
 // SetDown brings the simulated server down or back up.
 func (f *Flaky) SetDown(down bool) { f.down.Store(down) }
@@ -99,110 +104,18 @@ func (f *Flaky) gate() error {
 	return nil
 }
 
-// ID implements ServerConn.
-func (f *Flaky) ID() wire.ServerID { return f.inner.ID() }
-
-// Store implements ServerConn.
-func (f *Flaky) Store(fid wire.FID, data []byte, mark bool, ranges []wire.ACLRange) error {
+func (f *Flaky) call(op wire.Op, req wire.Message, rsp wire.Message) error {
 	if err := f.gate(); err != nil {
 		return err
 	}
-	return f.inner.Store(fid, data, mark, ranges)
+	return f.inner.call(op, req, rsp)
 }
 
-// Read implements ServerConn.
-func (f *Flaky) Read(fid wire.FID, off, n uint32) ([]byte, error) {
-	if err := f.gate(); err != nil {
-		return nil, err
-	}
-	return f.inner.Read(fid, off, n)
-}
-
-// Delete implements ServerConn.
-func (f *Flaky) Delete(fid wire.FID) error {
-	if err := f.gate(); err != nil {
-		return err
-	}
-	return f.inner.Delete(fid)
-}
-
-// Prealloc implements ServerConn.
-func (f *Flaky) Prealloc(fid wire.FID) error {
-	if err := f.gate(); err != nil {
-		return err
-	}
-	return f.inner.Prealloc(fid)
-}
-
-// LastMarked implements ServerConn.
-func (f *Flaky) LastMarked(client wire.ClientID) (wire.FID, bool, error) {
-	if err := f.gate(); err != nil {
-		return 0, false, err
-	}
-	return f.inner.LastMarked(client)
-}
-
-// Has implements ServerConn.
-func (f *Flaky) Has(fid wire.FID) (uint32, bool, error) {
-	if err := f.gate(); err != nil {
-		return 0, false, err
-	}
-	return f.inner.Has(fid)
-}
-
-// List implements ServerConn.
-func (f *Flaky) List(client wire.ClientID) ([]wire.FID, error) {
-	if err := f.gate(); err != nil {
-		return nil, err
-	}
-	return f.inner.List(client)
-}
-
-// ACLCreate implements ServerConn.
-func (f *Flaky) ACLCreate(members []wire.ClientID) (wire.AID, error) {
-	if err := f.gate(); err != nil {
-		return 0, err
-	}
-	return f.inner.ACLCreate(members)
-}
-
-// ACLModify implements ServerConn.
-func (f *Flaky) ACLModify(aid wire.AID, add, remove []wire.ClientID) error {
-	if err := f.gate(); err != nil {
-		return err
-	}
-	return f.inner.ACLModify(aid, add, remove)
-}
-
-// ACLDelete implements ServerConn.
-func (f *Flaky) ACLDelete(aid wire.AID) error {
-	if err := f.gate(); err != nil {
-		return err
-	}
-	return f.inner.ACLDelete(aid)
-}
-
-// Stat implements ServerConn.
-func (f *Flaky) Stat() (wire.StatResponse, error) {
-	if err := f.gate(); err != nil {
-		return wire.StatResponse{}, err
-	}
-	return f.inner.Stat()
-}
-
-// Ping implements ServerConn.
-func (f *Flaky) Ping() error {
-	if err := f.gate(); err != nil {
-		return err
-	}
-	return f.inner.Ping()
-}
-
-// Close implements ServerConn. The inner connection's resources are
-// always released, but closing a downed server reports ErrUnavailable —
-// matching what a real transport sees when the peer crashed.
-func (f *Flaky) Close() error {
-	err := f.inner.Close()
+// close always releases the inner connection's resources, but closing a
+// downed server reports ErrUnavailable — matching what a real transport
+// sees when the peer crashed.
+func (f *Flaky) close() error {
+	err := f.inner.close()
 	if f.down.Load() {
 		return ErrUnavailable
 	}

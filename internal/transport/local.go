@@ -35,18 +35,10 @@ func (l *localRPC) call(op wire.Op, req wire.Message, rsp wire.Message) error {
 	return rsp.Decode(wire.NewDecoder(be.Bytes()))
 }
 
-// localConn is a ServerConn bound to an in-process store.
-type localConn struct {
-	conn
-}
-
-var _ ServerConn = (*localConn)(nil)
-
-// Close implements ServerConn (a no-op for in-process connections).
-func (*localConn) Close() error { return nil }
+func (*localRPC) close() error { return nil }
 
 // NewLocal returns a ServerConn that serves requests from an in-process
 // fragment store, identifying the caller as client.
 func NewLocal(id wire.ServerID, st *server.Store, client wire.ClientID) ServerConn {
-	return &localConn{conn{id: id, r: &localRPC{store: st, client: client}}}
+	return &conn{id: id, r: &localRPC{store: st, client: client}}
 }

@@ -129,9 +129,13 @@ type Health struct {
 // Resilient wraps a ServerConn with per-operation retries (exponential
 // backoff with jitter), transient/permanent error classification, and a
 // per-server circuit breaker, so every layer stacked on the transport
-// inherits recovery-aware RPC. Safe for concurrent use.
+// inherits recovery-aware RPC. It is the only layer that re-sends a
+// request: one operation makes at most MaxRetries+1 transport attempts
+// (plus busy-shed retries), and Health counts every one of them. Safe for
+// concurrent use.
 type Resilient struct {
-	inner ServerConn
+	conn
+	inner rpc
 	cfg   ResilientConfig
 
 	mu          sync.Mutex
@@ -149,15 +153,14 @@ var _ ServerConn = (*Resilient)(nil)
 // NewResilient wraps inner with retry and circuit-breaker behavior.
 func NewResilient(inner ServerConn, cfg ResilientConfig) *Resilient {
 	cfg = cfg.withDefaults()
-	return &Resilient{
-		inner: inner,
+	r := &Resilient{
+		inner: rpcOf(inner),
 		cfg:   cfg,
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
 	}
+	r.conn = conn{id: inner.ID(), r: r}
+	return r
 }
-
-// Inner returns the wrapped connection (for tests and diagnostics).
-func (r *Resilient) Inner() ServerConn { return r.inner }
 
 // Health returns a snapshot of the connection's circuit state and
 // counters.
@@ -165,7 +168,7 @@ func (r *Resilient) Health() Health {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return Health{
-		Server:              r.inner.ID(),
+		Server:              r.id,
 		State:               stateName(r.state),
 		Ops:                 r.ops,
 		Failures:            r.failures,
@@ -240,7 +243,7 @@ func classify(err error) int {
 // network. In half-open state the first caller sends a Ping probe; its
 // outcome closes or re-opens the circuit. Concurrent callers fail fast
 // while the probe is in flight.
-func (r *Resilient) admit(op string) error {
+func (r *Resilient) admit(op wire.Op) error {
 	r.mu.Lock()
 	switch r.state {
 	case breakerClosed:
@@ -250,26 +253,26 @@ func (r *Resilient) admit(op string) error {
 		if r.cfg.now().Before(r.openedUntil) {
 			r.fastFails++
 			r.mu.Unlock()
-			return fmt.Errorf("%w: server %d %s: circuit open, failing fast", ErrUnavailable, r.inner.ID(), op)
+			return fmt.Errorf("%w: server %d %v: circuit open, failing fast", ErrUnavailable, r.id, op)
 		}
 		r.state = breakerHalfOpen
 	}
 	if r.probing {
 		r.fastFails++
 		r.mu.Unlock()
-		return fmt.Errorf("%w: server %d %s: circuit half-open, probe in flight", ErrUnavailable, r.inner.ID(), op)
+		return fmt.Errorf("%w: server %d %v: circuit half-open, probe in flight", ErrUnavailable, r.id, op)
 	}
 	r.probing = true
 	r.mu.Unlock()
 
-	perr := r.inner.Ping()
+	perr := r.inner.call(wire.OpPing, &wire.PingRequest{}, &wire.GenericResponse{})
 	r.mu.Lock()
 	r.probing = false
 	if isTransient(perr) {
 		r.state = breakerOpen
 		r.openedUntil = r.cfg.now().Add(r.cfg.OpenTimeout)
 		r.mu.Unlock()
-		return fmt.Errorf("%w: server %d %s: probe failed: %v", ErrUnavailable, r.inner.ID(), op, perr)
+		return fmt.Errorf("%w: server %d %v: probe failed: %v", ErrUnavailable, r.id, op, perr)
 	}
 	// The server answered — even an error status proves liveness.
 	r.state = breakerClosed
@@ -323,11 +326,13 @@ func (r *Resilient) backoff(attempt int) time.Duration {
 	return d/2 + j
 }
 
-// do runs one logical operation through the breaker and retry loop.
+// call runs one logical operation through the breaker and retry loop.
 // Transient failures and busy sheds have separate retry budgets: a
 // request bounced by an overloaded server should not spend the budget
-// reserved for a flaky network, and vice versa.
-func (r *Resilient) do(op string, fn func() error) error {
+// reserved for a flaky network, and vice versa. A store retried after
+// its first attempt committed surfaces as wire.StatusExists, which the
+// log layer's ship path treats as success.
+func (r *Resilient) call(op wire.Op, req wire.Message, rsp wire.Message) error {
 	if err := r.admit(op); err != nil {
 		return err
 	}
@@ -336,7 +341,7 @@ func (r *Resilient) do(op string, fn func() error) error {
 	r.mu.Unlock()
 	transient, busy := 0, 0
 	for {
-		err := fn()
+		err := r.inner.call(op, req, rsp)
 		switch classify(err) {
 		case outcomeFinal:
 			// Success, or a definitive server response.
@@ -352,11 +357,15 @@ func (r *Resilient) do(op string, fn func() error) error {
 			busy++
 			// No re-admit: onBusy just proved the server alive and
 			// closed the breaker; probing a shedding server only adds
-			// load.
+			// load. Busy is returned before the handler runs, so even
+			// ACL creation is safe to re-send.
 
 		default: // outcomeTransient
 			r.onFailure()
-			if transient >= r.cfg.MaxRetries {
+			// ACL creation is not idempotent: the lost response may
+			// belong to a request the server ran, and a retry would
+			// create a second ACL and leak the first.
+			if op == wire.OpACLCreate || transient >= r.cfg.MaxRetries {
 				return err
 			}
 			r.cfg.sleep(r.backoff(transient))
@@ -373,135 +382,9 @@ func (r *Resilient) do(op string, fn func() error) error {
 	}
 }
 
-// ID implements ServerConn.
-func (r *Resilient) ID() wire.ServerID { return r.inner.ID() }
-
-// Store implements ServerConn. Note that a retried store whose first
-// attempt committed surfaces as wire.StatusExists; callers already treat
-// that as success (the log layer's ship path).
-func (r *Resilient) Store(fid wire.FID, data []byte, mark bool, ranges []wire.ACLRange) error {
-	return r.do("store", func() error { return r.inner.Store(fid, data, mark, ranges) })
-}
-
-// Read implements ServerConn.
-func (r *Resilient) Read(fid wire.FID, off, n uint32) ([]byte, error) {
-	var out []byte
-	err := r.do("read", func() error {
-		var err error
-		out, err = r.inner.Read(fid, off, n)
-		return err
-	})
-	return out, err
-}
-
-// Delete implements ServerConn.
-func (r *Resilient) Delete(fid wire.FID) error {
-	return r.do("delete", func() error { return r.inner.Delete(fid) })
-}
-
-// Prealloc implements ServerConn.
-func (r *Resilient) Prealloc(fid wire.FID) error {
-	return r.do("prealloc", func() error { return r.inner.Prealloc(fid) })
-}
-
-// LastMarked implements ServerConn.
-func (r *Resilient) LastMarked(client wire.ClientID) (wire.FID, bool, error) {
-	var (
-		fid   wire.FID
-		found bool
-	)
-	err := r.do("last-marked", func() error {
-		var err error
-		fid, found, err = r.inner.LastMarked(client)
-		return err
-	})
-	return fid, found, err
-}
-
-// Has implements ServerConn.
-func (r *Resilient) Has(fid wire.FID) (uint32, bool, error) {
-	var (
-		size  uint32
-		found bool
-	)
-	err := r.do("has", func() error {
-		var err error
-		size, found, err = r.inner.Has(fid)
-		return err
-	})
-	return size, found, err
-}
-
-// List implements ServerConn.
-func (r *Resilient) List(client wire.ClientID) ([]wire.FID, error) {
-	var fids []wire.FID
-	err := r.do("list", func() error {
-		var err error
-		fids, err = r.inner.List(client)
-		return err
-	})
-	return fids, err
-}
-
-// ACLCreate implements ServerConn. ACL creation is not idempotent (a
-// retry after a lost response would leak an ACL), so transient failures
-// are not retried. A StatusBusy shed, however, is retried: busy is
-// returned before the handler runs, so no ACL can have been created.
-func (r *Resilient) ACLCreate(members []wire.ClientID) (wire.AID, error) {
-	if err := r.admit("acl-create"); err != nil {
-		return 0, err
-	}
-	r.mu.Lock()
-	r.ops++
-	r.mu.Unlock()
-	for busy := 0; ; busy++ {
-		aid, err := r.inner.ACLCreate(members)
-		switch classify(err) {
-		case outcomeFinal:
-			r.onSuccess()
-			return aid, err
-		case outcomeBusy:
-			r.onBusy()
-			if busy >= r.cfg.BusyRetries {
-				return aid, err
-			}
-			r.cfg.sleep(r.backoff(busy))
-		default:
-			r.onFailure()
-			return aid, err
-		}
-	}
-}
-
-// ACLModify implements ServerConn.
-func (r *Resilient) ACLModify(aid wire.AID, add, remove []wire.ClientID) error {
-	return r.do("acl-modify", func() error { return r.inner.ACLModify(aid, add, remove) })
-}
-
-// ACLDelete implements ServerConn.
-func (r *Resilient) ACLDelete(aid wire.AID) error {
-	return r.do("acl-delete", func() error { return r.inner.ACLDelete(aid) })
-}
-
-// Stat implements ServerConn.
-func (r *Resilient) Stat() (wire.StatResponse, error) {
-	var st wire.StatResponse
-	err := r.do("stat", func() error {
-		var err error
-		st, err = r.inner.Stat()
-		return err
-	})
-	return st, err
-}
-
-// Ping implements ServerConn.
-func (r *Resilient) Ping() error {
-	return r.do("ping", func() error { return r.inner.Ping() })
-}
-
-// Close implements ServerConn, bypassing the breaker: releasing local
-// resources must work regardless of the server's health.
-func (r *Resilient) Close() error { return r.inner.Close() }
+// close bypasses the breaker: releasing local resources must work
+// regardless of the server's health.
+func (r *Resilient) close() error { return r.inner.close() }
 
 // HealthReporter is implemented by connections that expose per-server
 // failure-handling state (Resilient, and wrappers that delegate to one).

@@ -3,10 +3,12 @@ package transport
 import (
 	"bytes"
 	"errors"
+	"net"
 	"sync"
 	"testing"
 	"time"
 
+	"swarm/internal/server"
 	"swarm/internal/wire"
 )
 
@@ -40,6 +42,14 @@ func newResilientPair(t *testing.T, cfg ResilientConfig) (*Resilient, *Flaky) {
 func TestResilientFullContract(t *testing.T) {
 	fl := NewFlaky(NewLocal(1, newStore(t), 1))
 	exerciseConn(t, NewResilient(fl, ResilientConfig{}))
+}
+
+// TestResilientOverForeignConnFullContract runs the contract through the
+// op-dispatch adapter: a ServerConn this package did not build (here, a
+// wrapper hiding the seam) is decorated op by op via its typed methods.
+func TestResilientOverForeignConnFullContract(t *testing.T) {
+	foreign := struct{ ServerConn }{NewLocal(1, newStore(t), 1)}
+	exerciseConn(t, NewResilient(NewThrottled(foreign, NetModel{}), ResilientConfig{}))
 }
 
 func TestResilientRetriesTransientFailures(t *testing.T) {
@@ -271,4 +281,176 @@ func (s *slowPing) Ping() error {
 	s.once.Do(func() { close(s.started) })
 	<-s.release
 	return s.ServerConn.Ping()
+}
+
+// dropListener hands the server connections that lose responses: each of
+// the first limit response writes (across all connections) closes its
+// connection instead of reaching the client — a response lost after the
+// server ran the request.
+type dropListener struct {
+	net.Listener
+	limit int
+
+	mu      sync.Mutex
+	dropped int // guarded by mu
+}
+
+func (l *dropListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &dropConn{Conn: c, l: l}, nil
+}
+
+func (l *dropListener) drops() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.dropped
+}
+
+type dropConn struct {
+	net.Conn
+	l *dropListener
+}
+
+func (c *dropConn) Write(p []byte) (int, error) {
+	c.l.mu.Lock()
+	drop := c.l.dropped < c.l.limit
+	if drop {
+		c.l.dropped++
+	}
+	c.l.mu.Unlock()
+	if !drop {
+		return c.Conn.Write(p)
+	}
+	c.Conn.Close()
+	return 0, net.ErrClosed
+}
+
+// serveDropping serves st over TCP behind a dropListener and returns a
+// Resilient connection to it.
+func serveDropping(t *testing.T, st *server.Store, limit int, cfg ResilientConfig) (*Resilient, *dropListener) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dl := &dropListener{Listener: ln, limit: limit}
+	srv := server.Serve(st, dl, nil)
+	t.Cleanup(func() { srv.Close() })
+	tc, err := DialTCPOpts(1, ln.Addr().String(), 1, TCPOptions{PoolSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewResilient(tc, cfg)
+	t.Cleanup(func() { r.Close() })
+	return r, dl
+}
+
+// TestResilientLostACLCreateResponseRunsOnce: ACL creation is not
+// idempotent, so when its response is lost no layer may re-send it — the
+// server must end up holding exactly the one ACL it created.
+func TestResilientLostACLCreateResponseRunsOnce(t *testing.T) {
+	st := newStore(t)
+	r, dl := serveDropping(t, st, 1, ResilientConfig{sleep: func(time.Duration) {}})
+	if _, err := r.ACLCreate([]wire.ClientID{1}); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("acl-create with lost response: err = %v, want ErrUnavailable", err)
+	}
+	if got := dl.drops(); got != 1 {
+		t.Fatalf("responses dropped = %d, want 1", got)
+	}
+	if _, err := st.ACLs().Members(1); err != nil {
+		t.Fatalf("ACL 1 (the lost response's): %v", err)
+	}
+	if _, err := st.ACLs().Members(2); err == nil {
+		t.Fatal("ACL 2 exists: the lost acl-create was re-sent and ran twice")
+	}
+}
+
+// TestResilientLostResponsesMakeMaxRetriesPlusOneAttempts: against a
+// server whose every response is lost, one operation costs exactly
+// MaxRetries+1 wire attempts, and Health counts each as a failure.
+func TestResilientLostResponsesMakeMaxRetriesPlusOneAttempts(t *testing.T) {
+	const maxRetries = 2
+	r, dl := serveDropping(t, newStore(t), int(^uint(0)>>1), ResilientConfig{
+		MaxRetries: maxRetries,
+		sleep:      func(time.Duration) {},
+	})
+	if err := r.Store(wire.MakeFID(1, 0), []byte("x"), false, nil); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("store with every response lost: err = %v, want ErrUnavailable", err)
+	}
+	if got := dl.drops(); got != maxRetries+1 {
+		t.Fatalf("wire attempts = %d, want MaxRetries+1 = %d", got, maxRetries+1)
+	}
+	if h := r.Health(); h.Failures != maxRetries+1 || h.Retries != maxRetries {
+		t.Fatalf("health = %+v, want %d failures / %d retries", h, maxRetries+1, maxRetries)
+	}
+}
+
+// TestResilientSilentServerCostsMaxRetriesPlusOneTimeouts: a hung server
+// (accepts, reads, never answers) costs one I/O timeout per attempt —
+// MaxRetries+1 in all — and not a hidden second timeout per attempt.
+func TestResilientSilentServerCostsMaxRetriesPlusOneTimeouts(t *testing.T) {
+	const maxRetries = 2
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	var requests sync.WaitGroup
+	var mu sync.Mutex
+	received := 0 // guarded by mu
+	accepting := make(chan struct{})
+	go func() {
+		defer close(accepting)
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			requests.Add(1)
+			go func() {
+				defer requests.Done()
+				defer c.Close()
+				r := wire.NewConnReader(c)
+				for {
+					req, err := wire.ReadRequestFrame(r)
+					if err != nil {
+						return
+					}
+					wire.PutBuffer(req.Body)
+					mu.Lock()
+					received++
+					mu.Unlock()
+				}
+			}()
+		}
+	}()
+
+	tc, err := DialTCPOpts(1, ln.Addr().String(), 1, TCPOptions{PoolSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const timeout = 50 * time.Millisecond
+	tc.SetIOTimeout(timeout)
+	r := NewResilient(tc, ResilientConfig{MaxRetries: maxRetries, sleep: func(time.Duration) {}})
+	start := time.Now()
+	if err := r.Ping(); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("ping a silent server: err = %v, want ErrUnavailable", err)
+	}
+	elapsed := time.Since(start)
+	r.Close()
+	ln.Close()
+	<-accepting
+	requests.Wait()
+	mu.Lock()
+	got := received
+	mu.Unlock()
+	if got != maxRetries+1 {
+		t.Fatalf("requests sent = %d (%v), want MaxRetries+1 = %d timeouts", got, elapsed, maxRetries+1)
+	}
+	if h := r.Health(); h.Failures != maxRetries+1 {
+		t.Fatalf("health = %+v, want %d failures", h, maxRetries+1)
+	}
 }

@@ -20,7 +20,7 @@ const DefaultPoolSize = 2
 // concurrently. Requests are tagged with IDs and responses demultiplexed
 // by ID, so a connection is a shared pipe, not a checked-out resource;
 // this bounds the pipe's depth. The fragment I/O engine's own per-server
-// semaphores (PipelineDepth, FetchConcurrency) are the workload-level
+// semaphores (store pipeline depth, fetch depth) are the workload-level
 // throttles — this knob only needs to be at least their sum to never be
 // the bottleneck.
 const DefaultMaxInFlight = 8
@@ -100,12 +100,6 @@ type TCPConn struct {
 
 var _ ServerConn = (*TCPConn)(nil)
 
-// DialTCP connects to a storage server at addr as the given client with
-// default multiplexing (poolSize ≤ 0 uses DefaultPoolSize).
-func DialTCP(id wire.ServerID, addr string, client wire.ClientID, poolSize int) (*TCPConn, error) {
-	return DialTCPOpts(id, addr, client, TCPOptions{PoolSize: poolSize})
-}
-
 // DialTCPOpts connects to a storage server at addr as the given client.
 // The first connection is dialed eagerly so configuration errors surface
 // at setup time; the rest are created on demand.
@@ -119,17 +113,12 @@ func DialTCPOpts(id wire.ServerID, addr string, client wire.ClientID, opts TCPOp
 	return c, nil
 }
 
-// NewTCPConn returns a TCP ServerConn whose pooled connections are all
-// dialed on demand, without requiring the server to be reachable now.
+// NewTCPConnOpts returns a TCP ServerConn whose pooled connections are
+// all dialed on demand, without requiring the server to be reachable now.
 // This is how a client connects to a degraded cluster: operations fail
 // with ErrUnavailable until the server answers, then the pool dials and
-// the connection heals. DialTCP's eager first dial is preferable when
-// configuration errors should surface at setup time.
-func NewTCPConn(id wire.ServerID, addr string, client wire.ClientID, poolSize int) *TCPConn {
-	return NewTCPConnOpts(id, addr, client, TCPOptions{PoolSize: poolSize})
-}
-
-// NewTCPConnOpts is NewTCPConn with explicit multiplexing options.
+// the connection heals. DialTCPOpts's eager first dial is preferable
+// when configuration errors should surface at setup time.
 func NewTCPConnOpts(id wire.ServerID, addr string, client wire.ClientID, opts TCPOptions) *TCPConn {
 	opts = opts.withDefaults()
 	r := &tcpRPC{addr: addr, client: client, opts: opts, slots: make([]connSlot, opts.PoolSize)}
@@ -210,28 +199,23 @@ func (t *tcpRPC) pick() (*muxConn, error) {
 	return mc, nil
 }
 
+// call makes exactly one exchange. A transport-level failure is returned
+// as ErrUnavailable and breaks the pooled connection, so the next call
+// dials a fresh one (a stale connection to a restarted server heals that
+// way). Re-sending is Resilient's decision alone: a second attempt here
+// would multiply its retries, hide failures from its breaker, and repeat
+// a non-idempotent request whose response was lost.
 func (t *tcpRPC) call(op wire.Op, req wire.Message, rsp wire.Message) error {
-	// One transparent retry: a pooled connection may be stale (the server
-	// restarted on the same address), in which case the first exchange
-	// fails at the transport level and a fresh dial usually succeeds.
-	var lastErr error
-	for attempt := 0; attempt < 2; attempt++ {
-		mc, err := t.pick()
-		if err != nil {
-			return err
-		}
-		id := t.nextID.Add(1)
-		err = mc.roundTrip(time.Duration(t.ioTimeout.Load()), op, id, t.client, req, rsp)
-		if err == nil {
-			return nil
-		}
-		var se *wire.StatusError
-		if errors.As(err, &se) {
-			return err
-		}
-		lastErr = err
+	mc, err := t.pick()
+	if err != nil {
+		return err
 	}
-	return fmt.Errorf("%w: %v", ErrUnavailable, lastErr)
+	err = mc.roundTrip(time.Duration(t.ioTimeout.Load()), op, t.nextID.Add(1), t.client, req, rsp)
+	var se *wire.StatusError
+	if err == nil || errors.As(err, &se) {
+		return err
+	}
+	return fmt.Errorf("%w: %v", ErrUnavailable, err)
 }
 
 // roundTrip sends one request frame and waits for its response. Any
@@ -368,10 +352,9 @@ func (m *muxConn) fail(err error) {
 	}
 }
 
-// Close implements ServerConn, closing all pooled connections. In-flight
-// RPCs fail promptly with ErrUnavailable.
-func (c *TCPConn) Close() error {
-	t := c.rpc
+// close closes all pooled connections. In-flight RPCs fail promptly with
+// ErrUnavailable.
+func (t *tcpRPC) close() error {
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()

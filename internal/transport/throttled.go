@@ -43,7 +43,8 @@ func NewNetModel(clock model.Clock, p model.HardwareParams) NetModel {
 
 // Throttled wraps a ServerConn with the network/server performance model.
 type Throttled struct {
-	inner ServerConn
+	conn
+	inner rpc
 	nm    NetModel
 }
 
@@ -56,7 +57,9 @@ func NewThrottled(inner ServerConn, nm NetModel) *Throttled {
 	if nm.Clock == nil {
 		nm.Clock = model.WallClock{}
 	}
-	return &Throttled{inner: inner, nm: nm}
+	t := &Throttled{inner: rpcOf(inner), nm: nm}
+	t.conn = conn{id: inner.ID(), r: t}
+	return t
 }
 
 // chargeWire models moving n payload bytes across the network plus one
@@ -77,93 +80,29 @@ func (t *Throttled) chargeWire(n int) {
 	t.nm.Clock.Sleep(w + t.nm.Latency + t.nm.ReqOverhead)
 }
 
-func (t *Throttled) chargeSend(n int) { t.chargeWire(n) }
-func (t *Throttled) chargeRecv(n int) { t.chargeWire(n) }
-
 // chargeControl models a small request/response with no bulk payload.
 func (t *Throttled) chargeControl() {
 	t.nm.Clock.Sleep(t.nm.Latency + t.nm.ReqOverhead)
 }
 
-// ID implements ServerConn.
-func (t *Throttled) ID() wire.ServerID { return t.inner.ID() }
-
-// Store implements ServerConn.
-func (t *Throttled) Store(fid wire.FID, data []byte, mark bool, ranges []wire.ACLRange) error {
-	t.chargeSend(len(data))
-	return t.inner.Store(fid, data, mark, ranges)
-}
-
-// Read implements ServerConn.
-func (t *Throttled) Read(fid wire.FID, off, n uint32) ([]byte, error) {
-	data, err := t.inner.Read(fid, off, n)
-	if err != nil {
+// call charges the model, then forwards: a store pays for its payload
+// before it is sent, a successful read for the bytes it returned, and
+// every other request (and a failed read) for one control round trip.
+func (t *Throttled) call(op wire.Op, req wire.Message, rsp wire.Message) error {
+	switch op {
+	case wire.OpStore:
+		t.chargeWire(len(req.(*wire.StoreRequest).Data))
+	case wire.OpRead:
+		if err := t.inner.call(op, req, rsp); err != nil {
+			t.chargeControl()
+			return err
+		}
+		t.chargeWire(len(rsp.(*wire.ReadResponse).Data))
+		return nil
+	default:
 		t.chargeControl()
-		return nil, err
 	}
-	t.chargeRecv(len(data))
-	return data, nil
+	return t.inner.call(op, req, rsp)
 }
 
-// Delete implements ServerConn.
-func (t *Throttled) Delete(fid wire.FID) error {
-	t.chargeControl()
-	return t.inner.Delete(fid)
-}
-
-// Prealloc implements ServerConn.
-func (t *Throttled) Prealloc(fid wire.FID) error {
-	t.chargeControl()
-	return t.inner.Prealloc(fid)
-}
-
-// LastMarked implements ServerConn.
-func (t *Throttled) LastMarked(client wire.ClientID) (wire.FID, bool, error) {
-	t.chargeControl()
-	return t.inner.LastMarked(client)
-}
-
-// Has implements ServerConn.
-func (t *Throttled) Has(fid wire.FID) (uint32, bool, error) {
-	t.chargeControl()
-	return t.inner.Has(fid)
-}
-
-// List implements ServerConn.
-func (t *Throttled) List(client wire.ClientID) ([]wire.FID, error) {
-	t.chargeControl()
-	return t.inner.List(client)
-}
-
-// ACLCreate implements ServerConn.
-func (t *Throttled) ACLCreate(members []wire.ClientID) (wire.AID, error) {
-	t.chargeControl()
-	return t.inner.ACLCreate(members)
-}
-
-// ACLModify implements ServerConn.
-func (t *Throttled) ACLModify(aid wire.AID, add, remove []wire.ClientID) error {
-	t.chargeControl()
-	return t.inner.ACLModify(aid, add, remove)
-}
-
-// ACLDelete implements ServerConn.
-func (t *Throttled) ACLDelete(aid wire.AID) error {
-	t.chargeControl()
-	return t.inner.ACLDelete(aid)
-}
-
-// Stat implements ServerConn.
-func (t *Throttled) Stat() (wire.StatResponse, error) {
-	t.chargeControl()
-	return t.inner.Stat()
-}
-
-// Ping implements ServerConn.
-func (t *Throttled) Ping() error {
-	t.chargeControl()
-	return t.inner.Ping()
-}
-
-// Close implements ServerConn.
-func (t *Throttled) Close() error { return t.inner.Close() }
+func (t *Throttled) close() error { return t.inner.close() }

@@ -1,10 +1,15 @@
 // Package transport connects the client-side log layer to storage servers.
-// It defines the ServerConn abstraction and three implementations: Local
-// (in-process calls into a server.Store through the full request codec),
-// TCP (the wire protocol over the network), and Throttled (either of the
-// above wrapped in the 1999 performance model). A Flaky wrapper injects
-// failures for tests, and Broadcast implements the self-hosting fragment
-// discovery the paper uses for reconstruction (§2.3.3).
+// It defines the ServerConn abstraction over one internal seam, rpc: a
+// single call(op, req, rsp) that encodes a request, exchanges it with a
+// server, and decodes the reply. Two rpcs reach a server — Local
+// (in-process calls into a server.Store through the full request codec)
+// and TCP (the wire protocol over the network) — and three decorate
+// another rpc: Resilient (retries, backoff and the circuit breaker; the
+// only code that re-sends a request), Throttled (the 1999 performance
+// model) and Flaky (failure injection for tests). The typed ServerConn
+// methods are written once, over the seam. Broadcast implements the
+// self-hosting fragment discovery the paper uses for reconstruction
+// (§2.3.3).
 package transport
 
 import (
@@ -54,16 +59,33 @@ type ServerConn interface {
 	Close() error
 }
 
-// rpc is the uniform request/response core shared by Local and TCP:
-// encode the request body, exchange it, check status, decode the reply.
+// rpc is the uniform request/response seam. Local and TCP implement it
+// by exchanging the encoded request with a server: encode, exchange,
+// check status, decode the reply into rsp. Resilient, Throttled and Flaky
+// implement it by wrapping another rpc. close releases the transport.
 type rpc interface {
 	call(op wire.Op, req wire.Message, rsp wire.Message) error
+	close() error
 }
 
-// conn layers the typed ServerConn methods over an rpc.
+// conn layers the typed ServerConn methods over an rpc. Every ServerConn
+// this package builds is, or embeds, a conn.
 type conn struct {
 	id wire.ServerID
 	r  rpc
+}
+
+// seam exposes the conn inside any ServerConn this package built.
+func (c *conn) seam() *conn { return c }
+
+// rpcOf returns the rpc a decorator wraps: the seam itself for a
+// connection this package built, otherwise an adapter that dispatches
+// each op back onto sc's typed methods.
+func rpcOf(sc ServerConn) rpc {
+	if s, ok := sc.(interface{ seam() *conn }); ok {
+		return s.seam().r
+	}
+	return connRPC{sc}
 }
 
 func (c *conn) ID() wire.ServerID { return c.id }
@@ -137,6 +159,49 @@ func (c *conn) Stat() (wire.StatResponse, error) {
 func (c *conn) Ping() error {
 	return c.r.call(wire.OpPing, &wire.PingRequest{}, &wire.GenericResponse{})
 }
+
+func (c *conn) Close() error { return c.r.close() }
+
+// connRPC adapts a ServerConn this package did not build (a test double,
+// or a decorator defined elsewhere) to the rpc seam.
+type connRPC struct{ sc ServerConn }
+
+func (a connRPC) call(op wire.Op, req wire.Message, rsp wire.Message) error {
+	var err error
+	switch q := req.(type) {
+	case *wire.PingRequest:
+		err = a.sc.Ping()
+	case *wire.StoreRequest:
+		err = a.sc.Store(q.FID, q.Data, q.Mark, q.Ranges)
+	case *wire.ReadRequest:
+		rsp.(*wire.ReadResponse).Data, err = a.sc.Read(q.FID, q.Off, q.Len)
+	case *wire.DeleteRequest:
+		err = a.sc.Delete(q.FID)
+	case *wire.PreallocRequest:
+		err = a.sc.Prealloc(q.FID)
+	case *wire.LastMarkedRequest:
+		p := rsp.(*wire.LastMarkedResponse)
+		p.FID, p.Found, err = a.sc.LastMarked(q.Client)
+	case *wire.HasFragmentRequest:
+		p := rsp.(*wire.HasFragmentResponse)
+		p.Size, p.Found, err = a.sc.Has(q.FID)
+	case *wire.ListFIDsRequest:
+		rsp.(*wire.ListFIDsResponse).FIDs, err = a.sc.List(q.Client)
+	case *wire.ACLCreateRequest:
+		rsp.(*wire.ACLCreateResponse).AID, err = a.sc.ACLCreate(q.Members)
+	case *wire.ACLModifyRequest:
+		err = a.sc.ACLModify(q.AID, q.Add, q.Remove)
+	case *wire.ACLDeleteRequest:
+		err = a.sc.ACLDelete(q.AID)
+	case *wire.StatRequest:
+		*rsp.(*wire.StatResponse), err = a.sc.Stat()
+	default:
+		err = &wire.StatusError{Status: wire.StatusBadRequest, Msg: "transport: no ServerConn method for " + op.String()}
+	}
+	return err
+}
+
+func (a connRPC) close() error { return a.sc.Close() }
 
 // Broadcast queries every connection for fid concurrently and returns the
 // connections that have it. Unreachable servers are skipped: broadcast is

@@ -117,7 +117,7 @@ func TestTCPConnContract(t *testing.T) {
 	}
 	defer srv.Close()
 
-	sc, err := DialTCP(3, srv.Addr(), 1, 2)
+	sc, err := DialTCPOpts(3, srv.Addr(), 1, TCPOptions{PoolSize: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestTCPConcurrentRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	sc, err := DialTCP(1, srv.Addr(), 1, 4)
+	sc, err := DialTCPOpts(1, srv.Addr(), 1, TCPOptions{PoolSize: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestTCPConcurrentRequests(t *testing.T) {
 }
 
 func TestTCPDialFailure(t *testing.T) {
-	if _, err := DialTCP(1, "127.0.0.1:1", 1, 1); !errors.Is(err, ErrUnavailable) {
+	if _, err := DialTCPOpts(1, "127.0.0.1:1", 1, TCPOptions{PoolSize: 1}); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("dial dead port: %v", err)
 	}
 }
@@ -184,7 +184,7 @@ func TestTCPServerRestartReconnects(t *testing.T) {
 		t.Fatal(err)
 	}
 	addr := srv.Addr()
-	sc, err := DialTCP(1, addr, 1, 1)
+	sc, err := DialTCPOpts(1, addr, 1, TCPOptions{PoolSize: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestTCPCloseUnblocksCalls(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	sc, err := DialTCP(1, srv.Addr(), 1, 1)
+	sc, err := DialTCPOpts(1, srv.Addr(), 1, TCPOptions{PoolSize: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +436,7 @@ func TestRPCTimeoutClassifiedUnavailable(t *testing.T) {
 		}
 	}()
 
-	sc, err := DialTCP(1, ln.Addr().String(), 1, 1)
+	sc, err := DialTCPOpts(1, ln.Addr().String(), 1, TCPOptions{PoolSize: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
