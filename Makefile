@@ -53,10 +53,12 @@ race:
 	$(GO) test -race ./...
 
 # The chaos harness alone, under the race detector, plus the transport's
-# retry, breaker and failure-injection tests.
+# retry, breaker and failure-injection tests and the log's short-stripe
+# loss, crash and power-cut tests.
 chaos:
 	$(GO) test -race -v -run 'TestChaos|TestDegradedWrites' .
 	$(GO) test -race -run 'Resilient|Flaky|Retry' ./internal/transport
+	$(GO) test -race -run 'ShortStripe' ./internal/core
 
 # Statement coverage across all packages, with a floor: fails if the
 # total drops below COVER_FLOOR percent.

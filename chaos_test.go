@@ -632,9 +632,19 @@ func TestChaosRSDoubleFailure(t *testing.T) {
 	for _, pair := range pairs {
 		flaky[pair[0]].SetDown(true)
 		flaky[pair[1]].SetDown(true)
-		for i := 0; i < 20; i++ {
+		// Five blocks, then a Sync: they fill less than a fragment, so the
+		// Sync closes a stripe with one data member and three empty ones
+		// and the outage hits a short stripe. The 35 blocks after it fill
+		// at least one whole stripe, which stores a member on every
+		// server, so each pair costs some stripe two members.
+		for i := 0; i < 40; i++ {
 			write(uint64(rng.Intn(nBlocks)), version)
 			version++
+			if i == 4 {
+				if err := d.Sync(); err != nil {
+					t.Fatalf("short sync with servers %v down: %v", pair, err)
+				}
+			}
 		}
 		if err := d.Sync(); err != nil {
 			t.Fatalf("sync with servers %v down: %v", pair, err)

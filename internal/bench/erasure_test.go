@@ -19,7 +19,7 @@ func TestErasureSweepSmoke(t *testing.T) {
 	}
 	for _, r := range rows {
 		// Amplification must exceed the information-theoretic floor
-		// (k+m)/k (headers, entry framing, stripe padding ride along) but
+		// (k+m)/k (headers, entry framing, short stripes' parity ride along) but
 		// stay within a sane envelope of it.
 		ideal := float64(r.K+r.M) / float64(r.K)
 		if r.WriteAmp <= ideal {

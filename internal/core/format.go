@@ -59,9 +59,12 @@ type Header struct {
 	StripeID uint64
 	DataLen  uint32 // valid payload bytes
 	Group    [MaxWidth]wire.ServerID
-	// MemberLens holds each member's DataLen. Populated in parity
-	// fragments so reconstruction can rebuild a missing member's header
-	// exactly; data fragments leave it zero.
+	// MemberLens holds each member's DataLen. Populated in the m parity
+	// fragments and in the stripe's last data member, so any m lost
+	// members leave a copy: reconstruction rebuilds a missing member's
+	// header exactly from it, and a data slot recorded as 0 is a member
+	// the stripe closed without filling — never stored, read as all
+	// zeros. Other data fragments leave it zero.
 	MemberLens [MaxWidth]uint32
 	// PayloadCRC is the CRC-32 of the payload (DataLen bytes). Readers
 	// verify it on whole-fragment fetches; a mismatch is treated as a
@@ -134,6 +137,30 @@ func (h *Header) ShardOrdinal(i int) int {
 		}
 	}
 	return n
+}
+
+// HasMemberLens reports whether h carries its stripe's MemberLens: every
+// parity header does, and so does the last data member's. A closed
+// stripe holds at least one nonempty data member, so a populated array
+// is never all zero.
+func (h *Header) HasMemberLens() bool {
+	return h.Kind == FragParity || h.MemberLens != [MaxWidth]uint32{}
+}
+
+// EmptyMembers returns the data slots h records as length 0, one bit per
+// member index, or ok=false when h does not carry the stripe's lengths.
+// An empty member was never stored; readers treat it as present and all
+// zeros.
+func (h *Header) EmptyMembers() (mask uint16, ok bool) {
+	if !h.HasMemberLens() {
+		return 0, false
+	}
+	for i := 0; i < int(h.Width); i++ {
+		if _, parity := h.ParityOrdinal(i); !parity && h.MemberLens[i] == 0 {
+			mask |= 1 << i
+		}
+	}
+	return mask, true
 }
 
 // ErasureCode returns the stripe's codec as named by the header.

@@ -134,6 +134,15 @@ type Log struct {
 	pendingDel map[wire.FID]wire.ServerID            // reclaim deletes deferred: server unreachable when its stripe died; guarded by mu
 	prealloced map[uint64]bool                       // stripes whose slots have been reserved; guarded by mu
 	needPre    []uint64                              // stripes awaiting preallocation; guarded by mu
+	unreserve  []wire.FID                            // reserved slots of empty members, awaiting release; guarded by mu
+	// preMu orders reservations before releases: a stripe's empty
+	// members are released only after its reservations have been made.
+	preMu sync.Mutex
+	// empty records, per stripe closed before its data slots filled, the
+	// members it never stored (bit i = member i). Learned when this log
+	// closes a stripe short and from any fetched header that carries its
+	// stripe's MemberLens; entries die with their stripe. Guarded by mu.
+	empty map[uint64]uint16
 	// stripeEpochs pins each live stripe written this session to the
 	// placement epoch it opened under; membership changes close the open
 	// stripe first, so a stripe is wholly placed under one view. Entries
@@ -273,6 +282,7 @@ func Open(cfg Config) (*Log, *Recovery, error) {
 		degraded:     make(map[uint64]map[wire.FID]wire.ServerID),
 		pendingDel:   make(map[wire.FID]wire.ServerID),
 		prealloced:   make(map[uint64]bool),
+		empty:        make(map[uint64]uint16),
 		stripeEpochs: make(map[uint64]uint32),
 		acls:         make(map[wire.ServerID]wire.AID, len(cfg.ACLs)),
 		usage:        NewUsageTable(),
@@ -483,35 +493,41 @@ func (l *Log) AppendBlock(svc ServiceID, data []byte, hint []byte) (BlockAddr, e
 	if need > l.payloadSize {
 		return BlockAddr{}, fmt.Errorf("%w: %d > %d", ErrBlockTooLarge, len(data), l.MaxBlockSize())
 	}
-	var addr BlockAddr
-	for {
-		l.mu.Lock()
-		if l.closed {
-			l.mu.Unlock()
-			return BlockAddr{}, ErrClosed
-		}
-		if l.cur == nil {
-			l.openFragmentLocked()
-		}
-		if l.cur.off+need <= l.payloadSize {
-			fb := l.cur
-			addr = BlockAddr{FID: fb.fid, Off: uint32(fb.off)}
-			fb.off = AppendEntry(fb.payload, fb.off, EntryBlock, svc, data)
-			rec := EncodeCreateRecord(&CreateRecord{Addr: addr, Len: uint32(len(data)), Hint: hint})
-			fb.off = AppendEntry(fb.payload, fb.off, EntryCreate, svc, rec)
-			stripe := fb.stripe
-			l.stats.BlocksAppended++
-			l.stats.BlockBytes += int64(len(data))
-			l.mu.Unlock()
-			l.drainPreallocs()
-			l.usage.AddBlock(stripe, EntrySize(len(data)))
-			l.usage.AddRecord(stripe, EntrySize(len(rec)))
-			return addr, nil
-		}
-		sealed := l.sealCurrentLocked(false)
+	l.mu.Lock()
+	if l.closed {
 		l.mu.Unlock()
-		l.ship(sealed)
+		return BlockAddr{}, ErrClosed
 	}
+	sealed, fb := l.roomLocked(need)
+	addr := BlockAddr{FID: fb.fid, Off: uint32(fb.off)}
+	fb.off = AppendEntry(fb.payload, fb.off, EntryBlock, svc, data)
+	rec := EncodeCreateRecord(&CreateRecord{Addr: addr, Len: uint32(len(data)), Hint: hint})
+	fb.off = AppendEntry(fb.payload, fb.off, EntryCreate, svc, rec)
+	stripe := fb.stripe
+	l.stats.BlocksAppended++
+	l.stats.BlockBytes += int64(len(data))
+	l.mu.Unlock()
+	l.ship(sealed)
+	l.usage.AddBlock(stripe, EntrySize(len(data)))
+	l.usage.AddRecord(stripe, EntrySize(len(rec)))
+	return addr, nil
+}
+
+// roomLocked returns the open fragment with room for need more bytes,
+// sealing a full one first; the sealed fragments are the caller's to
+// ship once mu is released. The next fragment opens under the same hold
+// of mu as the seal, so no other caller ever sees a stripe with sealed
+// members and no open fragment: closeStripeLocked relies on that to
+// seal the stripe's last data member itself.
+func (l *Log) roomLocked(need int) ([]sealedFrag, *fragBuilder) {
+	var sealed []sealedFrag
+	if l.cur != nil && l.cur.off+need > l.payloadSize {
+		sealed = l.sealCurrentLocked(false)
+	}
+	if l.cur == nil {
+		l.openFragmentLocked()
+	}
+	return sealed, l.cur
 }
 
 // DeleteBlock marks a block deleted: a deletion record is appended and
@@ -555,27 +571,17 @@ func (l *Log) append(kind EntryKind, svc ServiceID, payload []byte) (BlockAddr, 
 	if need > l.payloadSize {
 		return BlockAddr{}, fmt.Errorf("%w: entry of %d bytes", ErrBlockTooLarge, len(payload))
 	}
-	for {
-		l.mu.Lock()
-		if l.closed {
-			l.mu.Unlock()
-			return BlockAddr{}, ErrClosed
-		}
-		if l.cur == nil {
-			l.openFragmentLocked()
-		}
-		if l.cur.off+need <= l.payloadSize {
-			fb := l.cur
-			addr := BlockAddr{FID: fb.fid, Off: uint32(fb.off)}
-			fb.off = AppendEntry(fb.payload, fb.off, kind, svc, payload)
-			l.mu.Unlock()
-			l.drainPreallocs()
-			return addr, nil
-		}
-		sealed := l.sealCurrentLocked(false)
+	l.mu.Lock()
+	if l.closed {
 		l.mu.Unlock()
-		l.ship(sealed)
+		return BlockAddr{}, ErrClosed
 	}
+	sealed, fb := l.roomLocked(need)
+	addr := BlockAddr{FID: fb.fid, Off: uint32(fb.off)}
+	fb.off = AppendEntry(fb.payload, fb.off, kind, svc, payload)
+	l.mu.Unlock()
+	l.ship(sealed)
+	return addr, nil
 }
 
 func (l *Log) openFragmentLocked() {
@@ -611,10 +617,11 @@ func (l *Log) sealCurrentLocked(mark bool) []sealedFrag {
 	fb := l.cur
 	l.cur = nil
 	out := []sealedFrag{l.makeSealedLocked(fb, mark)}
-	if l.parity {
-		out = append(out, l.maybeSealParityLocked(fb.stripe)...)
-	} else {
+	switch {
+	case !l.parity:
 		l.usage.FragmentSealed(fb.stripe, true)
+	case l.lastDataLocked(fb.stripe):
+		out = append(out, l.sealParityLocked(fb.stripe)...)
 	}
 	return out
 }
@@ -632,14 +639,20 @@ func (l *Log) makeSealedLocked(fb *fragBuilder, mark bool) sealedFrag {
 	}
 	l.stampGeometry(&h)
 	l.fillGroup(&h)
+	if l.parity {
+		l.pacc.add(l.dataOrdinal(fb.stripe, int(fb.index)), int(fb.index), fb.payload[:dataLen])
+		l.usage.FragmentSealed(fb.stripe, false)
+		if l.lastDataLocked(fb.stripe) {
+			// The stripe's last data member carries its lengths too: with
+			// the m parity headers that makes m+1 copies, so any m lost
+			// members still leave one naming the empty slots.
+			h.MemberLens = l.pacc.lens
+		}
+	}
 	frame := make([]byte, HeaderSize+dataLen)
 	copy(frame, EncodeHeader(&h))
 	copy(frame[HeaderSize:], fb.payload[:dataLen])
 	conn := l.connAtLocked(fb.stripe, int(fb.index))
-	if l.parity {
-		l.pacc.add(l.dataOrdinal(fb.stripe, int(fb.index)), int(fb.index), fb.payload[:dataLen])
-		l.usage.FragmentSealed(fb.stripe, false)
-	}
 	l.locations[fb.fid] = conn.ID()
 	l.inflight[fb.fid] = fb.payload[:dataLen]
 	l.stats.FragmentsSealed++
@@ -660,16 +673,51 @@ func (l *Log) stampGeometry(h *Header) {
 	h.NumParity = uint8(l.nparity)
 }
 
-// maybeSealParityLocked emits the stripe's parity fragments if every
-// data member of stripe has been sealed.
-func (l *Log) maybeSealParityLocked(stripe uint64) []sealedFrag {
-	if l.pacc.members == 0 {
-		return nil
+// isEmptyLocked reports whether fid is one of this log's members known
+// to be empty: a data slot its stripe closed without filling, never
+// stored, read as zero bytes.
+func (l *Log) isEmptyLocked(fid wire.FID) bool {
+	seq := fid.Seq()
+	return fid.Client() == l.client && l.empty[l.stripeOf(seq)]&(1<<(seq%uint64(l.width))) != 0
+}
+
+// emptyOf returns the empty members of h's stripe known so far: those
+// h records, if it carries MemberLens, and those this log has learned.
+func (l *Log) emptyOf(h *Header) uint16 {
+	mask, _ := h.EmptyMembers()
+	if h.FID.Client() == l.client && int(h.Width) == l.width {
+		l.mu.Lock()
+		mask |= l.empty[h.StripeID]
+		l.mu.Unlock()
 	}
-	if l.stripeOf(l.nextDataSeq(l.seq)) == stripe {
-		return nil // stripe still has data slots
+	return mask
+}
+
+// isEmpty is isEmptyLocked for callers not holding mu.
+func (l *Log) isEmpty(fid wire.FID) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.isEmptyLocked(fid)
+}
+
+// noteEmpty learns the empty members named by a fetched header that
+// carries its stripe's MemberLens (the parity headers and the last data
+// member's), so later fetches of those members are served locally.
+func (l *Log) noteEmpty(h *Header) {
+	if h.FID.Client() != l.client || int(h.Width) != l.width {
+		return
 	}
-	return l.sealParityLocked(stripe)
+	if mask, ok := h.EmptyMembers(); ok && mask != 0 {
+		l.mu.Lock()
+		l.empty[h.StripeID] = mask
+		l.mu.Unlock()
+	}
+}
+
+// lastDataLocked reports whether stripe has no data slot left to open:
+// it is full, or closeStripeLocked has moved the append point past it.
+func (l *Log) lastDataLocked(stripe uint64) bool {
+	return l.stripeOf(l.nextDataSeq(l.seq)) != stripe
 }
 
 // sealParityLocked emits all m parity fragments of stripe from the
@@ -712,30 +760,44 @@ func (l *Log) sealParityLocked(stripe uint64) []sealedFrag {
 	return out
 }
 
-// closeStripeLocked seals the open fragment and pads the current stripe
-// with empty fragments so its parity can be written immediately. Used by
-// Sync and checkpoints so everything durable is also parity-protected.
+// closeStripeLocked seals the open fragment and closes its stripe, so
+// the parity can be written now. Sync, checkpoints and membership changes
+// use it so everything durable is also parity-protected. The data slots
+// the stripe has not filled are skipped, not padded: the append point
+// moves past them, the parity accumulator records them as length 0, and
+// no fragment is allocated, stored or fetched for them — readers treat
+// such a member as present and all zeros. The open fragment is sealed
+// last, as the stripe's last data member, so its header carries the
+// stripe's MemberLens beside the m parity headers.
+//
+// A stripe with sealed members always has an open fragment (roomLocked),
+// so there is nothing to close when l.cur is nil.
 func (l *Log) closeStripeLocked(mark bool) []sealedFrag {
-	var out []sealedFrag
-	if l.cur != nil {
-		out = append(out, l.sealCurrentLocked(mark)...)
+	if l.cur == nil {
+		return nil
 	}
-	if !l.parity || l.pacc.members == 0 {
-		return out
+	if l.parity {
+		l.skipUnfilledLocked(l.cur.stripe)
 	}
-	stripe := l.stripeOf(l.nextDataSeq(l.seq))
-	// The open stripe is the one the parity accumulator belongs to; pad
-	// its remaining data slots with empty fragments.
-	for {
-		ns := l.nextDataSeq(l.seq)
-		if l.stripeOf(ns) != stripe {
-			break
+	return l.sealCurrentLocked(mark)
+}
+
+// skipUnfilledLocked moves the append point past stripe's unopened data
+// slots and records them as its empty members. A reservation made for
+// one of them (PreallocStripes) is queued for release.
+func (l *Log) skipUnfilledLocked(stripe uint64) {
+	base, end := stripe*uint64(l.width), (stripe+1)*uint64(l.width)
+	var mask uint16
+	for seq := l.nextDataSeq(l.seq); seq < end; seq = l.nextDataSeq(seq + 1) {
+		mask |= 1 << (seq - base)
+		if l.prealloced[stripe] {
+			l.unreserve = append(l.unreserve, wire.MakeFID(l.client, seq))
 		}
-		l.seq = ns
-		l.openFragmentLocked()
-		out = append(out, l.sealCurrentLocked(false)...)
 	}
-	return out
+	l.seq = end
+	if mask != 0 {
+		l.empty[stripe] = mask
+	}
 }
 
 // ship sends sealed fragments to their servers through the engine's
@@ -841,17 +903,37 @@ func (l *Log) DegradedFIDs() []wire.FID {
 	return out
 }
 
-// drainPreallocs reserves slots for any newly opened stripes. Called
-// outside the log mutex because it talks to servers. A failed
-// preallocation is recorded like an asynchronous store failure: the
-// stripe is no more at risk than it would be without preallocation. An
-// unreachable server is tolerated — its member will surface as a
-// degraded write when the store is attempted.
+// drainPreallocs reserves slots for any newly opened stripes, then
+// releases the reservations of members their stripes closed without
+// (skipUnfilledLocked). Called outside the log mutex because it talks to
+// servers. A failed preallocation is recorded like an asynchronous store
+// failure: the stripe is no more at risk than it would be without
+// preallocation. An unreachable server is tolerated — its member will
+// surface as a degraded write when the store is attempted, and a
+// release it misses is retried like a deferred delete (FlushDeletes).
 func (l *Log) drainPreallocs() {
+	if !l.cfg.PreallocStripes {
+		return
+	}
+	l.preMu.Lock()
+	defer l.preMu.Unlock()
 	l.mu.Lock()
-	stripes := l.needPre
-	l.needPre = nil
+	stripes, release := l.needPre, l.unreserve
+	l.needPre, l.unreserve = nil, nil
 	l.mu.Unlock()
+	l.reserve(stripes)
+	for _, fid := range release {
+		conn := l.connAt(l.stripeOf(fid.Seq()), int(fid.Seq()%uint64(l.width)))
+		if err := conn.Delete(fid); err != nil && !wire.IsStatus(err, wire.StatusNotFound) {
+			l.mu.Lock()
+			l.pendingDel[fid] = conn.ID()
+			l.mu.Unlock()
+		}
+	}
+}
+
+// reserve preallocates every member slot of stripes on its server.
+func (l *Log) reserve(stripes []uint64) {
 	for _, stripe := range stripes {
 		base := stripe * uint64(l.width)
 		for i := 0; i < l.width; i++ {
@@ -901,9 +983,10 @@ func (l *Log) waitInflight() {
 	l.engine.Wait()
 }
 
-// Sync seals the open fragment, closes the stripe (padding it so parity
-// covers everything written), waits for all stores to complete, and
-// reports any store error.
+// Sync seals the open fragment, closes its stripe so parity covers
+// everything written (the stripe's unfilled data slots become empty
+// members, never stored), waits for all stores to complete, and reports
+// any store error.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	if l.closed {
@@ -946,15 +1029,7 @@ func (l *Log) WriteCheckpoint(svc ServiceID, payload []byte) (BlockAddr, error) 
 		l.mu.Unlock()
 		return BlockAddr{}, fmt.Errorf("%w: checkpoint of %d bytes", ErrBlockTooLarge, len(payload))
 	}
-	var preSealed []sealedFrag
-	if l.cur == nil {
-		l.openFragmentLocked()
-	}
-	if l.cur.off+need > l.payloadSize {
-		preSealed = l.sealCurrentLocked(false)
-		l.openFragmentLocked()
-	}
-	fb := l.cur
+	preSealed, fb := l.roomLocked(need)
 	addr := BlockAddr{FID: fb.fid, Off: uint32(fb.off)}
 	probe.Directory[svc] = addr
 	rec := EncodeCheckpointRecord(&probe)
@@ -1003,9 +1078,10 @@ func (l *Log) CheckpointFloor() Pos {
 	return floor
 }
 
-// ReclaimStripe deletes every fragment of a closed stripe from the
-// servers and drops its usage entry. The cleaner calls this after moving
-// the stripe's live blocks.
+// ReclaimStripe deletes every stored fragment of a closed stripe from
+// the servers and drops its usage entry. The cleaner calls this after
+// moving the stripe's live blocks. Members known to be empty were never
+// stored and cost no delete.
 func (l *Log) ReclaimStripe(stripe uint64) error {
 	l.mu.Lock()
 	if curStripe := l.stripeOf(l.nextDataSeq(l.seq)); stripe >= curStripe {
@@ -1015,13 +1091,15 @@ func (l *Log) ReclaimStripe(stripe uint64) error {
 	base := stripe * uint64(l.width)
 	fids := make([]wire.FID, 0, l.width)
 	for i := 0; i < l.width; i++ {
-		fids = append(fids, wire.MakeFID(l.client, base+uint64(i)))
+		if fid := wire.MakeFID(l.client, base+uint64(i)); !l.isEmptyLocked(fid) {
+			fids = append(fids, fid)
+		}
 	}
 	l.mu.Unlock()
 
 	var firstErr error
-	for i, fid := range fids {
-		conn := l.connAt(stripe, i)
+	for _, fid := range fids {
+		conn := l.connAt(stripe, int(fid.Seq()-base))
 		err := conn.Delete(fid)
 		if err != nil && !wire.IsStatus(err, wire.StatusNotFound) {
 			// Try the recorded location before giving up (placement may
@@ -1054,6 +1132,7 @@ func (l *Log) ReclaimStripe(stripe uint64) error {
 	}
 	l.mu.Lock()
 	delete(l.stripeEpochs, stripe) // the stripe no longer exists anywhere
+	delete(l.empty, stripe)
 	l.mu.Unlock()
 	if firstErr != nil {
 		return firstErr

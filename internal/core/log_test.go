@@ -729,8 +729,9 @@ func TestShortStripePaddingOnSync(t *testing.T) {
 	c := newTestCluster(t, 4)
 	l, _ := c.open(t, Config{})
 	defer l.Close()
-	// One small block, then Sync: the stripe must be padded and closed
-	// so the block is parity-protected immediately.
+	// One small block, then Sync: the stripe must be closed so the block
+	// is parity-protected immediately. It closes short: its two unfilled
+	// data slots are empty members, never stored.
 	addr := mustAppend(t, l, 7, blockPattern(0, 100))
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
@@ -743,11 +744,58 @@ func TestShortStripePaddingOnSync(t *testing.T) {
 	if err := l.VerifyStripe(stripe); err != nil {
 		t.Fatal(err)
 	}
-	// Kill the server holding the block; it must still be readable.
+	if held := slotsHeld(c); held != 1+l.ParityShards() {
+		t.Fatalf("stripe holds %d slots, want one data member plus %d parity", held, l.ParityShards())
+	}
+	if st := l.Stats(); st.FragmentsSealed != 1 || st.ParityFragments != 1 {
+		t.Fatalf("sealed %d data and %d parity fragments, want 1 and 1", st.FragmentsSealed, st.ParityFragments)
+	}
+	// A fresh log fetches the stripe without one RPC to the servers of
+	// its empty members, even when it has to learn which they are from
+	// the stripe's stored headers.
+	l2, _ := c.open(t, Config{})
+	l2.mu.Lock()
+	delete(l2.empty, stripe)
+	l2.mu.Unlock()
+	var emptyServers []*transport.Flaky
+	for i := 0; i < l.width; i++ {
+		fid := wire.MakeFID(testClient, stripe*uint64(l.width)+uint64(i))
+		if _, stored := l.locations[fid]; !stored {
+			emptyServers = append(emptyServers, c.flaky[l.connAt(stripe, i).ID()-1])
+		}
+	}
+	if len(emptyServers) != 2 {
+		t.Fatalf("%d empty members, want 2", len(emptyServers))
+	}
+	calls := func() (n int64) {
+		for _, f := range emptyServers {
+			n += f.Calls()
+		}
+		return n
+	}
+	before := calls()
+	for i, m := range l2.FetchStripe(stripe) {
+		if m.Err != nil {
+			t.Fatalf("member %d: %v", i, m.Err)
+		}
+	}
+	if err := l2.VerifyStripe(stripe); err != nil {
+		t.Fatal(err)
+	}
+	if n := calls() - before; n != 0 {
+		t.Fatalf("fetching the stripe made %d calls to the servers of its empty members", n)
+	}
+	l2.Close()
+	// Kill the server holding the block; it must still be readable, and
+	// the reconstruction decodes the empty members without fetching them.
 	sid := l.locations[addr.FID]
 	c.flaky[sid-1].SetDown(true)
+	before = calls()
 	if got := mustRead(t, l, addr, 100); !bytes.Equal(got, blockPattern(0, 100)) {
 		t.Fatal("reconstructed read mismatch")
+	}
+	if n := calls() - before; n != 0 {
+		t.Fatalf("reconstruction made %d calls to the servers of the empty members", n)
 	}
 }
 

@@ -8,10 +8,9 @@ import "swarm/internal/erasure"
 // With the erasure layer a stripe carries m parity buffers; the classic
 // single rotating XOR parity is the m=1 case.
 type parityAccum struct {
-	code    erasure.Code
-	bufs    [][]byte // m accumulators, each payloadSize bytes
-	lens    [MaxWidth]uint32
-	members int
+	code erasure.Code
+	bufs [][]byte // m accumulators, each payloadSize bytes
+	lens [MaxWidth]uint32
 }
 
 func newParityAccum(code erasure.Code, payloadSize int) *parityAccum {
@@ -28,7 +27,6 @@ func newParityAccum(code erasure.Code, payloadSize int) *parityAccum {
 func (p *parityAccum) add(di, index int, payload []byte) {
 	p.code.AddData(di, payload, p.bufs)
 	p.lens[index] = uint32(len(payload))
-	p.members++
 }
 
 // reset clears the accumulator for the next stripe.
@@ -39,5 +37,4 @@ func (p *parityAccum) reset() {
 		}
 	}
 	p.lens = [MaxWidth]uint32{}
-	p.members = 0
 }

@@ -176,34 +176,18 @@ func sliceBlock(payload []byte, addr BlockAddr, off, n uint32) ([]byte, error) {
 // if its server is unavailable. The cleaner, rebuild, and recovery scans
 // all fetch through it.
 func (l *Log) FetchFragment(fid wire.FID) (Header, []byte, error) {
-	// Local copies first.
+	// Local copies first: the open fragment, then sealed fragments whose
+	// store is in flight — or was skipped as a degraded write — from the
+	// read-your-writes map, so the cleaner and recovery never pay a
+	// reconstruction for data this client still holds. A member known to
+	// be empty is served the same way, as zero bytes: it was never stored.
 	l.mu.Lock()
+	p, ok := l.inflight[fid]
 	if l.cur != nil && l.cur.fid == fid {
-		fb := l.cur
-		h := Header{
-			Kind: FragData, Width: uint8(l.width), Index: fb.index,
-			FID: fb.fid, StripeID: fb.stripe, DataLen: uint32(fb.off),
-		}
-		l.stampGeometry(&h)
-		l.fillGroup(&h)
-		payload := make([]byte, fb.off)
-		copy(payload, fb.payload[:fb.off])
-		l.mu.Unlock()
-		return h, payload, nil
+		p, ok = l.cur.payload[:l.cur.off], true
 	}
-	// Sealed fragments whose store is in flight — or was skipped as a
-	// degraded write — are served from the read-your-writes map, so the
-	// cleaner and recovery never pay a reconstruction for data this
-	// client still holds.
-	if p, ok := l.inflight[fid]; ok {
-		seq := fid.Seq()
-		h := Header{
-			Kind: FragData, Width: uint8(l.width), Index: uint8(seq % uint64(l.width)),
-			FID: fid, StripeID: l.stripeOf(seq), DataLen: uint32(len(p)),
-			PayloadCRC: crc32.ChecksumIEEE(p),
-		}
-		l.stampGeometry(&h)
-		l.fillGroup(&h)
+	if ok || l.isEmptyLocked(fid) {
+		h := l.memberHeaderLocked(fid, p)
 		payload := append([]byte(nil), p...)
 		l.mu.Unlock()
 		return h, payload, nil
@@ -217,6 +201,21 @@ func (l *Log) FetchFragment(fid wire.FID) (Header, []byte, error) {
 		return h, payload, nil
 	}
 	return l.reconstruct(fid)
+}
+
+// memberHeaderLocked builds the header of this log's data member fid
+// holding payload p, for a fragment served from local state rather than
+// a server.
+func (l *Log) memberHeaderLocked(fid wire.FID, p []byte) Header {
+	seq := fid.Seq()
+	h := Header{
+		Kind: FragData, Width: uint8(l.width), Index: uint8(seq % uint64(l.width)),
+		FID: fid, StripeID: l.stripeOf(seq), DataLen: uint32(len(p)),
+		PayloadCRC: crc32.ChecksumIEEE(p),
+	}
+	l.stampGeometry(&h)
+	l.fillGroup(&h)
+	return h
 }
 
 // StripeMember is one member of a stripe fetched by FetchStripe.
@@ -237,7 +236,7 @@ func (l *Log) FetchStripe(stripe uint64) []StripeMember {
 	for i := range seqs {
 		seqs[i] = base + uint64(i)
 	}
-	frags := l.fetchSeqs(seqs)
+	frags := l.fetchSeqs(seqs, l.FetchFragment)
 	out := make([]StripeMember, l.width)
 	for i, seq := range seqs {
 		f := frags[seq]
@@ -254,23 +253,38 @@ type fetchedFrag struct {
 }
 
 // fetchSeqs fetches a set of this log's fragments concurrently, each
-// through FetchFragment (local copies, direct read, reconstruction). The
-// engine's per-server queues bound the fan-out.
-func (l *Log) fetchSeqs(seqs []uint64) map[uint64]fetchedFrag {
-	out := make([]fetchedFrag, len(seqs))
-	var wg sync.WaitGroup
-	for i, seq := range seqs {
-		wg.Add(1)
-		go func(i int, seq uint64) {
-			defer wg.Done()
-			h, p, err := l.FetchFragment(wire.MakeFID(l.client, seq))
-			out[i] = fetchedFrag{header: h, payload: p, err: err}
-		}(i, seq)
+// through fetch. The engine's per-server queues bound the fan-out.
+// Fragments with a recorded location go first: a stripe's parity and
+// last data member are among them, and their headers name its empty
+// members (noteEmpty), so the second round serves those locally instead
+// of searching the cluster for fragments that were never stored.
+func (l *Log) fetchSeqs(seqs []uint64, fetch func(wire.FID) (Header, []byte, error)) map[uint64]fetchedFrag {
+	var located, rest []uint64
+	l.mu.Lock()
+	for _, seq := range seqs {
+		if _, ok := l.locations[wire.MakeFID(l.client, seq)]; ok {
+			located = append(located, seq)
+		} else {
+			rest = append(rest, seq)
+		}
 	}
-	wg.Wait()
+	l.mu.Unlock()
 	m := make(map[uint64]fetchedFrag, len(seqs))
-	for i, seq := range seqs {
-		m[seq] = out[i]
+	for _, round := range [][]uint64{located, rest} {
+		out := make([]fetchedFrag, len(round))
+		var wg sync.WaitGroup
+		for i, seq := range round {
+			wg.Add(1)
+			go func(i int, seq uint64) {
+				defer wg.Done()
+				h, p, err := fetch(wire.MakeFID(l.client, seq))
+				out[i] = fetchedFrag{header: h, payload: p, err: err}
+			}(i, seq)
+		}
+		wg.Wait()
+		for i, seq := range round {
+			m[seq] = out[i]
+		}
 	}
 	return m
 }
@@ -297,7 +311,9 @@ func (l *Log) engineFetch(conn transport.ServerConn, fid wire.FID) (Header, []by
 	if err != nil {
 		return Header{}, nil, err
 	}
-	return decoded.(Header), payload, nil
+	h := decoded.(Header)
+	l.noteEmpty(&h)
+	return h, payload, nil
 }
 
 // discover finds fid by broadcast (deduplicated in the engine: concurrent
@@ -350,7 +366,11 @@ func (l *Log) reconstruct(fid wire.FID) (Header, []byte, error) {
 // client's configuration (mixed-format logs read cleanly). Any k of the
 // n = k+m members suffice: the gather returns as soon as k arrive, so
 // reconstruction under multiple failures costs ~the k-th fastest member
-// fetch, not the slowest of all survivors.
+// fetch, not the slowest of all survivors. A member known to be empty
+// (this log closed its stripe short, or the sibling's MemberLens record
+// it as length 0) joins the decode as an empty shard without a fetch,
+// which shrinks a short stripe's fan-in; a missing member that is
+// itself empty needs no decode at all.
 func (l *Log) reconstructFragment(fid wire.FID) (Header, []byte, error) {
 	sib, err := l.findSibling(fid)
 	if err != nil {
@@ -367,19 +387,38 @@ func (l *Log) reconstructFragment(fid wire.FID) (Header, []byte, error) {
 		return Header{}, nil, fmt.Errorf("%w: stripe %d: %v", ErrBadFragment, sib.StripeID, err)
 	}
 	k := code.DataShards()
+	l.noteEmpty(sib)
+	empty := l.emptyOf(sib)
+	emptyHeader := Header{
+		Kind: FragData, Width: uint8(width), Index: uint8(missIdx),
+		FID: fid, StripeID: sib.StripeID, Group: sib.Group,
+		Codec: sib.Codec, NumParity: sib.NumParity, Epoch: sib.Epoch,
+	}
+	if empty&(1<<missIdx) != 0 {
+		return emptyHeader, nil, nil
+	}
 
-	// Gather any k of the other width-1 members. Stragglers past the
-	// k-th are abandoned; the engine recycles their buffers.
+	// Gather any k of the other members, less the empty ones. Stragglers
+	// past the quorum are abandoned; the engine recycles their buffers.
+	// Survivors are placed by erasure-shard ordinal (data 0..k-1 in
+	// member order skipping parity slots, then parity k..k+m-1); nil is
+	// the decoder's missing-shard marker, so an empty member is []byte{}.
+	shards := make([][]byte, width)
+	got := 0
 	members := make([]fragio.Member, 0, width-1)
 	idxOf := make([]int, 0, width-1)
 	for i := 0; i < width; i++ {
-		if i == missIdx {
-			continue
+		switch {
+		case i == missIdx:
+		case empty&(1<<i) != 0:
+			shards[sib.ShardOrdinal(i)] = []byte{}
+			got++
+		default:
+			members = append(members, fragio.Member{FID: sib.MemberFID(i), Server: sib.Group[i]})
+			idxOf = append(idxOf, i)
 		}
-		members = append(members, fragio.Member{FID: sib.MemberFID(i), Server: sib.Group[i]})
-		idxOf = append(idxOf, i)
 	}
-	results := l.engine.GatherK(members, k)
+	results := l.engine.GatherK(members, k-got)
 	// Member payloads only feed the decode below; nothing past this
 	// function aliases them, so they go back to the transport's buffer
 	// pool on every exit path. (The reconstructed shard is a fresh
@@ -390,12 +429,11 @@ func (l *Log) reconstructFragment(fid wire.FID) (Header, []byte, error) {
 		}
 	}()
 
-	// Place survivors by erasure-shard ordinal (data 0..k-1 in member
-	// order skipping parity slots, then parity k..k+m-1).
-	shards := make([][]byte, width)
 	var lens [MaxWidth]uint32 // data members' DataLens, by member index
-	haveLens := false
-	got := 0
+	haveLens := sib.HasMemberLens()
+	if haveLens {
+		lens = sib.MemberLens
+	}
 	for ri, r := range results {
 		if r.Err != nil {
 			continue
@@ -409,20 +447,30 @@ func (l *Log) reconstructFragment(fid wire.FID) (Header, []byte, error) {
 			// silently corrupt, so fail loudly.
 			return Header{}, nil, fmt.Errorf("%w: stripe %d member %d kind %d does not match its slot", ErrLost, sib.StripeID, idx, h.Kind)
 		}
-		if h.Kind == FragParity {
-			lens = h.MemberLens
-			haveLens = true
+		if mask, ok := h.EmptyMembers(); ok {
+			lens, haveLens = h.MemberLens, true
+			empty |= mask
+			l.noteEmpty(&h)
 		} else {
 			lens[idx] = h.DataLen
 		}
 		p := r.Payload
 		if p == nil {
-			// A zero-length member (stripe padding) is present, not
-			// missing: nil is the decoder's missing-shard marker.
-			p = []byte{}
+			p = []byte{} // a stored zero-length member is present
 		}
 		shards[sib.ShardOrdinal(idx)] = p
 		got++
+	}
+	// A member the sibling's header could not name as empty was fetched
+	// and failed; a header gathered since may name it.
+	for ri, r := range results {
+		if idx := idxOf[ri]; r.Err != nil && r.Err != fragio.ErrSkipped && empty&(1<<idx) != 0 {
+			shards[sib.ShardOrdinal(idx)] = []byte{}
+			got++
+		}
+	}
+	if empty&(1<<missIdx) != 0 {
+		return emptyHeader, nil, nil
 	}
 	if got < k {
 		return Header{}, nil, fmt.Errorf("%w: %d of %d stripe members available, need %d", ErrLost, got, width, k)
@@ -444,8 +492,8 @@ func (l *Log) reconstructFragment(fid wire.FID) (Header, []byte, error) {
 
 	if _, isParity := sib.ParityOrdinal(missIdx); isParity {
 		// Rebuilding a parity member. Its header carries every data
-		// member's length: from a gathered parity sibling if one
-		// arrived, else all k data members arrived and their own
+		// member's length: from a header that carries MemberLens if one
+		// arrived, else every nonempty data member arrived and their own
 		// headers supplied the lengths above.
 		var maxLen uint32
 		for _, n := range lens {
@@ -464,9 +512,9 @@ func (l *Log) reconstructFragment(fid wire.FID) (Header, []byte, error) {
 		return h, full[:maxLen], nil
 	}
 
-	// Rebuilding a data member: its true length comes from a parity
-	// sibling's MemberLens. One is always in hand — only k-1 other data
-	// members exist, so any k survivors include at least one parity.
+	// Rebuilding a data member: its true length comes from MemberLens.
+	// A header carrying them is always in hand — fewer than the quorum
+	// of other data members exist, so it includes a parity member.
 	if !haveLens {
 		return Header{}, nil, fmt.Errorf("%w: no parity header for stripe %d", ErrLost, sib.StripeID)
 	}
@@ -492,6 +540,8 @@ func (l *Log) bumpReconStat() {
 // header. Per the paper: "If fragment N needs to be reconstructed, then
 // either fragment N-1 or fragment N+1 is in the same stripe. A client
 // finds fragment N-1 and N+1 by broadcasting to all storage servers."
+// Members known to be empty are skipped: they were never stored, so
+// looking for one would cost a broadcast that cannot succeed.
 func (l *Log) findSibling(fid wire.FID) (*Header, error) {
 	seq := fid.Seq()
 	for delta := uint64(1); delta < MaxWidth; delta++ {
@@ -500,6 +550,9 @@ func (l *Log) findSibling(fid wire.FID) (*Header, error) {
 				continue
 			}
 			cfid := wire.MakeFID(fid.Client(), uint64(cand))
+			if l.isEmpty(cfid) {
+				continue
+			}
 			h, err := l.fetchSiblingHeader(cfid)
 			if err != nil {
 				continue

@@ -84,11 +84,15 @@ func (l *Log) RebuildServer(id wire.ServerID) (int, error) {
 				continue
 			}
 			// FetchFragment serves degraded writes from the local
-			// read-your-writes copy and reconstructs everything else from
-			// the stripe's surviving members.
+			// read-your-writes copy and empty members as zero bytes, and
+			// reconstructs everything else from the stripe's surviving
+			// members.
 			h, payload, err := l.FetchFragment(fid)
 			if err != nil {
 				return rebuilt, fmt.Errorf("reconstruct %v: %w", fid, err)
+			}
+			if h.Kind == FragData && h.DataLen == 0 {
+				continue // an empty member: never stored, nothing to rebuild
 			}
 			frame := make([]byte, HeaderSize+len(payload))
 			copy(frame, EncodeHeader(&h))

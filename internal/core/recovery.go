@@ -145,10 +145,26 @@ func (l *Log) recover() (*Recovery, error) {
 	}
 
 	// 3+4. Roll forward.
-	if err := l.rollForward(rec, fidSet, replayFrom, usageFrom, maxSeq); err != nil {
+	if err := l.rollForward(rec, fidSet, replayFrom, usageFrom, l.scanEnd(fidSet, maxSeq)); err != nil {
 		return nil, err
 	}
 	return rec, nil
+}
+
+// scanEnd returns the last sequence number recovery must scan. A
+// surviving parity member proves the newest stripe was closed, so each
+// of its members up to the stripe's end was stored, is empty, or can be
+// reconstructed — including a lost last data member numbered past every
+// surviving fragment. Without one the stripe was still open, and its
+// slots past maxSeq were never written.
+func (l *Log) scanEnd(fidSet map[uint64]bool, maxSeq uint64) uint64 {
+	stripe := l.stripeOf(maxSeq)
+	for j := 0; j < l.nparity; j++ {
+		if fidSet[stripe*uint64(l.width)+uint64(l.paritySlot(stripe, j))] {
+			return (stripe+1)*uint64(l.width) - 1
+		}
+	}
+	return maxSeq
 }
 
 // loadNewestCheckpoint reads the marked fragment and returns its last
@@ -239,7 +255,7 @@ func (l *Log) rollForward(rec *Recovery, fidSet map[uint64]bool, replayFrom, usa
 					need = append(need, s)
 				}
 			}
-			fetched = l.fetchSeqs(need)
+			fetched = l.fetchSeqs(need, l.FetchFragment)
 		}
 		f, ok := fetched[seq]
 		if !ok {
@@ -338,37 +354,55 @@ func sortHoles(holes []wire.FID) {
 // every parity payload actually equals what the stripe's codec computes
 // over the data payloads. It is a consistency check used by tests and
 // the swarmctl tool. The geometry (codec, parity count, slots) comes
-// from the stored headers, not this client's configuration, so mixed
-// XOR/RS logs verify stripe by stripe. The members are gathered in one
-// parallel fan-out through the engine; reconstruction is deliberately
-// not attempted — verification wants the stored bytes.
+// from a stored parity header, not this client's configuration, so
+// mixed XOR/RS logs verify stripe by stripe. The members are fetched
+// concurrently through the engine; a member known to be empty counts as
+// zero bytes without a fetch, and reconstruction is deliberately not
+// attempted — verification wants the stored bytes.
 func (l *Log) VerifyStripe(stripe uint64) error {
 	base := stripe * uint64(l.width)
 	if !l.parity {
 		return errors.New("core: parity disabled")
 	}
-	members := make([]fragio.Member, l.width)
-	l.mu.Lock()
-	for i := 0; i < l.width; i++ {
-		fid := wire.MakeFID(l.client, base+uint64(i))
-		members[i] = fragio.Member{FID: fid, Server: l.locations[fid]}
+	seqs := make([]uint64, l.width)
+	for i := range seqs {
+		seqs[i] = base + uint64(i)
 	}
-	l.mu.Unlock()
-	results := l.engine.Gather(members)
+	frags := l.fetchSeqs(seqs, func(fid wire.FID) (Header, []byte, error) {
+		l.mu.Lock()
+		if l.isEmptyLocked(fid) {
+			h := l.memberHeaderLocked(fid, nil)
+			l.mu.Unlock()
+			return h, nil, nil
+		}
+		m := fragio.Member{FID: fid, Server: l.locations[fid]}
+		l.mu.Unlock()
+		r := l.engine.FetchMember(m)
+		if r.Err != nil {
+			return Header{}, nil, r.Err
+		}
+		h := r.Decoded.(Header)
+		l.noteEmpty(&h)
+		return h, r.Payload, nil
+	})
 	// Payloads are re-encoded/compared and die here; recycle them.
 	defer func() {
-		for _, r := range results {
-			wire.PutBuffer(r.Payload)
+		for _, f := range frags {
+			wire.PutBuffer(f.payload)
 		}
 	}()
-	var geom Header
-	for i, r := range results {
-		if r.Err != nil {
-			return fmt.Errorf("stripe %d member %d: %w", stripe, i, r.Err)
+	var geom *Header
+	for i, seq := range seqs {
+		f := frags[seq]
+		if f.err != nil {
+			return fmt.Errorf("stripe %d member %d: %w", stripe, i, f.err)
 		}
-		if i == 0 {
-			geom = r.Decoded.(Header)
+		if geom == nil && f.header.Kind == FragParity {
+			geom = &f.header
 		}
+	}
+	if geom == nil {
+		return fmt.Errorf("%w: stripe %d has no parity member", ErrBadFragment, stripe)
 	}
 	code, err := geom.ErasureCode()
 	if err != nil {
@@ -380,17 +414,17 @@ func (l *Log) VerifyStripe(stripe uint64) error {
 		acc[j] = make([]byte, l.payloadSize)
 	}
 	parityOf := make(map[int][]byte, code.ParityShards()) // member index → stored parity
-	for i, r := range results {
-		h := r.Decoded.(Header)
+	for i, seq := range seqs {
+		f := frags[seq]
 		_, isParity := geom.ParityOrdinal(i)
-		if isParity != (h.Kind == FragParity) {
-			return fmt.Errorf("%w: stripe %d member %d kind %d does not match its slot", ErrBadFragment, stripe, i, h.Kind)
+		if isParity != (f.header.Kind == FragParity) {
+			return fmt.Errorf("%w: stripe %d member %d kind %d does not match its slot", ErrBadFragment, stripe, i, f.header.Kind)
 		}
 		if isParity {
-			parityOf[i] = r.Payload
+			parityOf[i] = f.payload
 			continue
 		}
-		code.AddData(geom.ShardOrdinal(i), r.Payload, acc)
+		code.AddData(geom.ShardOrdinal(i), f.payload, acc)
 	}
 	for i, stored := range parityOf {
 		j, _ := geom.ParityOrdinal(i)

@@ -334,15 +334,20 @@ func TestRecoveryAfterReclaim(t *testing.T) {
 func TestRecoverySurvivesTornTailFragment(t *testing.T) {
 	// A fragment whose store never completed (client died mid-pipeline)
 	// simply doesn't exist; recovery reports the tail as holes only when
-	// a sibling proves the stripe existed.
+	// a sibling proves the stripe existed. Two fragment-sized blocks fill
+	// both data slots of the width-3 stripe, and the first is torn, so
+	// the second survives as that sibling (a stripe closed short stores
+	// no member for the slots it did not fill).
 	c := newTestCluster(t, 3)
 	l, _ := c.open(t, Config{})
-	mustAppend(t, l, 7, blockPattern(0, 300))
+	for i := 0; i < 2; i++ {
+		mustAppend(t, l, 7, blockPattern(i, l.MaxBlockSize()))
+	}
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	// Manually delete one data fragment to simulate a torn stripe, then
-	// also delete the parity so reconstruction fails.
+	// Manually delete the first data fragment to simulate a torn stripe,
+	// then also delete the parity so reconstruction fails.
 	var dataFID, parityFID wire.FID
 	found := false
 	for fid := range l.locations {
@@ -350,11 +355,10 @@ func TestRecoverySurvivesTornTailFragment(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		if h.Kind == FragData && h.DataLen > 0 {
+		if h.Kind == FragData && h.DataLen > 0 && (!found || fid < dataFID) {
 			dataFID = fid
 			parityFID = h.MemberFID(int(h.StripeID % uint64(h.Width)))
 			found = true
-			break
 		}
 	}
 	if !found {

@@ -1,0 +1,415 @@
+package core
+
+import (
+	"bytes"
+	"fmt"
+	"sort"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"swarm/internal/disk"
+	"swarm/internal/server"
+	"swarm/internal/transport"
+	"swarm/internal/wire"
+)
+
+// A Sync closes its stripe short: the data slots it has not filled are
+// empty members, never stored, and read as zeros. These tests pin what
+// that layout must survive.
+
+// shortCase is one geometry of a stripe closed short: blocks
+// fragment-sized blocks fill that many data members, and the rest of
+// the stripe's data slots stay empty.
+type shortCase struct {
+	name    string
+	servers int
+	parity  int
+	blocks  int
+}
+
+var shortCases = []shortCase{
+	{"xor/1data", 4, 1, 1},
+	{"xor/2data", 4, 1, 2},
+	{"rs42/1data", 6, 2, 1},
+	{"rs42/2data", 6, 2, 2},
+}
+
+// writeShort opens a log on a fresh cluster, fills sc.blocks data
+// members of stripe 0 and Syncs, closing the stripe short.
+func writeShort(t *testing.T, sc shortCase) (*cluster, *Log, []BlockAddr, [][]byte) {
+	t.Helper()
+	c := newTestCluster(t, sc.servers)
+	l, _ := c.open(t, Config{ParityShards: sc.parity})
+	var addrs []BlockAddr
+	var blocks [][]byte
+	for i := 0; i < sc.blocks; i++ {
+		b := blockPattern(i, l.MaxBlockSize())
+		addrs = append(addrs, mustAppend(t, l, 7, b))
+		blocks = append(blocks, b)
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	return c, l, addrs, blocks
+}
+
+// storedFIDs lists every fragment of testClient on the cluster's
+// stores, sorted.
+func storedFIDs(c *cluster) []wire.FID {
+	var out []wire.FID
+	for _, st := range c.stores {
+		out = append(out, st.List(testClient)...)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// slotsHeld sums the slots the cluster's stores hold, reservations
+// included.
+func slotsHeld(c *cluster) int {
+	n := 0
+	for _, st := range c.stores {
+		s := st.Stats()
+		n += s.TotalSlots - s.FreeSlots
+	}
+	return n
+}
+
+// checkReadable reopens the log and checks recovery found no holes,
+// replayed one create record per block, and reads every block back
+// byte-exact.
+func checkReadable(t *testing.T, c *cluster, parity int, addrs []BlockAddr, blocks [][]byte) *Log {
+	t.Helper()
+	l, rec := c.open(t, Config{ParityShards: parity})
+	if len(rec.Holes) != 0 {
+		t.Fatalf("recovery reported holes %v", rec.Holes)
+	}
+	creates := 0
+	for _, r := range rec.Service(7).Records {
+		if r.Kind == EntryCreate {
+			creates++
+		}
+	}
+	if creates != len(blocks) {
+		t.Fatalf("recovery replayed %d create records, want %d", creates, len(blocks))
+	}
+	for i, addr := range addrs {
+		got, err := l.Read(addr, 0, uint32(len(blocks[i])))
+		if err != nil {
+			t.Fatalf("read block %d: %v", i, err)
+		}
+		if !bytes.Equal(got, blocks[i]) {
+			t.Fatalf("block %d differs", i)
+		}
+	}
+	return l
+}
+
+// subsets returns every subset of items with 1..max elements.
+func subsets(items []wire.FID, max int) [][]wire.FID {
+	var out [][]wire.FID
+	for mask := 1; mask < 1<<len(items); mask++ {
+		var s []wire.FID
+		for i := range items {
+			if mask&(1<<i) != 0 {
+				s = append(s, items[i])
+			}
+		}
+		if len(s) <= max {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// TestShortStripeLosses makes every set of at most m stored members of a
+// short stripe unreachable — both parity members, and the last data
+// member with a parity member, among them — and checks that recovery
+// finds no holes, every acked block reads back, and rebuilding the lost
+// servers restores exactly the stored members and never an empty one.
+func TestShortStripeLosses(t *testing.T) {
+	for _, sc := range shortCases {
+		c, l, _, _ := writeShort(t, sc)
+		stored := storedFIDs(c)
+		if want := sc.blocks + sc.parity; len(stored) != want {
+			t.Fatalf("%s: %d members stored, want %d: %v", sc.name, len(stored), want, stored)
+		}
+		l.Close()
+		for _, lost := range subsets(stored, sc.parity) {
+			t.Run(fmt.Sprintf("%s/lose%v", sc.name, lost), func(t *testing.T) {
+				c, l, addrs, blocks := writeShort(t, sc)
+				l.Close()
+				var down []wire.ServerID
+				for _, fid := range lost {
+					sid := l.locations[fid]
+					down = append(down, sid)
+					c.flaky[sid-1].SetDown(true)
+				}
+				l2 := checkReadable(t, c, sc.parity, addrs, blocks)
+				defer l2.Close()
+
+				// Replace the lost servers' disks and rebuild every server:
+				// only the lost members come back.
+				for i, fid := range lost {
+					c.flaky[down[i]-1].SetDown(false)
+					if err := c.stores[down[i]-1].Delete(testClient, fid); err != nil {
+						t.Fatal(err)
+					}
+				}
+				rebuilt := 0
+				for id := 1; id <= sc.servers; id++ {
+					n, err := l2.RebuildServer(wire.ServerID(id))
+					if err != nil {
+						t.Fatalf("rebuild server %d: %v", id, err)
+					}
+					rebuilt += n
+				}
+				if rebuilt != len(lost) {
+					t.Fatalf("rebuilt %d members, lost %d", rebuilt, len(lost))
+				}
+				if got := storedFIDs(c); fmt.Sprint(got) != fmt.Sprint(stored) {
+					t.Fatalf("after rebuild the cluster holds %v, want %v", got, stored)
+				}
+				if err := l2.VerifyStripe(0); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+}
+
+// TestShortStripeClientCrash leaves the server state a client crash
+// between a short stripe's data store and its parity stores would: in
+// one order only the data members were stored, in the other only the
+// parity members. Either way recovery finds no holes and the stripe's
+// blocks read back — from the data members, or decoded from the parity
+// and the empty members its headers name.
+func TestShortStripeClientCrash(t *testing.T) {
+	for _, sc := range []shortCase{shortCases[0], shortCases[2]} {
+		for _, storedKind := range []uint8{FragData, FragParity} {
+			t.Run(fmt.Sprintf("%s/only-kind-%d-stored", sc.name, storedKind), func(t *testing.T) {
+				c := newTestCluster(t, sc.servers)
+				l, _ := c.open(t, Config{ParityShards: sc.parity})
+				b := blockPattern(1, l.MaxBlockSize())
+				addr := mustAppend(t, l, 7, b)
+				// The stores that the crash cuts off never reach their
+				// servers: take those servers down for the Sync, then drop
+				// the log without closing it.
+				for idx := 0; idx < l.width; idx++ {
+					_, isParity := l.parityOrdinal(0, idx)
+					if isParity != (storedKind == FragParity) {
+						c.flaky[l.connAt(0, idx).ID()-1].SetDown(true)
+					}
+				}
+				_ = l.Sync()
+				for _, f := range c.flaky {
+					f.SetDown(false)
+				}
+				for _, fid := range storedFIDs(c) {
+					if h, _, err := l.fetchDirect(fid); err != nil || h.Kind != storedKind {
+						t.Fatalf("member %v stored with kind %d (%v), want only kind %d", fid, h.Kind, err, storedKind)
+					}
+				}
+				checkReadable(t, c, sc.parity, []BlockAddr{addr}, [][]byte{b}).Close()
+			})
+		}
+	}
+}
+
+// cutDisk power-cuts its CrashDisk at the first Sync after it is armed:
+// that Sync and every later I/O fail, and unsynced writes are lost.
+type cutDisk struct {
+	*disk.CrashDisk
+	armed atomic.Bool
+}
+
+func (d *cutDisk) Sync() error {
+	if d.armed.Load() {
+		d.Crash()
+	}
+	return d.CrashDisk.Sync()
+}
+
+// TestShortStripePowerCut cuts the power of one server in the middle of
+// a Sync that closes a stripe short — the server of its data member, or
+// of a parity member — then restarts that server from what its disk
+// made durable. Recovery finds no holes, every block of the earlier
+// acked Sync reads back, and so does the interrupted Sync's block: the
+// members that did reach their servers cover it.
+func TestShortStripePowerCut(t *testing.T) {
+	for _, victimParity := range []bool{false, true} {
+		t.Run(fmt.Sprintf("parity=%v", victimParity), func(t *testing.T) {
+			const n = 6
+			c := &cluster{}
+			cuts := make([]*cutDisk, n)
+			for i := 0; i < n; i++ {
+				cuts[i] = &cutDisk{CrashDisk: disk.NewCrashDisk(disk.NewMemDisk(4 << 20))}
+				st, err := server.Format(cuts[i], server.Config{FragmentSize: testFragSize})
+				if err != nil {
+					t.Fatal(err)
+				}
+				fl := transport.NewFlaky(transport.NewLocal(wire.ServerID(i+1), st, testClient))
+				c.stores = append(c.stores, st)
+				c.flaky = append(c.flaky, fl)
+				c.conns = append(c.conns, fl)
+			}
+			cfg := Config{ParityShards: 2}
+			l, _ := c.open(t, cfg)
+			var addrs []BlockAddr
+			var blocks [][]byte
+			for i := 0; i < 2; i++ {
+				blocks = append(blocks, blockPattern(i, l.MaxBlockSize()))
+				addrs = append(addrs, mustAppend(t, l, 7, blocks[i]))
+			}
+			if err := l.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			blocks = append(blocks, blockPattern(2, l.MaxBlockSize()))
+			addrs = append(addrs, mustAppend(t, l, 7, blocks[2]))
+			stripe := l.stripeOf(addrs[2].FID.Seq())
+			victim := l.connAt(stripe, int(addrs[2].FID.Seq()%uint64(l.width))).ID()
+			if victimParity {
+				victim = l.connAt(stripe, l.paritySlot(stripe, 0)).ID()
+			}
+			cuts[victim-1].armed.Store(true)
+			if err := l.Sync(); err == nil {
+				t.Fatal("Sync across a power cut reported success")
+			}
+
+			// Restart the victim from its durable state.
+			st, err := server.Open(cuts[victim-1].Backing())
+			if err != nil {
+				t.Fatal(err)
+			}
+			fl := transport.NewFlaky(transport.NewLocal(victim, st, testClient))
+			c.stores[victim-1], c.flaky[victim-1], c.conns[victim-1] = st, fl, fl
+			l2 := checkReadable(t, c, cfg.ParityShards, addrs, blocks)
+			defer l2.Close()
+			if err := l2.VerifyStripe(l2.stripeOf(addrs[0].FID.Seq())); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestShortStripePreallocReleased checks that reserving a stripe's slots
+// up front (PreallocStripes) does not leak the reservations of members
+// the stripe closes without: after a one-block Sync the servers hold
+// the same slots either way, one data member plus m parity.
+func TestShortStripePreallocReleased(t *testing.T) {
+	held := func(prealloc bool) int {
+		c := newTestCluster(t, 6)
+		l, _ := c.open(t, Config{ParityShards: 2, PreallocStripes: prealloc})
+		defer l.Close()
+		mustAppend(t, l, 7, blockPattern(0, 100))
+		if err := l.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		return slotsHeld(c)
+	}
+	on, off := held(true), held(false)
+	if on != off || off != 1+2 {
+		t.Fatalf("slots held with PreallocStripes %d, without %d, want %d", on, off, 1+2)
+	}
+}
+
+// TestShortStripeDegradedRead reads a short stripe's only data member
+// with its server down, where the member's neighbours in sequence order
+// are the stripe's empty members: neither the sibling search nor the
+// reconstruction may look for them on the servers.
+func TestShortStripeDegradedRead(t *testing.T) {
+	c := newTestCluster(t, 6)
+	l, _ := c.open(t, Config{ParityShards: 2})
+	defer l.Close()
+	// Four full stripes, then one block: stripe 4 stores its data member
+	// at index 0, its empty members at 1..3 and its parity at 4 and 5.
+	for i := 0; i < 4*4; i++ {
+		mustAppend(t, l, 7, blockPattern(i, l.MaxBlockSize()))
+	}
+	b := blockPattern(99, 100)
+	addr := mustAppend(t, l, 7, b)
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if s, idx := l.stripeOf(addr.FID.Seq()), addr.FID.Seq()%6; s != 4 || idx != 0 {
+		t.Fatalf("block landed in stripe %d index %d, want stripe 4 index 0", s, idx)
+	}
+	c.flaky[l.locations[addr.FID]-1].SetDown(true)
+	before := l.EngineStats()
+	if got := mustRead(t, l, addr, len(b)); !bytes.Equal(got, b) {
+		t.Fatal("reconstructed read mismatch")
+	}
+	after := l.EngineStats()
+	if n := after.Broadcasts - before.Broadcasts; n != 0 {
+		t.Fatalf("degraded read broadcast %d times", n)
+	}
+	if n := after.GatherMembers - before.GatherMembers; n != 2 {
+		t.Fatalf("degraded read gathered %d members, want the 2 parity", n)
+	}
+}
+
+// TestShortStripeConcurrentSyncs closes stripes short while other
+// goroutines append — each writer Syncs every few blocks — with
+// PreallocStripes on: every stripe verifies, every block reads back
+// from a fresh log with a server down, and the servers hold no slot
+// beyond the members stored.
+func TestShortStripeConcurrentSyncs(t *testing.T) {
+	c := newTestCluster(t, 6)
+	l, _ := c.open(t, Config{ParityShards: 2, PreallocStripes: true})
+	const writers, perWriter = 4, 60
+	addrs := make([][]BlockAddr, writers)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				addr, err := l.AppendBlock(7, blockPattern(w*1000+i, 700), nil)
+				if err != nil {
+					t.Errorf("append: %v", err)
+					return
+				}
+				addrs[w] = append(addrs[w], addr)
+				if i%7 == 6 {
+					if err := l.Sync(); err != nil {
+						t.Errorf("sync: %v", err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	shorts := 0
+	for _, s := range l.usage.Stripes() {
+		if l.empty[s] != 0 {
+			shorts++
+		}
+		if err := l.VerifyStripe(s); err != nil {
+			t.Fatalf("stripe %d: %v", s, err)
+		}
+	}
+	if shorts == 0 {
+		t.Fatal("no stripe closed short")
+	}
+	if held, stored := slotsHeld(c), len(storedFIDs(c)); held != stored {
+		t.Fatalf("servers hold %d slots for %d stored members", held, stored)
+	}
+	c.flaky[0].SetDown(true)
+	l2, rec := c.open(t, Config{ParityShards: 2})
+	defer l2.Close()
+	if len(rec.Holes) != 0 {
+		t.Fatalf("recovery reported holes %v", rec.Holes)
+	}
+	for w := range addrs {
+		for i, addr := range addrs[w] {
+			if got := mustRead(t, l2, addr, 700); !bytes.Equal(got, blockPattern(w*1000+i, 700)) {
+				t.Fatalf("block %d of writer %d differs", i, w)
+			}
+		}
+	}
+}

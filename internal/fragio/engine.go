@@ -314,7 +314,7 @@ func (e *Engine) Gather(members []Member) []Result {
 		wg.Add(1)
 		go func(i int, m Member) {
 			defer wg.Done()
-			out[i] = e.fetchMember(m)
+			out[i] = e.FetchMember(m)
 		}(i, m)
 	}
 	wg.Wait()
@@ -346,7 +346,7 @@ func (e *Engine) GatherK(members []Member, k int) []Result {
 	ch := make(chan indexed, len(members))
 	for i, m := range members {
 		go func(i int, m Member) {
-			ch <- indexed{i, e.fetchMember(m)}
+			ch <- indexed{i, e.FetchMember(m)}
 		}(i, m)
 	}
 	out := make([]Result, len(members))
@@ -377,9 +377,9 @@ func (e *Engine) GatherK(members []Member, k int) []Result {
 	return out
 }
 
-// fetchMember fetches one gathered fragment: preferred server first,
-// broadcast discovery as the fallback.
-func (e *Engine) fetchMember(m Member) Result {
+// FetchMember fetches one fragment the way Gather fetches each member:
+// preferred server first, broadcast discovery as the fallback.
+func (e *Engine) FetchMember(m Member) Result {
 	res := Result{Member: m}
 	if conn := e.Conn(m.Server); conn != nil {
 		res.Decoded, res.Payload, res.Err = e.Fetch(conn, m.FID)
