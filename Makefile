@@ -73,17 +73,15 @@ cover:
 bench-strict:
 	SWARM_BENCH_STRICT=1 $(GO) test ./internal/bench
 
-# Tiny wirepath (serial vs multiplexed wire path, DESIGN.md §3.9),
-# servercommit (group-committed store path over a writer sweep,
-# DESIGN.md §3.10), erasure-geometry (write amplification vs
-# reconstruction cost, DESIGN.md §3.11), rebalance (foreground
-# throughput during an elastic drain, DESIGN.md §3.12), and readpath
-# (Zipf serving-tier sweep, DESIGN.md §3.13) runs as CI smoke checks.
-# Shape only by default; set SWARM_BENCH_STRICT=1 to also assert the
-# environment-sensitive bars (>= 2x speedup ratios, < 1 fsync per
-# store at depth 4).
+# Tiny erasure-geometry (write amplification vs reconstruction cost,
+# DESIGN.md §3.11), rebalance (foreground throughput during an elastic
+# drain, in model time, DESIGN.md §3.12) and QoS (multi-tenant
+# isolation, DESIGN.md §3.14) runs as CI smoke checks, plus the figure
+# registry and its reporter. Shape only by default; set
+# SWARM_BENCH_STRICT=1 to also assert the environment-sensitive QoS
+# isolation bars.
 bench-smoke:
-	$(GO) test -count=1 -run 'TestWirepath|TestServercommit|TestErasure|TestRebalance|TestReadpath|TestQoS' ./internal/bench
+	$(GO) test -count=1 -run 'TestErasure|TestRebalance|TestQoS|TestRegistry|TestReportRendering' ./internal/bench
 
 # Short fuzzing pass over the wire codecs, the CRC-32 combination math,
 # the erasure coder and Sting's metadata codecs (not part of ci: fuzzing

@@ -44,7 +44,7 @@ type ClientOptions struct {
 	// amplification is Width/(Width-m).
 	ParityShards int
 	// Codec names the erasure code: "xor" (only valid with ParityShards
-	// ≤ 1, byte-identical to the original format) or "rs" (GF(2^8)
+	// ≤ 1, the paper's single parity) or "rs" (GF(2^8)
 	// Reed–Solomon, any k of n members reconstruct the rest). Default:
 	// xor for ParityShards ≤ 1, rs otherwise. The codec is stamped into
 	// every fragment header, so reconfiguring an existing log is safe —

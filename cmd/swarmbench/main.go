@@ -1,18 +1,20 @@
 // Command swarmbench regenerates the paper's evaluation (§3.4): Figure 3
 // (raw write bandwidth), Figure 4 (useful write throughput), Figure 5
 // (Modified Andrew Benchmark vs ext2fs), the in-text cold-read numbers,
-// and a set of design ablations. See DESIGN.md §4 and EXPERIMENTS.md.
+// and the design ablations and beyond-paper figures registered in
+// internal/bench. See DESIGN.md §4 and EXPERIMENTS.md.
 //
 // The harness runs the real Swarm stack under the 1999 hardware model;
 // -scale trades fidelity at the margins for wall-clock time (results are
 // normalized back to 1999-equivalents). -scale 1 with -blocks 10000 is
 // the paper's exact workload and takes several minutes; the default
-// (-scale 10, -blocks 10000) finishes a full sweep in under two minutes
-// with nearly identical numbers.
+// (-scale 10, -blocks 10000) finishes the paper's figures in a few
+// minutes with nearly identical numbers. -json also writes each
+// figure's tables to BENCH_<name>.json in the current directory.
 //
 // Usage:
 //
-//	swarmbench -fig all
+//	swarmbench -fig all -json
 //	swarmbench -fig 3 -scale 1 -blocks 10000
 //	swarmbench -fig 5
 package main
@@ -21,229 +23,48 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
+	"strings"
 
 	"swarm/internal/bench"
 )
 
 func main() {
 	var (
-		fig     = flag.String("fig", "all", "which figure to regenerate: 3, 4, 5, read, ablate, recon, wirepath, servercommit, erasure, rebalance, readpath, qos, all")
+		fig     = flag.String("fig", "all", "which figure to regenerate: "+strings.Join(bench.Names(), ", "))
 		scale   = flag.Float64("scale", 10, "hardware speedup factor (1 = real-time 1999 rates)")
 		blocks  = flag.Int("blocks", 10000, "blocks per client for write benchmarks (paper: 10000)")
-		jsonOut = flag.Bool("json", false, "also write machine-readable results (BENCH_*.json)")
+		jsonOut = flag.Bool("json", false, "also write machine-readable results (BENCH_<name>.json)")
 		verbose = flag.Bool("v", false, "print progress")
 	)
 	flag.Parse()
-	if err := run(*fig, *scale, *blocks, *jsonOut, *verbose); err != nil {
+	opts := bench.Options{Scale: *scale, Blocks: *blocks}
+	if *verbose {
+		opts.Progress = func(msg string) { fmt.Fprintln(os.Stderr, msg) }
+	}
+	if err := run(*fig, opts, *jsonOut); err != nil {
 		fmt.Fprintln(os.Stderr, "swarmbench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(fig string, scale float64, blocks int, jsonOut, verbose bool) error {
-	progress := func(string) {}
-	if verbose {
-		progress = func(msg string) { fmt.Fprintln(os.Stderr, msg) }
+func run(name string, opts bench.Options, jsonOut bool) error {
+	figs, err := bench.Select(name)
+	if err != nil {
+		return err
 	}
-	base := bench.WriteConfig{Blocks: blocks, Scale: scale}
-
-	runFig3 := func() error {
-		results, err := bench.RunWriteSweep(bench.Figure3Clients, bench.Figure3Servers, base, progress)
+	for _, f := range figs {
+		tables, err := f.Run(opts)
 		if err != nil {
-			return err
+			return fmt.Errorf("figure %s: %w", f.Name, err)
 		}
-		bench.PrintWriteResults(os.Stdout,
-			"Figure 3 — Raw write bandwidth (10,000 4KB blocks; includes metadata + parity)",
-			results, true, bench.PaperFigure3)
-		return nil
-	}
-	runFig4 := func() error {
-		results, err := bench.RunWriteSweep(bench.Figure3Clients, bench.Figure4Servers, base, progress)
-		if err != nil {
-			return err
-		}
-		bench.PrintWriteResults(os.Stdout,
-			"Figure 4 — Useful write throughput (application bytes only)",
-			results, false, bench.PaperFigure4)
-		return nil
-	}
-	runFig5 := func() error {
-		stingRes, extRes, err := bench.RunFigure5(bench.MABConfig{Scale: scale})
-		if err != nil {
-			return err
-		}
-		bench.PrintMABResults(os.Stdout, stingRes, extRes)
-		return nil
-	}
-	runRead := func() error {
-		r, err := bench.RunReadPoint(bench.ReadConfig{Servers: 2, Blocks: blocks / 5, Scale: scale})
-		if err != nil {
-			return err
-		}
-		bench.PrintReadResult(os.Stdout, r)
-		return nil
-	}
-	runAblate := func() error {
-		ab := blocks / 4
-		rows, err := bench.RunParityAblation(ab, scale)
-		if err != nil {
-			return err
-		}
-		bench.PrintAblation(os.Stdout, "Ablation — parity on/off (1 client, 4 servers)", rows)
-
-		rows, err = bench.RunFragmentSizeAblation(ab, scale)
-		if err != nil {
-			return err
-		}
-		bench.PrintAblation(os.Stdout, "Ablation — fragment size (2 clients, 1 server: server-bound)", rows)
-
-		rows, err = bench.RunPipelineAblation(ab, scale)
-		if err != nil {
-			return err
-		}
-		bench.PrintAblation(os.Stdout, "Ablation — pipeline depth (1 client, 1 server: server-bound)", rows)
-
-		dr, err := bench.RunDegradedReadAblation(ab*2, scale)
-		if err != nil {
-			return err
-		}
-		bench.PrintDegradedRead(os.Stdout, dr)
-		return nil
-	}
-
-	runRecon := func() error {
-		rows, err := bench.RunReconSweep([]int{4, 8}, 4, 15*time.Millisecond)
-		if err != nil {
-			return err
-		}
-		bench.PrintReconResults(os.Stdout, rows)
-		return nil
-	}
-
-	runWirepath := func() error {
-		rows, err := bench.RunWirepath(bench.WirepathConfig{}, progress)
-		if err != nil {
-			return err
-		}
-		bench.PrintWirepathResults(os.Stdout, rows)
+		bench.Print(os.Stdout, tables)
 		if jsonOut {
-			if err := bench.WriteWirepathJSON("BENCH_wirepath.json", rows); err != nil {
+			path, err := bench.WriteJSON(".", f, tables)
+			if err != nil {
 				return err
 			}
-			fmt.Println("wrote BENCH_wirepath.json")
+			fmt.Println("wrote", path)
 		}
-		return nil
 	}
-
-	runServercommit := func() error {
-		rows, err := bench.RunServercommit(bench.ServercommitConfig{SimScale: scale}, progress)
-		if err != nil {
-			return err
-		}
-		bench.PrintServercommitResults(os.Stdout, rows)
-		if jsonOut {
-			if err := bench.WriteServercommitJSON("BENCH_servercommit.json", rows); err != nil {
-				return err
-			}
-			fmt.Println("wrote BENCH_servercommit.json")
-		}
-		return nil
-	}
-
-	runErasure := func() error {
-		rows, err := bench.RunErasureSweep([][2]int{{4, 1}, {4, 2}, {8, 2}}, bench.ErasureConfig{})
-		if err != nil {
-			return err
-		}
-		bench.PrintErasureResults(os.Stdout, rows)
-		if jsonOut {
-			if err := bench.WriteErasureJSON("BENCH_erasure.json", rows); err != nil {
-				return err
-			}
-			fmt.Println("wrote BENCH_erasure.json")
-		}
-		return nil
-	}
-
-	runRebalance := func() error {
-		r, err := bench.RunRebalanceBench(bench.RebalanceConfig{})
-		if err != nil {
-			return err
-		}
-		bench.PrintRebalanceResult(os.Stdout, r)
-		if jsonOut {
-			if err := bench.WriteRebalanceJSON("BENCH_rebalance.json", r); err != nil {
-				return err
-			}
-			fmt.Println("wrote BENCH_rebalance.json")
-		}
-		return nil
-	}
-
-	runReadpath := func() error {
-		rows, err := bench.RunReadpath(bench.ReadpathConfig{Scale: scale}, progress)
-		if err != nil {
-			return err
-		}
-		bench.PrintReadpathResults(os.Stdout, rows)
-		if jsonOut {
-			if err := bench.WriteReadpathJSON("BENCH_readpath.json", rows); err != nil {
-				return err
-			}
-			fmt.Println("wrote BENCH_readpath.json")
-		}
-		return nil
-	}
-
-	runQoS := func() error {
-		rows, err := bench.RunQoS(bench.QoSBenchConfig{Scale: scale * 2.5}, progress)
-		if err != nil {
-			return err
-		}
-		bench.PrintQoSResults(os.Stdout, rows)
-		if jsonOut {
-			if err := bench.WriteQoSJSON("BENCH_qos.json", rows); err != nil {
-				return err
-			}
-			fmt.Println("wrote BENCH_qos.json")
-		}
-		return nil
-	}
-
-	switch fig {
-	case "3":
-		return runFig3()
-	case "4":
-		return runFig4()
-	case "5":
-		return runFig5()
-	case "read":
-		return runRead()
-	case "ablate":
-		return runAblate()
-	case "recon":
-		return runRecon()
-	case "wirepath":
-		return runWirepath()
-	case "servercommit":
-		return runServercommit()
-	case "erasure":
-		return runErasure()
-	case "rebalance":
-		return runRebalance()
-	case "readpath":
-		return runReadpath()
-	case "qos":
-		return runQoS()
-	case "all":
-		for _, f := range []func() error{runFig3, runFig4, runFig5, runRead, runAblate, runRecon, runWirepath, runServercommit, runErasure, runRebalance, runReadpath, runQoS} {
-			if err := f(); err != nil {
-				return err
-			}
-		}
-		return nil
-	default:
-		return fmt.Errorf("unknown figure %q (want 3, 4, 5, read, ablate, recon, wirepath, servercommit, erasure, rebalance, readpath, qos, all)", fig)
-	}
+	return nil
 }

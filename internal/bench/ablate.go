@@ -17,30 +17,34 @@ type AblationResult struct {
 	UsefulMBps float64
 }
 
-// RunParityAblation measures the cost of computed redundancy: useful
-// bandwidth at 4 servers with and without parity (DESIGN.md ablation:
-// parity is the price of tolerating a server failure).
-func RunParityAblation(blocks int, scale float64) ([]AblationResult, error) {
+// ablation measures one write point per configuration and names each
+// row after it.
+func ablation(configs []WriteConfig, name func(WriteConfig) string) ([]AblationResult, error) {
 	var out []AblationResult
-	for _, parityOff := range []bool{false, true} {
-		cfg := WriteConfig{
-			Clients:       1,
-			Servers:       4,
-			Blocks:        blocks,
-			Scale:         scale,
-			DisableParity: parityOff,
-		}
+	for _, cfg := range configs {
 		r, err := RunWritePoint(cfg)
 		if err != nil {
 			return out, err
 		}
-		name := "parity on (width 4: 3 data + 1 parity)"
-		if parityOff {
-			name = "parity off (width 4: 4 data)"
-		}
-		out = append(out, AblationResult{Name: name, RawMBps: r.RawMBps, UsefulMBps: r.UsefulMBps})
+		out = append(out, AblationResult{Name: name(cfg), RawMBps: r.RawMBps, UsefulMBps: r.UsefulMBps})
 	}
 	return out, nil
+}
+
+// RunParityAblation measures the cost of computed redundancy: useful
+// bandwidth at 4 servers with and without parity (DESIGN.md ablation:
+// parity is the price of tolerating a server failure).
+func RunParityAblation(blocks int, scale float64) ([]AblationResult, error) {
+	var configs []WriteConfig
+	for _, off := range []bool{false, true} {
+		configs = append(configs, WriteConfig{Clients: 1, Servers: 4, Blocks: blocks, Scale: scale, DisableParity: off})
+	}
+	return ablation(configs, func(c WriteConfig) string {
+		if c.DisableParity {
+			return "parity off (width 4: 4 data)"
+		}
+		return "parity on (width 4: 3 data + 1 parity)"
+	})
 }
 
 // RunFragmentSizeAblation sweeps the fragment size (the paper fixes
@@ -48,26 +52,11 @@ func RunParityAblation(blocks int, scale float64) ([]AblationResult, error) {
 // exposes both sides of the tradeoff: small fragments pay a disk seek per
 // store, oversized fragments stall the write pipeline.
 func RunFragmentSizeAblation(blocks int, scale float64) ([]AblationResult, error) {
-	var out []AblationResult
-	for _, fragSize := range []int{128 << 10, 256 << 10, 512 << 10, 1 << 20, 2 << 20} {
-		cfg := WriteConfig{
-			Clients:      2,
-			Servers:      1,
-			Blocks:       blocks,
-			Scale:        scale,
-			FragmentSize: fragSize,
-		}
-		r, err := RunWritePoint(cfg)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, AblationResult{
-			Name:       fmt.Sprintf("fragment size %d KB", fragSize>>10),
-			RawMBps:    r.RawMBps,
-			UsefulMBps: r.UsefulMBps,
-		})
+	var configs []WriteConfig
+	for _, size := range []int{128 << 10, 256 << 10, 512 << 10, 1 << 20, 2 << 20} {
+		configs = append(configs, WriteConfig{Clients: 2, Servers: 1, Blocks: blocks, Scale: scale, FragmentSize: size})
 	}
-	return out, nil
+	return ablation(configs, func(c WriteConfig) string { return fmt.Sprintf("fragment size %d KB", c.FragmentSize>>10) })
 }
 
 // RunPipelineAblation sweeps the per-server pipeline depth (the paper's
@@ -76,26 +65,11 @@ func RunFragmentSizeAblation(blocks int, scale float64) ([]AblationResult, error
 // the network/disk overlap actually shows; with many servers the client
 // CPU hides it.
 func RunPipelineAblation(blocks int, scale float64) ([]AblationResult, error) {
-	var out []AblationResult
+	var configs []WriteConfig
 	for _, depth := range []int{1, 2, 4} {
-		cfg := WriteConfig{
-			Clients:       1,
-			Servers:       1,
-			Blocks:        blocks,
-			Scale:         scale,
-			PipelineDepth: depth,
-		}
-		r, err := RunWritePoint(cfg)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, AblationResult{
-			Name:       fmt.Sprintf("pipeline depth %d", depth),
-			RawMBps:    r.RawMBps,
-			UsefulMBps: r.UsefulMBps,
-		})
+		configs = append(configs, WriteConfig{Clients: 1, Servers: 1, Blocks: blocks, Scale: scale, PipelineDepth: depth})
 	}
-	return out, nil
+	return ablation(configs, func(c WriteConfig) string { return fmt.Sprintf("pipeline depth %d", c.PipelineDepth) })
 }
 
 // DegradedReadResult compares first-touch read latency with all servers
@@ -139,14 +113,9 @@ func RunDegradedReadAblation(blocks int, scale float64) (DegradedReadResult, err
 	if err != nil {
 		return DegradedReadResult{}, err
 	}
-	blockData := make([]byte, 4096)
-	addrs := make([]core.BlockAddr, 0, blocks)
-	for i := 0; i < blocks; i++ {
-		addr, err := wlog.AppendBlock(7, blockData, nil)
-		if err != nil {
-			return DegradedReadResult{}, err
-		}
-		addrs = append(addrs, addr)
+	addrs, err := appendBlocks(wlog, blocks, blockSize)
+	if err != nil {
+		return DegradedReadResult{}, err
 	}
 	if err := wlog.Close(); err != nil {
 		return DegradedReadResult{}, err
@@ -187,7 +156,7 @@ func RunDegradedReadAblation(blocks int, scale float64) (DegradedReadResult, err
 		n := 0
 		for _, a := range order {
 			start := time.Now()
-			if _, err := log.Read(a, 0, 4096); err != nil {
+			if _, err := log.Read(a, 0, blockSize); err != nil {
 				if down && errors.Is(err, core.ErrLost) {
 					continue // stripe entirely on the dead server
 				}

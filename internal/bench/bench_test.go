@@ -1,9 +1,11 @@
 package bench
 
 import (
+	"encoding/json"
 	"os"
 	"strings"
 	"testing"
+	"time"
 )
 
 // Small, fast configurations: correctness of the harness, not absolute
@@ -24,6 +26,70 @@ func skipUnderRace(t *testing.T) {
 // thresholds are nondeterministic on shared or slow hosts; set
 // SWARM_BENCH_STRICT=1 to enforce them.
 func benchStrict() bool { return os.Getenv("SWARM_BENCH_STRICT") != "" }
+
+// report passes a figure's tables through the registry entry named name
+// and the one reporter: every row fills every column, the text report
+// renders, and the JSON record reads back under the one schema with
+// its run metadata. It returns the text report.
+func report(t *testing.T, name string, tables []Table) string {
+	t.Helper()
+	figs, err := Select(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tb := range tables {
+		for _, row := range tb.Rows {
+			if len(row) != len(tb.Columns) {
+				t.Fatalf("%s: row %v has %d cells for %d columns", tb.Title, row, len(row), len(tb.Columns))
+			}
+		}
+	}
+	var sb strings.Builder
+	Print(&sb, tables)
+	path, err := WriteJSON(t.TempDir(), figs[0], tables)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec Record
+	if err := json.Unmarshal(data, &rec); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	if rec.Figure != name || rec.Meta.GoVersion == "" || len(rec.Tables) != len(tables) {
+		t.Fatalf("%s: record = figure %q, meta %+v, %d tables", path, rec.Figure, rec.Meta, len(rec.Tables))
+	}
+	return sb.String()
+}
+
+// runFigure runs a registered figure through its Run and the reporter.
+func runFigure(t *testing.T, name string, o Options) []Table {
+	t.Helper()
+	figs, err := Select(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables, err := figs[0].Run(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Log("\n" + report(t, name, tables))
+	return tables
+}
+
+// value returns the cell of tb's row in the named column.
+func value(t *testing.T, tb Table, row int, column string) any {
+	t.Helper()
+	for i, c := range tb.Columns {
+		if c.Name == column {
+			return tb.Rows[row][i]
+		}
+	}
+	t.Fatalf("%s: no column %q", tb.Title, column)
+	return nil
+}
 
 func TestWritePointSingleClient(t *testing.T) {
 	skipUnderRace(t)
@@ -96,9 +162,15 @@ func TestWriteScalesWithClients(t *testing.T) {
 
 func TestReadPoint(t *testing.T) {
 	skipUnderRace(t)
-	r, err := RunReadPoint(ReadConfig{Servers: 2, Blocks: 300, Scale: 20})
-	if err != nil {
-		t.Fatal(err)
+	// 300 blocks on 2 servers: the figure reads a fifth of Blocks.
+	tb := runFigure(t, "read", Options{Scale: 20, Blocks: 1500})[0]
+	r := ReadResult{
+		ColdMBps:     value(t, tb, 0, "cold MB/s").(float64),
+		PrefetchMBps: value(t, tb, 0, "prefetch MB/s").(float64),
+		CachedMBps:   value(t, tb, 0, "client-cached MB/s").(float64),
+	}
+	if ref := value(t, tb, 0, "paper MB/s"); ref != PaperColdReadMBps {
+		t.Fatalf("paper reference = %v, want %v", ref, PaperColdReadMBps)
 	}
 	// Paper: ~1.7 MB/s cold. Accept a broad band around it.
 	if r.ColdMBps < 0.8 || r.ColdMBps > 4.0 {
@@ -121,9 +193,12 @@ func TestReadPoint(t *testing.T) {
 
 func TestFigure5Shape(t *testing.T) {
 	skipUnderRace(t)
-	stingRes, extRes, err := RunFigure5(MABConfig{Scale: 20})
-	if err != nil {
-		t.Fatal(err)
+	tb := runFigure(t, "5", Options{Scale: 20})[0]
+	cpu := func(row int) float64 { return value(t, tb, row, "CPU util").(float64) / 100 }
+	stingRes := MABResult{Elapsed: value(t, tb, 0, "elapsed(1999)").(time.Duration), CPUUtilization: cpu(0)}
+	extRes := MABResult{Elapsed: value(t, tb, 1, "elapsed(1999)").(time.Duration), CPUUtilization: cpu(1)}
+	if value(t, tb, 0, "paper elapsed") != time.Duration(PaperMABSting) {
+		t.Fatalf("paper reference missing: %v", tb.Rows[0])
 	}
 	if stingRes.Elapsed <= 0 || extRes.Elapsed <= 0 {
 		t.Fatalf("elapsed: %v vs %v", stingRes.Elapsed, extRes.Elapsed)
@@ -153,6 +228,7 @@ func TestParityAblation(t *testing.T) {
 	if rows[1].UsefulMBps <= rows[0].UsefulMBps {
 		t.Fatalf("parity off %.2f ≤ parity on %.2f", rows[1].UsefulMBps, rows[0].UsefulMBps)
 	}
+	report(t, "ablate", []Table{ablationTable("parity", rows)})
 }
 
 func TestDegradedReadAblation(t *testing.T) {
@@ -170,25 +246,42 @@ func TestDegradedReadAblation(t *testing.T) {
 	if r.DegradedLatency <= r.HealthyLatency {
 		t.Fatalf("degraded %v ≤ healthy %v: reconstruction should cost latency", r.DegradedLatency, r.HealthyLatency)
 	}
+	report(t, "ablate", []Table{degradedReadTable(r)})
 }
 
 func TestReportRendering(t *testing.T) {
-	var sb strings.Builder
-	PrintWriteResults(&sb, "fig3", []WriteResult{{Clients: 1, Servers: 8, RawMBps: 6.3, UsefulMBps: 5.2}}, true, PaperFigure3)
-	if !strings.Contains(sb.String(), "6.4") {
-		t.Fatalf("paper reference missing:\n%s", sb.String())
+	out := report(t, "3", []Table{writeTable([]WriteResult{{Clients: 1, Servers: 8, RawMBps: 6.3, UsefulMBps: 5.2}}, true, 10000)})
+	if !strings.Contains(out, "paper MB/s") || !strings.Contains(out, "6.4") {
+		t.Fatalf("paper reference missing:\n%s", out)
 	}
-	sb.Reset()
-	PrintMABResults(&sb, MABResult{System: "sting", Elapsed: 9e9, CPUUtilization: 0.9}, MABResult{System: "ext", Elapsed: 18e9, CPUUtilization: 0.5})
-	if !strings.Contains(sb.String(), "speedup") {
-		t.Fatal("MAB render missing speedup")
+	out = report(t, "5", mabTables(MABResult{System: "sting", Elapsed: 9e9, CPUUtilization: 0.9}, MABResult{System: "ext", Elapsed: 18e9, CPUUtilization: 0.5}))
+	if !strings.Contains(out, "speedup: 2.00x") || !strings.Contains(out, "9.4s") {
+		t.Fatalf("MAB render missing speedup or paper elapsed:\n%s", out)
 	}
-	sb.Reset()
-	PrintReadResult(&sb, ReadResult{Servers: 2, ColdMBps: 1.6, CachedMBps: 900})
-	PrintAblation(&sb, "t", []AblationResult{{Name: "x", RawMBps: 1, UsefulMBps: 2}})
-	PrintDegradedRead(&sb, DegradedReadResult{Servers: 4, HealthyLatency: 2e6, DegradedLatency: 9e6, Reconstructions: 3})
-	if sb.Len() == 0 {
-		t.Fatal("no output")
+	out = report(t, "read", []Table{readTable(ReadResult{Servers: 2, ColdMBps: 1.6, CachedMBps: 900})})
+	if !strings.Contains(out, "1.7") {
+		t.Fatalf("cold-read paper reference missing:\n%s", out)
+	}
+	// A point the paper quotes no value for prints "-".
+	out = report(t, "4", []Table{writeTable([]WriteResult{{Clients: 2, Servers: 3, UsefulMBps: 5}}, false, 10000)})
+	if !strings.Contains(out, " - ") {
+		t.Fatalf("missing paper value not rendered as -:\n%s", out)
+	}
+}
+
+// TestRegistry: -fig all runs the paper's figures first, every name
+// resolves, and an unknown name lists the registry.
+func TestRegistry(t *testing.T) {
+	want := []string{"3", "4", "5", "read", "ablate", "erasure", "rebalance", "qos", "all"}
+	if got := Names(); strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("names = %v, want %v", got, want)
+	}
+	if all, err := Select("all"); err != nil || len(all) != len(Figures) {
+		t.Fatalf("all = %d figures, %v", len(all), err)
+	}
+	_, err := Select("wirepath")
+	if err == nil || !strings.Contains(err.Error(), "want 3, 4, 5, read, ablate, erasure, rebalance, qos, all") {
+		t.Fatalf("unknown figure error = %v", err)
 	}
 }
 
@@ -200,6 +293,8 @@ func TestWriteSweepSmall(t *testing.T) {
 	if len(res) != 2 {
 		t.Fatalf("points = %d", len(res))
 	}
+	report(t, "3", []Table{writeTable(res, true, 400)})
+	report(t, "4", []Table{writeTable(res, false, 400)})
 }
 
 func TestFragmentAndPipelineAblations(t *testing.T) {
@@ -243,6 +338,7 @@ func TestFragmentAndPipelineAblations(t *testing.T) {
 	if benchStrict() && prows[1].RawMBps < prows[0].RawMBps*1.2 {
 		t.Fatalf("depth 2 (%.2f) not better than depth 1 (%.2f)", prows[1].RawMBps, prows[0].RawMBps)
 	}
+	report(t, "ablate", []Table{ablationTable("fragment size", rows), ablationTable("pipeline depth", prows)})
 }
 
 func TestClusterStoresAccessor(t *testing.T) {

@@ -15,6 +15,7 @@ package bench
 import (
 	"fmt"
 
+	"swarm/internal/core"
 	"swarm/internal/disk"
 	"swarm/internal/model"
 	"swarm/internal/server"
@@ -28,7 +29,6 @@ type ClusterConfig struct {
 	FragmentSize int
 	DiskBytes    int64
 	Params       model.HardwareParams
-	Clock        model.Clock
 }
 
 // serverNode bundles one emulated storage server and its shared
@@ -55,22 +55,19 @@ func NewSimCluster(cfg ClusterConfig) (*SimCluster, error) {
 	if cfg.DiskBytes == 0 {
 		cfg.DiskBytes = 512 << 20
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = model.WallClock{}
-	}
 	c := &SimCluster{cfg: cfg}
 	for i := 0; i < cfg.Servers; i++ {
-		sd := disk.NewSimDisk(disk.NewMemDisk(cfg.DiskBytes), cfg.Clock, cfg.Params)
+		sd := disk.NewSimDisk(disk.NewMemDisk(cfg.DiskBytes), nil, cfg.Params)
 		st, err := server.Format(sd, server.Config{FragmentSize: cfg.FragmentSize})
 		if err != nil {
 			return nil, fmt.Errorf("format server %d: %w", i, err)
 		}
 		node := &serverNode{store: st, disk: sd}
 		if cfg.Params.NetRate > 0 {
-			node.nic = model.NewQueue(cfg.Clock, cfg.Params.NetRate)
+			node.nic = model.NewQueue(nil, cfg.Params.NetRate)
 		}
 		if cfg.Params.ServerCPU > 0 {
-			node.cpu = model.NewQueue(cfg.Clock, cfg.Params.ServerCPU)
+			node.cpu = model.NewQueue(nil, cfg.Params.ServerCPU)
 		}
 		c.nodes = append(c.nodes, node)
 	}
@@ -89,14 +86,13 @@ type ClientEnv struct {
 func (c *SimCluster) Client(id wire.ClientID) *ClientEnv {
 	var clientNIC *model.Queue
 	if c.cfg.Params.NetRate > 0 {
-		clientNIC = model.NewQueue(c.cfg.Clock, c.cfg.Params.NetRate)
+		clientNIC = model.NewQueue(nil, c.cfg.Params.NetRate)
 	}
-	cpu := model.NewCPU(c.cfg.Clock, c.cfg.Params.ClientCPU)
+	cpu := model.NewCPU(nil, c.cfg.Params.ClientCPU)
 	conns := make([]transport.ServerConn, 0, len(c.nodes))
 	for i, node := range c.nodes {
 		inner := transport.NewLocal(wire.ServerID(i+1), node.store, id)
 		nm := transport.NetModel{
-			Clock:       c.cfg.Clock,
 			ClientNIC:   clientNIC,
 			ServerNIC:   node.nic,
 			ServerCPU:   node.cpu,
@@ -115,4 +111,19 @@ func (c *SimCluster) Stores() []*server.Store {
 		out[i] = n.store
 	}
 	return out
+}
+
+// appendBlocks appends n zero blocks of size bytes to log and returns
+// their addresses.
+func appendBlocks(log *core.Log, n, size int) ([]core.BlockAddr, error) {
+	block := make([]byte, size)
+	addrs := make([]core.BlockAddr, 0, n)
+	for i := 0; i < n; i++ {
+		addr, err := log.AppendBlock(7, block, nil)
+		if err != nil {
+			return addrs, err
+		}
+		addrs = append(addrs, addr)
+	}
+	return addrs, nil
 }

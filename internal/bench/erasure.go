@@ -7,10 +7,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 	"time"
 
 	"swarm/internal/core"
@@ -32,19 +29,17 @@ type ErasureConfig struct {
 
 // ErasureResult is one (k, m) point.
 type ErasureResult struct {
-	K     int    `json:"k"`
-	M     int    `json:"m"`
-	Codec string `json:"codec"`
+	K, M  int
+	Codec string
 	// UsefulBytes is application payload appended; StoredBytes is what
 	// the servers hold for it (data + parity + headers).
-	UsefulBytes int64   `json:"useful_bytes"`
-	StoredBytes int64   `json:"stored_bytes"`
-	WriteAmp    float64 `json:"write_amp"`
+	UsefulBytes, StoredBytes int64
+	WriteAmp                 float64
 	// LostFragments were reconstructed with m servers down — every
 	// decode runs at exactly k survivors, the worst tolerated case.
-	LostFragments int           `json:"lost_fragments"`
-	ReconTime     time.Duration `json:"recon_ns"`
-	ReconPerFrag  time.Duration `json:"recon_per_frag_ns"`
+	LostFragments int
+	ReconTime     time.Duration
+	ReconPerFrag  time.Duration
 }
 
 // RunErasureBench measures one (k, m) geometry: write amplification on
@@ -168,38 +163,4 @@ func RunErasureSweep(geometries [][2]int, cfg ErasureConfig) ([]ErasureResult, e
 		out = append(out, r)
 	}
 	return out, nil
-}
-
-// PrintErasureResults renders the write-amplification vs
-// reconstruction-cost table.
-func PrintErasureResults(w io.Writer, rows []ErasureResult) {
-	fmt.Fprintf(w, "Erasure geometries — write amplification vs reconstruction cost (m servers down)\n")
-	fmt.Fprintf(w, "%-10s %-8s %-12s %-12s %-12s %-14s %s\n",
-		"(k,m)", "codec", "write amp", "ideal", "lost frags", "recon total", "recon/frag")
-	for _, r := range rows {
-		ideal := float64(r.K+r.M) / float64(r.K)
-		fmt.Fprintf(w, "(%d,%d)%-5s %-8s %-12.3f %-12.3f %-12d %-14v %v\n",
-			r.K, r.M, "", r.Codec, r.WriteAmp, ideal, r.LostFragments,
-			r.ReconTime.Round(time.Millisecond), r.ReconPerFrag.Round(time.Millisecond))
-	}
-	fmt.Fprintln(w)
-}
-
-// WriteErasureJSON writes the machine-readable benchmark record
-// (consumed by CI and tracked across PRs in EXPERIMENTS.md).
-func WriteErasureJSON(path string, rows []ErasureResult) error {
-	doc := struct {
-		Figure  string          `json:"figure"`
-		Meta    RunMeta         `json:"meta"`
-		Results []ErasureResult `json:"results"`
-	}{
-		Figure:  "erasure",
-		Meta:    NewRunMeta(),
-		Results: rows,
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -43,9 +43,7 @@ func TestErasureSweepSmoke(t *testing.T) {
 		t.Fatalf("amp(8,2)=%.3f not below amp(4,2)=%.3f", rows[2].WriteAmp, rows[1].WriteAmp)
 	}
 
-	var sb strings.Builder
-	PrintErasureResults(&sb, rows)
-	if !strings.Contains(sb.String(), "write amp") {
-		t.Fatalf("render missing table header:\n%s", sb.String())
+	if out := report(t, "erasure", []Table{erasureTable(rows)}); !strings.Contains(out, "write amp") {
+		t.Fatalf("render missing table header:\n%s", out)
 	}
 }

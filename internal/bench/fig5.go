@@ -11,16 +11,13 @@ import (
 	"swarm/internal/model"
 	"swarm/internal/service"
 	"swarm/internal/sting"
+	"swarm/internal/vfs"
 )
 
 // MABConfig parameterizes the Figure 5 comparison.
 type MABConfig struct {
 	// Scale speeds up the emulated hardware (results normalized back).
 	Scale float64
-	// Workload overrides the MAB tree shape (zero values take defaults).
-	Workload mab.Config
-	// BlockSize for both file systems. Default 4096.
-	BlockSize int
 }
 
 // MABResult is one file system's Figure 5 outcome.
@@ -40,18 +37,8 @@ func RunFigure5(cfg MABConfig) (stingRes, extRes MABResult, err error) {
 	if cfg.Scale == 0 {
 		cfg.Scale = 1
 	}
-	if cfg.BlockSize == 0 {
-		cfg.BlockSize = 4096
-	}
 	params := model.Paper1999().Scaled(cfg.Scale)
-	wl := cfg.Workload
-	if wl.CompileNsPerByte == 0 {
-		wl.CompileNsPerByte = 12000
-	}
-	wl.CompileNsPerByte = int(float64(wl.CompileNsPerByte) / cfg.Scale)
-	if wl.CompileNsPerByte < 1 {
-		wl.CompileNsPerByte = 1
-	}
+	wl := mab.Config{CompileNsPerByte: max(int(12000/cfg.Scale), 1)}
 
 	stingRes, err = runStingMAB(params, wl, cfg)
 	if err != nil {
@@ -64,7 +51,17 @@ func RunFigure5(cfg MABConfig) (stingRes, extRes MABResult, err error) {
 	return stingRes, extRes, nil
 }
 
-func normalizeMAB(system string, r mab.Result, scale float64) MABResult {
+// runMAB sets up and runs the benchmark on fs, charging cpu, and
+// normalizes the result back to 1999 time.
+func runMAB(system string, fs vfs.FileSystem, cpu *model.CPU, wl mab.Config, scale float64) (MABResult, error) {
+	wl.CPU = cpu
+	if _, _, err := mab.Setup(fs, wl); err != nil {
+		return MABResult{}, err
+	}
+	r, err := mab.Run(fs, wl)
+	if err != nil {
+		return MABResult{}, err
+	}
 	out := MABResult{
 		System:         system,
 		Elapsed:        time.Duration(float64(r.Total) * scale),
@@ -75,7 +72,7 @@ func normalizeMAB(system string, r mab.Result, scale float64) MABResult {
 	for i, p := range r.Phases {
 		out.Phases[i] = time.Duration(float64(p) * scale)
 	}
-	return out
+	return out, nil
 }
 
 func runStingMAB(params model.HardwareParams, wl mab.Config, cfg MABConfig) (MABResult, error) {
@@ -100,39 +97,23 @@ func runStingMAB(params model.HardwareParams, wl mab.Config, cfg MABConfig) (MAB
 	}
 	reg := service.NewRegistry(log)
 	fs, err := sting.Mount(log, reg, rec, sting.Config{
-		BlockSize:  cfg.BlockSize,
+		BlockSize:  blockSize,
 		CacheBytes: 16 << 20, // "Swarm's poor read performance is masked by the client-side cache"
 	})
 	if err != nil {
 		return MABResult{}, err
 	}
-	wl.CPU = env.CPU
-	if _, _, err := mab.Setup(fs, wl); err != nil {
-		return MABResult{}, err
-	}
-	r, err := mab.Run(fs, wl)
-	if err != nil {
-		return MABResult{}, err
-	}
-	return normalizeMAB("Sting (Swarm, 1 client + 1 server)", r, cfg.Scale), nil
+	return runMAB("Sting (Swarm, 1 client + 1 server)", fs, env.CPU, wl, cfg.Scale)
 }
 
 func runExtfsMAB(params model.HardwareParams, wl mab.Config, cfg MABConfig) (MABResult, error) {
 	sd := disk.NewSimDisk(disk.NewMemDisk(512<<20), nil, params)
-	fs, err := extfs.Mkfs(sd, cfg.BlockSize)
+	fs, err := extfs.Mkfs(sd, blockSize)
 	if err != nil {
 		return MABResult{}, err
 	}
 	// Classic ext2 consistency behaviour: metadata written through,
 	// block-group data placement (see extfs.SetSyncMetadata).
 	fs.SetSyncMetadata(true)
-	wl.CPU = model.NewCPU(nil, params.ClientCPU)
-	if _, _, err := mab.Setup(fs, wl); err != nil {
-		return MABResult{}, err
-	}
-	r, err := mab.Run(fs, wl)
-	if err != nil {
-		return MABResult{}, err
-	}
-	return normalizeMAB("ext2fs (local disk)", r, cfg.Scale), nil
+	return runMAB("ext2fs (local disk)", fs, model.NewCPU(nil, params.ClientCPU), wl, cfg.Scale)
 }

@@ -12,7 +12,7 @@ import (
 // the numbers, when, and on how wide a machine. Without it a directory
 // of benchmark files is just unordered numbers.
 type RunMeta struct {
-	Revision   string `json:"revision"` // git short hash ("unknown" outside a checkout)
+	Revision   string `json:"revision"` // git short hash, "-dirty" with uncommitted changes ("unknown" outside a checkout)
 	Generated  string `json:"generated"`
 	GoMaxProcs int    `json:"gomaxprocs"`
 	GoVersion  string `json:"go_version"`
@@ -31,6 +31,10 @@ func NewRunMeta() RunMeta {
 	if out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output(); err == nil {
 		if rev := strings.TrimSpace(string(out)); rev != "" {
 			m.Revision = rev
+		}
+		// Numbers from uncommitted changes are not the revision's.
+		if st, err := exec.Command("git", "status", "--porcelain", "--untracked-files=no").Output(); err == nil && len(st) > 0 {
+			m.Revision += "-dirty"
 		}
 	}
 	return m

@@ -12,10 +12,7 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 	"sort"
 	"sync"
 	"time"
@@ -70,21 +67,20 @@ func (c QoSBenchConfig) withDefaults() QoSBenchConfig {
 
 // QoSTenantResult is one tenant's measurement in one mode.
 type QoSTenantResult struct {
-	Tenant      string  `json:"tenant"` // "light" or "greedy"
-	Writers     int     `json:"writers"`
-	Ops         int64   `json:"ops"`
-	MBps        float64 `json:"mb_per_s"` // normalized to 1999-equivalents
-	P50MS       float64 `json:"p50_ms"`   // client-observed store latency
-	P99MS       float64 `json:"p99_ms"`
-	Sheds       int64   `json:"sheds"`        // server-side admission rejections
-	BusyRetries int64   `json:"busy_retries"` // client-side retries after sheds
+	Tenant       string // "light" or "greedy"
+	Writers      int
+	Ops          int64
+	MBps         float64 // normalized to 1999-equivalents
+	P50MS, P99MS float64 // client-observed store latency
+	Sheds        int64   // server-side admission rejections
+	BusyRetries  int64   // client-side retries after sheds
 }
 
 // QoSResult is one scheduling regime's measurement.
 type QoSResult struct {
-	Mode          string            `json:"mode"` // solo | fifo | wfq | wfq+quota
-	Tenants       []QoSTenantResult `json:"tenants"`
-	AggregateMBps float64           `json:"aggregate_mb_per_s"`
+	Mode          string // solo | fifo | wfq | wfq+quota
+	Tenants       []QoSTenantResult
+	AggregateMBps float64
 }
 
 // qosMode is one row of the sweep.
@@ -333,104 +329,34 @@ func durQuantileMS(sorted []time.Duration, q float64) float64 {
 	return float64(sorted[i]) / float64(time.Millisecond)
 }
 
-// qosTenant fetches one tenant's row from a mode result (nil if absent).
-func qosTenant(r QoSResult, tenant string) *QoSTenantResult {
-	for i := range r.Tenants {
-		if r.Tenants[i].Tenant == tenant {
-			return &r.Tenants[i]
-		}
-	}
-	return nil
-}
-
-// qosMode fetches one mode's row (nil if absent).
-func qosModeRow(rows []QoSResult, mode string) *QoSResult {
-	for i := range rows {
-		if rows[i].Mode == mode {
-			return &rows[i]
-		}
-	}
-	return nil
-}
-
 // QoSIsolation summarizes the figure: how much of its solo throughput
 // the light tenant keeps, and how its p99 stretches, in each contended
-// mode. Values are ratios vs the solo baseline (0 when missing).
+// mode. Values are ratios vs the solo baseline (0 when it is 0).
 type QoSIsolation struct {
-	Mode          string  `json:"mode"`
-	LightMBpsFrac float64 `json:"light_mbps_vs_solo"` // 1.0 = no degradation
-	LightP99X     float64 `json:"light_p99_x_solo"`   // 1.0 = no stretch
-	AggVsFIFO     float64 `json:"aggregate_vs_fifo"`  // goodput ratio
+	Mode          string
+	LightMBpsFrac float64 // 1.0 = no degradation
+	LightP99X     float64 // 1.0 = no stretch
+	AggVsFIFO     float64 // goodput ratio
 }
 
-// QoSIsolationSummary derives the per-mode isolation ratios.
+// QoSIsolationSummary derives the per-mode isolation ratios from RunQoS's
+// rows: solo, then fifo, with the light tenant first in every mode.
 func QoSIsolationSummary(rows []QoSResult) []QoSIsolation {
-	solo := qosModeRow(rows, "solo")
-	fifo := qosModeRow(rows, "fifo")
-	if solo == nil {
-		return nil
+	ratio := func(a, b float64) float64 {
+		if b == 0 {
+			return 0
+		}
+		return a / b
 	}
-	base := qosTenant(*solo, "light")
 	var out []QoSIsolation
-	for _, r := range rows {
-		if r.Mode == "solo" {
-			continue
-		}
-		iso := QoSIsolation{Mode: r.Mode}
-		if lt := qosTenant(r, "light"); lt != nil && base != nil {
-			if base.MBps > 0 {
-				iso.LightMBpsFrac = lt.MBps / base.MBps
-			}
-			if base.P99MS > 0 {
-				iso.LightP99X = lt.P99MS / base.P99MS
-			}
-		}
-		if fifo != nil && fifo.AggregateMBps > 0 {
-			iso.AggVsFIFO = r.AggregateMBps / fifo.AggregateMBps
-		}
-		out = append(out, iso)
+	for _, r := range rows[1:] {
+		solo, light := rows[0].Tenants[0], r.Tenants[0]
+		out = append(out, QoSIsolation{
+			Mode:          r.Mode,
+			LightMBpsFrac: ratio(light.MBps, solo.MBps),
+			LightP99X:     ratio(light.P99MS, solo.P99MS),
+			AggVsFIFO:     ratio(r.AggregateMBps, rows[1].AggregateMBps),
+		})
 	}
 	return out
-}
-
-// PrintQoSResults renders the sweep table.
-func PrintQoSResults(w io.Writer, rows []QoSResult) {
-	if len(rows) == 0 {
-		return
-	}
-	fmt.Fprintf(w, "QoS — multi-tenant overload (light vs greedy tenant, shared cluster)\n")
-	fmt.Fprintf(w, "%-12s %-8s %-8s %-10s %-10s %-10s %-8s %-12s %s\n",
-		"mode", "tenant", "writers", "MB/s", "p50 ms", "p99 ms", "ops", "sheds", "busy-retries")
-	for _, r := range rows {
-		for _, t := range r.Tenants {
-			fmt.Fprintf(w, "%-12s %-8s %-8d %-10.1f %-10.2f %-10.2f %-8d %-12d %d\n",
-				r.Mode, t.Tenant, t.Writers, t.MBps, t.P50MS, t.P99MS, t.Ops, t.Sheds, t.BusyRetries)
-		}
-		fmt.Fprintf(w, "%-12s %-8s %-8s %-10.1f\n", r.Mode, "(all)", "-", r.AggregateMBps)
-	}
-	for _, iso := range QoSIsolationSummary(rows) {
-		fmt.Fprintf(w, "%s: light keeps %.0f%% of solo MB/s, p99 %.1fx solo, aggregate %.0f%% of FIFO\n",
-			iso.Mode, 100*iso.LightMBpsFrac, iso.LightP99X, 100*iso.AggVsFIFO)
-	}
-	fmt.Fprintln(w)
-}
-
-// WriteQoSJSON writes the machine-readable benchmark record.
-func WriteQoSJSON(path string, rows []QoSResult) error {
-	doc := struct {
-		Figure    string         `json:"figure"`
-		Meta      RunMeta        `json:"meta"`
-		Isolation []QoSIsolation `json:"isolation"`
-		Results   []QoSResult    `json:"results"`
-	}{
-		Figure:    "qos",
-		Meta:      NewRunMeta(),
-		Isolation: QoSIsolationSummary(rows),
-		Results:   rows,
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"io"
-	"path/filepath"
 	"testing"
 	"time"
 )
@@ -60,17 +58,13 @@ func TestQoSSmoke(t *testing.T) {
 	}
 	// FIFO must not shed (there is no admission control to shed from),
 	// and no busy retries should reach a FIFO server.
-	if ft := qosTenant(rows[1], "greedy"); ft.Sheds != 0 || ft.BusyRetries != 0 {
+	if ft := rows[1].Tenants[1]; ft.Sheds != 0 || ft.BusyRetries != 0 {
 		t.Fatalf("fifo sheds = %d busy retries = %d, want 0", ft.Sheds, ft.BusyRetries)
 	}
 	if iso := QoSIsolationSummary(rows); len(iso) != 3 {
 		t.Fatalf("isolation rows = %d, want 3", len(iso))
 	}
-	PrintQoSResults(io.Discard, rows)
-	path := filepath.Join(t.TempDir(), "BENCH_qos.json")
-	if err := WriteQoSJSON(path, rows); err != nil {
-		t.Fatalf("write json: %v", err)
-	}
+	report(t, "qos", qosTables(rows))
 	if benchStrict() {
 		iso := QoSIsolationSummary(rows)
 		wfq := iso[1]

@@ -13,10 +13,9 @@ import (
 // numbers of §3.4: ~1.7 MB/s cold 4 KB reads, masked by the client
 // cache).
 type ReadConfig struct {
-	Servers   int
-	Blocks    int
-	BlockSize int
-	Scale     float64
+	Servers int
+	Blocks  int
+	Scale   float64
 }
 
 // ReadResult reports cold, prefetched, and cached read bandwidth.
@@ -45,16 +44,13 @@ func RunReadPoint(cfg ReadConfig) (ReadResult, error) {
 	if cfg.Blocks == 0 {
 		cfg.Blocks = 2000
 	}
-	if cfg.BlockSize == 0 {
-		cfg.BlockSize = 4096
-	}
 	if cfg.Scale == 0 {
 		cfg.Scale = 1
 	}
 	params := model.Paper1999().Scaled(cfg.Scale)
 	cluster, err := NewSimCluster(ClusterConfig{
 		Servers:   cfg.Servers,
-		DiskBytes: int64(cfg.Blocks)*int64(cfg.BlockSize)*4 + (64 << 20),
+		DiskBytes: int64(cfg.Blocks)*blockSize*4 + (64 << 20),
 		Params:    params,
 	})
 	if err != nil {
@@ -70,27 +66,30 @@ func RunReadPoint(cfg ReadConfig) (ReadResult, error) {
 	if err != nil {
 		return ReadResult{}, err
 	}
-	block := make([]byte, cfg.BlockSize)
-	addrs := make([]core.BlockAddr, 0, cfg.Blocks)
-	for i := 0; i < cfg.Blocks; i++ {
-		addr, err := log.AppendBlock(7, block, nil)
-		if err != nil {
-			return ReadResult{}, err
-		}
-		addrs = append(addrs, addr)
+	addrs, err := appendBlocks(log, cfg.Blocks, blockSize)
+	if err != nil {
+		return ReadResult{}, err
 	}
 	if err := log.Sync(); err != nil {
 		return ReadResult{}, err
 	}
+	const bs = blockSize
+	// timed reads every block once through read.
+	timed := func(pass string, read func(core.BlockAddr) error) (time.Duration, error) {
+		start := time.Now()
+		for _, addr := range addrs {
+			if err := read(addr); err != nil {
+				return 0, fmt.Errorf("%s read %v: %w", pass, addr, err)
+			}
+		}
+		return time.Since(start), nil
+	}
 
 	// Cold pass: straight to the servers, block at a time.
-	start := time.Now()
-	for _, addr := range addrs {
-		if _, err := log.Read(addr, 0, uint32(cfg.BlockSize)); err != nil {
-			return ReadResult{}, fmt.Errorf("cold read %v: %w", addr, err)
-		}
+	coldElapsed, err := timed("cold", func(a core.BlockAddr) error { _, err := log.Read(a, 0, bs); return err })
+	if err != nil {
+		return ReadResult{}, err
 	}
-	coldElapsed := time.Since(start)
 
 	// Prefetch pass: a fresh log with fragment readahead, same blocks.
 	raLog, _, err := core.Open(core.Config{
@@ -103,30 +102,23 @@ func RunReadPoint(cfg ReadConfig) (ReadResult, error) {
 	if err != nil {
 		return ReadResult{}, err
 	}
-	start = time.Now()
-	for _, addr := range addrs {
-		if _, err := raLog.Read(addr, 0, uint32(cfg.BlockSize)); err != nil {
-			return ReadResult{}, fmt.Errorf("prefetch read %v: %w", addr, err)
-		}
+	prefetchElapsed, err := timed("prefetch", func(a core.BlockAddr) error { _, err := raLog.Read(a, 0, bs); return err })
+	if err != nil {
+		return ReadResult{}, err
 	}
-	prefetchElapsed := time.Since(start)
 
 	// Warm pass: through the client block cache (populate, then reread).
-	cache := blockcache.New(log, int64(cfg.Blocks)*int64(cfg.BlockSize)*2)
-	for _, addr := range addrs {
-		if _, err := cache.ReadBlock(addr, uint32(cfg.BlockSize), 0, uint32(cfg.BlockSize)); err != nil {
-			return ReadResult{}, err
-		}
+	cache := blockcache.New(log, int64(cfg.Blocks)*blockSize*2)
+	cached := func(a core.BlockAddr) error { _, err := cache.ReadBlock(a, bs, 0, bs); return err }
+	if _, err := timed("populate", cached); err != nil {
+		return ReadResult{}, err
 	}
-	start = time.Now()
-	for _, addr := range addrs {
-		if _, err := cache.ReadBlock(addr, uint32(cfg.BlockSize), 0, uint32(cfg.BlockSize)); err != nil {
-			return ReadResult{}, err
-		}
+	warmElapsed, err := timed("cached", cached)
+	if err != nil {
+		return ReadResult{}, err
 	}
-	warmElapsed := time.Since(start)
 
-	total := float64(cfg.Blocks) * float64(cfg.BlockSize)
+	total := float64(cfg.Blocks) * blockSize
 	res := ReadResult{
 		Servers:      cfg.Servers,
 		ColdMBps:     total / coldElapsed.Seconds() / model.MB / cfg.Scale,

@@ -5,22 +5,22 @@
 // draining member. The figure of merit is the ratio of drain-phase to
 // steady-phase append throughput — the paper's premise is that clients
 // drive all data movement, so a drain must coexist with foreground I/O
-// rather than pausing it. Per-request server latency is injected
-// through transport.Flaky so both phases are network-bound and the
-// ratio is stable on loaded hosts and under the race detector.
+// rather than pausing it. A fixed per-request server latency is
+// injected on every call and the run is timed in model time
+// (driveModelTime), so both phases are network-bound and the ratio
+// counts injected delays, not host scheduling: it is stable on loaded
+// hosts and under the race detector.
 package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 	"time"
 
 	"swarm/internal/core"
 	"swarm/internal/disk"
 	"swarm/internal/erasure"
+	"swarm/internal/model"
 	"swarm/internal/rebalance"
 	"swarm/internal/server"
 	"swarm/internal/transport"
@@ -29,100 +29,74 @@ import (
 
 // RebalanceConfig parameterizes the drain benchmark.
 type RebalanceConfig struct {
-	// Servers is the initial cluster size (a new one joins mid-run).
-	// Default 6.
-	Servers int
-	// Blocks per phase. Default 160.
+	// Blocks of 1 KB appended per phase. Default 160.
 	Blocks int
-	// BlockSize of each append. Default 1024.
-	BlockSize int
 	// Latency is the injected per-request server latency. Default 2ms.
 	Latency time.Duration
 }
 
 // RebalanceResult records both phases of one run.
 type RebalanceResult struct {
-	Servers   int    `json:"servers"`
-	Width     int    `json:"width"`
-	Parity    int    `json:"parity"`
-	Blocks    int    `json:"blocks"`
-	BlockSize int    `json:"block_size"`
-	LatencyNS int64  `json:"latency_ns"`
-	Source    uint32 `json:"drained_server"`
+	Servers, Width, Parity int
 
-	SteadyNS    int64   `json:"steady_ns"`
-	DrainNS     int64   `json:"drain_ns"`
-	SteadyMBps  float64 `json:"steady_mbps"`
-	DrainMBps   float64 `json:"drain_mbps"`
-	Ratio       float64 `json:"drain_over_steady"`
-	Moved       int     `json:"moved_fragments"`
-	MovedBytes  int64   `json:"moved_bytes"`
-	RebalanceNS int64   `json:"rebalance_ns"`
-	FinalEpoch  uint32  `json:"final_epoch"`
+	Steady, Drain         time.Duration // the two append phases
+	SteadyMBps, DrainMBps float64
+	Ratio                 float64 // DrainMBps / SteadyMBps
+	Moved                 int     // fragments migrated off the drained server
+	MovedBytes            int64
+	Rebalance             time.Duration // the rebalancer's whole run
+	FinalEpoch            uint32
 }
 
 // RunRebalanceBench measures foreground append throughput before and
 // during an elastic drain: steady state on the initial cluster, then a
 // join + drain with the rebalancer running in the background.
 func RunRebalanceBench(cfg RebalanceConfig) (RebalanceResult, error) {
-	if cfg.Servers == 0 {
-		cfg.Servers = 6
-	}
 	if cfg.Blocks == 0 {
 		cfg.Blocks = 160
-	}
-	if cfg.BlockSize == 0 {
-		cfg.BlockSize = 1024
 	}
 	if cfg.Latency == 0 {
 		cfg.Latency = 2 * time.Millisecond
 	}
-	const fragSize = 4096
+	// Six servers store RS(4,2) stripes of 4 KB fragments; a seventh
+	// joins before the first is drained.
+	const (
+		servers, width, parity = 6, 6, 2
+		fragSize, blockSize    = 4096, 1024
+	)
 	client := wire.ClientID(1)
-	width, parity := 6, 2
-	if cfg.Servers < width {
-		width = cfg.Servers
-		parity = 1
-	}
 
-	newServer := func(id wire.ServerID) (*transport.Flaky, error) {
+	clock := model.NewFakeClock(time.Time{})
+	stop := driveModelTime(clock, cfg.Latency)
+	defer stop()
+	newServer := func(id wire.ServerID) (transport.ServerConn, error) {
 		st, err := server.Format(disk.NewMemDisk(16<<20), server.Config{FragmentSize: fragSize})
 		if err != nil {
 			return nil, fmt.Errorf("format server %d: %w", id, err)
 		}
-		fl := transport.NewFlaky(transport.NewLocal(id, st, client))
-		fl.SetLatency(cfg.Latency)
-		return fl, nil
+		return transport.NewThrottled(transport.NewLocal(id, st, client), transport.NetModel{Clock: clock, Latency: cfg.Latency}), nil
 	}
-	conns := make([]transport.ServerConn, cfg.Servers)
+	conns := make([]transport.ServerConn, servers)
 	for i := range conns {
-		fl, err := newServer(wire.ServerID(i + 1))
+		c, err := newServer(wire.ServerID(i + 1))
 		if err != nil {
 			return RebalanceResult{}, err
 		}
-		conns[i] = fl
-	}
-	kind := erasure.KindXOR
-	if parity > 1 {
-		kind = erasure.KindRS
+		conns[i] = c
 	}
 	log, _, err := core.Open(core.Config{
 		Client: client, Servers: conns, FragmentSize: fragSize,
-		Width: width, ParityShards: parity, Codec: kind,
+		Width: width, ParityShards: parity, Codec: erasure.KindRS,
 	})
 	if err != nil {
 		return RebalanceResult{}, err
 	}
 	defer log.Close()
 
-	res := RebalanceResult{
-		Servers: cfg.Servers, Width: width, Parity: parity,
-		Blocks: cfg.Blocks, BlockSize: cfg.BlockSize,
-		LatencyNS: cfg.Latency.Nanoseconds(), Source: 1,
-	}
-	block := make([]byte, cfg.BlockSize)
+	res := RebalanceResult{Servers: servers, Width: width, Parity: parity}
+	block := make([]byte, blockSize)
 	appendPhase := func() (time.Duration, error) {
-		start := time.Now()
+		start := clock.Now()
 		for i := 0; i < cfg.Blocks; i++ {
 			if _, err := log.AppendBlock(7, block, nil); err != nil {
 				return 0, err
@@ -131,7 +105,7 @@ func RunRebalanceBench(cfg RebalanceConfig) (RebalanceResult, error) {
 		if err := log.Sync(); err != nil {
 			return 0, err
 		}
-		return time.Since(start), nil
+		return clock.Now().Sub(start), nil
 	}
 
 	// Phase 1: steady state.
@@ -142,7 +116,7 @@ func RunRebalanceBench(cfg RebalanceConfig) (RebalanceResult, error) {
 
 	// Phase 2: a new server joins, an original drains, and the same
 	// workload runs while the rebalancer empties the draining member.
-	joiner, err := newServer(wire.ServerID(cfg.Servers + 1))
+	joiner, err := newServer(wire.ServerID(servers + 1))
 	if err != nil {
 		return res, err
 	}
@@ -154,63 +128,33 @@ func RunRebalanceBench(cfg RebalanceConfig) (RebalanceResult, error) {
 		return res, err
 	}
 	reb := rebalance.New(log, source, rebalance.Options{})
-	rebStart := time.Now()
+	rebStart := clock.Now()
 	rebDone := make(chan error, 1)
 	go func() { rebDone <- reb.Run(context.Background()) }()
 	drain, err := appendPhase()
+	// Wait for the rebalancer even when the appends failed: its delays
+	// need the model clock, which stops when this function returns.
+	rebErr := <-rebDone
 	if err != nil {
 		return res, err
 	}
-	if err := <-rebDone; err != nil {
-		return res, fmt.Errorf("rebalance: %w", err)
+	if rebErr != nil {
+		return res, fmt.Errorf("rebalance: %w", rebErr)
 	}
-	rebTime := time.Since(rebStart)
+	rebTime := clock.Now().Sub(rebStart)
 	if left, err := conns[source-1].List(client); err != nil || len(left) != 0 {
 		return res, fmt.Errorf("drained server still holds %d fragments (%v)", len(left), err)
 	}
 
 	st := reb.Stats()
-	useful := float64(cfg.Blocks * cfg.BlockSize)
-	res.SteadyNS = steady.Nanoseconds()
-	res.DrainNS = drain.Nanoseconds()
+	useful := float64(cfg.Blocks * blockSize)
+	res.Steady, res.Drain = steady, drain
 	res.SteadyMBps = useful / steady.Seconds() / (1 << 20)
 	res.DrainMBps = useful / drain.Seconds() / (1 << 20)
 	res.Ratio = res.DrainMBps / res.SteadyMBps
 	res.Moved = st.Moved
 	res.MovedBytes = st.Bytes
-	res.RebalanceNS = rebTime.Nanoseconds()
+	res.Rebalance = rebTime
 	res.FinalEpoch = log.PlacementEpoch()
 	return res, nil
-}
-
-// PrintRebalanceResult renders the drain-cost table.
-func PrintRebalanceResult(w io.Writer, r RebalanceResult) {
-	fmt.Fprintf(w, "Elastic drain — foreground append throughput while rebalancing\n")
-	fmt.Fprintf(w, "%-22s %-10s %-10s %-8s %-12s %s\n",
-		"cluster", "steady", "draining", "ratio", "moved", "rebalance time")
-	fmt.Fprintf(w, "%d+1 srv RS(%d,%d)%-3s %-10s %-10s %-8.2f %-12s %v\n",
-		r.Servers, r.Width-r.Parity, r.Parity, "",
-		fmt.Sprintf("%.2fMB/s", r.SteadyMBps), fmt.Sprintf("%.2fMB/s", r.DrainMBps),
-		r.Ratio, fmt.Sprintf("%dfr/%dKB", r.Moved, r.MovedBytes>>10),
-		time.Duration(r.RebalanceNS).Round(time.Millisecond))
-	fmt.Fprintln(w)
-}
-
-// WriteRebalanceJSON writes the machine-readable benchmark record
-// (consumed by CI and tracked across PRs in EXPERIMENTS.md).
-func WriteRebalanceJSON(path string, r RebalanceResult) error {
-	doc := struct {
-		Figure string          `json:"figure"`
-		Meta   RunMeta         `json:"meta"`
-		Result RebalanceResult `json:"result"`
-	}{
-		Figure: "rebalance",
-		Meta:   NewRunMeta(),
-		Result: r,
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

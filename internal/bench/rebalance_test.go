@@ -9,9 +9,7 @@ import (
 // The drain benchmark is latency-injection-dominated, so a small
 // configuration is cheap enough for the smoke suite even under -race.
 func TestRebalanceSmoke(t *testing.T) {
-	r, err := RunRebalanceBench(RebalanceConfig{
-		Servers: 6, Blocks: 48, BlockSize: 1024, Latency: time.Millisecond,
-	})
+	r, err := RunRebalanceBench(RebalanceConfig{Blocks: 48, Latency: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,9 +30,7 @@ func TestRebalanceSmoke(t *testing.T) {
 		t.Fatalf("final epoch %d, want 2", r.FinalEpoch)
 	}
 
-	var sb strings.Builder
-	PrintRebalanceResult(&sb, r)
-	if !strings.Contains(sb.String(), "ratio") {
-		t.Fatalf("unexpected table: %q", sb.String())
+	if out := report(t, "rebalance", []Table{rebalanceTable(r)}); !strings.Contains(out, "ratio") {
+		t.Fatalf("unexpected table: %q", out)
 	}
 }

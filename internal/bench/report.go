@@ -1,15 +1,18 @@
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
+	"strings"
+	"text/tabwriter"
 	"time"
-
-	"swarm/internal/mab"
 )
 
 // PaperValue is a reference number from the paper for side-by-side
-// reporting. Zero means the paper gives no number for that point.
+// reporting.
 type PaperValue struct {
 	Clients, Servers int
 	MBps             float64
@@ -43,75 +46,92 @@ var (
 	PaperMABExt2CPU  = 0.57
 )
 
-func paperRef(refs []PaperValue, clients, servers int) string {
+// paperRef returns the paper's value for a write-sweep point, or nil
+// (reported as "-") where the paper quotes none.
+func paperRef(refs []PaperValue, clients, servers int) any {
 	for _, r := range refs {
 		if r.Clients == clients && r.Servers == servers {
-			return fmt.Sprintf("%5.1f", r.MBps)
+			return r.MBps
 		}
 	}
-	return "    -"
+	return nil
 }
 
-// PrintWriteResults renders a Figure 3/4 sweep as the series the paper
-// plots: one line per (clients, servers) point, with the paper's quoted
-// value alongside where one exists.
-func PrintWriteResults(w io.Writer, title string, results []WriteResult, raw bool, refs []PaperValue) {
-	fmt.Fprintf(w, "%s\n", title)
-	fmt.Fprintf(w, "%-8s %-8s %-12s %-12s %s\n", "clients", "servers", "MB/s", "paper MB/s", "elapsed(1999)")
-	for _, r := range results {
-		mbps := r.UsefulMBps
-		if raw {
-			mbps = r.RawMBps
+// Column names one column of a Table.
+type Column struct {
+	Name string `json:"name"`
+	// Unit names what the column's numbers measure. Durations are
+	// nanoseconds in the JSON record and printed as durations.
+	Unit string `json:"unit,omitempty"`
+	// format is the text reporter's verb for the column's cells.
+	format string
+}
+
+// Table is every figure's result type: named columns and rows of cells,
+// with the paper's reference value as a column where the paper gives
+// one. A nil cell is a value that does not exist (printed "-").
+type Table struct {
+	Title   string   `json:"title"`
+	Columns []Column `json:"columns"`
+	Rows    [][]any  `json:"rows"`
+	// Notes are one-line findings printed under the rows.
+	Notes []string `json:"notes,omitempty"`
+}
+
+func (t *Table) add(cells ...any) { t.Rows = append(t.Rows, cells) }
+
+// Print writes tables as aligned text, each under its title.
+func Print(w io.Writer, tables []Table) {
+	for _, t := range tables {
+		fmt.Fprintln(w, t.Title)
+		tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', 0)
+		cells := make([]string, len(t.Columns))
+		for r := -1; r < len(t.Rows); r++ { // row -1 is the header
+			for i, c := range t.Columns {
+				cells[i] = c.Name
+				if r >= 0 {
+					cells[i] = cell(c, t.Rows[r][i])
+				}
+			}
+			fmt.Fprintln(tw, strings.Join(cells, "\t"))
 		}
-		fmt.Fprintf(w, "%-8d %-8d %-12.2f %-12s %v\n",
-			r.Clients, r.Servers, mbps, paperRef(refs, r.Clients, r.Servers), r.Elapsed.Round(time.Millisecond))
+		tw.Flush()
+		for _, n := range t.Notes {
+			fmt.Fprintln(w, n)
+		}
+		fmt.Fprintln(w)
 	}
-	fmt.Fprintln(w)
 }
 
-// PrintMABResults renders Figure 5.
-func PrintMABResults(w io.Writer, stingRes, extRes MABResult) {
-	fmt.Fprintf(w, "Figure 5 — Modified Andrew Benchmark (%d files, %d KB)\n",
-		stingRes.Files, stingRes.Bytes>>10)
-	fmt.Fprintf(w, "%-40s %-14s %-10s %-14s %s\n", "system", "elapsed(1999)", "CPU util", "paper elapsed", "paper util")
-	fmt.Fprintf(w, "%-40s %-14v %-10.0f%% %-14s %.0f%%\n",
-		stingRes.System, stingRes.Elapsed.Round(10*time.Millisecond), stingRes.CPUUtilization*100,
-		fmt.Sprintf("%.1fs", PaperMABSting/float64(time.Second)), PaperMABStingCPU*100)
-	fmt.Fprintf(w, "%-40s %-14v %-10.0f%% %-14s %.0f%%\n",
-		extRes.System, extRes.Elapsed.Round(10*time.Millisecond), extRes.CPUUtilization*100,
-		fmt.Sprintf("%.1fs", PaperMABExt2/float64(time.Second)), PaperMABExt2CPU*100)
-	fmt.Fprintf(w, "speedup: %.2fx (paper: %.2fx)\n",
-		float64(extRes.Elapsed)/float64(stingRes.Elapsed), PaperMABExt2/PaperMABSting)
-	fmt.Fprintf(w, "phases (Sting vs ext2fs):\n")
-	for i, name := range mab.PhaseNames {
-		fmt.Fprintf(w, "  %-10s %10v %10v\n", name,
-			stingRes.Phases[i].Round(time.Millisecond), extRes.Phases[i].Round(time.Millisecond))
+func cell(c Column, v any) string {
+	if v == nil {
+		return "-"
 	}
-	fmt.Fprintln(w)
-}
-
-// PrintReadResult renders the cold/prefetched/cached read measurement.
-func PrintReadResult(w io.Writer, r ReadResult) {
-	fmt.Fprintf(w, "Cold 4 KB read bandwidth (§3.4 in-text; prefetch = the paper's proposed fix)\n")
-	fmt.Fprintf(w, "%-10s %-12s %-12s %-16s %s\n", "servers", "cold MB/s", "paper MB/s", "prefetch MB/s", "client-cached MB/s")
-	fmt.Fprintf(w, "%-10d %-12.2f %-12.1f %-16.2f %.0f\n", r.Servers, r.ColdMBps, PaperColdReadMBps, r.PrefetchMBps, r.CachedMBps)
-	fmt.Fprintln(w)
-}
-
-// PrintAblation renders an ablation table.
-func PrintAblation(w io.Writer, title string, rows []AblationResult) {
-	fmt.Fprintf(w, "%s\n", title)
-	fmt.Fprintf(w, "%-44s %-12s %s\n", "configuration", "raw MB/s", "useful MB/s")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-44s %-12.2f %.2f\n", r.Name, r.RawMBps, r.UsefulMBps)
+	if c.format == "" {
+		return fmt.Sprint(v)
 	}
-	fmt.Fprintln(w)
+	return fmt.Sprintf(c.format, v)
 }
 
-// PrintDegradedRead renders the reconstruction ablation.
-func PrintDegradedRead(w io.Writer, r DegradedReadResult) {
-	fmt.Fprintf(w, "Degraded reads (first-touch latency per fragment, %d servers)\n", r.Servers)
-	fmt.Fprintf(w, "%-36s %v\n", "all servers up:", r.HealthyLatency.Round(10*time.Microsecond))
-	fmt.Fprintf(w, "%-36s %v (%d reconstructions)\n", "one server down (reconstruction):", r.DegradedLatency.Round(10*time.Microsecond), r.Reconstructions)
-	fmt.Fprintln(w)
+// Record is the one schema of every BENCH_<name>.json.
+type Record struct {
+	Figure string  `json:"figure"`
+	Title  string  `json:"title"`
+	Meta   RunMeta `json:"meta"`
+	Tables []Table `json:"tables"`
+}
+
+// WriteJSON writes fig's tables as a Record to dir/BENCH_<name>.json
+// (numeric figure names get a "fig" prefix) and returns the path.
+func WriteJSON(dir string, fig Figure, tables []Table) (string, error) {
+	stem := fig.Name
+	if stem[0] >= '0' && stem[0] <= '9' {
+		stem = "fig" + stem
+	}
+	data, err := json.MarshalIndent(Record{Figure: fig.Name, Title: fig.Title, Meta: NewRunMeta(), Tables: tables}, "", "  ")
+	if err != nil {
+		return "", err
+	}
+	path := filepath.Join(dir, "BENCH_"+stem+".json")
+	return path, os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -10,6 +11,9 @@ import (
 	"swarm/internal/wire"
 )
 
+// blockSize is the 4 KB block of the paper's write and read benchmarks.
+const blockSize = 4096
+
 // WriteConfig parameterizes one write-bandwidth measurement (one point of
 // Figure 3/4).
 type WriteConfig struct {
@@ -17,15 +21,12 @@ type WriteConfig struct {
 	Servers int
 	// Blocks is the number of 4 KB blocks each client writes (the paper
 	// uses 10,000).
-	Blocks    int
-	BlockSize int
+	Blocks int
 	// Scale speeds the emulated hardware up by this factor; results are
 	// normalized back. 0 means 1.
 	Scale float64
 	// FragmentSize defaults to the paper's 1 MB.
 	FragmentSize int
-	// Width overrides the stripe width (default: all servers).
-	Width int
 	// DisableParity turns parity off (the raw benchmark's single-server
 	// configuration has nowhere to put parity).
 	DisableParity bool
@@ -37,20 +38,11 @@ func (c *WriteConfig) setDefaults() {
 	if c.Blocks == 0 {
 		c.Blocks = 10000
 	}
-	if c.BlockSize == 0 {
-		c.BlockSize = 4096
-	}
 	if c.Scale == 0 {
 		c.Scale = 1
 	}
 	if c.FragmentSize == 0 {
 		c.FragmentSize = 1 << 20
-	}
-	if c.Width == 0 {
-		c.Width = c.Servers
-		if c.Width > core.MaxWidth {
-			c.Width = core.MaxWidth
-		}
 	}
 	if c.Servers == 1 {
 		c.DisableParity = true
@@ -77,78 +69,40 @@ func RunWritePoint(cfg WriteConfig) (WriteResult, error) {
 	cluster, err := NewSimCluster(ClusterConfig{
 		Servers:      cfg.Servers,
 		FragmentSize: cfg.FragmentSize,
-		DiskBytes:    int64(cfg.Blocks)*int64(cfg.BlockSize)*4 + (64 << 20),
+		DiskBytes:    int64(cfg.Blocks)*blockSize*4 + (64 << 20),
 		Params:       params,
 	})
 	if err != nil {
 		return WriteResult{}, err
 	}
 
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-		rawBytes int64
-	)
-	block := make([]byte, cfg.BlockSize)
+	block := make([]byte, blockSize)
 	for i := range block {
 		block[i] = byte(i)
 	}
+	var wg sync.WaitGroup
+	stored := make([]int64, cfg.Clients)
+	errs := make([]error, cfg.Clients)
 	start := time.Now()
 	for ci := 0; ci < cfg.Clients; ci++ {
 		wg.Add(1)
 		go func(ci int) {
 			defer wg.Done()
 			env := cluster.Client(wire.ClientID(ci + 1))
-			log, _, err := core.Open(core.Config{
-				Client:        env.Client,
-				Servers:       env.Conns,
-				FragmentSize:  cfg.FragmentSize,
-				Width:         cfg.Width,
-				DisableParity: cfg.DisableParity,
-				PipelineDepth: cfg.PipelineDepth,
-				CPU:           env.CPU,
-				FragOverhead:  params.ClientFragOverhead,
-			})
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-				return
-			}
-			myBlock := append([]byte(nil), block...)
-			for b := 0; b < cfg.Blocks; b++ {
-				if _, err := log.AppendBlock(7, myBlock, nil); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					return
-				}
-			}
-			if err := log.Close(); err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-				return
-			}
-			mu.Lock()
-			rawBytes += log.Stats().BytesStored
-			mu.Unlock()
+			stored[ci], errs[ci] = writeClient(env, cfg, params, append([]byte(nil), block...))
 		}(ci)
 	}
 	wg.Wait()
-	if firstErr != nil {
-		return WriteResult{}, firstErr
-	}
 	elapsed := time.Since(start)
+	if err := errors.Join(errs...); err != nil {
+		return WriteResult{}, err
+	}
+	var rawBytes int64
+	for _, n := range stored {
+		rawBytes += n
+	}
 
-	useful := int64(cfg.Clients) * int64(cfg.Blocks) * int64(cfg.BlockSize)
+	useful := int64(cfg.Clients) * int64(cfg.Blocks) * blockSize
 	secs := elapsed.Seconds()
 	res := WriteResult{
 		Clients:    cfg.Clients,
@@ -158,6 +112,33 @@ func RunWritePoint(cfg WriteConfig) (WriteResult, error) {
 		UsefulMBps: float64(useful) / secs / model.MB / cfg.Scale,
 	}
 	return res, nil
+}
+
+// writeClient appends cfg.Blocks copies of block to one client's log
+// and flushes it, returning the bytes the log stored.
+func writeClient(env *ClientEnv, cfg WriteConfig, params model.HardwareParams, block []byte) (int64, error) {
+	log, _, err := core.Open(core.Config{
+		Client:        env.Client,
+		Servers:       env.Conns,
+		FragmentSize:  cfg.FragmentSize,
+		Width:         min(cfg.Servers, core.MaxWidth),
+		DisableParity: cfg.DisableParity,
+		PipelineDepth: cfg.PipelineDepth,
+		CPU:           env.CPU,
+		FragOverhead:  params.ClientFragOverhead,
+	})
+	if err != nil {
+		return 0, err
+	}
+	for b := 0; b < cfg.Blocks; b++ {
+		if _, err := log.AppendBlock(7, block, nil); err != nil {
+			return 0, err
+		}
+	}
+	if err := log.Close(); err != nil {
+		return 0, err
+	}
+	return log.Stats().BytesStored, nil
 }
 
 // Figure3Clients and Figure3Servers are the paper's sweep axes.
@@ -178,8 +159,6 @@ func RunWriteSweep(clients, servers []int, base WriteConfig, progress func(strin
 			cfg := base
 			cfg.Clients = nc
 			cfg.Servers = ns
-			cfg.Width = 0
-			cfg.DisableParity = false
 			if progress != nil {
 				progress(fmt.Sprintf("write point: %d client(s) × %d server(s)", nc, ns))
 			}

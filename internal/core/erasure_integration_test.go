@@ -227,16 +227,16 @@ func TestRecoveryWithTwoServersDownRS(t *testing.T) {
 	}
 }
 
-// TestMixedFormatLog: a log written under the legacy XOR(1) geometry is
-// reopened with RS(4,2); old v1-header stripes and new v2-header
-// stripes coexist, and both read cleanly — including through a dead
-// server, which forces reconstruction to pick the right codec per
-// stripe from the fragment headers rather than the client config.
+// TestMixedFormatLog: a log written under the default XOR(1) geometry is
+// reopened with RS(4,2); XOR stripes and RS stripes coexist in one log,
+// and both read cleanly — including through a dead server, which forces
+// reconstruction to pick the right codec per stripe from the codec and
+// parity count in its fragment headers rather than the client config.
 func TestMixedFormatLog(t *testing.T) {
 	c := newTestCluster(t, 6)
-	l, _ := c.open(t, Config{}) // legacy default: XOR, one parity shard
+	l, _ := c.open(t, Config{}) // default: XOR, one parity shard
 	if l.ParityShards() != 1 || l.Codec().Kind() != erasure.KindXOR {
-		t.Fatalf("legacy geometry = %v(%d)", l.Codec().Kind(), l.ParityShards())
+		t.Fatalf("default geometry = %v(%d)", l.Codec().Kind(), l.ParityShards())
 	}
 	var oldAddrs []BlockAddr
 	for i := 0; i < 30; i++ {
@@ -283,8 +283,8 @@ func TestMixedFormatLog(t *testing.T) {
 	}
 	readAll("healthy")
 
-	// One dead server: BOTH formats reconstruct (the old stripes via
-	// their v1 XOR headers, the new via v2 RS headers).
+	// One dead server: BOTH geometries reconstruct (the old stripes as
+	// their headers' XOR, the new as their headers' RS).
 	c.flaky[2].SetDown(true)
 	readAll("one server down")
 	c.flaky[2].SetDown(false)

@@ -34,15 +34,11 @@ const (
 	// EntryHdrSize is the per-entry header: kind(1) svc(2) len(4).
 	EntryHdrSize = 7
 
-	fragMagic   = 0x4752464c // "LFRG"
-	fragVersion = 1
-	// fragVersion2 adds the erasure codec byte and parity count to the
-	// header (bytes 160 and 161, previously spare), and the placement
-	// epoch (bytes 162-165). Version-1 headers imply the paper's single
-	// rotating XOR parity at epoch 0, so every pre-RS stripe remains
-	// readable and the XOR epoch-0 configuration still writes
-	// byte-identical version-1 fragments.
-	fragVersion2 = 2
+	fragMagic = 0x4752464c // "LFRG"
+	// fragVersion is the one header layout: after the stripe fields it
+	// stores the erasure codec byte (160), the parity count (161) and
+	// the placement epoch (162-165) in every header.
+	fragVersion = 2
 
 	// FragData marks a fragment holding log entries.
 	FragData = 1
@@ -78,15 +74,16 @@ type Header struct {
 	Codec uint8
 	// NumParity is the stripe's parity-shard count m. The parity slots
 	// of stripe s are (s+j) mod Width for j in [0, m); slot j=0 is the
-	// classic rotating position, so version-1 headers are exactly the
-	// m=1 case.
+	// classic rotating position, so m=1 is the paper's layout. A
+	// parity-free log stores 0, which decodes as XOR m=1 like a zero
+	// Codec.
 	NumParity uint8
 	// Epoch is the placement-map epoch the stripe was written under
 	// (see internal/placement). In-session readers and the rebalancer
 	// resolve the stripe's servers through the view this epoch names;
 	// a fresh session treats foreign epochs as unknown and falls back
 	// to recorded locations, the Group field, or broadcast discovery.
-	// Version-1 headers are epoch 0 (the construction-time server list).
+	// Epoch 0 is the construction-time server list.
 	Epoch uint32
 }
 
@@ -98,13 +95,6 @@ func (h *Header) BaseSeq() uint64 { return h.FID.Seq() - uint64(h.Index) }
 // MemberFID returns the FID of stripe member i.
 func (h *Header) MemberFID(i int) wire.FID {
 	return wire.MakeFID(h.FID.Client(), h.BaseSeq()+uint64(i))
-}
-
-// legacyGeometry reports whether (codec, m) is the original single
-// rotating XOR parity, encodable as a version-1 header. Zero values are
-// legacy callers that predate the erasure layer.
-func legacyGeometry(codec, m uint8) bool {
-	return (codec == 0 || codec == uint8(erasure.KindXOR)) && m <= 1
 }
 
 // DataShards returns k, the stripe's data-member count.
@@ -168,26 +158,11 @@ func (h *Header) ErasureCode() (erasure.Code, error) {
 	return erasure.New(erasure.Kind(h.Codec), h.DataShards(), int(h.NumParity))
 }
 
-// EncodeHeader serializes h into a HeaderSize buffer. XOR single-parity
-// epoch-0 headers (including legacy zero-value Codec/NumParity) are
-// emitted as version 1, byte-identical to every fragment written before
-// the erasure layer existed; anything else is version 2.
+// EncodeHeader serializes h into a HeaderSize buffer.
 func EncodeHeader(h *Header) []byte {
 	buf := make([]byte, HeaderSize)
 	binary.LittleEndian.PutUint32(buf[0:], fragMagic)
-	if legacyGeometry(h.Codec, h.NumParity) && h.Epoch == 0 {
-		buf[4] = fragVersion
-	} else {
-		buf[4] = fragVersion2
-		if !legacyGeometry(h.Codec, h.NumParity) {
-			// Legacy XOR m≤1 geometry stays zero bytes even in v2 (a
-			// header promoted only by its epoch); decode normalizes
-			// zeros to XOR m=1 exactly as it does for version 1.
-			buf[160] = h.Codec
-			buf[161] = h.NumParity
-		}
-		binary.LittleEndian.PutUint32(buf[162:], h.Epoch)
-	}
+	buf[4] = fragVersion
 	buf[5] = h.Kind
 	buf[6] = h.Width
 	buf[7] = h.Index
@@ -199,6 +174,9 @@ func EncodeHeader(h *Header) []byte {
 		binary.LittleEndian.PutUint32(buf[92+i*4:], h.MemberLens[i])
 	}
 	binary.LittleEndian.PutUint32(buf[156:], h.PayloadCRC)
+	buf[160] = h.Codec
+	buf[161] = h.NumParity
+	binary.LittleEndian.PutUint32(buf[162:], h.Epoch)
 	binary.LittleEndian.PutUint32(buf[HeaderSize-4:], crc32.ChecksumIEEE(buf[:HeaderSize-4]))
 	return buf
 }
@@ -212,7 +190,7 @@ func DecodeHeader(buf []byte) (Header, error) {
 	if binary.LittleEndian.Uint32(buf[0:]) != fragMagic {
 		return h, fmt.Errorf("%w: bad magic", ErrBadFragment)
 	}
-	if buf[4] != fragVersion && buf[4] != fragVersion2 {
+	if buf[4] != fragVersion {
 		return h, fmt.Errorf("%w: version %d", ErrBadFragment, buf[4])
 	}
 	if crc32.ChecksumIEEE(buf[:HeaderSize-4]) != binary.LittleEndian.Uint32(buf[HeaderSize-4:]) {
@@ -227,21 +205,19 @@ func DecodeHeader(buf []byte) (Header, error) {
 	if h.Width == 0 || h.Width > MaxWidth || h.Index >= h.Width {
 		return h, fmt.Errorf("%w: width %d index %d", ErrBadFragment, h.Width, h.Index)
 	}
-	if buf[4] == fragVersion2 {
-		h.Codec = buf[160]
-		h.NumParity = buf[161]
-		h.Epoch = binary.LittleEndian.Uint32(buf[162:])
-		if h.Codec == 0 && h.NumParity == 0 {
-			// A parity-free log promoted to v2 by a nonzero epoch: the
-			// geometry bytes stay zero, normalized exactly as v1 does.
-			h.Codec = uint8(erasure.KindXOR)
-			h.NumParity = 1
-		} else if h.NumParity == 0 || h.NumParity >= h.Width {
-			return h, fmt.Errorf("%w: %d parity shards in width %d", ErrBadFragment, h.NumParity, h.Width)
-		}
-	} else {
+	h.Codec = buf[160]
+	h.NumParity = buf[161]
+	h.Epoch = binary.LittleEndian.Uint32(buf[162:])
+	if h.Codec == 0 {
 		h.Codec = uint8(erasure.KindXOR)
+	}
+	switch {
+	case h.Codec == uint8(erasure.KindXOR) && h.NumParity <= 1:
+		// The paper's single rotating XOR parity. A parity-free log
+		// leaves the geometry bytes zero and reads the same way.
 		h.NumParity = 1
+	case h.NumParity == 0 || h.NumParity >= h.Width:
+		return h, fmt.Errorf("%w: %d parity shards in width %d", ErrBadFragment, h.NumParity, h.Width)
 	}
 	h.FID = wire.FID(binary.LittleEndian.Uint64(buf[8:]))
 	h.StripeID = binary.LittleEndian.Uint64(buf[16:])

@@ -22,32 +22,24 @@ func TestHeaderRoundTrip(t *testing.T) {
 	}
 	h.Group[0], h.Group[1], h.Group[2], h.Group[3] = 5, 6, 7, 8
 	h.MemberLens[1] = 99
-	buf := EncodeHeader(&h)
-	if buf[4] != fragVersion {
-		t.Fatalf("legacy header encoded as version %d", buf[4])
-	}
-	got, err := DecodeHeader(buf)
+	got, err := DecodeHeader(EncodeHeader(&h))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Decode normalizes the zero-value legacy geometry to explicit XOR m=1.
+	// Decode normalizes the zero-value geometry to explicit XOR m=1.
 	h.Codec, h.NumParity = uint8(erasure.KindXOR), 1
 	if got != h {
 		t.Fatalf("roundtrip:\n got %+v\nwant %+v", got, h)
 	}
 
-	// RS geometry round-trips through a version-2 header.
+	// RS geometry round-trips through the same layout.
 	h.Codec, h.NumParity = uint8(erasure.KindRS), 2
-	buf = EncodeHeader(&h)
-	if buf[4] != fragVersion2 {
-		t.Fatalf("rs header encoded as version %d", buf[4])
-	}
-	got, err = DecodeHeader(buf)
+	got, err = DecodeHeader(EncodeHeader(&h))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != h {
-		t.Fatalf("v2 roundtrip:\n got %+v\nwant %+v", got, h)
+		t.Fatalf("rs roundtrip:\n got %+v\nwant %+v", got, h)
 	}
 }
 
@@ -106,20 +98,9 @@ func TestHeaderEpochRoundTrip(t *testing.T) {
 		StripeID: 2,
 		DataLen:  100,
 	}
-	// Epoch 0 with legacy geometry stays a version-1 header,
-	// byte-identical to the pre-elasticity format.
-	if buf := EncodeHeader(&h); buf[4] != fragVersion {
-		t.Fatalf("epoch-0 legacy header encoded as version %d", buf[4])
-	}
-
-	// A nonzero epoch promotes even the legacy XOR geometry to v2 and
-	// round-trips exactly.
+	// A nonzero epoch round-trips exactly beside the XOR geometry.
 	h.Epoch = 5
-	buf := EncodeHeader(&h)
-	if buf[4] != fragVersion2 {
-		t.Fatalf("epoch-5 header encoded as version %d", buf[4])
-	}
-	got, err := DecodeHeader(buf)
+	got, err := DecodeHeader(EncodeHeader(&h))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,14 +110,14 @@ func TestHeaderEpochRoundTrip(t *testing.T) {
 	}
 
 	// A parity-free log at a nonzero epoch leaves the geometry bytes
-	// zero; decode normalizes them exactly like a version-1 header.
+	// zero; decode normalizes them to XOR m=1.
 	pf := Header{Kind: FragData, Width: 1, Index: 0, FID: wire.MakeFID(3, 0), Epoch: 3}
 	got, err = DecodeHeader(EncodeHeader(&pf))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.Epoch != 3 || got.Codec != uint8(erasure.KindXOR) || got.NumParity != 1 {
-		t.Fatalf("parity-free v2 decode = %+v", got)
+		t.Fatalf("parity-free decode = %+v", got)
 	}
 
 	// RS geometry and epoch coexist.
@@ -161,8 +142,8 @@ func TestQuickHeaderRoundTrip(t *testing.T) {
 			FID:      wire.FID(fid),
 			StripeID: stripe,
 			DataLen:  dataLen,
-			// Decode normalizes legacy zero values to these, so set them
-			// for the == comparison; odd dataLens exercise version 2.
+			// Decode normalizes zero values to these, so set them for
+			// the == comparison; odd dataLens exercise RS geometry.
 			Codec:     uint8(erasure.KindXOR),
 			NumParity: 1,
 		}
@@ -174,7 +155,7 @@ func TestQuickHeaderRoundTrip(t *testing.T) {
 			h.NumParity = uint8(dataLen%uint32(w-1)) + 1
 		}
 		if dataLen%3 == 0 {
-			h.Epoch = dataLen / 3 // exercises v2 promotion of XOR m=1
+			h.Epoch = dataLen / 3
 		}
 		for i := 0; i < int(w); i++ {
 			h.Group[i] = wire.ServerID(i * 3)

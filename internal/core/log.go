@@ -51,7 +51,7 @@ type Config struct {
 	// data slot (m < Width).
 	ParityShards int
 	// Codec selects the erasure code. Defaults to XOR for ParityShards
-	// ≤ 1 (byte-identical to the pre-erasure format) and Reed–Solomon
+	// ≤ 1 (the paper's single rotating parity) and Reed–Solomon
 	// otherwise. The codec is stamped into every fragment header, so
 	// readers decode each stripe with the code that wrote it and logs
 	// may mix formats freely.
@@ -661,9 +661,9 @@ func (l *Log) makeSealedLocked(fb *fragBuilder, mark bool) sealedFrag {
 }
 
 // stampGeometry writes the log's erasure configuration and the stripe's
-// placement epoch into a header. The XOR m=1 epoch-0 configuration
-// round-trips through a version-1 header, byte-identical to the
-// pre-erasure format. Callers hold mu.
+// placement epoch into a header. A parity-free log leaves the codec and
+// parity count zero. Every header carries all three, so readers decode
+// each stripe with the code that wrote it. Callers hold mu.
 func (l *Log) stampGeometry(h *Header) {
 	h.Epoch = l.epochOfLocked(h.StripeID)
 	if !l.parity {

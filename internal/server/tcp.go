@@ -17,10 +17,11 @@ import (
 // from one client connection may be in the store concurrently. With the
 // client multiplexing RPCs over each connection, a slow disk op must not
 // head-of-line-block the frames queued behind it. Sized to twice the
-// client transport's default MaxInFlight (8) so even a single
-// deep-configured connection can keep the store's group-commit batches
-// full: stores admitted concurrently share fsyncs (DESIGN.md §3.10), so
-// worker depth directly sets the achievable commit batch size.
+// client transport's per-connection in-flight bound (transport.MaxInFlight,
+// 8) so a single connection's RPCs never wait for a worker and can keep
+// the store's group-commit batches full: stores admitted concurrently
+// share fsyncs (DESIGN.md §3.10), so worker depth directly sets the
+// achievable commit batch size.
 const connWorkers = 16
 
 // TCPServer serves the wire protocol over TCP, one goroutine per

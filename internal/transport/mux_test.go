@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -62,7 +64,7 @@ func TestMuxDemuxOutOfOrder(t *testing.T) {
 		}()
 	}()
 
-	sc, err := DialTCPOpts(1, ln.Addr().String(), 1, TCPOptions{PoolSize: 1, MaxInFlight: nreq})
+	sc, err := DialTCPOpts(1, ln.Addr().String(), 1, TCPOptions{PoolSize: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,23 +104,6 @@ func TestMuxDemuxOutOfOrder(t *testing.T) {
 	}
 }
 
-// TestMuxLockstepContract runs the full ServerConn contract with
-// MaxInFlight 1 — the degenerate lock-step configuration must behave
-// identically, just slower.
-func TestMuxLockstepContract(t *testing.T) {
-	srv, err := server.ListenAndServe(newStore(t), "127.0.0.1:0", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	sc, err := DialTCPOpts(1, srv.Addr(), 1, TCPOptions{PoolSize: 1, MaxInFlight: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
-	exerciseConn(t, sc)
-}
-
 // TestMuxChaosConcurrentRPCs is the demux layer's -race stress: 64
 // concurrent RPC workers over a 2-connection pool, wrapped in Flaky with
 // injected latency and a 5% failure rate. Every injected failure is
@@ -139,7 +124,7 @@ func TestMuxChaosConcurrentRPCs(t *testing.T) {
 	}
 	defer srv.Close()
 
-	sc, err := DialTCPOpts(1, srv.Addr(), 1, TCPOptions{PoolSize: 2, MaxInFlight: 8})
+	sc, err := DialTCPOpts(1, srv.Addr(), 1, TCPOptions{PoolSize: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,5 +217,147 @@ func TestDecodeIntoRecyclesBodyOnDecodeError(t *testing.T) {
 	defer wire.PutBuffer(got)
 	if &got[0] != &body[0] {
 		t.Fatal("decode-error path leaked the pooled frame body")
+	}
+}
+
+// holdConn delays the return of the Write that completes a request frame
+// until the connection has been closed, forcing the interleaving in
+// which the reader routes the RPC's response and then sees the server's
+// close, all before roundTrip's write has returned.
+type holdConn struct {
+	net.Conn
+	frameLen int
+	written  int
+	once     sync.Once
+	closed   chan struct{}
+}
+
+func (c *holdConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	c.written += n
+	if c.written >= c.frameLen {
+		<-c.closed
+	}
+	return n, err
+}
+
+func (c *holdConn) Close() error {
+	c.once.Do(func() { close(c.closed) })
+	return c.Conn.Close()
+}
+
+// TestRoundTripResponseRoutedBeforeWriteReturns: a server that answers
+// and then hangs up may do both before the client's request write
+// returns. The response is already in the RPC's channel, so the RPC
+// must succeed; touching the closed connection after the write (as
+// clearing its write deadline did) reported it as failed.
+func TestRoundTripResponseRoutedBeforeWriteReturns(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	srvErr := make(chan error, 1)
+	go func() {
+		srvErr <- func() error {
+			c, err := ln.Accept()
+			if err != nil {
+				return err
+			}
+			defer c.Close()
+			req, err := wire.ReadRequestFrame(wire.NewConnReader(c))
+			if err != nil {
+				return err
+			}
+			return wire.WriteResponse(c, req.Op, req.ID, &wire.ReadResponse{Data: []byte("ok")})
+		}()
+	}()
+
+	req := &wire.ReadRequest{FID: wire.MakeFID(1, 0), Len: 2}
+	var frame bytes.Buffer
+	if err := wire.WriteRequest(&frame, wire.OpRead, 1, 1, req); err != nil {
+		t.Fatal(err)
+	}
+	c, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	hc := &holdConn{Conn: c, frameLen: frame.Len(), closed: make(chan struct{})}
+	m := &muxConn{c: hc, sem: make(chan struct{}, MaxInFlight), pending: make(map[uint64]chan *wire.Response)}
+	go m.readLoop()
+	defer m.fail(ErrUnavailable)
+
+	var rsp wire.ReadResponse
+	if err := m.roundTrip(time.Second, wire.OpRead, 1, 1, req, &rsp); err != nil {
+		t.Fatalf("answered RPC reported as failed: %v", err)
+	}
+	if string(rsp.Data) != "ok" {
+		t.Fatalf("response = %q, want %q", rsp.Data, "ok")
+	}
+	if err := <-srvErr; err != nil {
+		t.Fatalf("server: %v", err)
+	}
+}
+
+// TestTCPStoreAllocs bounds what one store RPC allocates end to end over
+// loopback TCP (client encode, server decode and commit, response
+// handling) once the buffer pools are warm: under half the payload per
+// RPC, so no stage copies the fragment into a fresh buffer.
+func TestTCPStoreAllocs(t *testing.T) {
+	const (
+		stores    = 48
+		payloadKB = 64
+		workers   = 16
+	)
+	fragSize := payloadKB << 10
+	st, err := server.Format(disk.NewMemDisk(int64(2*stores+16)*int64(fragSize)+(8<<20)), server.Config{FragmentSize: fragSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := server.ListenAndServe(st, "127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	sc, err := DialTCPOpts(1, srv.Addr(), 1, TCPOptions{PoolSize: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	payload := bytes.Repeat([]byte{0x5A}, fragSize)
+
+	// storeAll stores FIDs base..base+stores-1 from workers goroutines.
+	storeAll := func(base uint64) {
+		var next atomic.Uint64
+		var wg sync.WaitGroup
+		errs := make(chan error, workers)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := next.Add(1) - 1; i < stores; i = next.Add(1) - 1 {
+					if err := sc.Store(wire.MakeFID(1, base+i), payload, false, nil); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+	}
+	storeAll(0) // warm the connections and buffer pools
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	storeAll(stores)
+	runtime.ReadMemStats(&after)
+	kb := float64(after.TotalAlloc-before.TotalAlloc) / stores / 1024
+	t.Logf("%.1f KB allocated per %d KB store RPC", kb, payloadKB)
+	if kb > payloadKB/2 {
+		t.Fatalf("%.0f KB allocated per %d KB store RPC: a stage copies the fragment", kb, payloadKB)
 	}
 }

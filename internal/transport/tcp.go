@@ -16,14 +16,14 @@ import (
 // flight on the network while the server writes the previous one to disk.
 const DefaultPoolSize = 2
 
-// DefaultMaxInFlight is how many RPCs may ride one pooled connection
+// MaxInFlight is how many RPCs may ride one pooled connection
 // concurrently. Requests are tagged with IDs and responses demultiplexed
 // by ID, so a connection is a shared pipe, not a checked-out resource;
 // this bounds the pipe's depth. The fragment I/O engine's own per-server
 // semaphores (store pipeline depth, fetch depth) are the workload-level
-// throttles — this knob only needs to be at least their sum to never be
+// throttles — this bound only needs to be at least their sum to never be
 // the bottleneck.
-const DefaultMaxInFlight = 8
+const MaxInFlight = 8
 
 // DefaultIOTimeout bounds each RPC (request write plus response wait) on
 // a pooled connection, and the dial itself. Without a deadline a hung
@@ -37,18 +37,11 @@ type TCPOptions struct {
 	// PoolSize is the number of TCP connections kept to the server
 	// (default DefaultPoolSize).
 	PoolSize int
-	// MaxInFlight bounds concurrent RPCs multiplexed on each connection
-	// (default DefaultMaxInFlight). 1 degenerates to lock-step
-	// request/response per connection.
-	MaxInFlight int
 }
 
 func (o TCPOptions) withDefaults() TCPOptions {
 	if o.PoolSize <= 0 {
 		o.PoolSize = DefaultPoolSize
-	}
-	if o.MaxInFlight <= 0 {
-		o.MaxInFlight = DefaultMaxInFlight
 	}
 	return o
 }
@@ -138,7 +131,7 @@ func (t *tcpRPC) dial() (*muxConn, error) {
 	}
 	m := &muxConn{
 		c:       c,
-		sem:     make(chan struct{}, t.opts.MaxInFlight),
+		sem:     make(chan struct{}, MaxInFlight),
 		pending: make(map[uint64]chan *wire.Response),
 	}
 	t.mu.Lock()
@@ -236,14 +229,19 @@ func (m *muxConn) roundTrip(d time.Duration, op wire.Op, id uint64, client wire.
 	m.pending[id] = ch
 	m.pmu.Unlock()
 
-	m.wmu.Lock()
+	// Each write sets its own deadline (none when d is 0) before it
+	// starts, and nothing touches the connection after it: by the time
+	// the write returns, the reader may already have routed this RPC's
+	// response and seen the server close the connection, and a failed
+	// call on the closed connection would report an answered RPC as
+	// failed.
+	var deadline time.Time
 	if d > 0 {
-		m.c.SetWriteDeadline(time.Now().Add(d))
+		deadline = time.Now().Add(d)
 	}
+	m.wmu.Lock()
+	_ = m.c.SetWriteDeadline(deadline) // fails only on a closed connection, which fails the write too
 	err := wire.WriteRequest(m.c, op, id, client, req)
-	if d > 0 && err == nil {
-		err = m.c.SetWriteDeadline(time.Time{})
-	}
 	m.wmu.Unlock()
 	if err != nil {
 		m.fail(err)

@@ -36,7 +36,8 @@ const (
 	// largest fragment frames (bin 11 starts at 8 MB).
 	poolBins = 12
 	// maxPerBin bounds retained buffers per bin. It must cover a fully
-	// multiplexed transport's in-flight depth (pool × MaxInFlight per
+	// multiplexed transport's in-flight depth (pool size × the
+	// transport's per-connection bound, transport.MaxInFlight, per
 	// server on both ends) or high-concurrency steady state degrades to
 	// allocation; in practice one size class (the fragment size)
 	// dominates, so the worst case stays a few dozen MB.
