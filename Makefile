@@ -53,12 +53,14 @@ race:
 	$(GO) test -race ./...
 
 # The chaos harness alone, under the race detector, plus the transport's
-# retry, breaker and failure-injection tests and the log's short-stripe
-# loss, crash and power-cut tests.
+# retry, breaker and failure-injection tests, the log's short-stripe
+# loss, crash and power-cut tests, and the store's allocator churn and
+# power-cut tests.
 chaos:
 	$(GO) test -race -v -run 'TestChaos|TestDegradedWrites' .
 	$(GO) test -race -run 'Resilient|Flaky|Retry' ./internal/transport
 	$(GO) test -race -run 'ShortStripe' ./internal/core
+	$(GO) test -race -run 'AllocatorChurn|PowerCut|Crash' ./internal/server
 
 # Statement coverage across all packages, with a floor: fails if the
 # total drops below COVER_FLOOR percent.

@@ -27,6 +27,7 @@ import (
 
 	"swarm"
 	"swarm/internal/core"
+	"swarm/internal/server"
 	"swarm/internal/transport"
 	"swarm/internal/wire"
 )
@@ -87,8 +88,12 @@ func run(addrs []string, client wire.ClientID, opts swarm.ClientOptions, args []
 				fmt.Printf("server %d (%s): error: %v\n", i+1, addrs[i], err)
 				continue
 			}
-			fmt.Printf("server %d (%s): %d/%d slots used, %d fragments, %d KB slots\n",
-				i+1, addrs[i], st.TotalSlots-st.FreeSlots, st.TotalSlots, st.Fragments, st.FragmentSize>>10)
+			// A slot is FragmentSize of capacity: "used" counts the
+			// capacity held, fragmentation included, and "free" the
+			// full-size fragments that still fit.
+			fmt.Printf("server %d (%s): %d/%d slots used (a slot is %d KB of capacity), %d fragments in %d KB units\n",
+				i+1, addrs[i], st.TotalSlots-st.FreeSlots, st.TotalSlots, st.FragmentSize>>10,
+				st.Fragments, server.UnitSize(int(st.FragmentSize))>>10)
 			if st.Stores > 0 {
 				coalesced := st.SyncRequests - st.Syncs
 				avg := time.Duration(st.StoreNanos / st.Stores)

@@ -80,8 +80,8 @@ func run(listen, diskPath string, mem bool, size int64, fragSize int, reuse bool
 		return err
 	}
 	fragsz, total, free, frags := srv.Stats()
-	logger.Printf("serving on %s: %d slots of %d KB (%d free, %d fragments)",
-		srv.Addr(), total, fragsz>>10, free, frags)
+	logger.Printf("serving on %s: %d slots of %d KB capacity in %d KB units (%d free, %d fragments)",
+		srv.Addr(), total, fragsz>>10, server.UnitSize(fragsz)>>10, free, frags)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

@@ -3,6 +3,7 @@ package bench
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"swarm/internal/core"
@@ -129,6 +130,15 @@ func RunDegradedReadAblation(blocks int, scale float64) (DegradedReadResult, err
 			order = append(order, a)
 		}
 	}
+	// Down a server that holds a fragment the reads need: with few
+	// blocks written, a fixed server may hold none of them.
+	victim := 0
+	for i, c := range writeEnv.Conns {
+		if len(order) > 0 && slices.Contains(wlog.LocationsOn(c.ID()), order[0].FID) {
+			victim = i
+			break
+		}
+	}
 
 	// measure opens a fresh log (cold caches) and reads one block per
 	// fragment, optionally with one server down.
@@ -150,7 +160,7 @@ func RunDegradedReadAblation(blocks int, scale float64) (DegradedReadResult, err
 			return 0, 0, err
 		}
 		if down {
-			flakies[0].SetDown(true)
+			flakies[victim].SetDown(true)
 		}
 		var total time.Duration
 		n := 0

@@ -249,6 +249,20 @@ func TestDegradedReadAblation(t *testing.T) {
 	report(t, "ablate", []Table{degradedReadTable(r)})
 }
 
+// At swarmbench's -blocks 1000 the degraded-read ablation writes only a
+// few fragments; the server it downs must still hold one the reads
+// need, or the "one server down" row measures no reconstruction.
+func TestDegradedReadAblationFewBlocks(t *testing.T) {
+	skipUnderRace(t)
+	r, err := RunDegradedReadAblation(1000/4*2, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Reconstructions == 0 {
+		t.Fatal("no reconstructions happened")
+	}
+}
+
 func TestReportRendering(t *testing.T) {
 	out := report(t, "3", []Table{writeTable([]WriteResult{{Clients: 1, Servers: 8, RawMBps: 6.3, UsefulMBps: 5.2}}, true, 10000)})
 	if !strings.Contains(out, "paper MB/s") || !strings.Contains(out, "6.4") {

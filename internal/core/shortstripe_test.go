@@ -231,6 +231,54 @@ func (d *cutDisk) Sync() error {
 	return d.CrashDisk.Sync()
 }
 
+// newCutCluster is a cluster of n servers whose disks can be power-cut.
+func newCutCluster(t *testing.T, n int) (*cluster, []*cutDisk) {
+	t.Helper()
+	c := &cluster{}
+	cuts := make([]*cutDisk, n)
+	for i := 0; i < n; i++ {
+		cuts[i] = &cutDisk{CrashDisk: disk.NewCrashDisk(disk.NewMemDisk(4 << 20))}
+		st, err := server.Format(cuts[i], server.Config{FragmentSize: testFragSize})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fl := transport.NewFlaky(transport.NewLocal(wire.ServerID(i+1), st, testClient))
+		c.stores = append(c.stores, st)
+		c.flaky = append(c.flaky, fl)
+		c.conns = append(c.conns, fl)
+	}
+	return c, cuts
+}
+
+// restart reopens a power-cut server from what its disk made durable.
+func (c *cluster) restart(t *testing.T, cuts []*cutDisk, id wire.ServerID) {
+	t.Helper()
+	st, err := server.Open(cuts[id-1].Backing())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl := transport.NewFlaky(transport.NewLocal(id, st, testClient))
+	c.stores[id-1], c.flaky[id-1], c.conns[id-1] = st, fl, fl
+}
+
+// serverImages reads every fragment each server holds, by server.
+func serverImages(t *testing.T, c *cluster) []map[wire.FID][]byte {
+	t.Helper()
+	out := make([]map[wire.FID][]byte, len(c.stores))
+	for i, st := range c.stores {
+		out[i] = make(map[wire.FID][]byte)
+		for _, fid := range st.List(0) {
+			size, _ := st.Has(fid)
+			data, err := st.Read(testClient, fid, 0, size)
+			if err != nil {
+				t.Fatalf("server %d: read %v: %v", i+1, fid, err)
+			}
+			out[i][fid] = bytes.Clone(data)
+		}
+	}
+	return out
+}
+
 // TestShortStripePowerCut cuts the power of one server in the middle of
 // a Sync that closes a stripe short — the server of its data member, or
 // of a parity member — then restarts that server from what its disk
@@ -240,20 +288,7 @@ func (d *cutDisk) Sync() error {
 func TestShortStripePowerCut(t *testing.T) {
 	for _, victimParity := range []bool{false, true} {
 		t.Run(fmt.Sprintf("parity=%v", victimParity), func(t *testing.T) {
-			const n = 6
-			c := &cluster{}
-			cuts := make([]*cutDisk, n)
-			for i := 0; i < n; i++ {
-				cuts[i] = &cutDisk{CrashDisk: disk.NewCrashDisk(disk.NewMemDisk(4 << 20))}
-				st, err := server.Format(cuts[i], server.Config{FragmentSize: testFragSize})
-				if err != nil {
-					t.Fatal(err)
-				}
-				fl := transport.NewFlaky(transport.NewLocal(wire.ServerID(i+1), st, testClient))
-				c.stores = append(c.stores, st)
-				c.flaky = append(c.flaky, fl)
-				c.conns = append(c.conns, fl)
-			}
+			c, cuts := newCutCluster(t, 6)
 			cfg := Config{ParityShards: 2}
 			l, _ := c.open(t, cfg)
 			var addrs []BlockAddr
@@ -277,19 +312,68 @@ func TestShortStripePowerCut(t *testing.T) {
 				t.Fatal("Sync across a power cut reported success")
 			}
 
-			// Restart the victim from its durable state.
-			st, err := server.Open(cuts[victim-1].Backing())
-			if err != nil {
-				t.Fatal(err)
-			}
-			fl := transport.NewFlaky(transport.NewLocal(victim, st, testClient))
-			c.stores[victim-1], c.flaky[victim-1], c.conns[victim-1] = st, fl, fl
+			c.restart(t, cuts, victim)
 			l2 := checkReadable(t, c, cfg.ParityShards, addrs, blocks)
 			defer l2.Close()
 			if err := l2.VerifyStripe(l2.stripeOf(addrs[0].FID.Seq())); err != nil {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestShortStripePowerCutBesideNeighbours cuts the power of one server
+// in the middle of a Sync whose short members land beside the short
+// members of earlier Syncs: one-block Syncs store members of a few
+// units, so the interrupted member's units share a fragment-sized span
+// with its live neighbours. After the server restarts from its durable
+// state, every fragment stored before the cut is byte-exact on every
+// server, and every block reads back.
+func TestShortStripePowerCutBesideNeighbours(t *testing.T) {
+	c, cuts := newCutCluster(t, 6)
+	cfg := Config{ParityShards: 2}
+	l, _ := c.open(t, cfg)
+	var addrs []BlockAddr
+	var blocks [][]byte
+	add := func(i int) BlockAddr {
+		blocks = append(blocks, blockPattern(i, 300))
+		addrs = append(addrs, mustAppend(t, l, 7, blocks[i]))
+		return addrs[i]
+	}
+	for i := 0; i < 6; i++ {
+		add(i)
+		if err := l.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := serverImages(t, c)
+	addr := add(6)
+	victim := l.connAt(l.stripeOf(addr.FID.Seq()), int(addr.FID.Seq()%uint64(l.width))).ID()
+	if len(before[victim-1]) == 0 {
+		t.Fatalf("server %d holds no earlier fragment to sit beside", victim)
+	}
+	if st := c.stores[victim-1].Stats(); st.UnitsHeld >= st.FragmentSize/server.UnitSize(st.FragmentSize) {
+		t.Fatalf("server %d's earlier fragments fill %d units: the next one would not share their span", victim, st.UnitsHeld)
+	}
+	cuts[victim-1].armed.Store(true)
+	if err := l.Sync(); err == nil {
+		t.Fatal("Sync across a power cut reported success")
+	}
+	c.restart(t, cuts, victim)
+	after := serverImages(t, c)
+	for i := range before {
+		for fid, want := range before[i] {
+			if got, ok := after[i][fid]; !ok || !bytes.Equal(got, want) {
+				t.Fatalf("server %d: fragment %v beside the cut is not byte-exact (present %v)", i+1, fid, ok)
+			}
+		}
+	}
+	l2 := checkReadable(t, c, cfg.ParityShards, addrs, blocks)
+	defer l2.Close()
+	for _, a := range addrs[:6] {
+		if err := l2.VerifyStripe(l2.stripeOf(a.FID.Seq())); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -352,8 +436,8 @@ func TestShortStripeDegradedRead(t *testing.T) {
 // TestShortStripeConcurrentSyncs closes stripes short while other
 // goroutines append — each writer Syncs every few blocks — with
 // PreallocStripes on: every stripe verifies, every block reads back
-// from a fresh log with a server down, and the servers hold no slot
-// beyond the members stored.
+// from a fresh log with a server down, and the servers hold no unit
+// beyond those the stored members fill.
 func TestShortStripeConcurrentSyncs(t *testing.T) {
 	c := newTestCluster(t, 6)
 	l, _ := c.open(t, Config{ParityShards: 2, PreallocStripes: true})
@@ -396,8 +480,25 @@ func TestShortStripeConcurrentSyncs(t *testing.T) {
 	if shorts == 0 {
 		t.Fatal("no stripe closed short")
 	}
-	if held, stored := slotsHeld(c), len(storedFIDs(c)); held != stored {
-		t.Fatalf("servers hold %d slots for %d stored members", held, stored)
+	// Every fragment a server holds is a stored member (no reservation
+	// outlived its stripe), and it holds only the units its bytes fill.
+	stored := storedFIDs(c)
+	fragments, units, memberUnits := 0, 0, 0
+	for _, st := range c.stores {
+		s := st.Stats()
+		fragments += s.Fragments
+		units += s.UnitsHeld
+		unit := server.UnitSize(s.FragmentSize)
+		for _, fid := range st.List(testClient) {
+			size, _ := st.Has(fid)
+			memberUnits += max(1, (int(size)+unit-1)/unit)
+		}
+	}
+	if fragments != len(stored) {
+		t.Fatalf("servers hold %d fragments for %d stored members", fragments, len(stored))
+	}
+	if units != memberUnits {
+		t.Fatalf("servers hold %d units, their %d stored members fill %d", units, len(stored), memberUnits)
 	}
 	c.flaky[0].SetDown(true)
 	l2, rec := c.open(t, Config{ParityShards: 2})

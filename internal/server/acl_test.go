@@ -94,7 +94,7 @@ func TestACLDistinctAIDs(t *testing.T) {
 // protected byte ranges deny non-members while open ranges stay readable.
 func TestStoreEnforcesACLRanges(t *testing.T) {
 	fragSize := 4096
-	d := disk.NewMemDisk(int64(superblockSize + aclRegionSize + 8*(fragSize+entrySize) + fragSize))
+	d := disk.NewMemDisk(storeDiskBytes(fragSize, 8))
 	s, err := Format(d, Config{FragmentSize: fragSize})
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +144,7 @@ func TestStoreEnforcesACLRanges(t *testing.T) {
 
 func TestACLsPersistAcrossReopen(t *testing.T) {
 	fragSize := 4096
-	d := disk.NewMemDisk(int64(superblockSize + aclRegionSize + 8*(fragSize+entrySize) + fragSize))
+	d := disk.NewMemDisk(storeDiskBytes(fragSize, 8))
 	s, err := Format(d, Config{FragmentSize: fragSize})
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +190,7 @@ func TestACLsPersistAcrossReopen(t *testing.T) {
 
 func TestACLRegionTornWriteStartsEmpty(t *testing.T) {
 	fragSize := 4096
-	d := disk.NewMemDisk(int64(superblockSize + aclRegionSize + 4*(fragSize+entrySize) + fragSize))
+	d := disk.NewMemDisk(storeDiskBytes(fragSize, 4))
 	s, err := Format(d, Config{FragmentSize: fragSize})
 	if err != nil {
 		t.Fatal(err)

@@ -21,7 +21,7 @@ const admissionFrag = 64 << 10
 // resident fragments (FIDs 9/0 and 9/1). Any further fill would evict.
 func newFullCacheStore(t testing.TB, slots int) *Store {
 	t.Helper()
-	d := disk.NewMemDisk(int64(superblockSize + aclRegionSize + slots*(admissionFrag+entrySize) + admissionFrag))
+	d := disk.NewMemDisk(storeDiskBytes(admissionFrag, slots))
 	s, err := Format(d, Config{FragmentSize: admissionFrag})
 	if err != nil {
 		t.Fatal(err)

@@ -178,7 +178,7 @@ func fragPattern(fid wire.FID, n int) []byte {
 func TestGroupCommitConcurrentStores(t *testing.T) {
 	fragSize := 4096
 	slots := 64
-	base := &countingDisk{Disk: disk.NewMemDisk(int64(superblockSize + aclRegionSize + slots*(fragSize+entrySize) + fragSize)), syncDelay: 200 * time.Microsecond}
+	base := &countingDisk{Disk: disk.NewMemDisk(storeDiskBytes(fragSize, slots)), syncDelay: 200 * time.Microsecond}
 	s, err := Format(base, Config{FragmentSize: fragSize})
 	if err != nil {
 		t.Fatal(err)
@@ -277,7 +277,7 @@ func TestConcurrentStoresSameFID(t *testing.T) {
 func TestCrashBetweenDataSyncAndEntryCommit(t *testing.T) {
 	fragSize := 4096
 	slots := 8
-	mem := disk.NewMemDisk(int64(superblockSize + aclRegionSize + slots*(fragSize+entrySize) + fragSize))
+	mem := disk.NewMemDisk(storeDiskBytes(fragSize, slots))
 	cd := disk.NewCrashDisk(mem)
 	hd := &hookDisk{Disk: cd}
 	s, err := Format(hd, Config{FragmentSize: fragSize})
@@ -320,7 +320,7 @@ func TestCrashBetweenDataSyncAndEntryCommit(t *testing.T) {
 func TestCrashAtomicityConcurrentGroupCommit(t *testing.T) {
 	fragSize := 2048
 	slots := 256
-	mem := disk.NewMemDisk(int64(superblockSize + aclRegionSize + slots*(fragSize+entrySize) + fragSize))
+	mem := disk.NewMemDisk(storeDiskBytes(fragSize, slots))
 	cd := disk.NewCrashDisk(mem)
 	s, err := Format(cd, Config{FragmentSize: fragSize})
 	if err != nil {
@@ -406,7 +406,7 @@ func TestCrashAtomicityConcurrentGroupCommit(t *testing.T) {
 func TestCrashRecoverIdempotent(t *testing.T) {
 	fragSize := 1024
 	slots := 8
-	mem := disk.NewMemDisk(int64(superblockSize + aclRegionSize + slots*(fragSize+entrySize) + fragSize))
+	mem := disk.NewMemDisk(storeDiskBytes(fragSize, slots))
 	cd := disk.NewCrashDisk(mem)
 	s, err := Format(cd, Config{FragmentSize: fragSize})
 	if err != nil {
@@ -436,7 +436,7 @@ func TestCrashRecoverIdempotent(t *testing.T) {
 func TestDeleteWaitsForInflightStore(t *testing.T) {
 	fragSize := 1024
 	slots := 4
-	mem := disk.NewMemDisk(int64(superblockSize + aclRegionSize + slots*(fragSize+entrySize) + fragSize))
+	mem := disk.NewMemDisk(storeDiskBytes(fragSize, slots))
 	hd := &hookDisk{Disk: mem}
 	s, err := Format(hd, Config{FragmentSize: fragSize})
 	if err != nil {
@@ -452,7 +452,7 @@ func TestDeleteWaitsForInflightStore(t *testing.T) {
 	release := make(chan struct{})
 	var once sync.Once
 	hook := func(p []byte, off int64) {
-		if off >= s.slotsOff {
+		if off >= s.dataOff {
 			once.Do(func() { close(entered); <-release })
 		}
 	}

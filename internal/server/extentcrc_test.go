@@ -22,7 +22,7 @@ const crcHeaderSize = 256
 
 func newSizedStore(t testing.TB, fragSize int, cacheBytes int64) *Store {
 	t.Helper()
-	d := disk.NewMemDisk(int64(superblockSize + aclRegionSize + 2*(fragSize+entrySize) + fragSize))
+	d := disk.NewMemDisk(storeDiskBytes(fragSize, 2))
 	s, err := Format(d, Config{FragmentSize: fragSize})
 	if err != nil {
 		t.Fatal(err)

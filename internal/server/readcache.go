@@ -17,10 +17,10 @@ import (
 // reads are sequential by construction, so fragment i's reader usually
 // wants i+1 next.
 //
-// Staleness safety rides on the store's per-slot generation counters:
-// every extent records the (slot, gen) it was filled under, and a lookup
-// only hits when the FID still maps to that slot at that generation. A
-// Delete+Store recycling the slot bumps the generation, so a stale
+// Staleness safety rides on the store's per-unit generation counters:
+// every extent records the (first unit, gen) it was filled under, and a
+// lookup only hits when the FID still starts at that unit at that
+// generation. A Delete freeing the units bumps the generation, so a stale
 // extent can never serve another fragment's bytes; Delete also drops the
 // FID's entry eagerly to free memory.
 //
@@ -74,7 +74,7 @@ type readCache struct {
 // reference and every response whose payload aliases buf.
 type Extent struct {
 	fid  wire.FID
-	slot int
+	unit int
 	gen  uint64
 	buf  []byte // pooled; len == the fragment's stored size
 	refs atomic.Int32
@@ -89,10 +89,10 @@ type Extent struct {
 const crcValid = 1 << 32
 
 // partialReads is a fragment's running total of range-read bytes,
-// stamped like an Extent with the (slot, gen) it was counted under; a
-// recycled slot starts the total again from zero.
+// stamped like an Extent with the (unit, gen) it was counted under; a
+// recycled unit starts the total again from zero.
 type partialReads struct {
-	slot  int
+	unit  int
 	gen   uint64
 	bytes int64
 }
@@ -132,11 +132,11 @@ func newReadCache(capBytes int64, depth int) *readCache {
 }
 
 // get returns the extent for fid if it is cached AND still describes the
-// live (slot, gen) the caller just resolved under the store mutex. The
+// live (unit, gen) the caller just resolved under the store mutex. The
 // returned extent carries a reference the caller must release. A stale
-// entry (slot recycled since the fill) is dropped and reported as a miss.
+// entry (unit recycled since the fill) is dropped and reported as a miss.
 // swarmlint:returns-ref
-func (rc *readCache) get(fid wire.FID, slot int, gen uint64) *Extent {
+func (rc *readCache) get(fid wire.FID, unit int, gen uint64) *Extent {
 	rc.mu.Lock()
 	el, ok := rc.index[fid]
 	if !ok {
@@ -144,7 +144,7 @@ func (rc *readCache) get(fid wire.FID, slot int, gen uint64) *Extent {
 		return nil
 	}
 	ext := el.Value.(*Extent)
-	if ext.slot != slot || ext.gen != gen {
+	if ext.unit != unit || ext.gen != gen {
 		rc.removeLocked(el)
 		rc.mu.Unlock()
 		return nil
@@ -162,21 +162,21 @@ func (rc *readCache) get(fid wire.FID, slot int, gen uint64) *Extent {
 // extent larger than the whole cache is returned caller-owned without
 // being inserted.
 // swarmlint:returns-ref
-func (rc *readCache) insert(fid wire.FID, slot int, gen uint64, buf []byte) *Extent {
+func (rc *readCache) insert(fid wire.FID, unit int, gen uint64, buf []byte) *Extent {
 	rc.mu.Lock()
 	delete(rc.partial, fid)
 	if el, ok := rc.index[fid]; ok {
 		ext := el.Value.(*Extent)
-		if ext.slot == slot && ext.gen == gen {
+		if ext.unit == unit && ext.gen == gen {
 			ext.refs.Add(1)
 			rc.lru.MoveToFront(el)
 			rc.mu.Unlock()
 			wire.PutBuffer(buf)
 			return ext
 		}
-		rc.removeLocked(el) // recycled slot: the resident entry is stale
+		rc.removeLocked(el) // recycled unit: the resident entry is stale
 	}
-	ext := &Extent{fid: fid, slot: slot, gen: gen, buf: buf}
+	ext := &Extent{fid: fid, unit: unit, gen: gen, buf: buf}
 	if int64(len(buf)) > rc.capBytes {
 		ext.refs.Store(1) // caller only; too big to keep
 		rc.mu.Unlock()
@@ -192,14 +192,14 @@ func (rc *readCache) insert(fid wire.FID, slot int, gen uint64, buf []byte) *Ext
 
 // fill adds a speculative (readahead) extent nobody is waiting for: the
 // cache holds the only reference. Oversized extents are rejected.
-func (rc *readCache) fill(fid wire.FID, slot int, gen uint64, buf []byte) {
-	ext := rc.insert(fid, slot, gen, buf)
+func (rc *readCache) fill(fid wire.FID, unit int, gen uint64, buf []byte) {
+	ext := rc.insert(fid, unit, gen, buf)
 	ext.Release() // drop the caller reference insert handed us
 }
 
-// contains reports whether fid has a live entry for (slot, gen) — the
+// contains reports whether fid has a live entry for (unit, gen) — the
 // readahead worker's cheap "already done" check.
-func (rc *readCache) contains(fid wire.FID, slot int, gen uint64) bool {
+func (rc *readCache) contains(fid wire.FID, unit int, gen uint64) bool {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	el, ok := rc.index[fid]
@@ -207,7 +207,7 @@ func (rc *readCache) contains(fid wire.FID, slot int, gen uint64) bool {
 		return false
 	}
 	ext := el.Value.(*Extent)
-	return ext.slot == slot && ext.gen == gen
+	return ext.unit == unit && ext.gen == gen
 }
 
 // invalidate eagerly drops fid's entry (Delete's belt; the generation
@@ -229,15 +229,15 @@ func (rc *readCache) invalidate(fid wire.FID) {
 // total to at least size fills. A whole-extent read therefore fills at
 // once, and so does fragio's header probe followed by its payload fetch;
 // a fragment read once in 4 KB costs 4 KB of disk, not a 1 MB fill.
-func (rc *readCache) admit(fid wire.FID, slot int, gen uint64, n, size uint32) bool {
+func (rc *readCache) admit(fid wire.FID, unit int, gen uint64, n, size uint32) bool {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	if rc.bytes+int64(size) <= rc.capBytes {
 		return true
 	}
 	p := rc.partial[fid]
-	if p.slot != slot || p.gen != gen {
-		p = partialReads{slot: slot, gen: gen}
+	if p.unit != unit || p.gen != gen {
+		p = partialReads{unit: unit, gen: gen}
 	}
 	p.bytes += int64(n)
 	if p.bytes >= int64(size) {
@@ -248,12 +248,12 @@ func (rc *readCache) admit(fid wire.FID, slot int, gen uint64, n, size uint32) b
 	return false
 }
 
-// forget drops fid's partial-read total if it was counted under (slot,
-// gen). A miss whose slot was recycled between its lookup and admit
+// forget drops fid's partial-read total if it was counted under (unit,
+// gen). A miss whose unit was recycled between its lookup and admit
 // calls it, so Delete's invalidate cannot be overtaken by a stale total.
-func (rc *readCache) forget(fid wire.FID, slot int, gen uint64) {
+func (rc *readCache) forget(fid wire.FID, unit int, gen uint64) {
 	rc.mu.Lock()
-	if p, ok := rc.partial[fid]; ok && p.slot == slot && p.gen == gen {
+	if p, ok := rc.partial[fid]; ok && p.unit == unit && p.gen == gen {
 		delete(rc.partial, fid)
 	}
 	rc.mu.Unlock()
@@ -333,7 +333,7 @@ func (s *Store) Close() {
 }
 
 // readExtent is the cached read path: resolve fid under the metadata
-// lock, serve from the extent cache when the (slot, gen) identity still
+// lock, serve from the extent cache when the (unit, gen) identity still
 // holds, otherwise read from disk — outside any lock — and revalidate.
 // A miss the cache admits (admit) fills the whole extent and caches it;
 // the returned data aliases the extent's pooled buffer, and the caller
@@ -346,12 +346,12 @@ func (s *Store) Close() {
 func (s *Store) readExtent(rc *readCache, client wire.ClientID, fid wire.FID, off, n uint32) ([]byte, *Extent, error) {
 	for {
 		s.mu.RLock()
-		slot, ok := s.bySID[fid]
-		if !ok || s.slots[slot].prealloc() {
+		first, ok := s.bySID[fid]
+		if !ok || s.ents[first].prealloc() {
 			s.mu.RUnlock()
 			return nil, nil, fmt.Errorf("%w: %v", ErrNotFound, fid)
 		}
-		ent := s.slots[slot]
+		ent := s.ents[first]
 		if off+n > ent.size || off+n < off {
 			s.mu.RUnlock()
 			return nil, nil, fmt.Errorf("%w: [%d,%d) of %d", ErrBadRange, off, off+n, ent.size)
@@ -360,11 +360,11 @@ func (s *Store) readExtent(rc *readCache, client wire.ClientID, fid wire.FID, of
 			s.mu.RUnlock()
 			return nil, nil, err
 		}
-		gen := s.gen[slot]
-		dataOff := s.slotOff(slot)
+		gen := s.gen[first]
+		dataOff := s.unitOff(first)
 		s.mu.RUnlock()
 
-		if ext := rc.get(fid, slot, gen); ext != nil {
+		if ext := rc.get(fid, first, gen); ext != nil {
 			rc.hits.Add(1)
 			rc.bytesCached.Add(int64(n))
 			rc.schedule(fid)
@@ -376,7 +376,7 @@ func (s *Store) readExtent(rc *readCache, client wire.ClientID, fid wire.FID, of
 		// header probe and payload fetch that follow it — and every
 		// later reader of this fragment — hit. Unadmitted, read just the
 		// requested bytes.
-		fill := rc.admit(fid, slot, gen, n, ent.size)
+		fill := rc.admit(fid, first, gen, n, ent.size)
 		at, size := dataOff, ent.size
 		if !fill {
 			at, size = dataOff+int64(off), n
@@ -388,22 +388,22 @@ func (s *Store) readExtent(rc *readCache, client wire.ClientID, fid wire.FID, of
 		}
 		rc.bytesDisk.Add(int64(size))
 		// Same revalidation as the uncached path (see Store.Read): the
-		// lock was dropped across the disk read, so the slot may have
+		// lock was dropped across the disk read, so the units may have
 		// been recycled mid-read. Never cache — or serve — such bytes.
 		s.mu.RLock()
 		cur, ok := s.bySID[fid]
-		valid := ok && cur == slot && s.gen[slot] == gen
+		valid := ok && cur == first && s.gen[first] == gen
 		s.mu.RUnlock()
 		if !valid {
 			wire.PutBuffer(buf)
-			rc.forget(fid, slot, gen)
+			rc.forget(fid, first, gen)
 			continue
 		}
 		rc.schedule(fid)
 		if !fill {
 			return buf, nil, nil
 		}
-		ext := rc.insert(fid, slot, gen, buf)
+		ext := rc.insert(fid, first, gen, buf)
 		return ext.buf[off : off+n : off+n], ext, nil
 	}
 }
@@ -433,17 +433,17 @@ func (s *Store) readaheadWorker(rc *readCache) {
 // and races with Delete are silently skipped — readahead is advisory.
 func (s *Store) prefetchExtent(rc *readCache, fid wire.FID) {
 	s.mu.RLock()
-	slot, ok := s.bySID[fid]
-	if !ok || s.slots[slot].prealloc() {
+	first, ok := s.bySID[fid]
+	if !ok || s.ents[first].prealloc() {
 		s.mu.RUnlock()
 		return
 	}
-	size := s.slots[slot].size
-	gen := s.gen[slot]
-	dataOff := s.slotOff(slot)
+	size := s.ents[first].size
+	gen := s.gen[first]
+	dataOff := s.unitOff(first)
 	s.mu.RUnlock()
 
-	if rc.contains(fid, slot, gen) {
+	if rc.contains(fid, first, gen) {
 		return
 	}
 	buf := wire.GetBuffer(int(size))
@@ -453,7 +453,7 @@ func (s *Store) prefetchExtent(rc *readCache, fid wire.FID) {
 	}
 	s.mu.RLock()
 	cur, ok := s.bySID[fid]
-	valid := ok && cur == slot && s.gen[slot] == gen
+	valid := ok && cur == first && s.gen[first] == gen
 	s.mu.RUnlock()
 	if !valid {
 		wire.PutBuffer(buf)
@@ -461,7 +461,7 @@ func (s *Store) prefetchExtent(rc *readCache, fid wire.FID) {
 	}
 	rc.bytesDisk.Add(int64(size))
 	rc.raLoads.Add(1)
-	rc.fill(fid, slot, gen, buf)
+	rc.fill(fid, first, gen, buf)
 }
 
 // ReadExtent is Read with the serving tier in front: when the extent

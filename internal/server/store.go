@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/rand/v2"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -26,8 +27,8 @@ var (
 	ErrNotFound = errors.New("server: fragment not found")
 	// ErrExists is returned when storing an already-stored fragment.
 	ErrExists = errors.New("server: fragment already exists")
-	// ErrNoSpace is returned when no free slot is available.
-	ErrNoSpace = errors.New("server: no free slots")
+	// ErrNoSpace is returned when no free run of units holds the fragment.
+	ErrNoSpace = errors.New("server: no free space")
 	// ErrTooLarge is returned when data exceeds the fragment size.
 	ErrTooLarge = errors.New("server: data larger than fragment size")
 	// ErrBadRange is returned for reads outside the stored fragment.
@@ -41,35 +42,39 @@ var (
 const (
 	superblockSize = 512
 	superMagic     = 0x53575342 // "SWSB"
+	superVersion   = 2          // unit extents, per-unit entries, format nonce
 	// aclRegionSize reserves space after the superblock for the
 	// persistent ACL database (§2.3.2: "The server maintains a database
 	// of ACLs").
 	aclRegionSize = 64 << 10
 	entrySize     = 256
 	entryMagic    = 0x53575345 // "SWSE"
-	maxACLRanges  = 14         // fits a 256-byte slot entry
+	maxACLRanges  = 14         // fits a 256-byte entry
+	entryNonceOff = entrySize - 12
 
 	flagUsed     = 1 << 0
 	flagMarked   = 1 << 1
 	flagPrealloc = 1 << 2
 )
 
-// slotEntry is the persistent per-slot metadata record. One entry is
-// rewritten, in a single disk write, to commit or delete a fragment — this
-// single write is the store's atomicity point (§2.3.1: "All storage server
-// operations are atomic").
-type slotEntry struct {
+// fragEntry is the persistent metadata record of one fragment, kept in
+// the entry of the fragment's first unit. One entry is rewritten, in a
+// single disk write, to commit or delete a fragment — this single write
+// is the store's atomicity point (§2.3.1: "All storage server operations
+// are atomic").
+type fragEntry struct {
 	fid    wire.FID
 	size   uint32
 	flags  uint16
 	ranges []wire.ACLRange
 }
 
-func (s *slotEntry) used() bool     { return s.flags&flagUsed != 0 }
-func (s *slotEntry) marked() bool   { return s.flags&flagMarked != 0 }
-func (s *slotEntry) prealloc() bool { return s.flags&flagPrealloc != 0 }
+func (s *fragEntry) used() bool     { return s.flags&flagUsed != 0 }
+func (s *fragEntry) marked() bool   { return s.flags&flagMarked != 0 }
+func (s *fragEntry) prealloc() bool { return s.flags&flagPrealloc != 0 }
 
-func (s *slotEntry) encode() []byte {
+// encode lays the entry out for the store formatted with nonce.
+func (s *fragEntry) encode(nonce uint64) []byte {
 	buf := make([]byte, entrySize)
 	binary.LittleEndian.PutUint32(buf[0:], entryMagic)
 	binary.LittleEndian.PutUint64(buf[4:], uint64(s.fid))
@@ -83,12 +88,15 @@ func (s *slotEntry) encode() []byte {
 		binary.LittleEndian.PutUint32(buf[off+8:], uint32(r.AID))
 		off += 12
 	}
+	binary.LittleEndian.PutUint64(buf[entryNonceOff:], nonce)
 	binary.LittleEndian.PutUint32(buf[entrySize-4:], crc32.ChecksumIEEE(buf[:entrySize-4]))
 	return buf
 }
 
-func decodeSlotEntry(buf []byte) (slotEntry, error) {
-	var s slotEntry
+// decodeFragEntry parses an entry written under the format nonce; an
+// entry from an earlier format of the disk is an error like a torn one.
+func decodeFragEntry(buf []byte, nonce uint64) (fragEntry, error) {
+	var s fragEntry
 	if len(buf) != entrySize {
 		return s, fmt.Errorf("%w: entry size %d", ErrCorruptMeta, len(buf))
 	}
@@ -97,6 +105,9 @@ func decodeSlotEntry(buf []byte) (slotEntry, error) {
 	}
 	if crc32.ChecksumIEEE(buf[:entrySize-4]) != binary.LittleEndian.Uint32(buf[entrySize-4:]) {
 		return s, fmt.Errorf("%w: entry checksum", ErrCorruptMeta)
+	}
+	if binary.LittleEndian.Uint64(buf[entryNonceOff:]) != nonce {
+		return s, fmt.Errorf("%w: entry from an earlier format", ErrCorruptMeta)
 	}
 	s.fid = wire.FID(binary.LittleEndian.Uint64(buf[4:]))
 	s.size = binary.LittleEndian.Uint32(buf[12:])
@@ -119,37 +130,44 @@ func decodeSlotEntry(buf []byte) (slotEntry, error) {
 
 // Config parameterizes a fragment store.
 type Config struct {
-	// FragmentSize is the fixed fragment slot size in bytes (the paper
-	// uses 1 MB). Must be positive.
+	// FragmentSize is the largest fragment in bytes (the paper uses 1
+	// MB); the store allocates in units of FragmentSize/16.
 	FragmentSize int
 }
 
 // DefaultFragmentSize matches the paper's prototype.
 const DefaultFragmentSize = 1 << 20
 
-// Store is the fragment repository: a slot allocator plus a persistent
-// FID→slot map over a Disk. It is safe for concurrent use.
+// Store is the fragment repository: an extent allocator over an array of
+// FragmentSize/16-byte units plus a persistent FID→extent map over a
+// Disk. It is safe for concurrent use.
 //
-// Concurrency model (DESIGN.md §3.10): the mutex guards only the
-// in-memory metadata — bySID, slots, free, gen, storing. Fragment data
-// writes happen outside any lock (a freshly allocated slot is private to
-// its writer until the entry commits), and fsyncs are shared between
-// concurrent stores by the sync coalescer.
+// On-disk layout (DESIGN.md §3.10): superblock, ACL region, one entry
+// per unit, then the units. A fragment takes one contiguous run of the
+// units it fills, and its entry is the one of the run's first unit.
+//
+// Concurrency model: the mutex guards only the in-memory metadata —
+// bySID, ents, free, gen, storing. Fragment data writes happen outside
+// any lock (freshly allocated units are private to their writer until
+// the entry commits), and fsyncs are shared between concurrent stores
+// by the sync coalescer.
 type Store struct {
 	d        disk.Disk
 	fragSize int
-	numSlots int
-	slotsOff int64
+	unitSize int
+	numUnits int
+	nonce    uint64 // format nonce: entries carrying another are free
+	dataOff  int64  // offset of unit 0
 
 	mu      sync.RWMutex
-	bySID   map[wire.FID]int           // FID → slot index; guarded by mu
-	slots   []slotEntry                // in-memory mirror of the on-disk entries; guarded by mu
-	free    []int                      // free slot indices (LIFO); guarded by mu
-	gen     []uint64                   // per-slot generation, bumped when a slot is freed; guarded by mu
+	bySID   map[wire.FID]int           // FID → first unit of its extent; guarded by mu
+	ents    []fragEntry                // per-unit mirror of the on-disk entries, set at first units; guarded by mu
+	free    freeRuns                   // free units; guarded by mu
+	gen     []uint64                   // per-unit generation, bumped when the extent starting there is freed; guarded by mu
 	storing map[wire.FID]chan struct{} // FIDs with an uncommitted store in flight; guarded by mu
 
 	committer *syncCoalescer  // shared-fsync barrier (data + entry syncs)
-	entries   *entryCommitter // batched slot-entry commits
+	entries   *entryCommitter // batched entry commits
 
 	stores     atomic.Int64 // committed fragment stores
 	storeNanos atomic.Int64 // cumulative wall time of committed stores
@@ -167,46 +185,50 @@ type Store struct {
 }
 
 // Format initializes a disk as an empty fragment store and returns it
-// opened. Existing contents are destroyed.
+// opened. Existing contents are destroyed: the superblock gets a fresh
+// format nonce, so every entry an earlier format wrote reads as free,
+// and the entry table is neither zeroed nor read.
 func Format(d disk.Disk, cfg Config) (*Store, error) {
 	if cfg.FragmentSize <= 0 {
 		cfg.FragmentSize = DefaultFragmentSize
 	}
-	avail := d.Size() - superblockSize - aclRegionSize
-	per := int64(cfg.FragmentSize) + entrySize
-	numSlots := int(avail / per)
-	if numSlots < 1 {
+	unit := UnitSize(cfg.FragmentSize)
+	numUnits := int((d.Size() - entryTableOff) / int64(unit+entrySize))
+	numUnits -= numUnits % unitsPerFragment // whole fragments of capacity
+	if numUnits < unitsPerFragment {
 		return nil, fmt.Errorf("server: disk too small: %d bytes for %d-byte fragments", d.Size(), cfg.FragmentSize)
+	}
+	nonce := rand.Uint64()
+	for nonce == 0 {
+		nonce = rand.Uint64()
 	}
 	sb := make([]byte, superblockSize)
 	binary.LittleEndian.PutUint32(sb[0:], superMagic)
-	binary.LittleEndian.PutUint32(sb[4:], 1) // version
+	binary.LittleEndian.PutUint32(sb[4:], superVersion)
 	binary.LittleEndian.PutUint32(sb[8:], uint32(cfg.FragmentSize))
-	binary.LittleEndian.PutUint32(sb[12:], uint32(numSlots))
+	binary.LittleEndian.PutUint32(sb[12:], uint32(numUnits))
+	binary.LittleEndian.PutUint64(sb[16:], nonce)
 	binary.LittleEndian.PutUint32(sb[superblockSize-4:], crc32.ChecksumIEEE(sb[:superblockSize-4]))
 	if err := d.WriteAt(sb, 0); err != nil {
 		return nil, fmt.Errorf("write superblock: %w", err)
 	}
-	// Zero the ACL region and the entry table so no stale state
-	// survives the format.
+	// Zero the ACL region so no stale database survives the format.
 	if err := d.WriteAt(make([]byte, aclRegionSize), superblockSize); err != nil {
 		return nil, fmt.Errorf("zero ACL region: %w", err)
-	}
-	zero := make([]byte, entrySize)
-	for i := 0; i < numSlots; i++ {
-		if err := d.WriteAt(zero, entryTableOff+int64(i)*entrySize); err != nil {
-			return nil, fmt.Errorf("zero slot entry %d: %w", i, err)
-		}
 	}
 	if err := d.Sync(); err != nil {
 		return nil, fmt.Errorf("sync format: %w", err)
 	}
-	return Open(d)
+	return open(d, true)
 }
 
 // Open loads an existing fragment store from a formatted disk, rebuilding
-// the in-memory maps from the persistent slot entries.
-func Open(d disk.Disk) (*Store, error) {
+// the in-memory maps and the free set from the persistent entries.
+func Open(d disk.Disk) (*Store, error) { return open(d, false) }
+
+// open loads the store on d; fresh (just formatted) means no entry
+// carries the nonce, so every unit is free without reading the table.
+func open(d disk.Disk, fresh bool) (*Store, error) {
 	sb := make([]byte, superblockSize)
 	if err := d.ReadAt(sb, 0); err != nil {
 		return nil, fmt.Errorf("read superblock: %w", err)
@@ -217,16 +239,25 @@ func Open(d disk.Disk) (*Store, error) {
 	if crc32.ChecksumIEEE(sb[:superblockSize-4]) != binary.LittleEndian.Uint32(sb[superblockSize-4:]) {
 		return nil, fmt.Errorf("%w: superblock checksum", ErrCorruptMeta)
 	}
+	if v := binary.LittleEndian.Uint32(sb[4:]); v != superVersion {
+		return nil, fmt.Errorf("%w: superblock version %d, want %d", ErrCorruptMeta, v, superVersion)
+	}
 	fragSize := int(binary.LittleEndian.Uint32(sb[8:]))
-	numSlots := int(binary.LittleEndian.Uint32(sb[12:]))
+	numUnits := int(binary.LittleEndian.Uint32(sb[12:]))
+	unit := UnitSize(fragSize)
+	if fragSize <= 0 || numUnits <= 0 || entryTableOff+int64(numUnits)*int64(unit+entrySize) > d.Size() {
+		return nil, fmt.Errorf("%w: %d units of %d bytes do not fit the disk", ErrCorruptMeta, numUnits, unit)
+	}
 	s := &Store{
 		d:        d,
 		fragSize: fragSize,
-		numSlots: numSlots,
-		slotsOff: entryTableOff + int64(numSlots)*entrySize,
+		unitSize: unit,
+		numUnits: numUnits,
+		nonce:    binary.LittleEndian.Uint64(sb[16:]),
+		dataOff:  entryTableOff + int64(numUnits)*entrySize,
 		bySID:    make(map[wire.FID]int),
-		slots:    make([]slotEntry, numSlots),
-		gen:      make([]uint64, numSlots),
+		ents:     make([]fragEntry, numUnits),
+		gen:      make([]uint64, numUnits),
 		storing:  make(map[wire.FID]chan struct{}),
 		acls:     NewACLDB(),
 	}
@@ -236,42 +267,82 @@ func Open(d disk.Disk) (*Store, error) {
 		return nil, err
 	}
 	s.acls.onChange = s.persistACLs
-	buf := make([]byte, entrySize)
-	for i := 0; i < numSlots; i++ {
-		if err := d.ReadAt(buf, entryTableOff+int64(i)*entrySize); err != nil {
-			return nil, fmt.Errorf("read slot entry %d: %w", i, err)
-		}
-		if binary.LittleEndian.Uint32(buf[0:]) != entryMagic {
-			// Never written or cleared: a free slot.
-			s.free = append(s.free, i)
-			continue
-		}
-		ent, err := decodeSlotEntry(buf)
-		if err != nil {
-			// A torn entry write means the commit never happened;
-			// treat the slot as free (the atomicity contract).
-			s.free = append(s.free, i)
-			continue
-		}
-		if !ent.used() {
-			s.free = append(s.free, i)
-			continue
-		}
-		s.slots[i] = ent
-		s.bySID[ent.fid] = i
+	if fresh {
+		s.free = freeRuns{{0, numUnits}}
+	} else if err := s.loadEntries(); err != nil {
+		return nil, err
 	}
-	// Hand out low slots first for deterministic layouts.
-	sort.Sort(sort.Reverse(sort.IntSlice(s.free)))
 	return s, nil
 }
 
-// FragmentSize returns the slot size in bytes.
+// loadEntries reads the whole entry table in one pass and rebuilds
+// bySID, ents and the free set. An entry that was never written, was
+// cleared, is torn, or carries another format's nonce starts no extent;
+// every unit no extent covers is free. Extents that overlap mean the
+// table is corrupt. A FID committed twice (a store retried after its
+// entry commit failed but reached the disk anyway) keeps its first
+// extent; the duplicate entry is cleared before its units are reused.
+func (s *Store) loadEntries() error {
+	table := make([]byte, s.numUnits*entrySize)
+	if err := s.d.ReadAt(table, entryTableOff); err != nil {
+		return fmt.Errorf("read entry table: %w", err)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var dups []int
+	next := 0 // first unit no earlier extent covers
+	for u := 0; u < s.numUnits; u++ {
+		ent, err := decodeFragEntry(table[u*entrySize:(u+1)*entrySize], s.nonce)
+		if err != nil || !ent.used() {
+			continue
+		}
+		n := s.extentUnits(&ent)
+		switch {
+		case u < next:
+			return fmt.Errorf("%w: extent at unit %d overlaps the one before it", ErrCorruptMeta, u)
+		case int(ent.size) > s.fragSize || u+n > s.numUnits:
+			return fmt.Errorf("%w: extent at unit %d: %d bytes", ErrCorruptMeta, u, ent.size)
+		}
+		if _, dup := s.bySID[ent.fid]; dup {
+			dups = append(dups, u)
+			continue
+		}
+		s.free.free(next, u-next)
+		next = u + n
+		s.ents[u] = ent
+		s.bySID[ent.fid] = u
+	}
+	s.free.free(next, s.numUnits-next)
+	for _, u := range dups {
+		if err := s.entries.commit(s.entryOff(u), (&fragEntry{}).encode(s.nonce)); err != nil {
+			return fmt.Errorf("clear duplicate entry: %w", err)
+		}
+	}
+	return nil
+}
+
+// extentUnits is how many units an entry's extent spans: a reservation
+// holds a full fragment's worth, a stored fragment what its bytes fill
+// (at least one unit).
+func (s *Store) extentUnits(ent *fragEntry) int {
+	if ent.prealloc() {
+		return unitsPerFragment
+	}
+	return s.unitsFor(int(ent.size))
+}
+
+// unitsFor is how many units n bytes of fragment data take.
+func (s *Store) unitsFor(n int) int {
+	return max(1, (n+s.unitSize-1)/s.unitSize)
+}
+
+// FragmentSize returns the largest fragment the store takes, in bytes.
 func (s *Store) FragmentSize() int { return s.fragSize }
 
 // ACLs returns the server's ACL database.
 func (s *Store) ACLs() *ACLDB { return s.acls }
 
-// entryTableOff is where the slot-entry table begins.
+// entryTableOff is where the entry table begins.
 const entryTableOff = superblockSize + aclRegionSize
 
 const aclMagic = 0x53574143 // "SWAC"
@@ -320,18 +391,18 @@ func (s *Store) loadACLs() error {
 	return s.acls.decodeInto(img)
 }
 
-func (s *Store) entryOff(slot int) int64 { return entryTableOff + int64(slot)*entrySize }
-func (s *Store) slotOff(slot int) int64  { return s.slotsOff + int64(slot)*int64(s.fragSize) }
+func (s *Store) entryOff(unit int) int64 { return entryTableOff + int64(unit)*entrySize }
+func (s *Store) unitOff(unit int) int64  { return s.dataOff + int64(unit)*int64(s.unitSize) }
 
-// writeEntry durably rewrites one slot entry and mirrors it in memory.
-// The write goes through the batched entry committer, which never takes
-// s.mu, so callers may hold it while waiting on a shared batch. Callers
-// hold s.mu. swarmlint:locked
-func (s *Store) writeEntry(slot int, ent slotEntry) error {
-	if err := s.entries.commit(s.entryOff(slot), ent.encode()); err != nil {
-		return fmt.Errorf("write slot entry: %w", err)
+// writeEntry durably rewrites the entry of the extent starting at unit
+// and mirrors it in memory. The write goes through the batched entry
+// committer, which never takes s.mu, so callers may hold it while
+// waiting on a shared batch. Callers hold s.mu. swarmlint:locked
+func (s *Store) writeEntry(unit int, ent fragEntry) error {
+	if err := s.entries.commit(s.entryOff(unit), ent.encode(s.nonce)); err != nil {
+		return fmt.Errorf("write entry: %w", err)
 	}
-	s.slots[slot] = ent
+	s.ents[unit] = ent
 	return nil
 }
 
@@ -350,12 +421,12 @@ func (s *Store) waitStoring(fid wire.FID) {
 	}
 }
 
-// Store writes a complete fragment. The data is written to a free slot and
-// synced before the slot entry commits it, so a crash leaves either the
-// whole fragment or nothing. mark flags the fragment for LastMarked.
+// Store writes a complete fragment. The data is written to free units and
+// synced before the entry commits it, so a crash leaves either the whole
+// fragment or nothing. mark flags the fragment for LastMarked.
 //
-// The mutex covers only slot allocation and the commit of the in-memory
-// maps; the data write runs unlocked (the slot is private until the
+// The mutex covers only unit allocation and the commit of the in-memory
+// maps; the data write runs unlocked (the units are private until the
 // entry commits) and both fsyncs are group-committed, so concurrent
 // stores share barriers instead of convoying on the lock.
 func (s *Store) Store(fid wire.FID, data []byte, mark bool, ranges []wire.ACLRange) error {
@@ -366,59 +437,66 @@ func (s *Store) Store(fid wire.FID, data []byte, mark bool, ranges []wire.ACLRan
 		return fmt.Errorf("server: too many ACL ranges: %d > %d", len(ranges), maxACLRanges)
 	}
 	start := time.Now()
+	need := s.unitsFor(len(data))
 
 	s.mu.Lock()
 	s.waitStoring(fid)
-	slot, preallocated := s.bySID[fid]
+	first, preallocated := s.bySID[fid]
 	if preallocated {
-		if !s.slots[slot].prealloc() {
+		if !s.ents[first].prealloc() {
 			s.mu.Unlock()
 			return fmt.Errorf("%w: %v", ErrExists, fid)
 		}
 	} else {
-		if len(s.free) == 0 {
+		var ok bool
+		if first, ok = s.free.alloc(need); !ok {
 			s.mu.Unlock()
 			return ErrNoSpace
 		}
-		slot = s.free[len(s.free)-1]
-		s.free = s.free[:len(s.free)-1]
 	}
 	inflight := make(chan struct{})
 	s.storing[fid] = inflight
 	s.mu.Unlock()
 
-	// On failure the slot returns to the free list (or stays a bare
-	// prealloc reservation) and waiters on this FID re-evaluate.
-	fail := func(err error) error {
+	// On failure waiters on this FID re-evaluate, and the units go back
+	// to the free set — unless the entry commit failed: that entry may
+	// still have reached the disk, so its units are not reused before
+	// the next Open reads what the table really holds. A reservation
+	// stays a bare reservation either way.
+	fail := func(err error, release bool) error {
 		s.mu.Lock()
-		if !preallocated {
-			s.free = append(s.free, slot)
+		if release && !preallocated {
+			s.free.free(first, need)
 		}
 		delete(s.storing, fid)
 		s.mu.Unlock()
 		close(inflight)
 		return err
 	}
-	if err := s.d.WriteAt(data, s.slotOff(slot)); err != nil {
-		return fail(fmt.Errorf("write fragment data: %w", err))
+	if err := s.d.WriteAt(data, s.unitOff(first)); err != nil {
+		return fail(fmt.Errorf("write fragment data: %w", err), true)
 	}
 	// Data barrier: the fragment bytes must be durable before the entry
 	// that makes them reachable. One coalesced fsync covers every store
 	// whose write preceded it.
 	if err := s.committer.Sync(); err != nil {
-		return fail(fmt.Errorf("sync fragment data: %w", err))
+		return fail(fmt.Errorf("sync fragment data: %w", err), true)
 	}
 	flags := uint16(flagUsed)
 	if mark {
 		flags |= flagMarked
 	}
-	ent := slotEntry{fid: fid, size: uint32(len(data)), flags: flags, ranges: ranges}
-	if err := s.entries.commit(s.entryOff(slot), ent.encode()); err != nil {
-		return fail(fmt.Errorf("write slot entry: %w", err))
+	ent := fragEntry{fid: fid, size: uint32(len(data)), flags: flags, ranges: ranges}
+	if err := s.entries.commit(s.entryOff(first), ent.encode(s.nonce)); err != nil {
+		return fail(fmt.Errorf("write entry: %w", err), false)
 	}
 	s.mu.Lock()
-	s.slots[slot] = ent
-	s.bySID[fid] = slot
+	s.ents[first] = ent
+	s.bySID[fid] = first
+	if preallocated {
+		// The committed entry no longer claims the reservation's tail.
+		s.free.free(first+need, unitsPerFragment-need)
+	}
 	delete(s.storing, fid)
 	s.mu.Unlock()
 	close(inflight)
@@ -429,7 +507,7 @@ func (s *Store) Store(fid wire.FID, data []byte, mark bool, ranges []wire.ACLRan
 
 // checkAccess verifies client may touch [off,off+n) of the entry's data.
 // Unprotected ranges (no AID assigned) are open to everyone.
-func (s *Store) checkAccess(ent *slotEntry, client wire.ClientID, off, n uint32) error {
+func (s *Store) checkAccess(ent *fragEntry, client wire.ClientID, off, n uint32) error {
 	for _, r := range ent.ranges {
 		if off+n <= r.Off || off >= r.End() {
 			continue // no overlap
@@ -446,12 +524,12 @@ func (s *Store) checkAccess(ent *slotEntry, client wire.ClientID, off, n uint32)
 func (s *Store) Read(client wire.ClientID, fid wire.FID, off, n uint32) ([]byte, error) {
 	for {
 		s.mu.RLock()
-		slot, ok := s.bySID[fid]
-		if !ok || s.slots[slot].prealloc() {
+		first, ok := s.bySID[fid]
+		if !ok || s.ents[first].prealloc() {
 			s.mu.RUnlock()
 			return nil, fmt.Errorf("%w: %v", ErrNotFound, fid)
 		}
-		ent := s.slots[slot]
+		ent := s.ents[first]
 		if off+n > ent.size || off+n < off {
 			s.mu.RUnlock()
 			return nil, fmt.Errorf("%w: [%d,%d) of %d", ErrBadRange, off, off+n, ent.size)
@@ -460,8 +538,8 @@ func (s *Store) Read(client wire.ClientID, fid wire.FID, off, n uint32) ([]byte,
 			s.mu.RUnlock()
 			return nil, err
 		}
-		gen := s.gen[slot]
-		dataOff := s.slotOff(slot) + int64(off)
+		gen := s.gen[first]
+		dataOff := s.unitOff(first) + int64(off)
 		s.mu.RUnlock()
 
 		// Pooled: the TCP server recycles the buffer once the response frame
@@ -472,14 +550,14 @@ func (s *Store) Read(client wire.ClientID, fid wire.FID, off, n uint32) ([]byte,
 			return nil, fmt.Errorf("read fragment data: %w", err)
 		}
 		// The lock is dropped during the disk read, so a concurrent
-		// Delete + Store may have recycled the slot for another fragment
-		// mid-read and handed us its bytes. The generation counter
-		// (bumped whenever a slot is freed) detects that; discard the
-		// read and retry against the new state — which usually reports
-		// the FID gone.
+		// Delete + Store may have recycled the units for another fragment
+		// mid-read and handed us its bytes. The generation counter of the
+		// extent's first unit (bumped whenever the extent is freed)
+		// detects that; discard the read and retry against the new state
+		// — which usually reports the FID gone.
 		s.mu.RLock()
 		cur, ok := s.bySID[fid]
-		valid := ok && cur == slot && s.gen[slot] == gen
+		valid := ok && cur == first && s.gen[first] == gen
 		s.mu.RUnlock()
 		if valid {
 			return buf, nil
@@ -488,26 +566,28 @@ func (s *Store) Read(client wire.ClientID, fid wire.FID, off, n uint32) ([]byte,
 	}
 }
 
-// Delete removes a fragment and frees its slot. Deleting requires write
-// access to every protected range of the fragment.
+// Delete removes a fragment and frees its units. Deleting requires write
+// access to every protected range of the fragment. The units return to
+// the free set only once the cleared entry is durable, so no crash can
+// leave a live entry over units another fragment has since taken.
 func (s *Store) Delete(client wire.ClientID, fid wire.FID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.waitStoring(fid)
-	slot, ok := s.bySID[fid]
+	first, ok := s.bySID[fid]
 	if !ok {
 		return fmt.Errorf("%w: %v", ErrNotFound, fid)
 	}
-	ent := s.slots[slot]
+	ent := s.ents[first]
 	if err := s.checkAccess(&ent, client, 0, ent.size); err != nil {
 		return err
 	}
-	if err := s.writeEntry(slot, slotEntry{}); err != nil {
+	if err := s.writeEntry(first, fragEntry{}); err != nil {
 		return err
 	}
 	delete(s.bySID, fid)
-	s.gen[slot]++ // invalidate in-flight lockless reads of this slot
-	s.free = append(s.free, slot)
+	s.gen[first]++ // invalidate in-flight lockless reads of this extent
+	s.free.free(first, s.extentUnits(&ent))
 	// The generation bump already fences the read cache; dropping the
 	// entry eagerly just frees its memory sooner.
 	if rc := s.rcache; rc != nil {
@@ -516,8 +596,9 @@ func (s *Store) Delete(client wire.ClientID, fid wire.FID) error {
 	return nil
 }
 
-// Prealloc reserves a slot for fid without storing data, guaranteeing a
-// later Store cannot fail for lack of space.
+// Prealloc reserves a full fragment's units for fid without storing data,
+// guaranteeing a later Store cannot fail for lack of space. The Store
+// gives back the units its data does not fill.
 func (s *Store) Prealloc(fid wire.FID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -525,17 +606,17 @@ func (s *Store) Prealloc(fid wire.FID) error {
 	if _, ok := s.bySID[fid]; ok {
 		return fmt.Errorf("%w: %v", ErrExists, fid)
 	}
-	if len(s.free) == 0 {
+	first, ok := s.free.alloc(unitsPerFragment)
+	if !ok {
 		return ErrNoSpace
 	}
-	slot := s.free[len(s.free)-1]
-	s.free = s.free[:len(s.free)-1]
-	ent := slotEntry{fid: fid, flags: flagUsed | flagPrealloc}
-	if err := s.writeEntry(slot, ent); err != nil {
-		s.free = append(s.free, slot)
+	// A failed entry commit keeps the units: the reservation may have
+	// reached the disk (see Store).
+	ent := fragEntry{fid: fid, flags: flagUsed | flagPrealloc}
+	if err := s.writeEntry(first, ent); err != nil {
 		return err
 	}
-	s.bySID[fid] = slot
+	s.bySID[fid] = first
 	return nil
 }
 
@@ -547,8 +628,8 @@ func (s *Store) LastMarked(client wire.ClientID) (wire.FID, bool) {
 	defer s.mu.RUnlock()
 	var best wire.FID
 	found := false
-	for fid, slot := range s.bySID {
-		ent := &s.slots[slot]
+	for fid, first := range s.bySID {
+		ent := &s.ents[first]
 		if !ent.marked() || ent.prealloc() || fid.Client() != client {
 			continue
 		}
@@ -559,16 +640,16 @@ func (s *Store) LastMarked(client wire.ClientID) (wire.FID, bool) {
 	return best, found
 }
 
-// Has reports whether fid is stored (preallocated slots don't count) and
-// its size.
+// Has reports whether fid is stored (reservations don't count) and its
+// size.
 func (s *Store) Has(fid wire.FID) (uint32, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	slot, ok := s.bySID[fid]
-	if !ok || s.slots[slot].prealloc() {
+	first, ok := s.bySID[fid]
+	if !ok || s.ents[first].prealloc() {
 		return 0, false
 	}
-	return s.slots[slot].size, true
+	return s.ents[first].size, true
 }
 
 // List returns all stored FIDs for client (client 0 lists everything),
@@ -577,8 +658,8 @@ func (s *Store) List(client wire.ClientID) []wire.FID {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := make([]wire.FID, 0, len(s.bySID))
-	for fid, slot := range s.bySID {
-		if s.slots[slot].prealloc() {
+	for fid, first := range s.bySID {
+		if s.ents[first].prealloc() {
 			continue
 		}
 		if client != 0 && fid.Client() != client {
@@ -591,18 +672,25 @@ func (s *Store) List(client wire.ClientID) []wire.FID {
 }
 
 // Stats describes store occupancy and commit-path activity.
+//
+// Slots are units of FragmentSize capacity, not places: TotalSlots is the
+// store's units / 16, and FreeSlots is how many full-size fragments fit
+// in the free runs right now (a full-size Store succeeds exactly when it
+// is at least one). TotalSlots − FreeSlots thus counts the capacity held,
+// fragmentation included.
 type Stats struct {
 	FragmentSize int
 	TotalSlots   int
 	FreeSlots    int
-	Fragments    int
+	Fragments    int // stored fragments and reservations
+	UnitsHeld    int // FragmentSize/16-byte units that extents (reservations included) hold
 
 	// Commit-path counters, cumulative since open.
 	Stores         int64 // committed fragment stores
 	SyncRequests   int64 // logical sync barriers requested by the commit path
 	Syncs          int64 // physical d.Sync calls issued for them
-	EntryBatches   int64 // batched slot-entry commit rounds
-	EntriesBatched int64 // slot entries written across those rounds
+	EntryBatches   int64 // batched entry commit rounds
+	EntriesBatched int64 // entries written across those rounds
 	StoreNanos     int64 // cumulative wall time of committed stores
 
 	// Read-path counters (all zero while the serving-tier extent cache
@@ -651,7 +739,7 @@ func (st Stats) MeanSyncBatch() float64 {
 	return float64(st.SyncRequests) / float64(st.Syncs)
 }
 
-// MeanEntryBatch is the mean slot entries committed per batch round.
+// MeanEntryBatch is the mean entries committed per batch round.
 func (st Stats) MeanEntryBatch() float64 {
 	if st.EntryBatches == 0 {
 		return 0
@@ -674,9 +762,10 @@ func (s *Store) Stats() Stats {
 	s.mu.RLock()
 	st := Stats{
 		FragmentSize:   s.fragSize,
-		TotalSlots:     s.numSlots,
-		FreeSlots:      len(s.free),
+		TotalSlots:     s.numUnits / unitsPerFragment,
+		FreeSlots:      s.free.fullSlots(),
 		Fragments:      len(s.bySID),
+		UnitsHeld:      s.numUnits - s.free.units(),
 		Stores:         s.stores.Load(),
 		SyncRequests:   req,
 		Syncs:          syncs,

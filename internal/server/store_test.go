@@ -13,10 +13,16 @@ import (
 	"swarm/internal/wire"
 )
 
+// storeDiskBytes sizes a disk whose store holds exactly slots full-size
+// fragments of fragSize bytes.
+func storeDiskBytes(fragSize, slots int) int64 {
+	return entryTableOff + int64(slots*unitsPerFragment)*int64(UnitSize(fragSize)+entrySize)
+}
+
 func newTestStore(t *testing.T, slots int) (*Store, *disk.MemDisk) {
 	t.Helper()
 	fragSize := 4096
-	d := disk.NewMemDisk(int64(superblockSize + aclRegionSize + slots*(fragSize+entrySize) + fragSize))
+	d := disk.NewMemDisk(storeDiskBytes(fragSize, slots))
 	s, err := Format(d, Config{FragmentSize: fragSize})
 	if err != nil {
 		t.Fatal(err)
@@ -68,12 +74,20 @@ func TestStoreTooLarge(t *testing.T) {
 
 func TestStoreNoSpace(t *testing.T) {
 	s, _ := newTestStore(t, 2)
+	full := make([]byte, s.FragmentSize())
 	total := s.Stats().TotalSlots
+	if total != 2 {
+		t.Fatalf("TotalSlots = %d, want 2", total)
+	}
 	for i := 0; i < total; i++ {
-		if err := s.Store(wire.MakeFID(1, uint64(i)), []byte("x"), false, nil); err != nil {
+		if err := s.Store(wire.MakeFID(1, uint64(i)), full, false, nil); err != nil {
 			t.Fatalf("store %d of %d: %v", i, total, err)
 		}
 	}
+	if st := s.Stats(); st.FreeSlots != 0 {
+		t.Fatalf("full server reports %d free slots", st.FreeSlots)
+	}
+	// Not even one unit is left.
 	if err := s.Store(wire.MakeFID(1, 99), []byte("x"), false, nil); !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("store into full server: %v", err)
 	}
@@ -81,8 +95,39 @@ func TestStoreNoSpace(t *testing.T) {
 	if err := s.Delete(1, wire.MakeFID(1, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Store(wire.MakeFID(1, 99), []byte("x"), false, nil); err != nil {
+	if err := s.Store(wire.MakeFID(1, 99), full, false, nil); err != nil {
 		t.Fatalf("store after delete: %v", err)
+	}
+}
+
+// Slots count capacity, not fragments: a one-unit fragment takes a
+// sixteenth of a slot, so 16 × TotalSlots of them fit exactly.
+func TestStoreOneUnitFragmentsFill(t *testing.T) {
+	s, d := newTestStore(t, 2)
+	unit := UnitSize(s.FragmentSize())
+	n := unitsPerFragment * s.Stats().TotalSlots
+	for i := 0; i < n; i++ {
+		fid := wire.MakeFID(1, uint64(i))
+		if err := s.Store(fid, bytes.Repeat([]byte{byte(i)}, unit), false, nil); err != nil {
+			t.Fatalf("store %d of %d one-unit fragments: %v", i, n, err)
+		}
+	}
+	if err := s.Store(wire.MakeFID(1, uint64(n)), []byte("x"), false, nil); !errors.Is(err, ErrNoSpace) {
+		t.Fatalf("store past %d one-unit fragments: %v", n, err)
+	}
+	st := s.Stats()
+	if st.FreeSlots != 0 || st.UnitsHeld != n || st.Fragments != n {
+		t.Fatalf("stats after filling: %+v", st)
+	}
+	s2, err := Open(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		got, err := s2.Read(1, wire.MakeFID(1, uint64(i)), 0, uint32(unit))
+		if err != nil || !bytes.Equal(got, bytes.Repeat([]byte{byte(i)}, unit)) {
+			t.Fatalf("one-unit fragment %d after reopen: %v", i, err)
+		}
 	}
 }
 
@@ -138,18 +183,51 @@ func TestPreallocThenStore(t *testing.T) {
 
 func TestPreallocReservesSpace(t *testing.T) {
 	s, _ := newTestStore(t, 2)
+	full := make([]byte, s.FragmentSize())
 	total := s.Stats().TotalSlots
 	for i := 0; i < total; i++ {
 		if err := s.Prealloc(wire.MakeFID(1, uint64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if err := s.Prealloc(wire.MakeFID(2, 1)); !errors.Is(err, ErrNoSpace) {
+		t.Fatalf("prealloc on a fully preallocated server: %v", err)
+	}
 	if err := s.Store(wire.MakeFID(2, 0), []byte("x"), false, nil); !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("store into fully preallocated server: %v", err)
 	}
-	// But the preallocated FIDs can still be stored.
-	if err := s.Store(wire.MakeFID(1, 0), []byte("x"), false, nil); err != nil {
+	// But the preallocated FIDs can still be stored, full-size.
+	for i := 0; i < total; i++ {
+		if err := s.Store(wire.MakeFID(1, uint64(i)), full, false, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// A Store into a reservation gives back the units its data does not
+// fill, durably: the next Open sees the same free space.
+func TestPreallocReleasesTail(t *testing.T) {
+	s, d := newTestStore(t, 2)
+	unit := UnitSize(s.FragmentSize())
+	fid := wire.MakeFID(1, 0)
+	if err := s.Prealloc(fid); err != nil {
 		t.Fatal(err)
+	}
+	if st := s.Stats(); st.UnitsHeld != unitsPerFragment || st.FreeSlots != 1 {
+		t.Fatalf("after prealloc: %+v", st)
+	}
+	if err := s.Store(fid, make([]byte, 3*unit-1), false, nil); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.UnitsHeld != 3 {
+		t.Fatalf("store into reservation holds %d units, want 3", st.UnitsHeld)
+	}
+	s2, err := Open(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s2.Stats(); st.UnitsHeld != 3 || st.Fragments != 1 {
+		t.Fatalf("after reopen: %+v", st)
 	}
 }
 
@@ -249,7 +327,7 @@ func TestStoreAtomicityUnderCrash(t *testing.T) {
 	copy(crash, post)
 	// Entry table occupies [entryTableOff, slotsOff): restore it to the
 	// pre-store image, keeping the fragment data bytes in place.
-	copy(crash[entryTableOff:s.slotsOff], pre[entryTableOff:s.slotsOff])
+	copy(crash[entryTableOff:s.dataOff], pre[entryTableOff:s.dataOff])
 	d.Restore(crash)
 
 	s2, err := Open(d)
@@ -273,7 +351,7 @@ func TestOpenToleratesTornEntry(t *testing.T) {
 	}
 	// Corrupt slot entry 1 with a valid magic but bad CRC.
 	garbage := make([]byte, entrySize)
-	copy(garbage, s.slots[0].encode()[:8])
+	copy(garbage, s.ents[0].encode(s.nonce)[:8])
 	garbage[20] = 0xFF
 	if err := d.WriteAt(garbage, entryTableOff+entrySize); err != nil {
 		t.Fatal(err)
@@ -319,7 +397,7 @@ func TestStoreWriteFailureLeavesSlotFree(t *testing.T) {
 }
 
 func TestSlotEntryRoundTrip(t *testing.T) {
-	ent := slotEntry{
+	ent := fragEntry{
 		fid:   wire.MakeFID(5, 123),
 		size:  4096,
 		flags: flagUsed | flagMarked,
@@ -328,7 +406,7 @@ func TestSlotEntryRoundTrip(t *testing.T) {
 			{Off: 100, Len: 200, AID: 2},
 		},
 	}
-	got, err := decodeSlotEntry(ent.encode())
+	got, err := decodeFragEntry(ent.encode(7), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,11 +425,11 @@ func TestQuickSlotEntryRoundTrip(t *testing.T) {
 		if marked {
 			flags |= flagMarked
 		}
-		ent := slotEntry{fid: wire.FID(fid), size: size, flags: flags}
+		ent := fragEntry{fid: wire.FID(fid), size: size, flags: flags}
 		for i := uint8(0); i < nRanges%maxACLRanges; i++ {
 			ent.ranges = append(ent.ranges, wire.ACLRange{Off: uint32(i), Len: uint32(i) * 2, AID: wire.AID(i)})
 		}
-		got, err := decodeSlotEntry(ent.encode())
+		got, err := decodeFragEntry(ent.encode(7), 7)
 		if err != nil {
 			return false
 		}
@@ -378,7 +456,7 @@ func TestQuickSlotEntryRoundTrip(t *testing.T) {
 func TestReadAfterFreeSlotReuse(t *testing.T) {
 	fragSize := 4096
 	slots := 1
-	d := disk.NewMemDisk(int64(superblockSize + aclRegionSize + slots*(fragSize+entrySize) + fragSize))
+	d := disk.NewMemDisk(storeDiskBytes(fragSize, slots))
 	hd := &hookDisk{Disk: d}
 	s, err := Format(hd, Config{FragmentSize: fragSize})
 	if err != nil {
@@ -396,7 +474,7 @@ func TestReadAfterFreeSlotReuse(t *testing.T) {
 	// into the (single) recycled slot.
 	var once sync.Once
 	hook := func(p []byte, off int64) {
-		if off < s.slotsOff {
+		if off < s.dataOff {
 			return // metadata read, not fragment data
 		}
 		once.Do(func() {
@@ -434,7 +512,7 @@ func TestReadAfterFreeSlotReuse(t *testing.T) {
 func TestReadDeleteStoreRaceStress(t *testing.T) {
 	fragSize := 512
 	slots := 1
-	d := disk.NewMemDisk(int64(superblockSize + aclRegionSize + slots*(fragSize+entrySize) + fragSize))
+	d := disk.NewMemDisk(storeDiskBytes(fragSize, slots))
 	s, err := Format(d, Config{FragmentSize: fragSize})
 	if err != nil {
 		t.Fatal(err)

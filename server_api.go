@@ -114,7 +114,11 @@ func (s *Server) Addr() string {
 	return s.tcp.Addr()
 }
 
-// Stats describes the server's slot occupancy.
+// Stats describes the server's occupancy. Slots are units of
+// fragmentSize capacity, not places: the store allocates each fragment
+// only the FragmentSize/16-byte units it fills, totalSlots is its
+// capacity in full fragments, and freeSlots is how many full-size
+// fragments fit in its free space right now.
 func (s *Server) Stats() (fragmentSize, totalSlots, freeSlots, fragments int) {
 	st := s.store.Stats()
 	return st.FragmentSize, st.TotalSlots, st.FreeSlots, st.Fragments
