@@ -54,12 +54,14 @@ race:
 
 # The chaos harness alone, under the race detector, plus the transport's
 # retry, breaker and failure-injection tests, the log's short-stripe
-# loss, crash and power-cut tests, and the store's allocator churn and
-# power-cut tests.
+# loss, crash and power-cut tests and its range-decode equivalence tests
+# (degraded reads against the whole-fragment path, under concurrent
+# readers, a second failure and the cleaner), and the store's allocator
+# churn and power-cut tests.
 chaos:
 	$(GO) test -race -v -run 'TestChaos|TestDegradedWrites' .
 	$(GO) test -race -run 'Resilient|Flaky|Retry' ./internal/transport
-	$(GO) test -race -run 'ShortStripe' ./internal/core
+	$(GO) test -race -run 'ShortStripe|RangeDecode' ./internal/core
 	$(GO) test -race -run 'AllocatorChurn|PowerCut|Crash' ./internal/server
 
 # Statement coverage across all packages, with a floor: fails if the
@@ -96,6 +98,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzResponseStreamDemux -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzCRCCombine -fuzztime 10s ./internal/wire
 	$(GO) test -run '^$$' -fuzz FuzzErasureRoundTrip -fuzztime 10s ./internal/erasure
+	$(GO) test -run '^$$' -fuzz FuzzReconstructRange -fuzztime 10s ./internal/erasure
 	$(GO) test -run '^$$' -fuzz FuzzDecodeInode -fuzztime 10s ./internal/sting
 	$(GO) test -run '^$$' -fuzz FuzzDecodeMapBlock -fuzztime 10s ./internal/sting
 	$(GO) test -run '^$$' -fuzz FuzzDecodeBucket -fuzztime 10s ./internal/sting

@@ -68,10 +68,11 @@ func run() error {
 	}
 	fmt.Printf("server %d killed\n", victim+1)
 
-	// Read everything back: fragments on the dead server are rebuilt by
-	// XORing the surviving members of their stripes. The client finds
-	// the stripe by broadcasting for neighbouring fragments — Swarm is
-	// self-hosting, there is no metadata service to consult.
+	// Read everything back: blocks on the dead server are rebuilt by
+	// XORing the same bytes of the surviving members of their stripes.
+	// The client finds the stripe by broadcasting for neighbouring
+	// fragments — Swarm is self-hosting, there is no metadata service to
+	// consult.
 	for i, addr := range blocks {
 		got, err := l.Read(addr, 0, uint32(len(payload)))
 		if err != nil {
@@ -82,8 +83,8 @@ func run() error {
 		}
 	}
 	st := l.Stats()
-	fmt.Printf("all %d blocks read back intact (%d fragment reconstructions)\n",
-		len(blocks), st.Reconstructions)
+	fmt.Printf("all %d blocks read back intact (%d reconstructions, %d of them block ranges)\n",
+		len(blocks), st.Reconstructions, st.RangeReconstructions)
 
 	// Replace the dead server with a fresh, empty one on the same
 	// address and rebuild: the client reconstructs every fragment that

@@ -74,18 +74,17 @@ func RunPipelineAblation(blocks int, scale float64) ([]AblationResult, error) {
 }
 
 // DegradedReadResult compares first-touch read latency with all servers
-// up against reads that must reconstruct a fragment from its stripe.
-// (Throughput barely degrades: a reconstruction bulk-reads the surviving
-// fragments once and then serves every block of the rebuilt fragment
-// from memory, so the cost shows in first-touch latency, not bandwidth.)
+// up against the same reads with one server down, where a read of a
+// fragment on that server reconstructs its block from the stripe.
 type DegradedReadResult struct {
 	// HealthyLatency is the mean 1999-normalized time to read the first
 	// block of a fragment from a live server.
 	HealthyLatency time.Duration
-	// DegradedLatency is the same with the fragment's server down: the
-	// read triggers a full stripe reconstruction.
+	// DegradedLatency is the same with one server down: a read of one of
+	// its fragments decodes the block from the same byte range of the
+	// stripe's survivors.
 	DegradedLatency time.Duration
-	// Reconstructions counts how many fragments were rebuilt.
+	// Reconstructions counts the decodes the degraded reads made.
 	Reconstructions int64
 	Servers         int
 }

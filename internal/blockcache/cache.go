@@ -161,6 +161,14 @@ func (c *Cache) ReadBlock(addr core.BlockAddr, blockLen, off, n uint32) ([]byte,
 	// is one ranged request — without this, N concurrent misses on one
 	// hot block issue N identical fills.)
 	c.flightMu.Lock()
+	// A fill may have landed between lookup and here: it cached the
+	// block and retired its flight, so no flight is found. Look again
+	// under flightMu, which a landing fill takes after caching, before
+	// starting a second fill of the same block.
+	if data, _ := c.lookup(addr, off, n); data != nil {
+		c.flightMu.Unlock()
+		return data, nil
+	}
 	if f, ok := c.flights[addr]; ok {
 		c.flightMu.Unlock()
 		<-f.done

@@ -76,6 +76,50 @@ func TestSingleflightOneFill(t *testing.T) {
 	}
 }
 
+// TestLateMissFindsLandedFill is the regression test for the fill race
+// behind TestSingleflightOneFill's rare failure: a reader misses in
+// lookup, and before it takes flightMu the first fill caches the block
+// and retires its flight. Finding no flight, the reader used to start a
+// second fill. The test parks a reader in exactly that window by holding
+// flightMu, lands the fill, then lets the reader go: it must take the
+// cached block without a lower read.
+func TestLateMissFindsLandedFill(t *testing.T) {
+	g := &gatedReader{gate: make(chan struct{}), data: bytes.Repeat([]byte{7}, 128)}
+	close(g.gate) // a fill, if one starts, does not block
+	c := New(g, 1<<20)
+
+	c.flightMu.Lock()
+	type result struct {
+		data []byte
+		err  error
+	}
+	done := make(chan result, 1)
+	go func() {
+		data, err := c.ReadBlock(addr(0), 128, 0, 128)
+		done <- result{data, err}
+	}()
+	// The miss is counted after lookup fails and before flightMu is
+	// taken: from here the reader waits on the lock this test holds.
+	for c.misses.Load() == 0 {
+		runtime.Gosched()
+	}
+	// Land a fill the way ReadBlock does: the block is cached and no
+	// flight for it remains.
+	c.putOwned(addr(0), append([]byte(nil), g.data...))
+	c.flightMu.Unlock()
+
+	r := <-done
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if !bytes.Equal(r.data, g.data) {
+		t.Fatal("data mismatch")
+	}
+	if n := g.reads.Load(); n != 0 {
+		t.Fatalf("lower reads = %d, want 0: the late reader refilled a cached block", n)
+	}
+}
+
 // TestSingleflightErrorShared: a failing fill must propagate its error to
 // every waiter and leave no flight entry behind.
 func TestSingleflightErrorShared(t *testing.T) {

@@ -153,6 +153,23 @@ func (h *Header) EmptyMembers() (mask uint16, ok bool) {
 	return mask, true
 }
 
+// MemberLen returns member i's payload length as h's MemberLens record
+// it: a data member's own entry, and for a parity member the longest
+// data member's, the length parity is stored at. Meaningful only when
+// h.HasMemberLens().
+func (h *Header) MemberLen(i int) uint32 {
+	if _, parity := h.ParityOrdinal(i); !parity {
+		return h.MemberLens[i]
+	}
+	var n uint32
+	for x := 0; x < int(h.Width); x++ {
+		if _, parity := h.ParityOrdinal(x); !parity {
+			n = max(n, h.MemberLens[x])
+		}
+	}
+	return n
+}
+
 // ErasureCode returns the stripe's codec as named by the header.
 func (h *Header) ErasureCode() (erasure.Code, error) {
 	return erasure.New(erasure.Kind(h.Codec), h.DataShards(), int(h.NumParity))

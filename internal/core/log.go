@@ -143,6 +143,15 @@ type Log struct {
 	// closes a stripe short and from any fetched header that carries its
 	// stripe's MemberLens; entries die with their stripe. Guarded by mu.
 	empty map[uint64]uint16
+	// geoms holds, per stripe of this log, a header of it that carries
+	// its MemberLens: base, width, group, codec, m, epoch and member
+	// lengths in one value, everything a degraded read needs to range
+	// decode a lost member. Learned from any fetched header carrying
+	// MemberLens (stripeGeometry reads a parity header to get one), so
+	// a stripe's later degraded reads cost only their range reads: no
+	// sibling search, no header read. Entries die with their stripe.
+	// Guarded by mu.
+	geoms map[uint64]Header
 	// stripeEpochs pins each live stripe written this session to the
 	// placement epoch it opened under; membership changes close the open
 	// stripe first, so a stripe is wholly placed under one view. Entries
@@ -175,8 +184,13 @@ type LogStats struct {
 	ParityFragments   int64
 	BytesStored       int64 // total bytes shipped to servers (raw)
 	Checkpoints       int64
-	Reconstructions   int64
+	Reconstructions   int64 // lost members decoded from their stripes: whole fragments and ranges alike
 	BroadcastFallback int64
+	// RangeReconstructions counts the Reconstructions that decoded only
+	// the byte range a degraded read needed (Log.Read on a lost
+	// fragment) from the same range of k survivors, not the whole
+	// fragment.
+	RangeReconstructions int64
 	// DegradedWrites counts fragment stores skipped because the server
 	// was unreachable while the stripe stayed parity-covered; the write
 	// path degrades instead of failing (RebuildServer restores them).
@@ -283,6 +297,7 @@ func Open(cfg Config) (*Log, *Recovery, error) {
 		pendingDel:   make(map[wire.FID]wire.ServerID),
 		prealloced:   make(map[uint64]bool),
 		empty:        make(map[uint64]uint16),
+		geoms:        make(map[uint64]Header),
 		stripeEpochs: make(map[uint64]uint32),
 		acls:         make(map[wire.ServerID]wire.AID, len(cfg.ACLs)),
 		usage:        NewUsageTable(),
@@ -700,18 +715,21 @@ func (l *Log) isEmpty(fid wire.FID) bool {
 	return l.isEmptyLocked(fid)
 }
 
-// noteEmpty learns the empty members named by a fetched header that
-// carries its stripe's MemberLens (the parity headers and the last data
-// member's), so later fetches of those members are served locally.
-func (l *Log) noteEmpty(h *Header) {
-	if h.FID.Client() != l.client || int(h.Width) != l.width {
+// noteStripe learns what a fetched header of this log says about its
+// stripe when it carries the stripe's MemberLens (the parity headers
+// and the last data member's): the empty members, so later fetches of
+// those are served locally, and the stripe's geometry entry.
+func (l *Log) noteStripe(h *Header) {
+	if h.FID.Client() != l.client || int(h.Width) != l.width || !h.HasMemberLens() {
 		return
 	}
-	if mask, ok := h.EmptyMembers(); ok && mask != 0 {
-		l.mu.Lock()
+	mask, _ := h.EmptyMembers()
+	l.mu.Lock()
+	if mask != 0 {
 		l.empty[h.StripeID] = mask
-		l.mu.Unlock()
 	}
+	l.geoms[h.StripeID] = *h
+	l.mu.Unlock()
 }
 
 // lastDataLocked reports whether stripe has no data slot left to open:
@@ -1133,6 +1151,7 @@ func (l *Log) ReclaimStripe(stripe uint64) error {
 	l.mu.Lock()
 	delete(l.stripeEpochs, stripe) // the stripe no longer exists anywhere
 	delete(l.empty, stripe)
+	delete(l.geoms, stripe)
 	l.mu.Unlock()
 	if firstErr != nil {
 		return firstErr

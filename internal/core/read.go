@@ -38,15 +38,38 @@ func (frameFormat) Verify(decoded any, payload []byte) error {
 	return nil
 }
 
-// fragCache holds recently reconstructed fragments so a stream of reads
-// against a failed server doesn't redo the stripe gather and decode per
-// block.
+// fragCache holds recently reconstructed whole fragments (and, with
+// readahead, fetched ones). A degraded read rents before it buys: it
+// range decodes the bytes it needs until rent says the whole fragment
+// is worth reconstructing into this cache, so a fragment read all over
+// costs one whole gather, not hundreds of small ones. The cache keeps
+// the rent per lost fragment; it restarts when the fragment is bought,
+// so after its eviction the fragment is rented again before it is
+// bought again.
 type fragCache struct {
-	mu   sync.Mutex
-	cap  int
-	m    map[wire.FID]cachedFrag // guarded by mu
-	fifo []wire.FID              // guarded by mu
+	mu     sync.Mutex
+	cap    int
+	m      map[wire.FID]cachedFrag // guarded by mu
+	fifo   []wire.FID              // guarded by mu
+	rented map[wire.FID]rental     // guarded by mu
 }
+
+// rental is what range decodes of one lost fragment have cost since it
+// was last bought: the bytes they decoded, and where the last one ended.
+type rental struct {
+	bytes uint64
+	end   uint32
+}
+
+// buyAfter is the rent-or-buy break-even of degraded reads, in whole
+// fragments. A range decode reads the same survivors a whole
+// reconstruction does, over fewer bytes, so bytes decoded stand for
+// bytes moved on both paths: at 1, range decodes of a lost fragment
+// have moved what one whole gather would have by the time the whole
+// fragment is bought. That is the deterministic ski-rental rule, which
+// never moves more than twice the bytes of the better choice made in
+// hindsight (DESIGN.md §3.4).
+const buyAfter = 1
 
 type cachedFrag struct {
 	header  Header
@@ -54,7 +77,28 @@ type cachedFrag struct {
 }
 
 func newFragCache(capacity int) *fragCache {
-	return &fragCache{cap: capacity, m: make(map[wire.FID]cachedFrag, capacity)}
+	return &fragCache{cap: capacity, m: make(map[wire.FID]cachedFrag, capacity), rented: make(map[wire.FID]rental)}
+}
+
+// rent charges the range decode of payload bytes [a, b) to the lost
+// fragment fid and reports whether it is time to buy: its range decodes
+// have reached limit bytes, or this one continues a scan. A read
+// continues a scan when it starts after the last one ended, with a gap
+// no longer than itself (the entries between two blocks: the first's
+// create record, the second's entry header). A scan goes on to read the
+// rest of the fragment, and a range decode costs k+1 round trips
+// whatever its size, so renting a scan block by block would cost
+// hundreds of gathers where buying costs one; bytes alone would not see
+// that until the whole fragment had been rented.
+func (c *fragCache) rent(fid wire.FID, a, b, limit uint32) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	r, seen := c.rented[fid]
+	scan := seen && a >= r.end && a-r.end <= b-a
+	r.bytes += uint64(b - a)
+	r.end = b
+	c.rented[fid] = r
+	return scan || r.bytes >= uint64(limit)
 }
 
 func (c *fragCache) get(fid wire.FID) (cachedFrag, bool) {
@@ -67,6 +111,7 @@ func (c *fragCache) get(fid wire.FID) (cachedFrag, bool) {
 func (c *fragCache) put(fid wire.FID, f cachedFrag) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	delete(c.rented, fid)
 	if _, ok := c.m[fid]; ok {
 		c.m[fid] = f
 		return
@@ -84,13 +129,14 @@ func (c *fragCache) drop(fid wire.FID) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	delete(c.m, fid)
+	delete(c.rented, fid)
 }
 
 // Read returns n bytes starting at off within the block at addr. The fast
 // paths serve from the open fragment buffer or in-flight fragments
 // (read-your-writes); otherwise the block's server is contacted through
-// the fragment I/O engine, and if it is unavailable the fragment is
-// reconstructed from its stripe (§2.3.3).
+// the fragment I/O engine, and if it is unavailable the bytes are
+// reconstructed from the fragment's stripe (§2.3.3, readLost).
 func (l *Log) Read(addr BlockAddr, off, n uint32) ([]byte, error) {
 	if n == 0 {
 		return nil, nil
@@ -148,11 +194,128 @@ func (l *Log) Read(addr BlockAddr, off, n uint32) ([]byte, error) {
 		}
 		// Server unavailable or fragment missing: fall through.
 	}
-	_, payload, err := l.reconstruct(addr.FID)
+	return l.readLost(addr, off, n)
+}
+
+// readLost serves a read of an unavailable fragment from its stripe.
+// It rents, then buys (fragCache.rent): while renting, the read decodes
+// just its own bytes from the same range of k survivors (decodeRange);
+// the read that buys reconstructs the whole fragment into the fragment
+// cache, which serves the reads after it. A stripe whose MemberLens
+// cannot be learned has no clamp for its survivors' ranges and takes
+// the whole path. Concurrent readers of the same bytes share one flight
+// (a caller of Log.Read that has no block cache in front of it, such as
+// several readers of one hot block, pays one decode, not one each).
+func (l *Log) readLost(addr BlockAddr, off, n uint32) ([]byte, error) {
+	fid, a := addr.FID, addr.Off+EntryHdrSize+off
+	v, shared, err := l.engine.SingleRange(fid, a, n, func() (any, error) {
+		g, err := l.stripeGeometry(fid)
+		if err != nil {
+			return nil, err
+		}
+		if g.HasMemberLens() {
+			missIdx := int(fid.Seq() - g.BaseSeq())
+			fragLen := g.MemberLen(missIdx)
+			if a+n > fragLen {
+				return nil, fmt.Errorf("%w: read [%d,%d) beyond fragment data %d", ErrBadFragment, a, a+n, fragLen)
+			}
+			if !l.recon.rent(fid, a, a+n, buyAfter*fragLen) {
+				return l.decodeRange(g, missIdx, a, a+n)
+			}
+		}
+		_, payload, err := l.reconstruct(fid)
+		if err != nil {
+			return nil, err
+		}
+		return sliceBlock(payload, addr, off, n)
+	})
 	if err != nil {
 		return nil, err
 	}
-	return sliceBlock(payload, addr, off, n)
+	out := v.([]byte)
+	if shared {
+		// Every reader owns the bytes Read returns.
+		out = append([]byte(nil), out...)
+	}
+	return out, nil
+}
+
+// decodeRange decodes payload bytes [a, b) of member missIdx, a lost
+// data member, of the stripe g describes (a header carrying
+// MemberLens). XOR and Reed–Solomon are bytewise: byte i of the lost
+// member depends only on byte i of k survivors, and a survivor shorter
+// than i contributes a zero. So each survivor is read over [a, b)
+// clamped to its length, and one that ends at or before a — an empty
+// member among them — joins the decode as an empty shard without an
+// RPC. The reads go through the engine's quorum gather, the one whole
+// reconstruction uses: the first k to land are decoded and a
+// straggler's few bytes are recycled.
+func (l *Log) decodeRange(g *Header, missIdx int, a, b uint32) ([]byte, error) {
+	code, err := g.ErasureCode()
+	if err != nil {
+		return nil, fmt.Errorf("%w: stripe %d: %v", ErrBadFragment, g.StripeID, err)
+	}
+	width := int(g.Width)
+	shards := make([][]byte, width)
+	members := make([]fragio.Member, 0, width-1)
+	ords := make([]int, 0, width-1)
+	got := 0
+	l.mu.Lock()
+	for i := 0; i < width; i++ {
+		if i == missIdx {
+			continue
+		}
+		end := min(b, g.MemberLen(i))
+		if end <= a {
+			shards[g.ShardOrdinal(i)] = []byte{}
+			got++
+			continue
+		}
+		m := fragio.Member{FID: g.MemberFID(i), Server: g.Group[i], Off: a, Len: end - a}
+		if id, ok := l.locations[m.FID]; ok {
+			m.Server = id
+		}
+		members = append(members, m)
+		ords = append(ords, g.ShardOrdinal(i))
+	}
+	l.mu.Unlock()
+	k := code.DataShards()
+	results := l.engine.GatherK(members, k-got)
+	// The range payloads only feed the decode, whose output is a fresh
+	// allocation: they go back to the transport's pool on every path.
+	defer func() {
+		for _, r := range results {
+			wire.PutBuffer(r.Payload)
+		}
+	}()
+	for ri, r := range results {
+		if r.Err == nil {
+			p := r.Payload
+			if p == nil {
+				p = []byte{} // nil marks a missing shard
+			}
+			shards[ords[ri]] = p
+			got++
+		}
+	}
+	if got < k {
+		return nil, fmt.Errorf("%w: %d of %d stripe members available, need %d", ErrLost, got, width, k)
+	}
+	out, err := code.Reconstruct(shards, g.ShardOrdinal(missIdx), int(b-a))
+	if err != nil {
+		return nil, fmt.Errorf("%w: stripe %d: %v", ErrLost, g.StripeID, err)
+	}
+	l.mu.Lock()
+	for _, r := range results {
+		if r.Err == nil && r.From != r.Server {
+			// The gather located the member by broadcast: remember where.
+			l.locations[r.FID] = r.From
+		}
+	}
+	l.stats.Reconstructions++
+	l.stats.RangeReconstructions++
+	l.mu.Unlock()
+	return out, nil
 }
 
 // isHardReadError reports errors that reconstruction cannot help with
@@ -256,7 +419,7 @@ type fetchedFrag struct {
 // through fetch. The engine's per-server queues bound the fan-out.
 // Fragments with a recorded location go first: a stripe's parity and
 // last data member are among them, and their headers name its empty
-// members (noteEmpty), so the second round serves those locally instead
+// members (noteStripe), so the second round serves those locally instead
 // of searching the cluster for fragments that were never stored.
 func (l *Log) fetchSeqs(seqs []uint64, fetch func(wire.FID) (Header, []byte, error)) map[uint64]fetchedFrag {
 	var located, rest []uint64
@@ -312,7 +475,7 @@ func (l *Log) engineFetch(conn transport.ServerConn, fid wire.FID) (Header, []by
 		return Header{}, nil, err
 	}
 	h := decoded.(Header)
-	l.noteEmpty(&h)
+	l.noteStripe(&h)
 	return h, payload, nil
 }
 
@@ -355,26 +518,33 @@ func (l *Log) reconstruct(fid wire.FID) (Header, []byte, error) {
 	return f.header, f.payload, nil
 }
 
-// reconstructFragment rebuilds a missing fragment from surviving
-// members of its stripe. Clients reconstruct the fragments they need;
-// servers never participate and never learn a reconstruction happened
-// (§2.3.3). The stripe is discovered by broadcasting for a neighboring
-// fragment — numbering within a stripe is consecutive, so a sibling is
-// within MaxWidth-1 sequence numbers — and the stripe group, the
-// erasure codec, and the parity count are all read from its header, so
-// every stripe decodes with the code that wrote it regardless of this
-// client's configuration (mixed-format logs read cleanly). Any k of the
-// n = k+m members suffice: the gather returns as soon as k arrive, so
-// reconstruction under multiple failures costs ~the k-th fastest member
-// fetch, not the slowest of all survivors. A member known to be empty
-// (this log closed its stripe short, or the sibling's MemberLens record
-// it as length 0) joins the decode as an empty shard without a fetch,
-// which shrinks a short stripe's fan-in; a missing member that is
-// itself empty needs no decode at all.
+// reconstructFragment rebuilds a whole missing fragment from surviving
+// members of its stripe — the path of the cleaner, rebuild, recovery,
+// FetchFragment, readahead and a degraded read that buys (readLost); a
+// degraded read that rents decodes only its range (decodeRange).
+// Clients reconstruct the fragments they need; servers never
+// participate and never learn a reconstruction happened (§2.3.3). The
+// stripe is discovered by broadcasting for a neighboring fragment —
+// numbering within a stripe is consecutive, so a sibling is within
+// MaxWidth-1 sequence numbers — and the stripe group, the erasure codec,
+// and the parity count are all read from its header, so every stripe
+// decodes with the code that wrote it regardless of this client's
+// configuration (mixed-format logs read cleanly); the stripe's geometry
+// entry, when this log holds one, stands in for the sibling. Any k of
+// the n = k+m members suffice: the gather returns as soon as k arrive,
+// so reconstruction under multiple failures costs ~the k-th fastest
+// member fetch, not the slowest of all survivors. A member known to be
+// empty (this log closed its stripe short, or the sibling's MemberLens
+// record it as length 0) joins the decode as an empty shard without a
+// fetch, which shrinks a short stripe's fan-in; a missing member that
+// is itself empty needs no decode at all.
 func (l *Log) reconstructFragment(fid wire.FID) (Header, []byte, error) {
-	sib, err := l.findSibling(fid)
-	if err != nil {
-		return Header{}, nil, err
+	sib, ok := l.geometryEntry(fid)
+	if !ok {
+		var err error
+		if sib, err = l.findSibling(fid); err != nil {
+			return Header{}, nil, err
+		}
 	}
 	base := sib.BaseSeq()
 	width := int(sib.Width)
@@ -387,7 +557,7 @@ func (l *Log) reconstructFragment(fid wire.FID) (Header, []byte, error) {
 		return Header{}, nil, fmt.Errorf("%w: stripe %d: %v", ErrBadFragment, sib.StripeID, err)
 	}
 	k := code.DataShards()
-	l.noteEmpty(sib)
+	l.noteStripe(sib)
 	empty := l.emptyOf(sib)
 	emptyHeader := Header{
 		Kind: FragData, Width: uint8(width), Index: uint8(missIdx),
@@ -450,7 +620,7 @@ func (l *Log) reconstructFragment(fid wire.FID) (Header, []byte, error) {
 		if mask, ok := h.EmptyMembers(); ok {
 			lens, haveLens = h.MemberLens, true
 			empty |= mask
-			l.noteEmpty(&h)
+			l.noteStripe(&h)
 		} else {
 			lens[idx] = h.DataLen
 		}
@@ -536,6 +706,43 @@ func (l *Log) bumpReconStat() {
 	l.mu.Unlock()
 }
 
+// geometryEntry returns the geometry entry of fid's stripe (Log.geoms),
+// if this log holds one.
+func (l *Log) geometryEntry(fid wire.FID) (*Header, bool) {
+	if fid.Client() != l.client {
+		return nil, false
+	}
+	l.mu.Lock()
+	g, ok := l.geoms[l.stripeOf(fid.Seq())]
+	l.mu.Unlock()
+	return &g, ok
+}
+
+// stripeGeometry returns a header describing fid's stripe, carrying its
+// MemberLens whenever they can be had: the stripe's geometry entry if
+// this log holds one, else a sibling's header (findSibling) and, when
+// that one lacks MemberLens, a parity member's header, which always
+// carries them. A header carrying MemberLens becomes the stripe's entry,
+// so only a stripe's first degraded read pays for the search.
+func (l *Log) stripeGeometry(fid wire.FID) (*Header, error) {
+	if g, ok := l.geometryEntry(fid); ok {
+		return g, nil
+	}
+	sib, err := l.findSibling(fid)
+	if err != nil {
+		return nil, err
+	}
+	for j := 0; !sib.HasMemberLens() && j < int(sib.NumParity); j++ {
+		idx := int((sib.StripeID + uint64(j)) % uint64(sib.Width))
+		h, err := l.fetchHeader(sib.MemberFID(idx), sib.Group[idx])
+		if err == nil && h.Kind == FragParity && h.StripeID == sib.StripeID {
+			sib = h
+		}
+	}
+	l.noteStripe(sib)
+	return sib, nil
+}
+
 // findSibling locates any other fragment of fid's stripe and returns its
 // header. Per the paper: "If fragment N needs to be reconstructed, then
 // either fragment N-1 or fragment N+1 is in the same stripe. A client
@@ -553,7 +760,7 @@ func (l *Log) findSibling(fid wire.FID) (*Header, error) {
 			if l.isEmpty(cfid) {
 				continue
 			}
-			h, err := l.fetchSiblingHeader(cfid)
+			h, err := l.fetchHeader(cfid, 0)
 			if err != nil {
 				continue
 			}
@@ -566,8 +773,14 @@ func (l *Log) findSibling(fid wire.FID) (*Header, error) {
 	return nil, fmt.Errorf("%w: no stripe sibling found for %v", ErrLost, fid)
 }
 
-func (l *Log) fetchSiblingHeader(fid wire.FID) (*Header, error) {
+// fetchHeader reads and decodes fid's header from its recorded
+// location, else from server hint (0: none), else from a server found
+// by broadcast.
+func (l *Log) fetchHeader(fid wire.FID, hint wire.ServerID) (*Header, error) {
 	conn := l.lookupConn(fid)
+	if conn == nil {
+		conn = l.engine.Conn(hint)
+	}
 	if conn == nil {
 		found, _, err := l.engine.Locate(fid)
 		if err != nil {

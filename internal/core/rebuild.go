@@ -21,6 +21,12 @@ func (l *Log) RebuildServer(id wire.ServerID) (int, error) {
 	if conn == nil {
 		return 0, fmt.Errorf("%w: server %d not in configuration", ErrConfig, id)
 	}
+	// Reads that failed over while the server was down may have left its
+	// circuit open; the caller says a replacement is up, so ask it now
+	// rather than fail fast until the open timeout runs out.
+	if p, ok := conn.(transport.Prober); ok {
+		_ = p.Probe()
+	}
 	// Clear out deletions deferred while servers were unreachable: their
 	// stripes are already reclaimed, so any orphan still listed would be
 	// mistaken for a live stripe member below.

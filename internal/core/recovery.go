@@ -382,7 +382,7 @@ func (l *Log) VerifyStripe(stripe uint64) error {
 			return Header{}, nil, r.Err
 		}
 		h := r.Decoded.(Header)
-		l.noteEmpty(&h)
+		l.noteStripe(&h)
 		return h, r.Payload, nil
 	})
 	// Payloads are re-encoded/compared and die here; recycle them.

@@ -12,9 +12,17 @@
 //   - parallel scatter-gather fetch of stripe members (Gather), turning
 //     width-W reconstruction from W sequential round trips into one
 //     fan-out bounded by the slowest surviving member;
-//   - singleflight deduplication keyed by FID (Single, Locate), so N
-//     concurrent readers of the same lost fragment pay for one
-//     reconstruction and one broadcast discovery, not N;
+//   - one quorum gather (GatherK) for both shapes of degraded read: a
+//     member is either a whole fragment, fetched and verified, or one
+//     payload byte range of it (Member.Len > 0), read with a single
+//     ReadAt. Range members let a degraded 4 KB read decode the 4 KB it
+//     needs from k small reads instead of k whole fragments; both
+//     shapes share the quorum, the broadcast fallback and the
+//     straggler drain;
+//   - singleflight deduplication keyed by FID or by a byte range of one
+//     (Single, SingleRange, Locate), so N concurrent readers of the same
+//     lost fragment or block pay for one reconstruction and one
+//     broadcast discovery, not N;
 //   - one store path that never re-sends: retry, backoff and the
 //     circuit breaker belong to transport.Resilient alone, so a failed
 //     store costs at most that layer's attempts, not a product of
@@ -84,7 +92,9 @@ type Stats struct {
 	Fetches int64
 	// Gathers counts scatter-gather fan-outs (Gather calls).
 	Gathers int64
-	// GatherMembers counts stripe members fetched across all Gathers.
+	// GatherMembers counts stripe members fetched across all Gathers,
+	// whole fragments and byte ranges alike; a range member's ReadAt
+	// also counts in Reads.
 	GatherMembers int64
 	// Stores counts store operations issued.
 	Stores int64
@@ -108,6 +118,13 @@ type Stats struct {
 	GatherStragglers int64
 }
 
+// span keys a flight: a whole fragment (n == 0) or n bytes of its
+// payload at off.
+type span struct {
+	fid    wire.FID
+	off, n uint32
+}
+
 // Engine is the fragment I/O engine for one client over one cluster.
 // All methods are safe for concurrent use, including the membership
 // mutations AddServer/RemoveServer: the server set is read under the
@@ -118,8 +135,8 @@ type Engine struct {
 	format     Format
 	storeDepth int
 
-	flights singleflight // reconstruction and other per-FID work
-	locates singleflight // broadcast discovery
+	flights singleflight[span]     // reconstruction and range decodes
+	locates singleflight[wire.FID] // broadcast discovery
 
 	mu        sync.Mutex
 	servers   []transport.ServerConn                 // guarded by mu
@@ -280,14 +297,21 @@ func (e *Engine) Fetch(conn transport.ServerConn, fid wire.FID) (any, []byte, er
 // to hold it (the stripe group from a sibling header, or a recorded
 // location). A server outside the configuration — including the zero
 // value for "unknown" — sends the fetch straight to broadcast discovery.
+//
+// With Len > 0 the member is the payload byte range [Off, Off+Len): one
+// ReadAt past the header, with no header fetch and no payload check
+// (the check covers the whole payload; the wire CRC still covers the
+// bytes read). The caller clamps the range to the member's length.
 type Member struct {
-	FID    wire.FID
-	Server wire.ServerID
+	FID      wire.FID
+	Server   wire.ServerID
+	Off, Len uint32
 }
 
-// Result is one gathered fragment. From is the server that actually
-// supplied it (it may differ from Member.Server after a broadcast
-// fallback); Decoded is the Format-decoded header.
+// Result is one gathered fragment or range. From is the server that
+// actually supplied it (it may differ from Member.Server after a
+// broadcast fallback); Decoded is the Format-decoded header, nil for a
+// range member.
 type Result struct {
 	Member
 	From    wire.ServerID
@@ -329,7 +353,8 @@ func (e *Engine) Gather(members []Member) []Result {
 // Fetches already in flight when the quorum lands keep running in the
 // background; a drainer recycles their payload buffers, so callers must
 // treat only the returned Results' payloads as theirs to release.
-// When k ≥ len(members) this is exactly Gather.
+// Members may be whole fragments or byte ranges (Member.Len), mixed
+// freely. When k ≥ len(members) this is exactly Gather.
 func (e *Engine) GatherK(members []Member, k int) []Result {
 	if k >= len(members) {
 		return e.Gather(members)
@@ -377,12 +402,13 @@ func (e *Engine) GatherK(members []Member, k int) []Result {
 	return out
 }
 
-// FetchMember fetches one fragment the way Gather fetches each member:
-// preferred server first, broadcast discovery as the fallback.
+// FetchMember fetches one fragment (or the range a member names) the
+// way Gather fetches each member: preferred server first, broadcast
+// discovery as the fallback.
 func (e *Engine) FetchMember(m Member) Result {
 	res := Result{Member: m}
 	if conn := e.Conn(m.Server); conn != nil {
-		res.Decoded, res.Payload, res.Err = e.Fetch(conn, m.FID)
+		res.Decoded, res.Payload, res.Err = e.fetchFrom(conn, m)
 		if res.Err == nil {
 			res.From = m.Server
 			return res
@@ -395,11 +421,20 @@ func (e *Engine) FetchMember(m Member) Result {
 		}
 		return res
 	}
-	res.Decoded, res.Payload, res.Err = e.Fetch(conn, m.FID)
+	res.Decoded, res.Payload, res.Err = e.fetchFrom(conn, m)
 	if res.Err == nil {
 		res.From = conn.ID()
 	}
 	return res
+}
+
+// fetchFrom reads member m from conn: its range, or the whole fragment.
+func (e *Engine) fetchFrom(conn transport.ServerConn, m Member) (any, []byte, error) {
+	if m.Len > 0 {
+		p, err := e.ReadAt(conn, m.FID, e.format.HeaderSize()+m.Off, m.Len)
+		return nil, p, err
+	}
+	return e.Fetch(conn, m.FID)
 }
 
 // Locate finds a server holding fid by broadcasting to the cluster —
@@ -432,7 +467,19 @@ func (e *Engine) Locate(fid wire.FID) (conn transport.ServerConn, shared bool, e
 // executing their own copy. Reconstruction uses this so N concurrent
 // readers of the same lost fragment pay one stripe fan-out.
 func (e *Engine) Single(fid wire.FID, fn func() (any, error)) (v any, shared bool, err error) {
-	v, shared, err = e.flights.do(fid, fn)
+	return e.single(span{fid: fid}, fn)
+}
+
+// SingleRange is Single for one payload byte range [off, off+n) of
+// fid: concurrent degraded readers of the same block share one range
+// decode, while reads of other ranges, and a whole-fragment flight of
+// the same FID, run their own.
+func (e *Engine) SingleRange(fid wire.FID, off, n uint32, fn func() (any, error)) (v any, shared bool, err error) {
+	return e.single(span{fid: fid, off: off, n: n}, fn)
+}
+
+func (e *Engine) single(key span, fn func() (any, error)) (v any, shared bool, err error) {
+	v, shared, err = e.flights.do(key, fn)
 	if shared {
 		e.bump(func(s *Stats) { s.SharedFlights++ })
 	}

@@ -1,20 +1,16 @@
 package fragio
 
-import (
-	"sync"
+import "sync"
 
-	"swarm/internal/wire"
-)
-
-// singleflight deduplicates concurrent executions of per-FID work. It is
+// singleflight deduplicates concurrent executions of keyed work. It is
 // a minimal version of the well-known pattern: the first caller for a
 // key runs the function; callers arriving before it finishes wait for
 // and share the result. Results are not cached — once the flight lands,
 // the next caller starts a fresh one (the layers above have their own
 // caches for results worth keeping).
-type singleflight struct {
+type singleflight[K comparable] struct {
 	mu sync.Mutex
-	m  map[wire.FID]*flight
+	m  map[K]*flight
 }
 
 type flight struct {
@@ -23,13 +19,13 @@ type flight struct {
 	err  error
 }
 
-func (g *singleflight) init() {
-	g.m = make(map[wire.FID]*flight)
+func (g *singleflight[K]) init() {
+	g.m = make(map[K]*flight)
 }
 
 // do executes fn for key, deduplicating against in-flight executions.
 // shared reports whether this caller received another caller's result.
-func (g *singleflight) do(key wire.FID, fn func() (any, error)) (v any, shared bool, err error) {
+func (g *singleflight[K]) do(key K, fn func() (any, error)) (v any, shared bool, err error) {
 	g.mu.Lock()
 	if f, ok := g.m[key]; ok {
 		g.mu.Unlock()

@@ -382,6 +382,19 @@ func (r *Resilient) call(op wire.Op, req wire.Message, rsp wire.Message) error {
 	}
 }
 
+// Probe pings the server now, whatever the circuit's state, and closes
+// the circuit if the server answers. It is for a caller that knows the
+// server has just been replaced, and so need not wait out OpenTimeout
+// for the next half-open probe. A failed probe changes nothing.
+func (r *Resilient) Probe() error {
+	err := r.inner.call(wire.OpPing, &wire.PingRequest{}, &wire.GenericResponse{})
+	if isTransient(err) {
+		return fmt.Errorf("%w: server %d: probe failed: %v", ErrUnavailable, r.id, err)
+	}
+	r.onSuccess()
+	return nil
+}
+
 // close bypasses the breaker: releasing local resources must work
 // regardless of the server's health.
 func (r *Resilient) close() error { return r.inner.close() }
@@ -390,6 +403,12 @@ func (r *Resilient) close() error { return r.inner.close() }
 // failure-handling state (Resilient, and wrappers that delegate to one).
 type HealthReporter interface {
 	Health() Health
+}
+
+// Prober is implemented by connections whose circuit a caller can
+// close on a successful ping (Resilient).
+type Prober interface {
+	Probe() error
 }
 
 // HealthOf returns health snapshots for every connection that reports

@@ -170,6 +170,43 @@ func TestResilientBreakerLifecycle(t *testing.T) {
 	}
 }
 
+// Probe asks the server at once, open timer or not: a failed probe
+// leaves the circuit open, an answered one closes it, so a caller that
+// knows the server was replaced need not wait out OpenTimeout.
+func TestResilientProbeClosesOpenCircuit(t *testing.T) {
+	clk := &fakeClock{t: time.Unix(1000, 0)}
+	r, fl := newResilientPair(t, ResilientConfig{
+		MaxRetries:    -1,
+		FailThreshold: 2,
+		OpenTimeout:   time.Minute,
+		now:           clk.now,
+		sleep:         func(time.Duration) {},
+	})
+	fl.SetDown(true)
+	for i := 0; i < 2; i++ {
+		r.Ping()
+	}
+	if h := r.Health(); h.State != "open" {
+		t.Fatalf("after 2 failures: %+v", h)
+	}
+	if err := r.Probe(); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("probe of a down server: %v", err)
+	}
+	if h := r.Health(); h.State != "open" {
+		t.Fatalf("failed probe left state %q, want open", h.State)
+	}
+	fl.SetDown(false)
+	if err := r.Probe(); err != nil {
+		t.Fatalf("probe of a live server: %v", err)
+	}
+	if h := r.Health(); h.State != "closed" || h.ConsecutiveFailures != 0 {
+		t.Fatalf("after probe: %+v", h)
+	}
+	if err := r.Ping(); err != nil {
+		t.Fatalf("ping after probe: %v", err)
+	}
+}
+
 func TestResilientBackoffBoundsAndJitter(t *testing.T) {
 	var sleeps []time.Duration
 	r, fl := newResilientPair(t, ResilientConfig{
