@@ -25,8 +25,9 @@ vet:
 	$(GO) vet ./...
 
 # Project-specific static analysis (DESIGN.md §7): buffer-pool
-# ownership, lock/I-O discipline, guarded-by fields, error
-# classification, placement indexing, extent refcount flow (refcount),
+# ownership (bufpool), extent refcounts (refcount) and no I/O under a
+# held mutex (lockio), all three path-sensitive on one flow walker;
+# guarded-by fields, error classification, placement indexing,
 # wire.Status switch exhaustiveness (statuscase), mixed atomic/plain
 # field access (atomicmix), and goroutine lifecycle (goroleak). The
 # ./... pattern covers the whole module — cmd/... and examples/...

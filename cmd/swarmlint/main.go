@@ -8,13 +8,12 @@
 //
 // Usage:
 //
-//	swarmlint [-only name,name] [-list] [-v] [packages]
+//	swarmlint [-only name,name] [-list] [packages]
 //
 // Packages default to ./... relative to the enclosing module. The
-// analyzers run in parallel; -v prints per-analyzer wall-clock timing
-// (slowest first) to stderr. Exit status is 0 when clean, 1 when
-// diagnostics were reported, and 2 when loading or type-checking
-// failed.
+// analyzers run in parallel, one goroutine each. Exit status is 0 when
+// clean, 1 when diagnostics were reported, and 2 when loading or
+// type-checking failed.
 package main
 
 import (
@@ -40,7 +39,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
 	list := fs.Bool("list", false, "list analyzers and exit")
 	dir := fs.String("C", ".", "directory to resolve the module from")
-	verbose := fs.Bool("v", false, "print per-analyzer timing to stderr")
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "usage: swarmlint [flags] [packages]\n\n")
 		fs.PrintDefaults()
@@ -81,12 +79,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	diags, timings := lint.RunParallel(pkgs, analyzers)
-	if *verbose {
-		for _, tm := range timings {
-			fmt.Fprintf(stderr, "swarmlint: %-10s %8.1fms\n", tm.Analyzer, float64(tm.Elapsed.Microseconds())/1000)
-		}
-	}
+	diags := lint.Run(pkgs, analyzers)
 	for _, d := range diags {
 		// Print paths relative to the module root when possible: stable
 		// output for CI logs regardless of checkout location.

@@ -115,21 +115,3 @@ func TestDirtyModuleGoldenOutput(t *testing.T) {
 		t.Errorf("stderr missing findings count: %q", stderr)
 	}
 }
-
-func TestVerboseTimings(t *testing.T) {
-	dir := writeModule(t, map[string]string{
-		"clean.go": "package tmp\n\nfunc Neg(a int) int { return -a }\n",
-	})
-	code, _, stderr := runCLI(t, "-v", "-C", dir, "./...")
-	if code != 0 {
-		t.Fatalf("exit = %d, want 0 (stderr: %s)", code, stderr)
-	}
-	for _, name := range []string{"refcount", "statuscase", "atomicmix", "goroleak", "bufpool"} {
-		if !strings.Contains(stderr, name) {
-			t.Errorf("-v timing output missing %q:\n%s", name, stderr)
-		}
-	}
-	if !strings.Contains(stderr, "ms") {
-		t.Errorf("-v timing output has no duration column:\n%s", stderr)
-	}
-}

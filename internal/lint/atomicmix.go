@@ -70,7 +70,6 @@ func (am *AtomicMix) Run(p *Package) []Diagnostic {
 	// constructor initialization, or annotated.
 	ann := p.Annotations()
 	var diags []Diagnostic
-	seen := make(map[string]bool)
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
@@ -96,18 +95,8 @@ func (am *AtomicMix) Run(p *Package) []Diagnostic {
 			if ann.onLine(sel.Pos(), DirectiveAtomicOK) {
 				return true
 			}
-			pos := p.Fset.Position(sel.Pos())
-			key := fmt.Sprintf("%s:%d:%s", pos.Filename, pos.Line, fld.Name())
-			if seen[key] {
-				return true
-			}
-			seen[key] = true
-			diags = append(diags, Diagnostic{
-				Pos: pos,
-				Message: fmt.Sprintf("field %q is accessed with sync/atomic elsewhere but plainly here; use the atomic API or annotate with %s",
-					fld.Name(), DirectiveAtomicOK),
-				Analyzer: am.Name(),
-			})
+			diags = append(diags, p.diag(sel.Pos(), am.Name(), fmt.Sprintf("field %q is accessed with sync/atomic elsewhere but plainly here; use the atomic API or annotate with %s",
+				fld.Name(), DirectiveAtomicOK)))
 			return true
 		})
 	}
@@ -117,27 +106,11 @@ func (am *AtomicMix) Run(p *Package) []Diagnostic {
 // atomicOperand reports whether sel appears as the &operand of a
 // sync/atomic call: parent chain sel -> &sel -> atomic.F(...).
 func (am *AtomicMix) atomicOperand(p *Package, sel *ast.SelectorExpr) bool {
-	parent := p.Parent(sel)
-	for {
-		if pe, ok := parent.(*ast.ParenExpr); ok {
-			parent = p.Parent(pe)
-			continue
-		}
-		break
-	}
-	u, ok := parent.(*ast.UnaryExpr)
+	u, ok := p.outerParent(sel).(*ast.UnaryExpr)
 	if !ok || u.Op != token.AND {
 		return false
 	}
-	up := p.Parent(u)
-	for {
-		if pe, ok := up.(*ast.ParenExpr); ok {
-			up = p.Parent(pe)
-			continue
-		}
-		break
-	}
-	call, ok := up.(*ast.CallExpr)
+	call, ok := p.outerParent(u).(*ast.CallExpr)
 	return ok && isAtomicCall(p.Info, call)
 }
 

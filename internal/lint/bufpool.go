@@ -3,30 +3,31 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
 // BufPool enforces the wire buffer pool's ownership contract (wire/pool.go,
-// DESIGN.md §3.9): every wire.GetBuffer result must, somewhere in its
-// owning function, either
+// DESIGN.md §3.9): on every control-flow path, a wire.GetBuffer result
+// bound to a variable must
 //
 //   - be released with wire.PutBuffer,
 //   - be handed to a documented ownership-transfer call (a function whose
 //     doc comment carries swarmlint:owns-buffer),
-//   - escape the function (returned, assigned to a field/element/
-//     variable, or be a named result), or
+//   - escape the function (returned — a named result by a bare return
+//     too — stored, sent, or captured by a closure or goroutine), or
 //   - carry a // swarmlint:owns-buffer annotation at the call site.
 //
-// A buffer none of that happens to is a guaranteed pool leak on every
-// path — the class of defect PR 3 audited by hand. The analyzer also
-// flags the textbook double-put: two consecutive PutBuffer calls on the
-// same variable with no intervening statement.
+// It is a discipline on the ownership engine refcount also uses
+// (ownership.go), so it proves release on every path: a buffer
+// released on the error branch and leaked on the fall-through is a
+// finding. A PutBuffer of a buffer the path has already released is a
+// double put: the pool would hand it to two owners.
 //
-// The check is lexical and intraprocedural: it does not prove release on
-// every path (a buffer released in one branch and leaked in another
-// passes), it proves there is at least one consumption point. That
-// asymmetry keeps false positives at zero while still catching the
-// leaks that matter: a fetch path that simply forgets the PutBuffer.
+// A GetBuffer result that is not bound to a variable is checked where
+// it stands: discarded, assigned to _, or passed to a call that does
+// not take ownership is a guaranteed leak; returned, stored in a
+// composite, or passed to an owning call is not.
 type BufPool struct {
 	// wirePath is the import path of the package declaring
 	// GetBuffer/PutBuffer.
@@ -46,295 +47,94 @@ func (*BufPool) Doc() string {
 }
 
 // Run implements Analyzer.
-func (b *BufPool) Run(p *Package) []Diagnostic {
-	var diags []Diagnostic
-	ann := p.Annotations()
-	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || !isFunc(p.Info, call, b.wirePath, "GetBuffer") {
-				return true
-			}
-			if ann.onLine(call.Pos(), DirectiveOwnsBuffer) {
-				return true
-			}
-			if d := b.checkGet(p, call); d != nil {
-				diags = append(diags, *d)
-			}
-			return true
-		})
-		diags = append(diags, b.checkDoublePuts(p, f)...)
-	}
-	return diags
-}
+func (b *BufPool) Run(p *Package) []Diagnostic { return checkOwnership(p, b) }
 
-// checkGet classifies one GetBuffer call site and returns a diagnostic
-// if the buffer can never be consumed.
-func (b *BufPool) checkGet(p *Package, call *ast.CallExpr) *Diagnostic {
-	owner := p.EnclosingFunc(call)
-	if owner == nil {
-		return nil // package-level initializer: escapes to a global
-	}
-	parent := effectiveParent(p, call)
-	switch parent := parent.(type) {
-	case *ast.ReturnStmt:
-		return nil // ownership transfers to the caller
-	case *ast.AssignStmt, *ast.ValueSpec:
-		v := assignedObject(p.Info, parent, call)
-		if v == nil {
-			// Assigned into a field, element, or blank — a field/element
-			// store escapes; `_ = GetBuffer(n)` is a leak.
-			if isBlankTarget(parent, call) {
-				return b.diag(p, call, "wire.GetBuffer result discarded (assigned to _): guaranteed pool leak")
-			}
-			return nil
-		}
-		if isNamedResult(p, owner, v) {
-			return nil // assigned to a named result: returns to the caller
-		}
-		if b.consumed(p, owner, v) {
-			return nil
-		}
-		return b.diag(p, call,
-			fmt.Sprintf("wire.GetBuffer result %q never reaches wire.PutBuffer, an ownership-transfer call, or an escape; add one or annotate with %s", v.Name(), DirectiveOwnsBuffer))
-	case *ast.CallExpr:
-		// Used directly as an argument: fine only when the callee takes
-		// ownership.
-		if b.isTransferCall(p, parent) {
-			return nil
-		}
-		return b.diag(p, call, "wire.GetBuffer result passed to a call that does not take ownership; bind it to a variable and release it, or annotate the callee with "+DirectiveOwnsBuffer)
-	case *ast.ExprStmt:
-		return b.diag(p, call, "wire.GetBuffer result discarded: guaranteed pool leak")
-	case *ast.KeyValueExpr, *ast.CompositeLit:
-		return nil // stored into a composite value: escapes
-	}
-	// Other syntactic positions (indexing, comparisons, range) keep the
-	// value reachable; stay quiet rather than guess.
-	return nil
-}
-
-// effectiveParent walks up through value-preserving wrappers (parens,
-// slicing, indexing) to the node that decides the buffer's fate.
-func effectiveParent(p *Package, n ast.Node) ast.Node {
-	cur := p.Parent(n)
+// getBuffer returns the wire.GetBuffer call e evaluates to, seen
+// through parens, slicing and indexing, or nil. A call site annotated
+// swarmlint:owns-buffer is not tracked.
+func (b *BufPool) getBuffer(p *Package, e ast.Expr) *ast.CallExpr {
 	for {
-		switch cur.(type) {
-		case *ast.ParenExpr, *ast.SliceExpr, *ast.IndexExpr:
-			cur = p.Parent(cur)
-		default:
-			return cur
-		}
-	}
-}
-
-// assignedObject returns the variable the call's value lands in when
-// stmt assigns it to a plain identifier, else nil.
-func assignedObject(info *types.Info, stmt ast.Node, call *ast.CallExpr) *types.Var {
-	var lhs []ast.Expr
-	var rhs []ast.Expr
-	switch stmt := stmt.(type) {
-	case *ast.AssignStmt:
-		lhs, rhs = stmt.Lhs, stmt.Rhs
-	case *ast.ValueSpec:
-		for _, name := range stmt.Names {
-			lhs = append(lhs, name)
-		}
-		rhs = stmt.Values
-	}
-	for i, r := range rhs {
-		if ast.Unparen(r) == call && i < len(lhs) {
-			if id, ok := lhs[i].(*ast.Ident); ok && id.Name != "_" {
-				if v, ok := info.Defs[id].(*types.Var); ok {
-					return v
-				}
-				if v, ok := info.Uses[id].(*types.Var); ok {
-					return v
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// isBlankTarget reports whether the call is assigned to the blank
-// identifier.
-func isBlankTarget(stmt ast.Node, call *ast.CallExpr) bool {
-	assign, ok := stmt.(*ast.AssignStmt)
-	if !ok {
-		return false
-	}
-	for i, r := range assign.Rhs {
-		if ast.Unparen(r) == call && i < len(assign.Lhs) {
-			if id, ok := assign.Lhs[i].(*ast.Ident); ok {
-				return id.Name == "_"
-			}
-		}
-	}
-	return false
-}
-
-// isNamedResult reports whether v is one of owner's named result
-// parameters (assigning to one is returning to the caller).
-func isNamedResult(p *Package, owner ast.Node, v *types.Var) bool {
-	var ftype *ast.FuncType
-	switch owner := owner.(type) {
-	case *ast.FuncDecl:
-		ftype = owner.Type
-	case *ast.FuncLit:
-		ftype = owner.Type
-	}
-	if ftype == nil || ftype.Results == nil {
-		return false
-	}
-	for _, fld := range ftype.Results.List {
-		for _, name := range fld.Names {
-			if p.Info.Defs[name] == v {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// consumed reports whether v is released, transferred, or escapes
-// anywhere in owner's body (including nested function literals, which
-// may run on any path).
-func (b *BufPool) consumed(p *Package, owner ast.Node, v *types.Var) bool {
-	body := FuncBody(owner)
-	if body == nil {
-		return false
-	}
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		switch n := n.(type) {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.SliceExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
 		case *ast.CallExpr:
-			if !callMentions(p.Info, n, v) {
-				return true
+			if !isFunc(p.Info, x, b.wirePath, "GetBuffer") || p.Annotations().onLine(x.Pos(), DirectiveOwnsBuffer) {
+				return nil
 			}
-			if b.isTransferCall(p, n) {
-				found = true
-				return false
-			}
-		case *ast.ReturnStmt:
-			for _, r := range n.Results {
-				if mentions(p.Info, r, v) {
-					found = true
-					return false
-				}
-			}
-		case *ast.AssignStmt:
-			for i, r := range n.Rhs {
-				if !mentions(p.Info, r, v) {
-					continue
-				}
-				// v = v[:n] re-slices in place; anything else whose RHS
-				// mentions v stores the buffer somewhere new.
-				if i < len(n.Lhs) {
-					if id, ok := n.Lhs[i].(*ast.Ident); ok && (p.Info.Uses[id] == v || p.Info.Defs[id] == v) {
-						continue
-					}
-				}
-				found = true
-				return false
-			}
-		case *ast.SendStmt:
-			if mentions(p.Info, n.Value, v) {
-				found = true
-				return false
+			return x
+		default:
+			return nil
+		}
+	}
+}
+
+// acquire implements discipline: a GetBuffer result bound to a
+// function-local variable is tracked; one bound to nothing or to _ is
+// reported; one stored in a field, element or outer variable escapes.
+func (b *BufPool) acquire(h *ownFlow, st *flowState, lhs, rhs []ast.Expr, pos token.Pos) bool {
+	handled := false
+	for i, r := range rhs {
+		call := b.getBuffer(h.p, r)
+		if call == nil {
+			continue
+		}
+		handled = true
+		switch {
+		case i >= len(lhs):
+			h.report(call.Pos(), "wire.GetBuffer result discarded: guaranteed pool leak")
+		case isBlank(lhs[i]):
+			h.report(call.Pos(), "wire.GetBuffer result discarded (assigned to _): guaranteed pool leak")
+		default:
+			if v := h.identVar(lhs[i]); v != nil {
+				h.track(st, v, pos)
 			}
 		}
-		return true
-	})
-	return found
-}
-
-// isTransferCall reports whether call releases or takes ownership of
-// buffer arguments: wire.PutBuffer itself, or a same-load callee whose
-// doc carries swarmlint:owns-buffer.
-func (b *BufPool) isTransferCall(p *Package, call *ast.CallExpr) bool {
-	if isFunc(p.Info, call, b.wirePath, "PutBuffer") {
-		return true
 	}
-	return p.Annotations().calleeHas(p.Info, call, DirectiveOwnsBuffer)
+	return handled
 }
 
-// callMentions reports whether any argument of call mentions v.
-func callMentions(info *types.Info, call *ast.CallExpr, v *types.Var) bool {
+// call implements discipline: a GetBuffer result passed straight to a
+// call must be passed to one that takes ownership.
+func (b *BufPool) call(h *ownFlow, _ *flowState, call *ast.CallExpr) bool {
 	for _, a := range call.Args {
-		if mentions(info, a, v) {
-			return true
+		if get := b.getBuffer(h.p, a); get != nil && !b.transfers(h, call) {
+			h.report(get.Pos(), "wire.GetBuffer result passed to a call that does not take ownership; bind it to a variable and release it, or annotate the callee with "+DirectiveOwnsBuffer)
 		}
 	}
 	return false
 }
 
-// mentions reports whether expr references v.
-func mentions(info *types.Info, expr ast.Expr, v *types.Var) bool {
-	found := false
-	ast.Inspect(expr, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && (info.Uses[id] == v || info.Defs[id] == v) {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-// checkDoublePuts flags PutBuffer(v) immediately followed by another
-// PutBuffer(v) on the same variable — a recycled buffer handed to two
-// future GetBuffer callers at once.
-func (b *BufPool) checkDoublePuts(p *Package, f *ast.File) []Diagnostic {
-	var diags []Diagnostic
-	ast.Inspect(f, func(n ast.Node) bool {
-		block, ok := n.(*ast.BlockStmt)
-		if !ok {
-			return true
-		}
-		var prev *types.Var
-		for _, stmt := range block.List {
-			v := putTarget(p.Info, stmt, b.wirePath)
-			if v != nil && v == prev {
-				diags = append(diags, *b.diag(p, stmt,
-					fmt.Sprintf("double wire.PutBuffer of %q: the pool would hand the same buffer to two owners", v.Name())))
-			}
-			prev = v
-		}
-		return true
-	})
-	return diags
-}
-
-// putTarget returns the variable released when stmt is a plain
-// wire.PutBuffer(v) (possibly re-sliced) statement, else nil.
-func putTarget(info *types.Info, stmt ast.Stmt, wirePath string) *types.Var {
-	es, ok := stmt.(*ast.ExprStmt)
-	if !ok {
-		return nil
-	}
-	call, ok := es.X.(*ast.CallExpr)
-	if !ok || !isFunc(info, call, wirePath, "PutBuffer") || len(call.Args) != 1 {
+// release implements discipline: wire.PutBuffer(v), v possibly
+// re-sliced.
+func (b *BufPool) release(h *ownFlow, call *ast.CallExpr) *types.Var {
+	if !isFunc(h.p.Info, call, b.wirePath, "PutBuffer") || len(call.Args) != 1 {
 		return nil
 	}
 	arg := ast.Unparen(call.Args[0])
 	for {
-		switch a := arg.(type) {
-		case *ast.SliceExpr:
-			arg = a.X
-		case *ast.Ident:
-			if v, ok := info.Uses[a].(*types.Var); ok {
-				return v
-			}
-			return nil
-		default:
-			return nil
+		s, ok := arg.(*ast.SliceExpr)
+		if !ok {
+			return h.identVar(arg)
 		}
+		arg = ast.Unparen(s.X)
 	}
 }
 
-func (b *BufPool) diag(p *Package, n ast.Node, msg string) *Diagnostic {
-	return &Diagnostic{Pos: p.Fset.Position(n.Pos()), Message: msg, Analyzer: b.Name()}
+// transfers implements discipline: wire.PutBuffer itself, or a
+// same-package callee whose doc carries swarmlint:owns-buffer.
+func (b *BufPool) transfers(h *ownFlow, call *ast.CallExpr) bool {
+	return isFunc(h.p.Info, call, b.wirePath, "PutBuffer") || h.p.Annotations().calleeHas(h.p.Info, call, DirectiveOwnsBuffer)
+}
+
+func (b *BufPool) leak(v *types.Var, maybe bool) string {
+	if maybe {
+		return fmt.Sprintf("wire.GetBuffer result %q does not reach wire.PutBuffer, an ownership-transfer call, or an escape on every path; add one or annotate with %s", v.Name(), DirectiveOwnsBuffer)
+	}
+	return fmt.Sprintf("wire.GetBuffer result %q never reaches wire.PutBuffer, an ownership-transfer call, or an escape; add one or annotate with %s", v.Name(), DirectiveOwnsBuffer)
+}
+
+func (b *BufPool) double(v *types.Var) string {
+	return fmt.Sprintf("double wire.PutBuffer of %q: the pool would hand the same buffer to two owners", v.Name())
 }

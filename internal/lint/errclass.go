@@ -27,11 +27,7 @@ type ErrClass struct {
 // NewErrClass returns the error-classification analyzer for the given
 // package import paths.
 func NewErrClass(targets []string) *ErrClass {
-	m := make(map[string]bool, len(targets))
-	for _, t := range targets {
-		m[t] = true
-	}
-	return &ErrClass{targets: m}
+	return &ErrClass{targets: stringSet(targets)}
 }
 
 // Name implements Analyzer.
@@ -70,11 +66,7 @@ func (e *ErrClass) Run(p *Package) []Diagnostic {
 			if ann.onLine(call.Pos(), DirectiveClassified) {
 				return true
 			}
-			diags = append(diags, Diagnostic{
-				Pos:      p.Fset.Position(call.Pos()),
-				Message:  msg + "; or annotate with " + DirectiveClassified,
-				Analyzer: e.Name(),
-			})
+			diags = append(diags, p.diag(call.Pos(), e.Name(), msg+"; or annotate with "+DirectiveClassified))
 			return true
 		})
 	}

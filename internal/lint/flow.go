@@ -2,12 +2,15 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
+	"slices"
 )
 
-// This file is the lint suite's shared flow walker: a small symbolic
-// executor over Go's structured control flow that the flow-sensitive
-// analyzers (refcount, and any future ownership discipline) build on.
+// This file is the lint suite's one flow walker: a small symbolic
+// executor over Go's structured control flow. Three analyzers are hooks
+// on it: refcount and bufpool through the ownership engine
+// (ownership.go), and lockio, whose state is the set of held mutexes.
 // It is deliberately not a real CFG library. Go bodies in this tree are
 // structured — if/else, loops, switch, select, defer, early returns —
 // so an AST-directed walk with explicit state merging at joins covers
@@ -15,6 +18,8 @@ import (
 //
 //   - every branch of an if/switch/select is walked with its own copy
 //     of the abstract state, and the copies are merged at the join;
+//   - conditions, switch tags and range operands are evaluated under
+//     the state of the path that reaches them;
 //   - loop bodies are walked once (no fixpoint): a fact that must hold
 //     per-iteration is checked within the iteration, and the
 //     zero-iteration path merges back in;
@@ -27,38 +32,47 @@ import (
 // Unsupported control flow is handled leniently, never unsoundly-loud:
 // goto ends its path silently, labeled break/continue bind to the
 // innermost construct. The walker's job is catching the easy, common
-// leak, with zero false positives — the same asymmetry bufpool chose.
+// defect with zero false positives: a path that loses what it must
+// discharge, or reaches I/O with a mutex held.
 
-// flowStatus is the abstract state of one tracked variable.
+// flowStatus is the abstract state of one tracked key.
 type flowStatus uint8
 
 const (
 	// flowNone: no outstanding obligation (not acquired on this path,
 	// or refined away by a nil/error check).
 	flowNone flowStatus = iota
-	// flowDone: the obligation was discharged — released, returned,
-	// stored, or transferred.
+	// flowDone: the obligation was discharged — returned, stored, or
+	// transferred.
 	flowDone
+	// flowReleased: discharged by the discipline's own release call, so
+	// a second release on the same path is a double release.
+	flowReleased
 	// flowMaybeHeld: held on some paths into a join but not others.
 	flowMaybeHeld
 	// flowHeld: the obligation is outstanding.
 	flowHeld
 )
 
+// held reports whether the obligation is, or may be, outstanding.
+func (s flowStatus) held() bool { return s == flowHeld || s == flowMaybeHeld }
+
 // flowState is one control-flow path's abstract state: a status per
-// tracked variable plus the defers registered so far on the path.
+// tracked key plus the defers registered so far on the path. A key is
+// whatever the analyzer tracks: the ownership engine's *types.Var, or
+// lockio's mutex path ("s.mu").
 type flowState struct {
 	live   bool
-	vars   map[*types.Var]flowStatus
+	vars   map[any]flowStatus
 	defers []*ast.CallExpr
 }
 
 func newFlowState() *flowState {
-	return &flowState{live: true, vars: make(map[*types.Var]flowStatus)}
+	return &flowState{live: true, vars: make(map[any]flowStatus)}
 }
 
 func (s *flowState) clone() *flowState {
-	c := &flowState{live: s.live, vars: make(map[*types.Var]flowStatus, len(s.vars))}
+	c := &flowState{live: s.live, vars: make(map[any]flowStatus, len(s.vars))}
 	for k, v := range s.vars {
 		c.vars[k] = v
 	}
@@ -66,23 +80,23 @@ func (s *flowState) clone() *flowState {
 	return c
 }
 
-// Get returns v's status on this path.
-func (s *flowState) Get(v *types.Var) flowStatus { return s.vars[v] }
+// Get returns k's status on this path.
+func (s *flowState) Get(k any) flowStatus { return s.vars[k] }
 
-// Set records v's status on this path.
-func (s *flowState) Set(v *types.Var, st flowStatus) { s.vars[v] = st }
+// Set records k's status on this path.
+func (s *flowState) Set(k any, st flowStatus) { s.vars[k] = st }
 
-// mergeStatus joins two per-variable statuses at a control-flow join.
+// mergeStatus joins two per-key statuses at a control-flow join.
 func mergeStatus(a, b flowStatus) flowStatus {
 	if a == b {
 		return a
 	}
 	// Any disagreement that involves holding on one side means the
 	// obligation is outstanding only conditionally.
-	if a == flowHeld || b == flowHeld || a == flowMaybeHeld || b == flowMaybeHeld {
+	if a.held() || b.held() {
 		return flowMaybeHeld
 	}
-	return flowDone // one path acquired-and-discharged, the other never acquired
+	return flowDone // discharged on one path, never acquired (or discharged otherwise) on the other
 }
 
 // mergeFlow joins the states of two paths. Dead paths contribute
@@ -97,7 +111,7 @@ func mergeFlow(a, b *flowState) *flowState {
 	if b == nil || !b.live {
 		return a
 	}
-	out := &flowState{live: true, vars: make(map[*types.Var]flowStatus, len(a.vars))}
+	out := &flowState{live: true, vars: make(map[any]flowStatus, len(a.vars))}
 	for k, av := range a.vars {
 		out.vars[k] = mergeStatus(av, b.vars[k])
 	}
@@ -108,14 +122,7 @@ func mergeFlow(a, b *flowState) *flowState {
 	}
 	out.defers = append(out.defers, a.defers...)
 	for _, d := range b.defers {
-		dup := false
-		for _, e := range out.defers {
-			if e == d {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+		if !slices.Contains(out.defers, d) {
 			out.defers = append(out.defers, d)
 		}
 	}
@@ -130,9 +137,30 @@ type flowHooks interface {
 	Transfer(st *flowState, stmt ast.Stmt)
 	// Call interprets one deferred call when it is replayed at an exit.
 	Call(st *flowState, call *ast.CallExpr)
+	// Eval interprets an expression that control flow evaluates: an if
+	// or loop condition, a switch tag, a range operand.
+	Eval(st *flowState, e ast.Expr)
 	// Refine narrows st given that cond evaluated to truth (the walker
 	// calls it on both arms of every if and loop condition).
 	Refine(st *flowState, cond ast.Expr, truth bool)
+}
+
+// eachFunc calls visit for every function in p: each FuncDecl with a
+// body and each FuncLit, a literal analyzed as its own function.
+func eachFunc(p *Package, visit func(ft *ast.FuncType, body *ast.BlockStmt)) {
+	for _, f := range p.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch fn := n.(type) {
+			case *ast.FuncDecl:
+				if fn.Body != nil {
+					visit(fn.Type, fn.Body)
+				}
+			case *ast.FuncLit:
+				visit(fn.Type, fn.Body)
+			}
+			return true
+		})
+	}
 }
 
 // flowWalker drives hooks over one function body.
@@ -169,9 +197,6 @@ func (w *flowWalker) exit(st *flowState, at ast.Node) {
 	st.live = false
 }
 
-// die ends the path without an exit report (panic, goto).
-func (w *flowWalker) die(st *flowState) { st.live = false }
-
 func (w *flowWalker) walkStmt(st *flowState, s ast.Stmt) {
 	if !st.live || s == nil {
 		return
@@ -194,6 +219,7 @@ func (w *flowWalker) walkStmt(st *flowState, s ast.Stmt) {
 		if !st.live {
 			return
 		}
+		w.hooks.Eval(st, s.Cond)
 		thenSt := st.clone()
 		w.hooks.Refine(thenSt, s.Cond, true)
 		w.walkStmt(thenSt, s.Body)
@@ -209,71 +235,29 @@ func (w *flowWalker) walkStmt(st *flowState, s ast.Stmt) {
 		if !st.live {
 			return
 		}
-		var breaks, conts []*flowState
-		w.breaks = append(w.breaks, &breaks)
-		w.continues = append(w.continues, &conts)
-		bodySt := st.clone()
 		if s.Cond != nil {
-			w.hooks.Refine(bodySt, s.Cond, true)
+			w.hooks.Eval(st, s.Cond)
 		}
-		w.walkStmt(bodySt, s.Body)
-		for _, c := range conts {
-			bodySt = mergeFlow(bodySt, c)
-		}
-		if bodySt.live {
-			w.walkStmt(bodySt, s.Post)
-		}
-		w.breaks = w.breaks[:len(w.breaks)-1]
-		w.continues = w.continues[:len(w.continues)-1]
-
-		var out *flowState
-		if s.Cond == nil {
-			// for{}: the only way past the loop is a break.
-			out = &flowState{live: false}
-		} else {
-			skip := st.clone()
-			w.hooks.Refine(skip, s.Cond, false)
-			after := bodySt
-			if after.live {
-				after = after.clone()
-				w.hooks.Refine(after, s.Cond, false)
-			}
-			out = mergeFlow(skip, after)
-		}
-		for _, b := range breaks {
-			out = mergeFlow(out, b)
-		}
-		*st = *out
+		w.loop(st, s.Cond, s.Cond != nil, s.Body, s.Post)
 
 	case *ast.RangeStmt:
-		w.hooks.Transfer(st, s)
-		var breaks, conts []*flowState
-		w.breaks = append(w.breaks, &breaks)
-		w.continues = append(w.continues, &conts)
-		bodySt := st.clone()
-		w.walkStmt(bodySt, s.Body)
-		for _, c := range conts {
-			bodySt = mergeFlow(bodySt, c)
-		}
-		w.breaks = w.breaks[:len(w.breaks)-1]
-		w.continues = w.continues[:len(w.continues)-1]
-		out := mergeFlow(st.clone(), bodySt) // zero iterations vs >=1
-		for _, b := range breaks {
-			out = mergeFlow(out, b)
-		}
-		*st = *out
+		w.hooks.Eval(st, s.X)
+		w.loop(st, nil, true, s.Body, nil)
 
 	case *ast.SwitchStmt:
 		w.walkStmt(st, s.Init)
-		w.walkCases(st, s.Body, true)
+		if s.Tag != nil && st.live {
+			w.hooks.Eval(st, s.Tag)
+		}
+		w.walkCases(st, s.Body)
 
 	case *ast.TypeSwitchStmt:
 		w.walkStmt(st, s.Init)
 		w.walkStmt(st, s.Assign)
-		w.walkCases(st, s.Body, true)
+		w.walkCases(st, s.Body)
 
 	case *ast.SelectStmt:
-		w.walkSelect(st, s.Body)
+		w.walkCases(st, s.Body)
 
 	case *ast.BranchStmt:
 		switch s.Tok.String() {
@@ -288,7 +272,7 @@ func (w *flowWalker) walkStmt(st *flowState, s ast.Stmt) {
 			}
 			st.live = false
 		case "goto":
-			w.die(st) // unsupported: the path ends silently
+			st.live = false // unsupported: the path ends silently, unreported
 		case "fallthrough":
 			// Handled structurally by walkCases; ending the path here
 			// keeps the walker safe if one slips through.
@@ -302,80 +286,50 @@ func (w *flowWalker) walkStmt(st *flowState, s ast.Stmt) {
 		w.walkStmt(st, s.Stmt)
 
 	case *ast.ExprStmt:
-		if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok && isPanic(w.info, call) {
+		if call, ok := ast.Unparen(s.X).(*ast.CallExpr); ok && isBuiltinCall(w.info, call, "panic") {
 			w.hooks.Transfer(st, s)
-			w.die(st)
+			st.live = false // the path vanishes without an exit report
 			return
 		}
 		w.hooks.Transfer(st, s)
 
-	case *ast.AssignStmt, *ast.SendStmt, *ast.IncDecStmt, *ast.DeclStmt, *ast.GoStmt, *ast.EmptyStmt:
-		w.hooks.Transfer(st, s)
-
-	default:
+	default: // assignments, sends, inc/dec, declarations, go statements
 		w.hooks.Transfer(st, s)
 	}
 }
 
-// walkCases walks a switch body: each case starts from a clone of the
-// entry state, fallthrough flows one clause's end state into the next,
-// and the missing-default path merges the entry state back in.
-func (w *flowWalker) walkCases(st *flowState, body *ast.BlockStmt, breakable bool) {
-	if !st.live {
-		return
+// loop walks a loop body once, with continues merging back at its end.
+// The loop is left by every break and, when it can finish (a for with
+// a condition, a range), by the condition's false arm on entry and
+// after the body — for a range, zero iterations or more. A for without
+// a condition is left only by a break.
+func (w *flowWalker) loop(st *flowState, cond ast.Expr, finishes bool, body *ast.BlockStmt, post ast.Stmt) {
+	var breaks, conts []*flowState
+	w.breaks = append(w.breaks, &breaks)
+	w.continues = append(w.continues, &conts)
+	bodySt := st.clone()
+	if cond != nil {
+		w.hooks.Refine(bodySt, cond, true)
 	}
-	var breaks []*flowState
-	if breakable {
-		w.breaks = append(w.breaks, &breaks)
+	w.walkStmt(bodySt, body)
+	for _, c := range conts {
+		bodySt = mergeFlow(bodySt, c)
 	}
-	entry := st.clone()
-	hasDefault := false
-	var outs []*flowState
-	var fall *flowState // state falling through from the previous clause
-	for _, c := range body.List {
-		cc, ok := c.(*ast.CaseClause)
-		if !ok {
-			continue
-		}
-		if cc.List == nil {
-			hasDefault = true
-		}
-		caseSt := entry.clone()
-		if fall != nil {
-			caseSt = mergeFlow(caseSt, fall)
-			fall = nil
-		}
-		fallsThrough := false
-		for i, stmt := range cc.Body {
-			if !caseSt.live {
-				break
+	w.walkStmt(bodySt, post)
+	w.breaks = w.breaks[:len(w.breaks)-1]
+	w.continues = w.continues[:len(w.continues)-1]
+
+	out := &flowState{live: false}
+	if finishes {
+		skip, after := st.clone(), bodySt
+		if cond != nil {
+			w.hooks.Refine(skip, cond, false)
+			if after.live {
+				after = after.clone()
+				w.hooks.Refine(after, cond, false)
 			}
-			if br, ok := stmt.(*ast.BranchStmt); ok && br.Tok.String() == "fallthrough" && i == len(cc.Body)-1 {
-				fallsThrough = true
-				break
-			}
-			w.walkStmt(caseSt, stmt)
 		}
-		if fallsThrough {
-			fall = caseSt
-		} else if caseSt.live {
-			outs = append(outs, caseSt)
-		}
-	}
-	if breakable {
-		w.breaks = w.breaks[:len(w.breaks)-1]
-	}
-	var out *flowState
-	if !hasDefault {
-		out = entry // no case may match
-	} else {
-		out = &flowState{live: false}
-	}
-	for _, o := range outs {
-		out = mergeFlow(out, o)
-	}
-	if fall != nil { // fallthrough on the last clause (illegal Go, but stay safe)
-		out = mergeFlow(out, fall)
+		out = mergeFlow(skip, after)
 	}
 	for _, b := range breaks {
 		out = mergeFlow(out, b)
@@ -383,8 +337,11 @@ func (w *flowWalker) walkCases(st *flowState, body *ast.BlockStmt, breakable boo
 	*st = *out
 }
 
-// walkSelect walks a select body: exactly one comm clause runs.
-func (w *flowWalker) walkSelect(st *flowState, body *ast.BlockStmt) {
+// walkCases walks a switch or select body. Each clause starts from a
+// clone of the entry state. In a switch, fallthrough flows one clause's
+// end state into the next, and without a default no case may match, so
+// the entry state merges back in. Exactly one select clause runs.
+func (w *flowWalker) walkCases(st *flowState, body *ast.BlockStmt) {
 	if !st.live {
 		return
 	}
@@ -392,39 +349,38 @@ func (w *flowWalker) walkSelect(st *flowState, body *ast.BlockStmt) {
 	w.breaks = append(w.breaks, &breaks)
 	entry := st.clone()
 	out := &flowState{live: false}
+	someClauseRuns := false // a default, or a select
+	var fall *flowState     // state falling through from the previous clause
 	for _, c := range body.List {
-		cc, ok := c.(*ast.CommClause)
-		if !ok {
-			continue
+		var stmts []ast.Stmt
+		switch c := c.(type) {
+		case *ast.CaseClause:
+			someClauseRuns = someClauseRuns || c.List == nil
+			stmts = c.Body
+		case *ast.CommClause:
+			someClauseRuns = true
+			stmts = append([]ast.Stmt{c.Comm}, c.Body...)
 		}
-		caseSt := entry.clone()
-		w.walkStmt(caseSt, cc.Comm)
-		for _, stmt := range cc.Body {
-			if !caseSt.live {
+		caseSt := mergeFlow(entry.clone(), fall)
+		fall = nil
+		for i, stmt := range stmts {
+			if br, ok := stmt.(*ast.BranchStmt); ok && br.Tok == token.FALLTHROUGH && i == len(stmts)-1 {
+				fall = caseSt
 				break
 			}
 			w.walkStmt(caseSt, stmt)
 		}
-		if caseSt.live {
+		if fall == nil {
 			out = mergeFlow(out, caseSt)
 		}
 	}
 	w.breaks = w.breaks[:len(w.breaks)-1]
+	if !someClauseRuns {
+		out = mergeFlow(out, entry)
+	}
+	out = mergeFlow(out, fall) // fallthrough on the last clause (illegal Go, but stay safe)
 	for _, b := range breaks {
 		out = mergeFlow(out, b)
 	}
 	*st = *out
-}
-
-// isPanic reports whether call invokes the panic builtin.
-func isPanic(info *types.Info, call *ast.CallExpr) bool {
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok || id.Name != "panic" {
-		return false
-	}
-	if info == nil {
-		return true
-	}
-	_, isBuiltin := info.Uses[id].(*types.Builtin)
-	return isBuiltin || info.Uses[id] == nil
 }

@@ -72,6 +72,8 @@ func (h *flowTestHooks) Call(st *flowState, call *ast.CallExpr) {
 	}
 }
 
+func (h *flowTestHooks) Eval(*flowState, ast.Expr) {}
+
 func (h *flowTestHooks) Refine(st *flowState, cond ast.Expr, truth bool) {
 	b, ok := ast.Unparen(cond).(*ast.BinaryExpr)
 	if !ok || (b.Op != token.EQL && b.Op != token.NEQ) {

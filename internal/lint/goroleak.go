@@ -39,11 +39,7 @@ type GoroLeak struct {
 // NewGoroLeak returns the goroutine-lifecycle analyzer for the given
 // package import paths.
 func NewGoroLeak(pkgs []string) *GoroLeak {
-	check := make(map[string]bool, len(pkgs))
-	for _, p := range pkgs {
-		check[p] = true
-	}
-	return &GoroLeak{check: check}
+	return &GoroLeak{check: stringSet(pkgs)}
 }
 
 // Name implements Analyzer.
@@ -77,12 +73,9 @@ func (gl *GoroLeak) Run(p *Package) []Diagnostic {
 					return true
 				}
 			}
-			diags = append(diags, Diagnostic{
-				Pos: p.Fset.Position(g.Pos()),
-				Message: "goroutine is not visibly tied to a WaitGroup, bounded pool, or lifecycle-owned channel; " +
-					"tie its lifetime or annotate with " + DirectiveGoroleakOK + " naming what terminates it",
-				Analyzer: gl.Name(),
-			})
+			diags = append(diags, p.diag(g.Pos(), gl.Name(),
+				"goroutine is not visibly tied to a WaitGroup, bounded pool, or lifecycle-owned channel; "+
+					"tie its lifetime or annotate with "+DirectiveGoroleakOK+" naming what terminates it"))
 			return true
 		})
 	}
@@ -132,7 +125,7 @@ func (gl *GoroLeak) tied(p *Package, body *ast.BlockStmt, spawner *ast.BlockStmt
 		}
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			if isWaitGroupDone(p.Info, n) || isClose(p.Info, n) {
+			if isWaitGroupDone(p.Info, n) || isBuiltinCall(p.Info, n, "close") {
 				found = true
 			}
 		case *ast.UnaryExpr:
@@ -192,14 +185,4 @@ func isWaitGroupDone(info *types.Info, call *ast.CallExpr) bool {
 		return false
 	}
 	return typeFromPkg(info.TypeOf(sel.X), "sync")
-}
-
-// isClose reports whether call is the close builtin.
-func isClose(info *types.Info, call *ast.CallExpr) bool {
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok || id.Name != "close" {
-		return false
-	}
-	_, isBuiltin := info.Uses[id].(*types.Builtin)
-	return isBuiltin
 }

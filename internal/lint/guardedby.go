@@ -45,19 +45,14 @@ func (*GuardedBy) Doc() string {
 func (g *GuardedBy) Run(p *Package) []Diagnostic {
 	ann := p.Annotations()
 	var diags []Diagnostic
-	seen := make(map[string]bool) // dedupe file:line:field
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
 			if !ok {
 				return true
 			}
-			s := p.Info.Selections[sel]
-			if s == nil || s.Kind() != types.FieldVal {
-				return true
-			}
-			fld, ok := s.Obj().(*types.Var)
-			if !ok {
+			fld := fieldOf(p.Info, sel)
+			if fld == nil {
 				return true
 			}
 			guard := ann.fieldGuard(fld)
@@ -67,17 +62,7 @@ func (g *GuardedBy) Run(p *Package) []Diagnostic {
 			if g.accessOK(p, sel, guard) {
 				return true
 			}
-			pos := p.Fset.Position(sel.Sel.Pos())
-			key := fmt.Sprintf("%s:%d:%s", pos.Filename, pos.Line, fld.Name())
-			if seen[key] {
-				return true
-			}
-			seen[key] = true
-			diags = append(diags, Diagnostic{
-				Pos:      pos,
-				Message:  fmt.Sprintf("field %q (guarded by %s) accessed without locking %s; lock it, or annotate the function with %s if callers hold it", fld.Name(), guard, guard, DirectiveLocked),
-				Analyzer: g.Name(),
-			})
+			diags = append(diags, p.diag(sel.Sel.Pos(), g.Name(), fmt.Sprintf("field %q (guarded by %s) accessed without locking %s; lock it, or annotate the function with %s if callers hold it", fld.Name(), guard, guard, DirectiveLocked)))
 			return true
 		})
 	}
@@ -102,7 +87,7 @@ func (g *GuardedBy) accessOK(p *Package, sel *ast.SelectorExpr, guard string) bo
 		if fd, ok := fn.(*ast.FuncDecl); ok && strings.HasSuffix(fd.Name.Name, "Locked") {
 			return true
 		}
-		if body := FuncBody(fn); body != nil && locksMutex(body, guard) {
+		if body := FuncBody(fn); body != nil && locksMutex(p.Info, body, guard) {
 			return true
 		}
 	}
@@ -115,27 +100,42 @@ func (g *GuardedBy) accessOK(p *Package, sel *ast.SelectorExpr, guard string) bo
 // locksMutex reports whether body contains a call <path>.<guard>.Lock()
 // or .RLock(), plain or deferred. The mutex is matched by its final
 // name component.
-func locksMutex(body *ast.BlockStmt, guard string) bool {
+func locksMutex(info *types.Info, body *ast.BlockStmt, guard string) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
+		if call, ok := n.(*ast.CallExpr); ok {
+			mu, lock, ok := mutexOp(info, call)
+			found = ok && lock && finalName(mu) == guard
 		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok || len(call.Args) != 0 {
-			return true
-		}
-		fun, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok || (fun.Sel.Name != "Lock" && fun.Sel.Name != "RLock") {
-			return true
-		}
-		if finalName(fun.X) == guard {
-			found = true
-			return false
-		}
-		return true
+		return !found
 	})
 	return found
+}
+
+// mutexOp recognizes x.Lock() / x.RLock() (lock) and x.Unlock() /
+// x.RUnlock() on a sync.Mutex or sync.RWMutex x, returning x.
+func mutexOp(info *types.Info, call *ast.CallExpr) (mu ast.Expr, lock, ok bool) {
+	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !isSel || len(call.Args) != 0 || !isMutexType(info.TypeOf(sel.X)) {
+		return nil, false, false
+	}
+	switch sel.Sel.Name {
+	case "Lock", "RLock":
+		return sel.X, true, true
+	case "Unlock", "RUnlock":
+		return sel.X, false, true
+	}
+	return nil, false, false
+}
+
+// isMutexType reports whether t is sync.Mutex or sync.RWMutex (or a
+// pointer to one).
+func isMutexType(t types.Type) bool {
+	n := namedOrPointee(t)
+	if n == nil || n.Obj().Pkg() == nil || n.Obj().Pkg().Path() != "sync" {
+		return false
+	}
+	return n.Obj().Name() == "Mutex" || n.Obj().Name() == "RWMutex"
 }
 
 // finalName returns the last identifier of an expression path ("mu" for
@@ -175,12 +175,9 @@ func constructorAccess(p *Package, sel *ast.SelectorExpr) bool {
 	if !ok {
 		return false
 	}
-	v, ok := p.Info.Uses[id].(*types.Var)
-	if !ok {
-		v, ok = p.Info.Defs[id].(*types.Var)
-		if !ok {
-			return false
-		}
+	v := varOf(p.Info, id)
+	if v == nil {
+		return false
 	}
 	owner := p.EnclosingFunc(sel)
 	body := FuncBody(owner)

@@ -11,13 +11,14 @@
 package lint
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
-	"time"
 )
 
 // Diagnostic is one analyzer finding, reported as file:line: message
@@ -71,25 +72,33 @@ func (p *Package) Parent(n ast.Node) ast.Node {
 	if p.parents == nil {
 		p.parents = make(map[ast.Node]ast.Node)
 		for _, f := range p.Files {
-			buildParents(p.parents, f)
+			var stack []ast.Node
+			ast.Inspect(f, func(n ast.Node) bool {
+				if n == nil {
+					stack = stack[:len(stack)-1]
+					return true
+				}
+				if len(stack) > 0 {
+					p.parents[n] = stack[len(stack)-1]
+				}
+				stack = append(stack, n)
+				return true
+			})
 		}
 	}
 	return p.parents[n]
 }
 
-func buildParents(m map[ast.Node]ast.Node, root ast.Node) {
-	var stack []ast.Node
-	ast.Inspect(root, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
+// outerParent returns the parent of n seen through parentheses.
+func (p *Package) outerParent(n ast.Node) ast.Node {
+	parent := p.Parent(n)
+	for {
+		pe, ok := parent.(*ast.ParenExpr)
+		if !ok {
+			return parent
 		}
-		if len(stack) > 0 {
-			m[n] = stack[len(stack)-1]
-		}
-		stack = append(stack, n)
-		return true
-	})
+		parent = p.Parent(pe)
+	}
 }
 
 // EnclosingFunc returns the innermost FuncDecl or FuncLit containing n,
@@ -115,32 +124,14 @@ func FuncBody(fn ast.Node) *ast.BlockStmt {
 	return nil
 }
 
-// Run executes every analyzer over every package and returns the
-// combined diagnostics sorted by position.
-func Run(pkgs []*Package, analyzers []Analyzer) []Diagnostic {
-	var out []Diagnostic
-	for _, p := range pkgs {
-		for _, a := range analyzers {
-			out = append(out, a.Run(p)...)
-		}
-	}
-	sortDiagnostics(out)
-	return out
-}
-
-// Timing is one analyzer's wall-clock cost across all packages.
-type Timing struct {
-	Analyzer string
-	Elapsed  time.Duration
-}
-
-// RunParallel executes the analyzers concurrently — one goroutine per
+// Run executes the analyzers concurrently — one goroutine per
 // analyzer, each walking every package — and returns the combined
-// diagnostics (sorted, same order as Run) plus per-analyzer timings
-// sorted slowest first. Analyzers are independent of one another, but
-// Package's lazy annotation and parent indexes are not thread-safe, so
-// they are precomputed before the fan-out.
-func RunParallel(pkgs []*Package, analyzers []Analyzer) ([]Diagnostic, []Timing) {
+// diagnostics sorted by position. A finding repeated on one line (a
+// field read twice, a deferred call replayed at every exit) is
+// reported once. Analyzers are independent of one
+// another, but Package's lazy annotation and parent indexes are not
+// thread-safe, so they are built before the fan-out.
+func Run(pkgs []*Package, analyzers []Analyzer) []Diagnostic {
 	for _, p := range pkgs {
 		p.Annotations()
 		if len(p.Files) > 0 {
@@ -148,41 +139,23 @@ func RunParallel(pkgs []*Package, analyzers []Analyzer) ([]Diagnostic, []Timing)
 		}
 	}
 	perAnalyzer := make([][]Diagnostic, len(analyzers))
-	timings := make([]Timing, len(analyzers))
 	var wg sync.WaitGroup
 	for i, a := range analyzers {
 		wg.Add(1)
-		go func(i int, a Analyzer) {
+		go func() {
 			defer wg.Done()
-			start := time.Now()
-			var out []Diagnostic
 			for _, p := range pkgs {
-				out = append(out, a.Run(p)...)
+				perAnalyzer[i] = append(perAnalyzer[i], a.Run(p)...)
 			}
-			perAnalyzer[i] = out
-			timings[i] = Timing{Analyzer: a.Name(), Elapsed: time.Since(start)}
-		}(i, a)
+		}()
 	}
 	wg.Wait()
-	var out []Diagnostic
-	for _, d := range perAnalyzer {
-		out = append(out, d...)
-	}
-	sortDiagnostics(out)
-	sort.Slice(timings, func(i, j int) bool { return timings[i].Elapsed > timings[j].Elapsed })
-	return out, timings
-}
-
-func sortDiagnostics(out []Diagnostic) {
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Pos.Filename != out[j].Pos.Filename {
-			return out[i].Pos.Filename < out[j].Pos.Filename
-		}
-		if out[i].Pos.Line != out[j].Pos.Line {
-			return out[i].Pos.Line < out[j].Pos.Line
-		}
-		return out[i].Message < out[j].Message
+	out := slices.Concat(perAnalyzer...)
+	slices.SortFunc(out, func(a, b Diagnostic) int {
+		return cmp.Or(strings.Compare(a.Pos.Filename, b.Pos.Filename), cmp.Compare(a.Pos.Line, b.Pos.Line),
+			strings.Compare(a.Message, b.Message), strings.Compare(a.Analyzer, b.Analyzer))
 	})
+	return slices.CompactFunc(out, func(a, b Diagnostic) bool { return a.String() == b.String() })
 }
 
 // Default returns the full analyzer suite with the repository's
@@ -208,7 +181,7 @@ func Default() []Analyzer {
 	}
 	return []Analyzer{
 		NewBufPool("swarm/internal/wire"),
-		NewLockIO("swarm/internal/disk", []string{"swarm/internal/disk"}),
+		NewLockIO("swarm/internal/disk"),
 		NewGuardedBy(),
 		NewErrClass([]string{"swarm/internal/transport", "swarm/internal/fragio"}),
 		NewPlacement([]string{
@@ -226,13 +199,44 @@ func Default() []Analyzer {
 	}
 }
 
+// stringSet returns the set of the strings in ss.
+func stringSet(ss []string) map[string]bool {
+	m := make(map[string]bool, len(ss))
+	for _, s := range ss {
+		m[s] = true
+	}
+	return m
+}
+
+// diag is analyzer's finding msg at pos.
+func (p *Package) diag(pos token.Pos, analyzer, msg string) Diagnostic {
+	return Diagnostic{Pos: p.Fset.Position(pos), Message: msg, Analyzer: analyzer}
+}
+
+// varOf resolves an identifier, defining or using, to its variable, or
+// nil.
+func varOf(info *types.Info, id *ast.Ident) *types.Var {
+	if v, ok := info.Defs[id].(*types.Var); ok {
+		return v
+	}
+	v, _ := info.Uses[id].(*types.Var)
+	return v
+}
+
+// isBuiltinCall reports whether call invokes the named builtin.
+func isBuiltinCall(info *types.Info, call *ast.CallExpr, name string) bool {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok || id.Name != name {
+		return false
+	}
+	_, builtin := info.Uses[id].(*types.Builtin)
+	return builtin
+}
+
 // ByName returns the analyzers whose names appear in names (order
 // preserved from all); unknown names return an error.
 func ByName(all []Analyzer, names []string) ([]Analyzer, error) {
-	want := make(map[string]bool, len(names))
-	for _, n := range names {
-		want[n] = true
-	}
+	want := stringSet(names)
 	var out []Analyzer
 	for _, a := range all {
 		if want[a.Name()] {

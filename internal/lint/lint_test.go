@@ -103,7 +103,7 @@ func TestBufPoolFixture(t *testing.T) {
 }
 
 func TestLockIOFixture(t *testing.T) {
-	checkFixture(t, "lockio", NewLockIO("swarm/internal/disk", nil))
+	checkFixture(t, "lockio", NewLockIO("swarm/internal/disk"))
 }
 
 func TestGuardedByFixture(t *testing.T) {
@@ -210,42 +210,6 @@ func TestRepoClean(t *testing.T) {
 	}
 	if len(diags) != 0 {
 		t.Errorf("repository is not lint-clean (%d findings):\n%s", len(diags), report.String())
-	}
-}
-
-// TestRunParallelMatchesRun pins the parallel runner: identical
-// diagnostics in identical order to the serial runner, plus one timing
-// per analyzer, sorted slowest first.
-func TestRunParallelMatchesRun(t *testing.T) {
-	l := testLoader(t)
-	pkgs, err := l.Load()
-	if err != nil {
-		t.Fatalf("load repo: %v", err)
-	}
-	serial := Run(pkgs, Default())
-	par, timings := RunParallel(pkgs, Default())
-	if len(serial) != len(par) {
-		t.Fatalf("serial found %d diagnostics, parallel %d", len(serial), len(par))
-	}
-	for i := range serial {
-		if serial[i].String() != par[i].String() {
-			t.Errorf("diagnostic %d differs:\n serial: %s\n parallel: %s", i, serial[i], par[i])
-		}
-	}
-	if len(timings) != len(Default()) {
-		t.Fatalf("got %d timings for %d analyzers", len(timings), len(Default()))
-	}
-	names := make(map[string]bool)
-	for i, tm := range timings {
-		names[tm.Analyzer] = true
-		if i > 0 && tm.Elapsed > timings[i-1].Elapsed {
-			t.Errorf("timings not sorted slowest-first at %d: %v", i, timings)
-		}
-	}
-	for _, a := range Default() {
-		if !names[a.Name()] {
-			t.Errorf("no timing reported for analyzer %q", a.Name())
-		}
 	}
 }
 

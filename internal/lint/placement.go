@@ -33,11 +33,7 @@ const DirectivePlacementOK = "swarmlint:placement-ok"
 // NewPlacement returns the placement-indexing analyzer; only packages
 // whose import paths appear in check are analyzed.
 func NewPlacement(check []string) *Placement {
-	m := make(map[string]bool, len(check))
-	for _, s := range check {
-		m[s] = true
-	}
-	return &Placement{check: m}
+	return &Placement{check: stringSet(check)}
 }
 
 // Name implements Analyzer.
@@ -66,12 +62,8 @@ func (pl *Placement) Run(p *Package) []Diagnostic {
 			if p.Annotations().onLine(ix.Pos(), DirectivePlacementOK) {
 				return true
 			}
-			out = append(out, Diagnostic{
-				Pos: p.Fset.Position(ix.Pos()),
-				Message: fmt.Sprintf("direct index into a server-connection slice: placement is epoch-dependent, "+
-					"resolve the server through placement.Map/View (or annotate with %s)", DirectivePlacementOK),
-				Analyzer: pl.Name(),
-			})
+			out = append(out, p.diag(ix.Pos(), pl.Name(), fmt.Sprintf("direct index into a server-connection slice: placement is epoch-dependent, "+
+				"resolve the server through placement.Map/View (or annotate with %s)", DirectivePlacementOK)))
 			return true
 		})
 	}

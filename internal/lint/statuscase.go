@@ -30,11 +30,7 @@ type StatusCase struct {
 // NewStatusCase returns the exhaustiveness analyzer for the named enum
 // type ("importpath.TypeName") in the given packages.
 func NewStatusCase(typeName string, pkgs []string) *StatusCase {
-	check := make(map[string]bool, len(pkgs))
-	for _, p := range pkgs {
-		check[p] = true
-	}
-	return &StatusCase{typeName: typeName, check: check}
+	return &StatusCase{typeName: typeName, check: stringSet(pkgs)}
 }
 
 // Name implements Analyzer.
@@ -141,12 +137,9 @@ func (sc *StatusCase) checkSwitch(p *Package, sw *ast.SwitchStmt, named *types.N
 	} else {
 		verb += " or an annotated default"
 	}
-	return &Diagnostic{
-		Pos: p.Fset.Position(sw.Switch),
-		Message: fmt.Sprintf("switch over %s does not handle %s; %s",
-			named.Obj().Name(), strings.Join(missing, ", "), verb),
-		Analyzer: "statuscase",
-	}
+	d := p.diag(sw.Switch, sc.Name(), fmt.Sprintf("switch over %s does not handle %s; %s",
+		named.Obj().Name(), strings.Join(missing, ", "), verb))
+	return &d
 }
 
 // caseConst resolves a case expression to the enum constant it names,

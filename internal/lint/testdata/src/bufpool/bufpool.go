@@ -96,3 +96,35 @@ func disjointPuts(cond bool) {
 	}
 	wire.PutBuffer(buf)
 }
+
+func leakOnOnePath(fail bool) bool {
+	// Released on the error branch only: the fall-through path leaks.
+	buf := wire.GetBuffer(64) // want "on every path"
+	if fail {
+		wire.PutBuffer(buf)
+		return false
+	}
+	return true
+}
+
+func doublePutApart() {
+	buf := wire.GetBuffer(64)
+	wire.PutBuffer(buf)
+	registry = nil
+	wire.PutBuffer(buf) // want "double wire.PutBuffer"
+}
+
+func namedResultDropped(fail bool) (b []byte) {
+	// A bare return hands b to the caller; return nil drops it.
+	b = wire.GetBuffer(64) // want "on every path"
+	if fail {
+		return nil
+	}
+	return
+}
+
+func deferredPut(fail bool) bool {
+	buf := wire.GetBuffer(64)
+	defer wire.PutBuffer(buf)
+	return fail
+}

@@ -106,3 +106,29 @@ func (s *srv) goodGoroutine() {
 	go func() { s.d.Sync() }()
 	s.mu.Unlock()
 }
+
+func (s *srv) goodUnlockEveryBranch(cond bool) {
+	s.mu.Lock()
+	if cond {
+		s.n++
+		s.mu.Unlock()
+	} else {
+		s.mu.Unlock()
+	}
+	s.d.Sync()
+}
+
+func (s *srv) badLockOnOnePath(cond bool) {
+	if cond {
+		s.mu.Lock()
+	}
+	s.d.Sync() // want "disk I/O"
+}
+
+func (s *srv) badSwitchTag() {
+	s.mu.Lock()
+	switch s.d.Sync() { // want "disk I/O"
+	case nil:
+	}
+	s.mu.Unlock()
+}

@@ -174,3 +174,11 @@ func annotatedAcquire() {
 	e := get() // swarmlint:refcount-ok (lifetime owned by the test harness)
 	_ = e
 }
+
+func doubleRelease(c bool) {
+	e := get()
+	e.Release()
+	if c {
+		e.Release() // want "released twice"
+	}
+}

@@ -161,7 +161,7 @@ func (rc *readCache) get(fid wire.FID, unit int, gen uint64) *Extent {
 // buffer is recycled and the resident entry is returned instead. An
 // extent larger than the whole cache is returned caller-owned without
 // being inserted.
-// swarmlint:returns-ref
+// swarmlint:returns-ref swarmlint:owns-buffer
 func (rc *readCache) insert(fid wire.FID, unit int, gen uint64, buf []byte) *Extent {
 	rc.mu.Lock()
 	delete(rc.partial, fid)
@@ -191,7 +191,8 @@ func (rc *readCache) insert(fid wire.FID, unit int, gen uint64, buf []byte) *Ext
 }
 
 // fill adds a speculative (readahead) extent nobody is waiting for: the
-// cache holds the only reference. Oversized extents are rejected.
+// cache holds the only reference. Oversized extents are rejected. Like
+// insert, it takes ownership of buf. swarmlint:owns-buffer
 func (rc *readCache) fill(fid wire.FID, unit int, gen uint64, buf []byte) {
 	ext := rc.insert(fid, unit, gen, buf)
 	ext.Release() // drop the caller reference insert handed us
