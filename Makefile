@@ -55,14 +55,16 @@ race:
 
 # The chaos harness alone, under the race detector, plus the transport's
 # retry, breaker and failure-injection tests, the log's short-stripe
-# loss, crash and power-cut tests and its range-decode equivalence tests
+# loss, crash and power-cut tests, its range-decode equivalence tests
 # (degraded reads against the whole-fragment path, under concurrent
-# readers, a second failure and the cleaner), and the store's allocator
-# churn and power-cut tests.
+# readers, a second failure and the cleaner) and its frame-lifetime test
+# (pooled fragment buffers held, read and released exactly once across
+# un-acked stores, degraded writes, rebuild and reclaim), and the store's
+# allocator churn and power-cut tests.
 chaos:
 	$(GO) test -race -v -run 'TestChaos|TestDegradedWrites' .
 	$(GO) test -race -run 'Resilient|Flaky|Retry' ./internal/transport
-	$(GO) test -race -run 'ShortStripe|RangeDecode' ./internal/core
+	$(GO) test -race -run 'ShortStripe|RangeDecode|FrameLifetime' ./internal/core
 	$(GO) test -race -run 'AllocatorChurn|PowerCut|Crash' ./internal/server
 
 # Statement coverage across all packages, with a floor: fails if the

@@ -187,9 +187,8 @@ func (c *Cache) ReadBlock(addr core.BlockAddr, blockLen, off, n uint32) ([]byte,
 	c.fills.Add(1)
 	f.data, f.err = c.lower.Read(addr, 0, blockLen)
 	if f.err == nil {
-		// The lower read handed us a fresh buffer; cache it without the
-		// defensive copy Put makes.
-		c.putOwned(addr, f.data)
+		// The lower read handed us a fresh buffer: the cache keeps it.
+		c.Put(addr, f.data)
 	}
 	c.flightMu.Lock()
 	delete(c.flights, addr)
@@ -205,16 +204,12 @@ func (c *Cache) ReadBlock(addr core.BlockAddr, blockLen, off, n uint32) ([]byte,
 	return f.data[off : off+n : off+n], nil
 }
 
-// Put inserts (or refreshes) a block. Writers use it to warm the cache
-// with data they just appended; the data is copied.
+// Put inserts (or refreshes) a block, taking ownership of data: the
+// cache keeps it without copying and hands out read-only views of it,
+// so the caller must neither modify nor reuse it. Writers use it to warm
+// the cache with a block they just appended (Sting gives it the page
+// its flush has dropped); fills use it for the buffer the log returned.
 func (c *Cache) Put(addr core.BlockAddr, data []byte) {
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	c.putOwned(addr, cp)
-}
-
-// putOwned inserts a block the cache may keep without copying.
-func (c *Cache) putOwned(addr core.BlockAddr, data []byte) {
 	sh := c.shardOf(addr)
 	sh.mu.Lock()
 	if el, ok := sh.index[addr]; ok {

@@ -105,7 +105,7 @@ func TestLateMissFindsLandedFill(t *testing.T) {
 	}
 	// Land a fill the way ReadBlock does: the block is cached and no
 	// flight for it remains.
-	c.putOwned(addr(0), append([]byte(nil), g.data...))
+	c.Put(addr(0), append([]byte(nil), g.data...))
 	c.flightMu.Unlock()
 
 	r := <-done

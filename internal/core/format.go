@@ -178,6 +178,16 @@ func (h *Header) ErasureCode() (erasure.Code, error) {
 // EncodeHeader serializes h into a HeaderSize buffer.
 func EncodeHeader(h *Header) []byte {
 	buf := make([]byte, HeaderSize)
+	putHeader(buf, h)
+	return buf
+}
+
+// putHeader serializes h into buf[:HeaderSize], the front of a frame
+// whose payload follows it. The reserved bytes are cleared, so a
+// recycled buffer encodes exactly what EncodeHeader returns.
+func putHeader(buf []byte, h *Header) {
+	buf = buf[:HeaderSize]
+	clear(buf)
 	binary.LittleEndian.PutUint32(buf[0:], fragMagic)
 	buf[4] = fragVersion
 	buf[5] = h.Kind
@@ -195,7 +205,6 @@ func EncodeHeader(h *Header) []byte {
 	buf[161] = h.NumParity
 	binary.LittleEndian.PutUint32(buf[162:], h.Epoch)
 	binary.LittleEndian.PutUint32(buf[HeaderSize-4:], crc32.ChecksumIEEE(buf[:HeaderSize-4]))
-	return buf
 }
 
 // DecodeHeader parses and validates a fragment header.

@@ -91,23 +91,42 @@ type Config struct {
 // DefaultFragmentSize is the paper's fragment size.
 const DefaultFragmentSize = 1 << 20
 
-// fragBuilder accumulates entries for the currently open fragment.
+// fragBuilder accumulates entries for the currently open fragment. Its
+// frame is a pool buffer of the fragment size with HeaderSize free at
+// the front; entries are appended to the payload behind it and the
+// header is encoded in place at seal, so the frame is what ships.
 type fragBuilder struct {
 	fid     wire.FID
 	stripe  uint64
 	index   uint8
-	payload []byte
+	frame   []byte // HeaderSize + payloadSize, from the wire pool
+	payload []byte // frame[HeaderSize:]
 	off     int
 }
 
-// sealedFrag is a fragment ready to ship to its server.
+// sealedFrag is a fragment ready to ship to its server. It owns frame,
+// a pool buffer: a parity frame goes back to the pool when its store
+// completes, a data frame when its store is acked and its inflight entry
+// is dropped (DESIGN.md §3.3).
 type sealedFrag struct {
-	conn    transport.ServerConn
-	fid     wire.FID
-	frame   []byte // header + payload[:dataLen]
-	mark    bool
-	payload []byte // payload view for read-your-writes
+	conn  transport.ServerConn
+	fid   wire.FID
+	frame []byte // header + payload[:dataLen]
+	mark  bool
+	data  bool // a data member, held in inflight for read-your-writes
 }
+
+// heldFrame is a sealed data member's frame kept for read-your-writes
+// until its server acks the store. A member whose store failed (a
+// degraded write, or one past redundancy) keeps its frame: local reads
+// and RebuildServer serve the fragment from it.
+type heldFrame struct {
+	frame   []byte // header + payload, a pool buffer
+	storing bool   // a store of frame is in flight and releases it on completion if the entry is gone
+}
+
+// payload returns the member's payload bytes.
+func (h heldFrame) payload() []byte { return h.frame[HeaderSize:] }
 
 // Log is one client's striped log.
 type Log struct {
@@ -129,7 +148,7 @@ type Log struct {
 	ckpts      map[ServiceID]BlockAddr               // guarded by mu
 	registered map[ServiceID]bool                    // guarded by mu
 	locations  map[wire.FID]wire.ServerID            // guarded by mu
-	inflight   map[wire.FID][]byte                   // guarded by mu
+	inflight   map[wire.FID]heldFrame                // sealed data members not yet acked; guarded by mu
 	degraded   map[uint64]map[wire.FID]wire.ServerID // per-stripe set of stores skipped: server unreachable, stripe still redundancy-covered; guarded by mu
 	pendingDel map[wire.FID]wire.ServerID            // reclaim deletes deferred: server unreachable when its stripe died; guarded by mu
 	prealloced map[uint64]bool                       // stripes whose slots have been reserved; guarded by mu
@@ -164,9 +183,14 @@ type Log struct {
 	recon     *fragCache
 	readahead bool
 
+	// releaseFrame returns a fragment frame to the wire pool once nothing
+	// references it: wire.PutBuffer, swapped by tests that count releases.
+	releaseFrame func(frame []byte)
+
 	// engine is the fragment I/O engine: per-server request queues,
-	// scatter-gather fetch, singleflight, and the store/retry policy.
-	// Every fragment store and fetch goes through it.
+	// scatter-gather fetch and singleflight. Every fragment store and
+	// fetch goes through it; it retries nothing (transport.Resilient is
+	// the one retry layer).
 	engine *fragio.Engine
 
 	errMu sync.Mutex
@@ -292,7 +316,7 @@ func Open(cfg Config) (*Log, *Recovery, error) {
 		ckpts:        make(map[ServiceID]BlockAddr),
 		registered:   make(map[ServiceID]bool),
 		locations:    make(map[wire.FID]wire.ServerID),
-		inflight:     make(map[wire.FID][]byte),
+		inflight:     make(map[wire.FID]heldFrame),
 		degraded:     make(map[uint64]map[wire.FID]wire.ServerID),
 		pendingDel:   make(map[wire.FID]wire.ServerID),
 		prealloced:   make(map[uint64]bool),
@@ -303,6 +327,7 @@ func Open(cfg Config) (*Log, *Recovery, error) {
 		usage:        NewUsageTable(),
 		recon:        newFragCache(max(8, 2*cfg.ReadaheadFragments)),
 		readahead:    cfg.ReadaheadFragments > 0,
+		releaseFrame: wire.PutBuffer,
 	}
 	for id, aid := range cfg.ACLs {
 		l.acls[id] = aid
@@ -609,11 +634,13 @@ func (l *Log) openFragmentLocked() {
 		// every member the stripe will ever seal.
 		l.stripeEpochs[stripe] = l.place.Epoch()
 	}
+	frame := wire.GetBuffer(l.fragSize)
 	l.cur = &fragBuilder{
 		fid:     fid,
 		stripe:  stripe,
 		index:   uint8(l.seq % uint64(l.width)),
-		payload: make([]byte, l.payloadSize),
+		frame:   frame,
+		payload: frame[HeaderSize:],
 	}
 	l.seq++
 	if l.cfg.PreallocStripes && !l.prealloced[stripe] {
@@ -664,15 +691,14 @@ func (l *Log) makeSealedLocked(fb *fragBuilder, mark bool) sealedFrag {
 			h.MemberLens = l.pacc.lens
 		}
 	}
-	frame := make([]byte, HeaderSize+dataLen)
-	copy(frame, EncodeHeader(&h))
-	copy(frame[HeaderSize:], fb.payload[:dataLen])
+	putHeader(fb.frame, &h)
+	frame := fb.frame[:HeaderSize+dataLen]
 	conn := l.connAtLocked(fb.stripe, int(fb.index))
 	l.locations[fb.fid] = conn.ID()
-	l.inflight[fb.fid] = fb.payload[:dataLen]
+	l.inflight[fb.fid] = heldFrame{frame: frame, storing: true}
 	l.stats.FragmentsSealed++
 	l.stats.BytesStored += int64(len(frame))
-	return sealedFrag{conn: conn, fid: fb.fid, frame: frame, mark: mark, payload: fb.payload[:dataLen]}
+	return sealedFrag{conn: conn, fid: fb.fid, frame: frame, mark: mark, data: true}
 }
 
 // stampGeometry writes the log's erasure configuration and the stripe's
@@ -739,16 +765,12 @@ func (l *Log) lastDataLocked(stripe uint64) bool {
 }
 
 // sealParityLocked emits all m parity fragments of stripe from the
-// accumulators and resets them for the next stripe.
+// accumulators' frames and resets them for the next stripe.
 func (l *Log) sealParityLocked(stripe uint64) []sealedFrag {
-	var maxLen uint32
-	for _, n := range l.pacc.lens {
-		if n > maxLen {
-			maxLen = n
-		}
-	}
+	lens := l.pacc.lens
+	frames, maxLen := l.pacc.take()
 	out := make([]sealedFrag, 0, l.nparity)
-	for j := 0; j < l.nparity; j++ {
+	for j, buf := range frames {
 		pIdx := l.paritySlot(stripe, j)
 		fid := wire.MakeFID(l.client, stripe*uint64(l.width)+uint64(pIdx))
 		h := Header{
@@ -757,22 +779,20 @@ func (l *Log) sealParityLocked(stripe uint64) []sealedFrag {
 			Index:      uint8(pIdx),
 			FID:        fid,
 			StripeID:   stripe,
-			DataLen:    maxLen,
-			MemberLens: l.pacc.lens,
-			PayloadCRC: crc32.ChecksumIEEE(l.pacc.bufs[j][:maxLen]),
+			DataLen:    uint32(maxLen),
+			MemberLens: lens,
+			PayloadCRC: crc32.ChecksumIEEE(buf[HeaderSize : HeaderSize+maxLen]),
 		}
 		l.stampGeometry(&h)
 		l.fillGroup(&h)
-		frame := make([]byte, HeaderSize+int(maxLen))
-		copy(frame, EncodeHeader(&h))
-		copy(frame[HeaderSize:], l.pacc.bufs[j][:maxLen])
+		putHeader(buf, &h)
+		frame := buf[:HeaderSize+maxLen]
 		conn := l.connAtLocked(stripe, pIdx)
 		l.locations[fid] = conn.ID()
 		l.stats.ParityFragments++
 		l.stats.BytesStored += int64(len(frame))
 		out = append(out, sealedFrag{conn: conn, fid: fid, frame: frame})
 	}
-	l.pacc.reset()
 	delete(l.prealloced, stripe) // stripe complete: stop tracking
 	l.usage.FragmentSealed(stripe, true)
 	return out
@@ -820,11 +840,11 @@ func (l *Log) skipUnfilledLocked(stripe uint64) {
 
 // ship sends sealed fragments to their servers through the engine's
 // per-server store queues, blocking on pipeline slots (flow control),
-// then returning while stores complete asynchronously. The engine owns
-// the retry policy: one extra attempt on bare connections, none on
-// connections that already carry a resilience layer (stacked retries
-// would multiply attempts against a down server), and StatusExists — a
-// response lost after the server committed — counts as success.
+// then returning while stores complete asynchronously. The engine makes
+// exactly one conn.Store call per fragment; retries are the connection's
+// (transport.Resilient), and StatusExists — a response lost after the
+// server committed — counts as success. ship takes ownership of each
+// fragment's frame: storeDone releases it. swarmlint:owns-buffer
 func (l *Log) ship(frags []sealedFrag) {
 	l.drainPreallocs()
 	for _, f := range frags {
@@ -837,29 +857,59 @@ func (l *Log) ship(frags []sealedFrag) {
 		}
 		ranges := l.rangesFor(f.conn, len(f.frame))
 		l.engine.StoreAsync(f.conn, f.fid, f.frame, f.mark, ranges, func(err error) {
-			if err != nil {
-				if l.noteDegraded(f.fid, f.conn.ID(), err) {
-					// Degraded write (§2.1.2, §3.3): the server is
-					// unreachable but the stripe's parity still covers the
-					// missing member. The payload stays in the
-					// read-your-writes map, remote readers reconstruct
-					// from the stripe, and RebuildServer restores the
-					// fragment once the server is replaced or revived.
-					return
-				}
-				// Redundancy exhausted (no parity, a second member of the
-				// same stripe missing, or a definitive server error):
-				// keep the payload in the read-your-writes map — the
-				// fragment is not durable (Sync will report that), but
-				// local reads keep working.
+			// A failed store whose stripe is still redundancy-covered is a
+			// degraded write (§2.1.2, §3.3): the server is unreachable, the
+			// payload stays in the read-your-writes map, remote readers
+			// reconstruct from the stripe, and RebuildServer restores the
+			// fragment once the server is replaced or revived. Any other
+			// failure exhausts redundancy (no parity, a second member of
+			// the same stripe missing, or a definitive server error): the
+			// payload stays too — the fragment is not durable (Sync will
+			// report that), but local reads keep working.
+			if err != nil && !l.noteDegraded(f.fid, f.conn.ID(), err) {
 				l.setErr(fmt.Errorf("store fragment %v on server %d: %w", f.fid, f.conn.ID(), err))
-				return
 			}
-			l.mu.Lock()
-			delete(l.inflight, f.fid)
-			l.mu.Unlock()
+			l.storeDone(f, err)
 		})
 	}
+}
+
+// storeDone settles a finished store of f and releases its frame unless
+// a read-your-writes entry still needs it: a data member whose store
+// failed keeps its frame in inflight until RebuildServer or
+// ReclaimStripe drops the entry. An acked member's entry is dropped
+// here; if RebuildServer or ReclaimStripe dropped it while the store was
+// in flight, they left the release to this call. swarmlint:owns-buffer
+func (l *Log) storeDone(f sealedFrag, err error) {
+	if f.data {
+		l.mu.Lock()
+		held, ok := l.inflight[f.fid]
+		if ok && err != nil {
+			held.storing = false
+			l.inflight[f.fid] = held
+			l.mu.Unlock()
+			return
+		}
+		delete(l.inflight, f.fid)
+		l.mu.Unlock()
+	}
+	l.releaseFrame(f.frame)
+}
+
+// dropInflightLocked removes fid's read-your-writes entry and returns
+// the frame the caller must release: none while a store of it is in
+// flight, whose completion (storeDone) releases it instead. Callers
+// hold mu.
+func (l *Log) dropInflightLocked(fid wire.FID) []byte {
+	held, ok := l.inflight[fid]
+	if !ok {
+		return nil
+	}
+	delete(l.inflight, fid)
+	if held.storing {
+		return nil
+	}
+	return held.frame
 }
 
 // noteDegraded records a failed fragment store as a degraded write when
@@ -1144,8 +1194,9 @@ func (l *Log) ReclaimStripe(stripe uint64) error {
 		delete(l.locations, fid)
 		delete(l.prealloced, stripe)
 		l.clearDegradedLocked(fid)
-		delete(l.inflight, fid)
+		frame := l.dropInflightLocked(fid)
 		l.mu.Unlock()
+		l.releaseFrame(frame)
 		l.recon.drop(fid)
 	}
 	l.mu.Lock()

@@ -279,13 +279,15 @@ func (l *Log) FetchFrameFrom(id wire.ServerID, fid wire.FID) (Header, []byte, er
 }
 
 // StoreFrame writes a header+payload frame to conn with the log's ACL
-// protection, through the engine's store policy (bounded queue, retry
-// once on bare connections, StatusExists is success).
+// protection, through the engine's store policy (one conn.Store call;
+// StatusExists is success).
 func (l *Log) StoreFrame(conn transport.ServerConn, h *Header, payload []byte) error {
-	frame := make([]byte, HeaderSize+len(payload))
-	copy(frame, EncodeHeader(h))
+	frame := wire.GetBuffer(HeaderSize + len(payload))
+	putHeader(frame, h)
 	copy(frame[HeaderSize:], payload)
-	return l.engine.Store(conn, h.FID, frame, false, l.rangesFor(conn, len(frame)))
+	err := l.engine.Store(conn, h.FID, frame, false, l.rangesFor(conn, len(frame)))
+	wire.PutBuffer(frame)
+	return err
 }
 
 // VerifyFrameOn reads fid's header back from a server and checks it

@@ -150,8 +150,8 @@ func (l *Log) Read(addr BlockAddr, off, n uint32) ([]byte, error) {
 	var local []byte
 	if l.cur != nil && l.cur.fid == addr.FID {
 		local = l.cur.payload[:l.cur.off]
-	} else if p, ok := l.inflight[addr.FID]; ok {
-		local = p
+	} else if held, ok := l.inflight[addr.FID]; ok {
+		local = held.payload()
 	}
 	if local != nil {
 		start := int(addr.Off) + EntryHdrSize + int(off)
@@ -345,7 +345,11 @@ func (l *Log) FetchFragment(fid wire.FID) (Header, []byte, error) {
 	// reconstruction for data this client still holds. A member known to
 	// be empty is served the same way, as zero bytes: it was never stored.
 	l.mu.Lock()
-	p, ok := l.inflight[fid]
+	held, ok := l.inflight[fid]
+	var p []byte
+	if ok {
+		p = held.payload()
+	}
 	if l.cur != nil && l.cur.fid == fid {
 		p, ok = l.cur.payload[:l.cur.off], true
 	}

@@ -100,20 +100,20 @@ func (l *Log) RebuildServer(id wire.ServerID) (int, error) {
 			if h.Kind == FragData && h.DataLen == 0 {
 				continue // an empty member: never stored, nothing to rebuild
 			}
-			frame := make([]byte, HeaderSize+len(payload))
-			copy(frame, EncodeHeader(&h))
-			copy(frame[HeaderSize:], payload)
 			// The engine's store policy treats StatusExists as success —
 			// here that means the store raced with another writer and the
 			// fragment is on the server either way.
-			if err := l.engine.Store(conn, fid, frame, false, l.rangesFor(conn, len(frame))); err != nil {
+			if err := l.StoreFrame(conn, &h, payload); err != nil {
 				return rebuilt, fmt.Errorf("store rebuilt %v: %w", fid, err)
 			}
+			// The member is on its server now: a degraded write's held
+			// frame goes back to the pool.
 			l.mu.Lock()
 			l.locations[fid] = id
 			l.clearDegradedLocked(fid)
-			delete(l.inflight, fid)
+			held := l.dropInflightLocked(fid)
 			l.mu.Unlock()
+			l.releaseFrame(held)
 			rebuilt++
 		}
 	}

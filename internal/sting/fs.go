@@ -368,6 +368,8 @@ func (fs *FS) flushInodeLocked(ino uint64, pages []pageKey, free func(blockPtr))
 			return err
 		}
 		if fs.cache != nil {
+			// The page left fs.pages above and nothing else refers to
+			// it, so the cache takes it as is: no copy.
 			fs.cache.Put(p.addr, page[:dataLen])
 		}
 		free(old)

@@ -8,8 +8,10 @@ import (
 // Buffer pool: size-binned free lists for fragment-sized bodies. The wire
 // path moves ~1 MB payloads on every store and read RPC; allocating each
 // one fresh made the garbage collector a party to every fragment transfer.
-// readFrame, the server's store/read paths, and the client's fetch paths
-// (fragio/core) all draw from and return to this pool.
+// readFrame, the server's store/read paths, the client's fetch paths
+// (fragio/core) and the client's write path (core's fragment and parity
+// frames, held until their stores are acked) all draw from and return
+// to this pool.
 //
 // Ownership rules (documented in DESIGN.md §3.9):
 //
