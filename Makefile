@@ -57,14 +57,17 @@ race:
 # retry, breaker and failure-injection tests, the log's short-stripe
 # loss, crash and power-cut tests, its range-decode equivalence tests
 # (degraded reads against the whole-fragment path, under concurrent
-# readers, a second failure and the cleaner) and its frame-lifetime test
+# readers, a second failure and the cleaner), its frame-lifetime test
 # (pooled fragment buffers held, read and released exactly once across
-# un-acked stores, degraded writes, rebuild and reclaim), and the store's
-# allocator churn and power-cut tests.
+# un-acked stores, degraded writes, rebuild and reclaim), its
+# reconstruction, rebuild and corruption tests (rebuilt members keep
+# the headers they were stored with, a corrupt survivor never reaches a
+# whole reconstruction), and the store's allocator churn and power-cut
+# tests.
 chaos:
 	$(GO) test -race -v -run 'TestChaos|TestDegradedWrites' .
 	$(GO) test -race -run 'Resilient|Flaky|Retry' ./internal/transport
-	$(GO) test -race -run 'ShortStripe|RangeDecode|FrameLifetime' ./internal/core
+	$(GO) test -race -run 'ShortStripe|RangeDecode|FrameLifetime|Reconstruct|Rebuild|Corrupt' ./internal/core
 	$(GO) test -race -run 'AllocatorChurn|PowerCut|Crash' ./internal/server
 
 # Statement coverage across all packages, with a floor: fails if the

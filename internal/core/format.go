@@ -153,6 +153,19 @@ func (h *Header) EmptyMembers() (mask uint16, ok bool) {
 	return mask, true
 }
 
+// LastData returns the index of the stripe's last data member, the
+// highest-index data slot h's MemberLens record as nonempty (-1 when h
+// does not carry them). Its header carries MemberLens too.
+func (h *Header) LastData() int {
+	last := -1
+	for i := 0; i < int(h.Width); i++ {
+		if _, parity := h.ParityOrdinal(i); !parity && h.MemberLens[i] != 0 {
+			last = i
+		}
+	}
+	return last
+}
+
 // MemberLen returns member i's payload length as h's MemberLens record
 // it: a data member's own entry, and for a parity member the longest
 // data member's, the length parity is stored at. Meaningful only when

@@ -164,11 +164,12 @@ type Log struct {
 	empty map[uint64]uint16
 	// geoms holds, per stripe of this log, a header of it that carries
 	// its MemberLens: base, width, group, codec, m, epoch and member
-	// lengths in one value, everything a degraded read needs to range
-	// decode a lost member. Learned from any fetched header carrying
-	// MemberLens (stripeGeometry reads a parity header to get one), so
-	// a stripe's later degraded reads cost only their range reads: no
-	// sibling search, no header read. Entries die with their stripe.
+	// lengths in one value, everything the stripe decoder needs to
+	// rebuild a lost member or a range of one. Learned from any fetched
+	// header carrying MemberLens (stripeGeometry reads a parity header,
+	// or the last data member's, to get one), so a stripe's later
+	// reconstructions cost only their survivors' reads: no sibling
+	// search, no header read. Entries die with their stripe.
 	// Guarded by mu.
 	geoms map[uint64]Header
 	// stripeEpochs pins each live stripe written this session to the
@@ -720,18 +721,6 @@ func (l *Log) stampGeometry(h *Header) {
 func (l *Log) isEmptyLocked(fid wire.FID) bool {
 	seq := fid.Seq()
 	return fid.Client() == l.client && l.empty[l.stripeOf(seq)]&(1<<(seq%uint64(l.width))) != 0
-}
-
-// emptyOf returns the empty members of h's stripe known so far: those
-// h records, if it carries MemberLens, and those this log has learned.
-func (l *Log) emptyOf(h *Header) uint16 {
-	mask, _ := h.EmptyMembers()
-	if h.FID.Client() == l.client && int(h.Width) == l.width {
-		l.mu.Lock()
-		mask |= l.empty[h.StripeID]
-		l.mu.Unlock()
-	}
-	return mask
 }
 
 // isEmpty is isEmptyLocked for callers not holding mu.

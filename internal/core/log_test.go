@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"sync"
 	"testing"
+	"time"
 
 	"swarm/internal/disk"
 	"swarm/internal/server"
@@ -260,36 +262,77 @@ func TestTwoFailuresInStripeAreFatal(t *testing.T) {
 	}
 }
 
+// TestReconstructParityFragment rebuilds a stripe's parity member from
+// its data members and compares it with the stored one. The RS(4,2)
+// cases do it with the other parity server down too, from a freshly
+// opened log that holds no geometry entry: no parity header answers, so
+// the stripe's member lengths must come from its last data member's
+// header.
 func TestReconstructParityFragment(t *testing.T) {
-	c := newTestCluster(t, 3)
-	l, _ := c.open(t, Config{})
-	defer l.Close()
-	for i := 0; i < 30; i++ {
-		mustAppend(t, l, 7, blockPattern(i, 800))
-	}
-	if err := l.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	// Find stripe 0's parity fragment and its server; kill it.
-	pIdx := l.parityIndex(0)
-	pfid := wire.MakeFID(testClient, uint64(pIdx))
-	sid := l.locations[pfid]
-	c.flaky[sid-1].SetDown(true)
-	h, payload, err := l.FetchFragment(pfid)
-	if err != nil {
-		t.Fatalf("reconstruct parity: %v", err)
-	}
-	if h.Kind != FragParity || h.FID != pfid {
-		t.Fatalf("header = %+v", h)
-	}
-	c.flaky[sid-1].SetDown(false)
-	// Compare against the real parity fragment.
-	realH, realPayload, err := l.fetchDirect(pfid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if realH.DataLen != h.DataLen || !bytes.Equal(payload, realPayload) {
-		t.Fatal("reconstructed parity differs from stored parity")
+	for _, tc := range []struct {
+		name      string
+		servers   int
+		parity    int
+		blocks    int  // fragment-sized blocks (0: 30 of 800 bytes)
+		otherDown bool // the other parity server down too, in a fresh log
+	}{
+		{"xor", 3, 1, 0, false},
+		{"rs42/full", 6, 2, 4, true},
+		{"rs42/short", 6, 2, 2, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newTestCluster(t, tc.servers)
+			l, _ := c.open(t, Config{ParityShards: tc.parity})
+			for i := 0; i < 30 && tc.blocks == 0; i++ {
+				mustAppend(t, l, 7, blockPattern(i, 800))
+			}
+			for i := 0; i < tc.blocks; i++ {
+				mustAppend(t, l, 7, blockPattern(i, l.MaxBlockSize()))
+			}
+			if err := l.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			pIdx := l.parityIndex(0)
+			pfid := wire.MakeFID(testClient, uint64(pIdx))
+			if tc.otherDown {
+				if err := l.Close(); err != nil {
+					t.Fatal(err)
+				}
+				l, _ = c.open(t, Config{ParityShards: tc.parity})
+				c.flaky[l.connAt(0, l.paritySlot(0, 1)).ID()-1].SetDown(true)
+				l.mu.Lock()
+				l.geoms = make(map[uint64]Header)
+				l.mu.Unlock()
+			}
+			defer l.Close()
+			// Find stripe 0's parity fragment and its server; kill it.
+			sid := l.connAt(0, pIdx).ID()
+			c.flaky[sid-1].SetDown(true)
+			h, payload, err := l.FetchFragment(pfid)
+			if err != nil {
+				t.Fatalf("reconstruct parity: %v", err)
+			}
+			if h.Kind != FragParity || h.FID != pfid {
+				t.Fatalf("header = %+v", h)
+			}
+			if g, ok := l.geoms[0]; tc.otherDown && (!ok || g.Kind != FragData || int(g.Index) != g.LastData()) {
+				t.Fatalf("stripe geometry %+v (known %v) is not the last data member's header", g, ok)
+			}
+			for _, f := range c.flaky {
+				f.SetDown(false)
+			}
+			// Compare against the real parity fragment.
+			realH, realPayload, err := l.fetchDirect(pfid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if realH.DataLen != h.DataLen || !bytes.Equal(payload, realPayload) {
+				t.Fatal("reconstructed parity differs from stored parity")
+			}
+			if !bytes.Equal(EncodeHeader(&h), EncodeHeader(&realH)) {
+				t.Fatalf("reconstructed parity header %+v differs from stored %+v", h, realH)
+			}
+		})
 	}
 }
 
@@ -1104,6 +1147,62 @@ func TestCorruptFragmentHealsFromParity(t *testing.T) {
 	}
 	if l.Stats().Reconstructions == 0 {
 		t.Fatal("corruption did not trigger reconstruction")
+	}
+}
+
+// TestCorruptSurvivorSkippedByReconstruction loses one data member of
+// an RS(4,2) stripe and flips a payload byte of a surviving one. The
+// whole-fragment reconstruction checks every survivor against its
+// PayloadCRC, so the corrupt member counts as missing and the hedge
+// replaces it. The spare parity server answers slowly, so a decoder
+// that skipped the check would decode the first four to land, the
+// corrupt member among them.
+func TestCorruptSurvivorSkippedByReconstruction(t *testing.T) {
+	c := newTestCluster(t, 6)
+	l, _ := c.open(t, Config{ParityShards: 2})
+	defer l.Close()
+	for i := 0; i < 4; i++ {
+		mustAppend(t, l, 7, blockPattern(i, l.MaxBlockSize()))
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	// Stripe 0 keeps its parity at slots 0 and 1 and its data at 2..5.
+	lost, victim := wire.MakeFID(testClient, 2), wire.MakeFID(testClient, 3)
+	_, want, err := l.fetchDirect(lost)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Re-store the victim with one payload byte flipped (delete + store
+	// of the same FID).
+	conn := c.conns[l.locations[victim]-1]
+	size, ok, err := conn.Has(victim)
+	if err != nil || !ok {
+		t.Fatalf("victim missing: %v", err)
+	}
+	raw, err := conn.Read(victim, 0, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[HeaderSize+100] ^= 0xFF
+	if err := conn.Delete(victim); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.Store(victim, raw, false, nil); err != nil {
+		t.Fatal(err)
+	}
+	c.flaky[l.locations[wire.MakeFID(testClient, 1)]-1].SetLatency(20 * time.Millisecond)
+	downAt(c, l, lost)
+
+	h, got, err := l.FetchFragment(lost)
+	if err != nil {
+		t.Fatalf("reconstruct beside a corrupt survivor: %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("reconstruction decoded the corrupt survivor")
+	}
+	if h.FID != lost || h.DataLen != uint32(len(want)) || h.PayloadCRC != crc32.ChecksumIEEE(want) {
+		t.Fatalf("header = %+v", h)
 	}
 }
 

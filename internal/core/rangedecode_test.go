@@ -108,6 +108,9 @@ func checkRangeDecodes(t *testing.T, c *cluster, l *Log, addrs []BlockAddr, bloc
 		missIdx := int(fid.Seq() - g.BaseSeq())
 		s := addr.Off + EntryHdrSize
 		e := s + uint32(len(blocks[bi]))
+		if !bytes.Equal(whole[s:e], blocks[bi]) {
+			t.Fatalf("block %d: whole-fragment reconstruction differs from the block written", bi)
+		}
 		ranges := [][2]uint32{{s, e}, {s, s + 1}, {e - 1, e}}
 		for i := 0; i < int(g.Width); i++ {
 			if n := g.MemberLen(i); i != missIdx && n > s && n < e {
@@ -116,7 +119,7 @@ func checkRangeDecodes(t *testing.T, c *cluster, l *Log, addrs []BlockAddr, bloc
 			}
 		}
 		for _, r := range ranges {
-			got, err := l.decodeRange(g, missIdx, r[0], r[1])
+			got, err := l.decode(g, missIdx, r[0], r[1])
 			if err != nil {
 				t.Fatalf("block %d: range [%d,%d): %v", bi, r[0], r[1], err)
 			}

@@ -199,13 +199,12 @@ func (l *Log) Read(addr BlockAddr, off, n uint32) ([]byte, error) {
 
 // readLost serves a read of an unavailable fragment from its stripe.
 // It rents, then buys (fragCache.rent): while renting, the read decodes
-// just its own bytes from the same range of k survivors (decodeRange);
-// the read that buys reconstructs the whole fragment into the fragment
-// cache, which serves the reads after it. A stripe whose MemberLens
-// cannot be learned has no clamp for its survivors' ranges and takes
-// the whole path. Concurrent readers of the same bytes share one flight
-// (a caller of Log.Read that has no block cache in front of it, such as
-// several readers of one hot block, pays one decode, not one each).
+// just its own bytes from the same range of k survivors (decode); the
+// read that buys reconstructs the whole fragment into the fragment
+// cache, which serves the reads after it. Concurrent readers of the
+// same bytes share one flight (a caller of Log.Read that has no block
+// cache in front of it, such as several readers of one hot block, pays
+// one decode, not one each).
 func (l *Log) readLost(addr BlockAddr, off, n uint32) ([]byte, error) {
 	fid, a := addr.FID, addr.Off+EntryHdrSize+off
 	v, shared, err := l.engine.SingleRange(fid, a, n, func() (any, error) {
@@ -213,15 +212,13 @@ func (l *Log) readLost(addr BlockAddr, off, n uint32) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		if g.HasMemberLens() {
-			missIdx := int(fid.Seq() - g.BaseSeq())
-			fragLen := g.MemberLen(missIdx)
-			if a+n > fragLen {
-				return nil, fmt.Errorf("%w: read [%d,%d) beyond fragment data %d", ErrBadFragment, a, a+n, fragLen)
-			}
-			if !l.recon.rent(fid, a, a+n, buyAfter*fragLen) {
-				return l.decodeRange(g, missIdx, a, a+n)
-			}
+		missIdx := int(fid.Seq() - g.BaseSeq())
+		fragLen := g.MemberLen(missIdx)
+		if a+n > fragLen {
+			return nil, fmt.Errorf("%w: read [%d,%d) beyond fragment data %d", ErrBadFragment, a, a+n, fragLen)
+		}
+		if !l.recon.rent(fid, a, a+n, buyAfter*fragLen) {
+			return l.decode(g, missIdx, a, a+n)
 		}
 		_, payload, err := l.reconstruct(fid)
 		if err != nil {
@@ -240,25 +237,29 @@ func (l *Log) readLost(addr BlockAddr, off, n uint32) ([]byte, error) {
 	return out, nil
 }
 
-// decodeRange decodes payload bytes [a, b) of member missIdx, a lost
-// data member, of the stripe g describes (a header carrying
-// MemberLens). XOR and Reed–Solomon are bytewise: byte i of the lost
-// member depends only on byte i of k survivors, and a survivor shorter
-// than i contributes a zero. So each survivor is read over [a, b)
-// clamped to its length, and one that ends at or before a — an empty
-// member among them — joins the decode as an empty shard without an
-// RPC. The reads go through the engine's quorum gather, the one whole
-// reconstruction uses: the first k to land are decoded and a
-// straggler's few bytes are recycled.
-func (l *Log) decodeRange(g *Header, missIdx int, a, b uint32) ([]byte, error) {
+// decode decodes payload bytes [a, b) of member missIdx, a lost member
+// of the stripe g describes (a header carrying MemberLens): the one
+// stripe decoder behind degraded reads and whole reconstruction. XOR
+// and Reed–Solomon are bytewise: byte i of the lost member depends only
+// on byte i of k survivors, and a survivor shorter than i contributes a
+// zero. So each survivor is read over [a, b) clamped to its length, and
+// one that ends at or before a — an empty member among them — joins the
+// decode as an empty shard without an RPC. The reads go through the
+// engine's quorum gather: the first k to land are decoded and a
+// straggler is recycled. A decode of the whole member, [0, its length),
+// fetches whole survivors instead, which the engine checks against
+// their PayloadCRC, so a corrupt survivor counts as missing and the
+// hedge replaces it; a range cannot be checked (DESIGN.md §3.4).
+func (l *Log) decode(g *Header, missIdx int, a, b uint32) ([]byte, error) {
 	code, err := g.ErasureCode()
 	if err != nil {
 		return nil, fmt.Errorf("%w: stripe %d: %v", ErrBadFragment, g.StripeID, err)
 	}
+	whole := a == 0 && b == g.MemberLen(missIdx)
 	width := int(g.Width)
 	shards := make([][]byte, width)
 	members := make([]fragio.Member, 0, width-1)
-	ords := make([]int, 0, width-1)
+	idxs := make([]int, 0, width-1)
 	got := 0
 	l.mu.Lock()
 	for i := 0; i < width; i++ {
@@ -271,32 +272,45 @@ func (l *Log) decodeRange(g *Header, missIdx int, a, b uint32) ([]byte, error) {
 			got++
 			continue
 		}
-		m := fragio.Member{FID: g.MemberFID(i), Server: g.Group[i], Off: a, Len: end - a}
+		m := fragio.Member{FID: g.MemberFID(i), Server: g.Group[i]}
+		if !whole {
+			m.Off, m.Len = a, end-a
+		}
 		if id, ok := l.locations[m.FID]; ok {
 			m.Server = id
 		}
 		members = append(members, m)
-		ords = append(ords, g.ShardOrdinal(i))
+		idxs = append(idxs, i)
 	}
 	l.mu.Unlock()
 	k := code.DataShards()
 	results := l.engine.GatherK(members, k-got)
-	// The range payloads only feed the decode, whose output is a fresh
-	// allocation: they go back to the transport's pool on every path.
+	// The survivors' payloads only feed the decode, whose output is a
+	// fresh allocation: they go back to the transport's pool on every
+	// path.
 	defer func() {
 		for _, r := range results {
 			wire.PutBuffer(r.Payload)
 		}
 	}()
 	for ri, r := range results {
-		if r.Err == nil {
-			p := r.Payload
-			if p == nil {
-				p = []byte{} // nil marks a missing shard
-			}
-			shards[ords[ri]] = p
-			got++
+		if r.Err != nil {
+			continue
 		}
+		idx := idxs[ri]
+		if h, ok := r.Decoded.(Header); ok {
+			if _, parity := g.ParityOrdinal(idx); parity != (h.Kind == FragParity) {
+				// The stripe's real layout contradicts the geometry its
+				// headers claim: decoding would silently corrupt.
+				return nil, fmt.Errorf("%w: stripe %d member %d kind %d does not match its slot", ErrLost, g.StripeID, idx, h.Kind)
+			}
+		}
+		p := r.Payload
+		if p == nil {
+			p = []byte{} // nil marks a missing shard
+		}
+		shards[g.ShardOrdinal(idx)] = p
+		got++
 	}
 	if got < k {
 		return nil, fmt.Errorf("%w: %d of %d stripe members available, need %d", ErrLost, got, width, k)
@@ -313,7 +327,9 @@ func (l *Log) decodeRange(g *Header, missIdx int, a, b uint32) ([]byte, error) {
 		}
 	}
 	l.stats.Reconstructions++
-	l.stats.RangeReconstructions++
+	if !whole {
+		l.stats.RangeReconstructions++
+	}
 	l.mu.Unlock()
 	return out, nil
 }
@@ -344,16 +360,20 @@ func (l *Log) FetchFragment(fid wire.FID) (Header, []byte, error) {
 	// read-your-writes map, so the cleaner and recovery never pay a
 	// reconstruction for data this client still holds. A member known to
 	// be empty is served the same way, as zero bytes: it was never stored.
+	// A held frame is served with the header encoded into it at seal.
 	l.mu.Lock()
-	held, ok := l.inflight[fid]
-	var p []byte
-	if ok {
-		p = held.payload()
+	if held, ok := l.inflight[fid]; ok {
+		h, err := DecodeHeader(held.frame)
+		payload := append([]byte(nil), held.payload()...)
+		l.mu.Unlock()
+		return h, payload, err
 	}
-	if l.cur != nil && l.cur.fid == fid {
-		p, ok = l.cur.payload[:l.cur.off], true
-	}
-	if ok || l.isEmptyLocked(fid) {
+	open := l.cur != nil && l.cur.fid == fid
+	if open || l.isEmptyLocked(fid) {
+		var p []byte
+		if open {
+			p = l.cur.payload[:l.cur.off]
+		}
 		h := l.memberHeaderLocked(fid, p)
 		payload := append([]byte(nil), p...)
 		l.mu.Unlock()
@@ -371,8 +391,8 @@ func (l *Log) FetchFragment(fid wire.FID) (Header, []byte, error) {
 }
 
 // memberHeaderLocked builds the header of this log's data member fid
-// holding payload p, for a fragment served from local state rather than
-// a server.
+// holding payload p, for a member served from local state that has no
+// encoded header: the open fragment, or an empty member (p nil).
 func (l *Log) memberHeaderLocked(fid wire.FID, p []byte) Header {
 	seq := fid.Seq()
 	h := Header{
@@ -524,224 +544,91 @@ func (l *Log) reconstruct(fid wire.FID) (Header, []byte, error) {
 
 // reconstructFragment rebuilds a whole missing fragment from surviving
 // members of its stripe — the path of the cleaner, rebuild, recovery,
-// FetchFragment, readahead and a degraded read that buys (readLost); a
-// degraded read that rents decodes only its range (decodeRange).
+// FetchFragment, readahead and a degraded read that buys (readLost).
 // Clients reconstruct the fragments they need; servers never
 // participate and never learn a reconstruction happened (§2.3.3). The
-// stripe is discovered by broadcasting for a neighboring fragment —
-// numbering within a stripe is consecutive, so a sibling is within
-// MaxWidth-1 sequence numbers — and the stripe group, the erasure codec,
-// and the parity count are all read from its header, so every stripe
-// decodes with the code that wrote it regardless of this client's
-// configuration (mixed-format logs read cleanly); the stripe's geometry
-// entry, when this log holds one, stands in for the sibling. Any k of
-// the n = k+m members suffice: the gather returns as soon as k arrive,
-// so reconstruction under multiple failures costs ~the k-th fastest
-// member fetch, not the slowest of all survivors. A member known to be
-// empty (this log closed its stripe short, or the sibling's MemberLens
-// record it as length 0) joins the decode as an empty shard without a
-// fetch, which shrinks a short stripe's fan-in; a missing member that
-// is itself empty needs no decode at all.
+// stripe's geometry, codec and group come from one of its headers
+// (stripeGeometry), so every stripe decodes with the code that wrote it
+// regardless of this client's configuration. The member is decoded over
+// its own length, and its header is rebuilt as it was stored: a parity
+// member's and the stripe's last data member's carry MemberLens. A
+// missing member that is itself empty needs no decode at all.
 func (l *Log) reconstructFragment(fid wire.FID) (Header, []byte, error) {
-	sib, ok := l.geometryEntry(fid)
-	if !ok {
-		var err error
-		if sib, err = l.findSibling(fid); err != nil {
-			return Header{}, nil, err
-		}
-	}
-	base := sib.BaseSeq()
-	width := int(sib.Width)
-	missIdx := int(fid.Seq() - base)
-	if missIdx < 0 || missIdx >= width {
-		return Header{}, nil, fmt.Errorf("%w: sibling stripe does not contain %v", ErrLost, fid)
-	}
-	code, err := sib.ErasureCode()
+	g, err := l.stripeGeometry(fid)
 	if err != nil {
-		return Header{}, nil, fmt.Errorf("%w: stripe %d: %v", ErrBadFragment, sib.StripeID, err)
+		return Header{}, nil, err
 	}
-	k := code.DataShards()
-	l.noteStripe(sib)
-	empty := l.emptyOf(sib)
-	emptyHeader := Header{
-		Kind: FragData, Width: uint8(width), Index: uint8(missIdx),
-		FID: fid, StripeID: sib.StripeID, Group: sib.Group,
-		Codec: sib.Codec, NumParity: sib.NumParity, Epoch: sib.Epoch,
-	}
-	if empty&(1<<missIdx) != 0 {
-		return emptyHeader, nil, nil
-	}
-
-	// Gather any k of the other members, less the empty ones. Stragglers
-	// past the quorum are abandoned; the engine recycles their buffers.
-	// Survivors are placed by erasure-shard ordinal (data 0..k-1 in
-	// member order skipping parity slots, then parity k..k+m-1); nil is
-	// the decoder's missing-shard marker, so an empty member is []byte{}.
-	shards := make([][]byte, width)
-	got := 0
-	members := make([]fragio.Member, 0, width-1)
-	idxOf := make([]int, 0, width-1)
-	for i := 0; i < width; i++ {
-		switch {
-		case i == missIdx:
-		case empty&(1<<i) != 0:
-			shards[sib.ShardOrdinal(i)] = []byte{}
-			got++
-		default:
-			members = append(members, fragio.Member{FID: sib.MemberFID(i), Server: sib.Group[i]})
-			idxOf = append(idxOf, i)
-		}
-	}
-	results := l.engine.GatherK(members, k-got)
-	// Member payloads only feed the decode below; nothing past this
-	// function aliases them, so they go back to the transport's buffer
-	// pool on every exit path. (The reconstructed shard is a fresh
-	// allocation, never pooled.)
-	defer func() {
-		for _, r := range results {
-			wire.PutBuffer(r.Payload)
-		}
-	}()
-
-	var lens [MaxWidth]uint32 // data members' DataLens, by member index
-	haveLens := sib.HasMemberLens()
-	if haveLens {
-		lens = sib.MemberLens
-	}
-	for ri, r := range results {
-		if r.Err != nil {
-			continue
-		}
-		idx := idxOf[ri]
-		h := r.Decoded.(Header)
-		_, wantParity := sib.ParityOrdinal(idx)
-		if wantParity != (h.Kind == FragParity) {
-			// The stripe's real layout contradicts the geometry its
-			// headers claim (e.g. a parity-free log): decoding would
-			// silently corrupt, so fail loudly.
-			return Header{}, nil, fmt.Errorf("%w: stripe %d member %d kind %d does not match its slot", ErrLost, sib.StripeID, idx, h.Kind)
-		}
-		if mask, ok := h.EmptyMembers(); ok {
-			lens, haveLens = h.MemberLens, true
-			empty |= mask
-			l.noteStripe(&h)
-		} else {
-			lens[idx] = h.DataLen
-		}
-		p := r.Payload
-		if p == nil {
-			p = []byte{} // a stored zero-length member is present
-		}
-		shards[sib.ShardOrdinal(idx)] = p
-		got++
-	}
-	// A member the sibling's header could not name as empty was fetched
-	// and failed; a header gathered since may name it.
-	for ri, r := range results {
-		if idx := idxOf[ri]; r.Err != nil && r.Err != fragio.ErrSkipped && empty&(1<<idx) != 0 {
-			shards[sib.ShardOrdinal(idx)] = []byte{}
-			got++
-		}
-	}
-	if empty&(1<<missIdx) != 0 {
-		return emptyHeader, nil, nil
-	}
-	if got < k {
-		return Header{}, nil, fmt.Errorf("%w: %d of %d stripe members available, need %d", ErrLost, got, width, k)
-	}
-	// Remember where the members were actually found (a gather may have
-	// located one by broadcast after its group server failed).
-	l.mu.Lock()
-	for _, r := range results {
-		if r.Err == nil && r.From != 0 {
-			l.locations[r.FID] = r.From
-		}
-	}
-	l.mu.Unlock()
-
-	full, err := code.Reconstruct(shards, sib.ShardOrdinal(missIdx), l.payloadSize)
-	if err != nil {
-		return Header{}, nil, fmt.Errorf("%w: stripe %d: %v", ErrLost, sib.StripeID, err)
-	}
-
-	if _, isParity := sib.ParityOrdinal(missIdx); isParity {
-		// Rebuilding a parity member. Its header carries every data
-		// member's length: from a header that carries MemberLens if one
-		// arrived, else every nonempty data member arrived and their own
-		// headers supplied the lengths above.
-		var maxLen uint32
-		for _, n := range lens {
-			if n > maxLen {
-				maxLen = n
-			}
-		}
-		h := Header{
-			Kind: FragParity, Width: uint8(width), Index: uint8(missIdx),
-			FID: fid, StripeID: sib.StripeID, DataLen: maxLen,
-			Group: sib.Group, MemberLens: lens,
-			Codec: sib.Codec, NumParity: sib.NumParity, Epoch: sib.Epoch,
-			PayloadCRC: crc32.ChecksumIEEE(full[:maxLen]),
-		}
-		l.bumpReconStat()
-		return h, full[:maxLen], nil
-	}
-
-	// Rebuilding a data member: its true length comes from MemberLens.
-	// A header carrying them is always in hand — fewer than the quorum
-	// of other data members exist, so it includes a parity member.
-	if !haveLens {
-		return Header{}, nil, fmt.Errorf("%w: no parity header for stripe %d", ErrLost, sib.StripeID)
-	}
-	missingLen := lens[missIdx]
+	missIdx := int(fid.Seq() - g.BaseSeq())
 	h := Header{
-		Kind: FragData, Width: uint8(width), Index: uint8(missIdx),
-		FID: fid, StripeID: sib.StripeID, DataLen: missingLen,
-		Group: sib.Group,
-		Codec: sib.Codec, NumParity: sib.NumParity, Epoch: sib.Epoch,
-		PayloadCRC: crc32.ChecksumIEEE(full[:missingLen]),
+		Kind: FragData, Width: g.Width, Index: uint8(missIdx),
+		FID: fid, StripeID: g.StripeID, DataLen: g.MemberLen(missIdx),
+		Group: g.Group, Codec: g.Codec, NumParity: g.NumParity, Epoch: g.Epoch,
 	}
-	l.bumpReconStat()
-	return h, full[:missingLen], nil
-}
-
-func (l *Log) bumpReconStat() {
-	l.mu.Lock()
-	l.stats.Reconstructions++
-	l.mu.Unlock()
-}
-
-// geometryEntry returns the geometry entry of fid's stripe (Log.geoms),
-// if this log holds one.
-func (l *Log) geometryEntry(fid wire.FID) (*Header, bool) {
-	if fid.Client() != l.client {
-		return nil, false
+	if _, parity := g.ParityOrdinal(missIdx); parity {
+		h.Kind, h.MemberLens = FragParity, g.MemberLens
+	} else if missIdx == g.LastData() {
+		h.MemberLens = g.MemberLens
 	}
-	l.mu.Lock()
-	g, ok := l.geoms[l.stripeOf(fid.Seq())]
-	l.mu.Unlock()
-	return &g, ok
+	if h.DataLen == 0 {
+		return h, nil, nil
+	}
+	payload, err := l.decode(g, missIdx, 0, h.DataLen)
+	if err != nil {
+		return Header{}, nil, err
+	}
+	h.PayloadCRC = crc32.ChecksumIEEE(payload)
+	return h, payload, nil
 }
 
-// stripeGeometry returns a header describing fid's stripe, carrying its
-// MemberLens whenever they can be had: the stripe's geometry entry if
-// this log holds one, else a sibling's header (findSibling) and, when
-// that one lacks MemberLens, a parity member's header, which always
-// carries them. A header carrying MemberLens becomes the stripe's entry,
-// so only a stripe's first degraded read pays for the search.
+// stripeGeometry returns a header of fid's stripe that carries its
+// MemberLens: the stripe's geometry entry if this log holds one, else a
+// sibling's header (findSibling) if it carries them, else a parity
+// member's header, else the last data member's, sought from the highest
+// data index down. One of those m+1 copies survives in every stripe
+// that can be decoded: a lost data member needs a surviving parity
+// member, and a lost parity member with all parity gone needs every
+// stored data member, the last one included. The header found becomes
+// the stripe's entry, so only a stripe's first reconstruction pays for
+// the search.
 func (l *Log) stripeGeometry(fid wire.FID) (*Header, error) {
-	if g, ok := l.geometryEntry(fid); ok {
-		return g, nil
+	if fid.Client() == l.client {
+		l.mu.Lock()
+		g, ok := l.geoms[l.stripeOf(fid.Seq())]
+		l.mu.Unlock()
+		if ok {
+			return &g, nil
+		}
 	}
 	sib, err := l.findSibling(fid)
 	if err != nil {
 		return nil, err
 	}
-	for j := 0; !sib.HasMemberLens() && j < int(sib.NumParity); j++ {
-		idx := int((sib.StripeID + uint64(j)) % uint64(sib.Width))
-		h, err := l.fetchHeader(sib.MemberFID(idx), sib.Group[idx])
-		if err == nil && h.Kind == FragParity && h.StripeID == sib.StripeID {
+	// Parity slots first, then the data slots from the highest index
+	// down. The lost member and members known empty are not looked for.
+	w := int(sib.Width)
+	slots := make([]int, 0, w)
+	for j := 0; j < int(sib.NumParity); j++ {
+		slots = append(slots, int((sib.StripeID+uint64(j))%uint64(w)))
+	}
+	for i := w - 1; i >= 0; i-- {
+		if _, parity := sib.ParityOrdinal(i); !parity {
+			slots = append(slots, i)
+		}
+	}
+	for _, idx := range slots {
+		if sib.HasMemberLens() {
+			break
+		}
+		mfid := sib.MemberFID(idx)
+		if mfid == fid || idx == int(sib.Index) || l.isEmpty(mfid) {
+			continue
+		}
+		if h, err := l.fetchHeader(mfid, sib.Group[idx]); err == nil && h.StripeID == sib.StripeID && h.HasMemberLens() {
 			sib = h
 		}
+	}
+	if !sib.HasMemberLens() {
+		return nil, fmt.Errorf("%w: no header of stripe %d names its member lengths", ErrLost, sib.StripeID)
 	}
 	l.noteStripe(sib)
 	return sib, nil

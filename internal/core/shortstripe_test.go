@@ -514,3 +514,142 @@ func TestShortStripeConcurrentSyncs(t *testing.T) {
 		}
 	}
 }
+
+// TestRebuildKeepsStoredHeaders rebuilds each server of an RS(4,2)
+// cluster in turn, on full and short stripes, and checks that every
+// member rebuilt is stored with the header bytes it was sealed with:
+// the last data member keeps its MemberLens. First each server is
+// replaced by an empty one, so its data and parity members are
+// reconstructed and compared with the headers it held. Then each server
+// is down while the log writes, so its data members are degraded writes
+// served from their held frames and its parity members are
+// reconstructed; they are compared with the frames the log tried to
+// store.
+func TestRebuildKeepsStoredHeaders(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		syncs []int // fragment-sized blocks appended before each Sync
+	}{
+		{"full", []int{4, 4}},
+		{"short", []int{2, 1, 3}},
+	} {
+		write := func(t *testing.T, l *Log) {
+			t.Helper()
+			for _, n := range tc.syncs {
+				for i := 0; i < n; i++ {
+					mustAppend(t, l, 7, blockPattern(i, l.MaxBlockSize()))
+				}
+				if err := l.Sync(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		// seen counts the members checked: data, last data and parity.
+		var seen [3]int
+		check := func(t *testing.T, c *cluster, v int, want map[wire.FID][]byte) {
+			t.Helper()
+			for fid, w := range want {
+				got, err := c.conns[v].Read(fid, 0, HeaderSize)
+				if err != nil {
+					t.Fatalf("server %d: rebuilt %v: %v", v+1, fid, err)
+				}
+				if !bytes.Equal(got, w) {
+					g, _ := DecodeHeader(got)
+					h, _ := DecodeHeader(w)
+					t.Fatalf("server %d: %v rebuilt with header %+v, stored with %+v", v+1, fid, g, h)
+				}
+				h, _ := DecodeHeader(w)
+				switch {
+				case h.Kind == FragParity:
+					seen[2]++
+				case h.HasMemberLens():
+					seen[1]++
+				default:
+					seen[0]++
+				}
+			}
+		}
+		t.Run(tc.name+"/replaced", func(t *testing.T) {
+			seen = [3]int{}
+			c := newTestCluster(t, 6)
+			l, _ := c.open(t, Config{ParityShards: 2})
+			write(t, l)
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			for v := range c.conns {
+				want := map[wire.FID][]byte{}
+				for _, fid := range c.stores[v].List(testClient) {
+					h, err := c.conns[v].Read(fid, 0, HeaderSize)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want[fid] = append([]byte(nil), h...)
+				}
+				c.replaceServer(t, v)
+				l, _ := c.open(t, Config{ParityShards: 2})
+				n, err := l.RebuildServer(wire.ServerID(v + 1))
+				if err != nil {
+					t.Fatalf("rebuild server %d: %v", v+1, err)
+				}
+				if n != len(want) {
+					t.Fatalf("rebuilt %d members of server %d, it held %d", n, v+1, len(want))
+				}
+				check(t, c, v, want)
+				if err := l.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if seen[0] == 0 || seen[1] == 0 || seen[2] == 0 {
+				t.Fatalf("checked %d data, %d last data and %d parity members: want each > 0", seen[0], seen[1], seen[2])
+			}
+		})
+		t.Run(tc.name+"/degraded", func(t *testing.T) {
+			seen = [3]int{}
+			held := 0
+			for v := 0; v < 6; v++ {
+				c := newTestCluster(t, 6)
+				recs := make([]*recordingConn, len(c.conns))
+				conns := make([]transport.ServerConn, len(c.conns))
+				for i, sc := range c.conns {
+					recs[i] = &recordingConn{ServerConn: sc, frames: make(map[wire.FID][]byte)}
+					conns[i] = recs[i]
+				}
+				l, _, err := Open(Config{Client: testClient, Servers: conns, FragmentSize: testFragSize, ParityShards: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				c.flaky[v].SetDown(true)
+				write(t, l)
+				want := map[wire.FID][]byte{}
+				recs[v].mu.Lock()
+				for fid, frame := range recs[v].frames {
+					want[fid] = frame[:HeaderSize]
+				}
+				recs[v].mu.Unlock()
+				l.mu.Lock()
+				for fid := range want {
+					if _, ok := l.inflight[fid]; ok {
+						held++
+					}
+				}
+				l.mu.Unlock()
+				c.flaky[v].SetDown(false)
+				n, err := l.RebuildServer(wire.ServerID(v + 1))
+				if err != nil {
+					t.Fatalf("rebuild server %d: %v", v+1, err)
+				}
+				if n != len(want) {
+					t.Fatalf("rebuilt %d members of server %d, %d were degraded", n, v+1, len(want))
+				}
+				check(t, c, v, want)
+				if err := l.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if held == 0 || seen[0]+seen[1] != held || seen[1] == 0 || seen[2] == 0 {
+				t.Fatalf("checked %d data (%d held), %d last data and %d parity members: want data all held, each > 0", seen[0], held, seen[1], seen[2])
+			}
+		})
+	}
+}

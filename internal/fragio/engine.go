@@ -9,16 +9,14 @@
 //   - per-server request queues with bounded concurrency, so a burst of
 //     fetches neither serializes behind one round trip nor floods a
 //     single server;
-//   - parallel scatter-gather fetch of stripe members (Gather), turning
-//     width-W reconstruction from W sequential round trips into one
-//     fan-out bounded by the slowest surviving member;
-//   - one quorum gather (GatherK) for both shapes of degraded read: a
-//     member is either a whole fragment, fetched and verified, or one
-//     payload byte range of it (Member.Len > 0), read with a single
-//     ReadAt. Range members let a degraded 4 KB read decode the 4 KB it
-//     needs from k small reads instead of k whole fragments; both
-//     shapes share the quorum, the broadcast fallback and the
-//     straggler drain;
+//   - one parallel scatter-gather of stripe members (GatherK), which
+//     turns a width-W reconstruction from W sequential round trips into
+//     one fan-out and returns once k members have landed. A member is
+//     either a whole fragment, fetched and verified, or one payload byte
+//     range of it (Member.Len > 0), read with a single ReadAt: a
+//     degraded 4 KB read decodes the 4 KB it needs from k small reads
+//     instead of k whole fragments. Both shapes share the quorum, the
+//     broadcast fallback and the straggler drain;
 //   - singleflight deduplication keyed by FID or by a byte range of one
 //     (Single, SingleRange, Locate), so N concurrent readers of the same
 //     lost fragment or block pay for one reconstruction and one
@@ -71,7 +69,7 @@ type Format interface {
 // Options tunes an Engine. The zero value selects the defaults noted on
 // each field.
 type Options struct {
-	// Format describes the fragment frame; required for Fetch/Gather.
+	// Format describes the fragment frame; required for Fetch/GatherK.
 	Format Format
 	// StoreDepth bounds concurrent stores per server — the write
 	// pipeline depth (§2.1.2: one fragment crosses the network while the
@@ -90,9 +88,9 @@ type Stats struct {
 	Reads int64
 	// Fetches counts whole-fragment fetches issued (Fetch).
 	Fetches int64
-	// Gathers counts scatter-gather fan-outs (Gather calls).
+	// Gathers counts scatter-gather fan-outs (GatherK calls).
 	Gathers int64
-	// GatherMembers counts stripe members fetched across all Gathers,
+	// GatherMembers counts stripe members fetched across all gathers,
 	// whole fragments and byte ranges alike; a range member's ReadAt
 	// also counts in Reads.
 	GatherMembers int64
@@ -109,8 +107,8 @@ type Stats struct {
 	SharedFlights int64
 	// SharedLocates counts Locate calls deduplicated the same way.
 	SharedLocates int64
-	// KGathers counts quorum fan-outs (GatherK calls that could return
-	// early).
+	// KGathers counts quorum fan-outs (GatherK calls with k below the
+	// member count, which can return early).
 	KGathers int64
 	// GatherStragglers counts members a GatherK abandoned after its
 	// quorum was reached (their fetches complete in the background and
@@ -320,49 +318,26 @@ type Result struct {
 	Err     error
 }
 
-// Gather fetches all members concurrently — the scatter-gather fan-out
-// that reconstruction, rebuild, and the cleaner are built on. Each
-// member respects its server's bounded fetch queue; a member whose
-// preferred server fails it falls back to broadcast discovery. Gather
-// always returns one Result per member, in order; callers decide whether
-// individual failures are fatal (reconstruction needs every survivor,
-// the cleaner tolerates absent members).
-func (e *Engine) Gather(members []Member) []Result {
-	e.bump(func(s *Stats) {
-		s.Gathers++
-		s.GatherMembers += int64(len(members))
-	})
-	out := make([]Result, len(members))
-	var wg sync.WaitGroup
-	for i, m := range members {
-		wg.Add(1)
-		go func(i int, m Member) {
-			defer wg.Done()
-			out[i] = e.FetchMember(m)
-		}(i, m)
-	}
-	wg.Wait()
-	return out
-}
-
-// GatherK fetches members concurrently and returns as soon as k of them
-// have succeeded — the erasure-coded read path, where any k of a
-// stripe's members suffice and waiting for the rest only adds the
-// slowest servers' latency. The returned slice always has one Result
-// per member, in order: members not waited for carry Err == ErrSkipped.
-// Fetches already in flight when the quorum lands keep running in the
-// background; a drainer recycles their payload buffers, so callers must
-// treat only the returned Results' payloads as theirs to release.
-// Members may be whole fragments or byte ranges (Member.Len), mixed
-// freely. When k ≥ len(members) this is exactly Gather.
+// GatherK fetches members concurrently — the scatter-gather fan-out
+// that stripe reconstruction is built on — and returns as soon as k of
+// them have succeeded: any k of a stripe's members suffice, and waiting
+// for the rest only adds the slowest servers' latency. With k ≥
+// len(members) it waits for every member. Each member respects its
+// server's bounded fetch queue and falls back to broadcast discovery
+// when its preferred server fails it. The returned slice always has one
+// Result per member, in order: members not waited for carry Err ==
+// ErrSkipped. Fetches still in flight when the quorum lands keep running
+// in the background; a drainer recycles their payload buffers, so
+// callers must treat only the returned Results' payloads as theirs to
+// release. Members may be whole fragments or byte ranges (Member.Len),
+// mixed freely.
 func (e *Engine) GatherK(members []Member, k int) []Result {
-	if k >= len(members) {
-		return e.Gather(members)
-	}
 	e.bump(func(s *Stats) {
 		s.Gathers++
-		s.KGathers++
 		s.GatherMembers += int64(len(members))
+		if k < len(members) {
+			s.KGathers++
+		}
 	})
 	type indexed struct {
 		i int
@@ -403,7 +378,7 @@ func (e *Engine) GatherK(members []Member, k int) []Result {
 }
 
 // FetchMember fetches one fragment (or the range a member names) the
-// way Gather fetches each member: preferred server first, broadcast
+// way GatherK fetches each member: preferred server first, broadcast
 // discovery as the fallback.
 func (e *Engine) FetchMember(m Member) Result {
 	res := Result{Member: m}

@@ -195,7 +195,7 @@ func TestGatherParallel(t *testing.T) {
 	}
 	e := newEngine(conns...)
 	start := time.Now()
-	results := e.Gather(members)
+	results := e.GatherK(members, len(members))
 	elapsed := time.Since(start)
 	for i, r := range results {
 		if r.Err != nil {
@@ -219,7 +219,7 @@ func TestGatherBroadcastFallback(t *testing.T) {
 	holder.put(fid(3), []byte("misplaced"))
 	e := newEngine(holder, other)
 	// Wrong server hint: the engine must fall back to broadcast.
-	res := e.Gather([]Member{{FID: fid(3), Server: 2}})
+	res := e.GatherK([]Member{{FID: fid(3), Server: 2}}, 1)
 	if res[0].Err != nil {
 		t.Fatal(res[0].Err)
 	}
@@ -502,8 +502,8 @@ func TestGatherKToleratesFailures(t *testing.T) {
 	}
 }
 
-// TestGatherKFullWidthDelegates: asking for k >= len(members) is a plain
-// Gather (every member waited for, no ErrSkipped).
+// TestGatherKFullWidthDelegates: asking for k >= len(members) waits for
+// every member (no ErrSkipped) and is not counted as a quorum gather.
 func TestGatherKFullWidthDelegates(t *testing.T) {
 	var conns []transport.ServerConn
 	var members []Member

@@ -95,7 +95,7 @@ func TestGatherKStragglerVsRemoveServer(t *testing.T) {
 		if e.Conn(4) != nil {
 			t.Fatalf("round %d: removed server still resolvable", round)
 		}
-		res := e.Gather([]Member{{FID: fid(3), Server: 4}})
+		res := e.GatherK([]Member{{FID: fid(3), Server: 4}}, 1)
 		if res[0].Err == nil {
 			t.Fatalf("round %d: gather from removed server succeeded", round)
 		}
@@ -162,7 +162,7 @@ func TestGatherVsMembershipChurn(t *testing.T) {
 	if err := e.AddServer(conns[4]); err != nil {
 		t.Fatal(err)
 	}
-	for i, r := range e.Gather(members) {
+	for i, r := range e.GatherK(members, len(members)) {
 		if r.Err != nil {
 			t.Fatalf("member %d after churn: %v", i, r.Err)
 		}
