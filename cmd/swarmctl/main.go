@@ -90,10 +90,12 @@ func run(addrs []string, client wire.ClientID, opts swarm.ClientOptions, args []
 			}
 			// A slot is FragmentSize of capacity: "used" counts the
 			// capacity held, fragmentation included, and "free" the
-			// full-size fragments that still fit.
-			fmt.Printf("server %d (%s): %d/%d slots used (a slot is %d KB of capacity), %d fragments in %d KB units\n",
+			// full-size fragments that still fit. "held" is the space
+			// extents hold, to the unit.
+			unit := server.UnitSize(int(st.FragmentSize))
+			fmt.Printf("server %d (%s): %d/%d slots used (a slot is %d KB of capacity), %d fragments in %d KB units, %d KB held\n",
 				i+1, addrs[i], st.TotalSlots-st.FreeSlots, st.TotalSlots, st.FragmentSize>>10,
-				st.Fragments, server.UnitSize(int(st.FragmentSize))>>10)
+				st.Fragments, unit>>10, int(st.UnitsHeld)*unit>>10)
 			if st.Stores > 0 {
 				coalesced := st.SyncRequests - st.Syncs
 				avg := time.Duration(st.StoreNanos / st.Stores)

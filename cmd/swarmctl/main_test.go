@@ -66,7 +66,7 @@ func TestSwarmctlPingAndStat(t *testing.T) {
 		t.Fatalf("ping = %q", out)
 	}
 	out = ctl(t, addrs, "stat")
-	if !strings.Contains(out, "slots used") || !strings.Contains(out, "in 4 KB units") {
+	if !strings.Contains(out, "slots used") || !strings.Contains(out, "in 4 KB units") || !strings.Contains(out, "KB held") {
 		t.Fatalf("stat = %q", out)
 	}
 }

@@ -108,19 +108,19 @@ func TestStoreEnforcesACLRanges(t *testing.T) {
 	}
 
 	// Owner reads everywhere.
-	if _, err := s.Read(1, fid, 0, 1000); err != nil {
+	if _, err := readCopy(s, 1, fid, 0, 1000); err != nil {
 		t.Fatalf("owner read: %v", err)
 	}
 	// Stranger denied on the protected range…
-	if _, err := s.Read(2, fid, 0, 100); !errors.Is(err, ErrAccess) {
+	if _, err := readCopy(s, 2, fid, 0, 100); !errors.Is(err, ErrAccess) {
 		t.Fatalf("stranger read protected: %v", err)
 	}
 	// …and on any overlap…
-	if _, err := s.Read(2, fid, 499, 2); !errors.Is(err, ErrAccess) {
+	if _, err := readCopy(s, 2, fid, 499, 2); !errors.Is(err, ErrAccess) {
 		t.Fatalf("stranger read overlapping: %v", err)
 	}
 	// …but allowed on the unprotected tail.
-	if _, err := s.Read(2, fid, 500, 500); err != nil {
+	if _, err := readCopy(s, 2, fid, 500, 500); err != nil {
 		t.Fatalf("stranger read open range: %v", err)
 	}
 
@@ -134,7 +134,7 @@ func TestStoreEnforcesACLRanges(t *testing.T) {
 	if err := s.ACLs().Modify(aid, []wire.ClientID{2}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Read(2, fid, 0, 100); err != nil {
+	if _, err := readCopy(s, 2, fid, 0, 100); err != nil {
 		t.Fatalf("new member read: %v", err)
 	}
 	if err := s.Delete(2, fid); err != nil {
@@ -176,10 +176,10 @@ func TestACLsPersistAcrossReopen(t *testing.T) {
 	if s2.ACLs().Allowed(aid2, 3) {
 		t.Fatal("deleted ACL resurrected")
 	}
-	if _, err := s2.Read(2, fid, 0, 10); !errors.Is(err, ErrAccess) {
+	if _, err := readCopy(s2, 2, fid, 0, 10); !errors.Is(err, ErrAccess) {
 		t.Fatalf("stranger read after restart: %v", err)
 	}
-	if _, err := s2.Read(1, fid, 0, 10); err != nil {
+	if _, err := readCopy(s2, 1, fid, 0, 10); err != nil {
 		t.Fatalf("member read after restart: %v", err)
 	}
 	// AIDs are never reused, even across restarts.

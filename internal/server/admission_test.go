@@ -42,7 +42,7 @@ func newFullCacheStore(t testing.TB, slots int) *Store {
 // one came back, and reports whether the read was served from an extent.
 func mustReadExtent(t testing.TB, s *Store, fid wire.FID, off, n uint32) ([]byte, bool) {
 	t.Helper()
-	data, ext, err := s.ReadExtent(1, fid, off, n)
+	data, ext, err := s.Read(1, fid, off, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestFullCacheMissIsRangeRead(t *testing.T) {
 
 	before := s.Stats()
 	order := lruFIDs(s.rcache)
-	got, ext, err := s.ReadExtent(1, fid, off, n)
+	got, ext, err := s.Read(1, fid, off, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,6 +198,34 @@ func TestHeaderProbeThenPayloadFillsOnce(t *testing.T) {
 	}
 }
 
+// A cache smaller than an extent never fills it: every read is a range
+// read of exactly its bytes, however many reads add up past the
+// fragment's size, and nothing stays resident. A fill the cache cannot
+// keep would be a whole-fragment disk read thrown away.
+func TestOversizedExtentReadsOnlyRanges(t *testing.T) {
+	s := newSizedStore(t, 4096, 1000)
+	fid := wire.MakeFID(1, 0)
+	data := storeRandom(t, s, fid, 4000)
+	for i := uint32(0); i < 8; i++ {
+		off := i % 4 * 1000
+		got, cached := mustReadExtent(t, s, fid, off, 1000)
+		if cached {
+			t.Fatalf("read %d: an extent larger than the cache was filled", i)
+		}
+		if !bytes.Equal(got, data[off:off+1000]) {
+			t.Fatalf("read %d returned the wrong bytes", i)
+		}
+	}
+	st := s.Stats()
+	if st.ReadBytesDisk != 8*1000 {
+		t.Fatalf("ReadBytesDisk = %d, want %d: the bytes requested", st.ReadBytesDisk, 8*1000)
+	}
+	if st.ReadCacheBytes != 0 || resident(s.rcache, fid) || len(s.rcache.partial) != 0 {
+		t.Fatalf("%d bytes resident, %d partial totals: an oversized extent left state behind",
+			st.ReadCacheBytes, len(s.rcache.partial))
+	}
+}
+
 // A recycled slot starts the partial-read total again from zero: the
 // bytes counted against the old fragment do not buy the new one a fill.
 func TestPartialTotalResetsOnSlotRecycle(t *testing.T) {
@@ -274,7 +302,7 @@ func TestConcurrentPartialReadsRacingDelete(t *testing.T) {
 				}
 				seq := uint64((i + r) % frags)
 				off := uint32(i*4<<10) % admissionFrag
-				data, ext, err := s.ReadExtent(1, wire.MakeFID(1, seq), off, 4<<10)
+				data, ext, err := s.Read(1, wire.MakeFID(1, seq), off, 4<<10)
 				if errors.Is(err, ErrNotFound) {
 					continue
 				}

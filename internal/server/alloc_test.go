@@ -187,7 +187,7 @@ func checkAgainstModel(t *testing.T, s *Store, model map[wire.FID]*modelFrag) {
 		if !found || int(size) != len(m.data) {
 			t.Fatalf("%v: Has = (%d, %v), want %d bytes", fid, size, found, len(m.data))
 		}
-		got, err := s.Read(1, fid, 0, size)
+		got, err := readCopy(s, 1, fid, 0, size)
 		if err != nil || !bytes.Equal(got, m.data) {
 			t.Fatalf("%v reads back wrong: %v", fid, err)
 		}
@@ -360,7 +360,7 @@ func mustStore(t *testing.T, s *Store, fid wire.FID, n int) []byte {
 func checkExact(t *testing.T, s *Store, want map[wire.FID][]byte) {
 	t.Helper()
 	for fid, data := range want {
-		got, err := s.Read(1, fid, 0, uint32(len(data)))
+		got, err := readCopy(s, 1, fid, 0, uint32(len(data)))
 		if err != nil || !bytes.Equal(got, data) {
 			t.Fatalf("neighbour %v after the power cut: %v", fid, err)
 		}

@@ -207,7 +207,7 @@ func TestGroupCommitConcurrentStores(t *testing.T) {
 
 	for i := 0; i < stores; i++ {
 		fid := wire.MakeFID(1, uint64(i))
-		got, err := s.Read(1, fid, 0, uint32(fragSize))
+		got, err := readCopy(s, 1, fid, 0, uint32(fragSize))
 		if err != nil {
 			t.Fatalf("read %d: %v", i, err)
 		}
@@ -261,7 +261,7 @@ func TestConcurrentStoresSameFID(t *testing.T) {
 	if winners.Load() != 1 {
 		t.Fatalf("%d winners for one FID", winners.Load())
 	}
-	got, err := s.Read(1, fid, 0, 512)
+	got, err := readCopy(s, 1, fid, 0, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +361,7 @@ func TestCrashAtomicityConcurrentGroupCommit(t *testing.T) {
 	acked.Range(func(k, _ any) bool {
 		fid := k.(wire.FID)
 		nAcked++
-		got, err := s2.Read(1, fid, 0, uint32(fragSize))
+		got, err := readCopy(s2, 1, fid, 0, uint32(fragSize))
 		if err != nil {
 			t.Fatalf("acked fragment %v lost in crash: %v", fid, err)
 		}
@@ -385,7 +385,7 @@ func TestCrashAtomicityConcurrentGroupCommit(t *testing.T) {
 		if int(size) != fragSize {
 			t.Fatalf("recovered fragment %v truncated: %d bytes", fid, size)
 		}
-		got, err := s2.Read(1, fid, 0, uint32(fragSize))
+		got, err := readCopy(s2, 1, fid, 0, uint32(fragSize))
 		if err != nil {
 			t.Fatal(err)
 		}

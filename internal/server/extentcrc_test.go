@@ -113,7 +113,7 @@ func TestCorruptedExtentFailsFrameCheck(t *testing.T) {
 		t.Fatalf("intact extent: %v", err)
 	}
 
-	_, ext, err := s.ReadExtent(1, fid, 0, size)
+	_, ext, err := s.Read(1, fid, 0, size)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestConcurrentFirstReadsAgreeOnCRC(t *testing.T) {
 	want := crc32.ChecksumIEEE(data[crcHeaderSize:])
 
 	// Fill the extent without touching its CRC: an interior read.
-	if _, ext, err := s.ReadExtent(1, fid, 0, 1); err != nil {
+	if _, ext, err := s.Read(1, fid, 0, 1); err != nil {
 		t.Fatal(err)
 	} else {
 		ext.Release()

@@ -72,7 +72,7 @@ func (s *Store) handle(client wire.ClientID, op wire.Op, body []byte) (wire.Stat
 		if err := req.Decode(wire.NewDecoder(body)); err != nil {
 			return wire.StatusBadRequest, errMsg(err)
 		}
-		data, ext, err := s.ReadExtent(client, req.FID, req.Off, req.Len)
+		data, ext, err := s.Read(client, req.FID, req.Off, req.Len)
 		if err != nil {
 			return mapErr(err)
 		}
@@ -181,6 +181,7 @@ func (s *Store) handle(client wire.ClientID, op wire.Op, body []byte) (wire.Stat
 			TotalSlots:      uint32(st.TotalSlots),
 			FreeSlots:       uint32(st.FreeSlots),
 			Fragments:       uint32(st.Fragments),
+			UnitsHeld:       uint32(st.UnitsHeld),
 			Stores:          uint64(st.Stores),
 			SyncRequests:    uint64(st.SyncRequests),
 			Syncs:           uint64(st.Syncs),

@@ -2,6 +2,7 @@ package server
 
 import (
 	"container/list"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"sync"
@@ -27,7 +28,9 @@ import (
 // Admission is rent-or-buy once the cache is full: a miss that would
 // evict another extent to fill its own reads only the requested range,
 // and the fragment is filled by the partial read that brings its running
-// total to the extent size (see admit).
+// total to the extent size (see admit). An extent larger than the cache
+// is never filled, so a store with no cache is one of capacity 0, where
+// every read is a range read of its bytes.
 //
 // Extent buffers come from the wire buffer pool and flow to the network
 // with zero copies: a cached read's response payload aliases the extent,
@@ -36,8 +39,8 @@ import (
 // count — one reference for the cache's residency, one per in-flight
 // response — and the last release recycles the buffer.
 type readCache struct {
-	capBytes int64
-	depth    int // readahead depth in fragments (0 = no readahead)
+	capBytes int64 // 0 is no cache: every read is a range read of its bytes
+	depth    int   // readahead depth in fragments (0 = no readahead)
 
 	hits        atomic.Int64
 	misses      atomic.Int64
@@ -156,11 +159,10 @@ func (rc *readCache) get(fid wire.FID, unit int, gen uint64) *Extent {
 }
 
 // insert adds a freshly filled extent, taking ownership of buf (a pooled
-// buffer). It returns the canonical extent for fid with a caller
-// reference held: if a concurrent fill won the race the newcomer's
-// buffer is recycled and the resident entry is returned instead. An
-// extent larger than the whole cache is returned caller-owned without
-// being inserted.
+// buffer) that fits the cache (admit). It returns the canonical extent
+// for fid with a caller reference held: if a concurrent fill won the
+// race the newcomer's buffer is recycled and the resident entry is
+// returned instead.
 // swarmlint:returns-ref swarmlint:owns-buffer
 func (rc *readCache) insert(fid wire.FID, unit int, gen uint64, buf []byte) *Extent {
 	rc.mu.Lock()
@@ -177,25 +179,12 @@ func (rc *readCache) insert(fid wire.FID, unit int, gen uint64, buf []byte) *Ext
 		rc.removeLocked(el) // recycled unit: the resident entry is stale
 	}
 	ext := &Extent{fid: fid, unit: unit, gen: gen, buf: buf}
-	if int64(len(buf)) > rc.capBytes {
-		ext.refs.Store(1) // caller only; too big to keep
-		rc.mu.Unlock()
-		return ext
-	}
 	ext.refs.Store(2) // cache residency + caller
 	rc.index[fid] = rc.lru.PushFront(ext)
 	rc.bytes += int64(len(buf))
 	rc.evictLocked()
 	rc.mu.Unlock()
 	return ext
-}
-
-// fill adds a speculative (readahead) extent nobody is waiting for: the
-// cache holds the only reference. Oversized extents are rejected. Like
-// insert, it takes ownership of buf. swarmlint:owns-buffer
-func (rc *readCache) fill(fid wire.FID, unit int, gen uint64, buf []byte) {
-	ext := rc.insert(fid, unit, gen, buf)
-	ext.Release() // drop the caller reference insert handed us
 }
 
 // contains reports whether fid has a live entry for (unit, gen) — the
@@ -223,14 +212,20 @@ func (rc *readCache) invalidate(fid wire.FID) {
 }
 
 // admit decides how a miss of n bytes of fid's size-byte extent is
-// served: true fills the whole extent, false reads only the range. While
-// the extent fits beside the resident ones every miss fills. Once
-// filling would evict, a fragment must earn its fill: each range read
-// adds n to the fragment's running total, and the read that brings the
-// total to at least size fills. A whole-extent read therefore fills at
-// once, and so does fragio's header probe followed by its payload fetch;
-// a fragment read once in 4 KB costs 4 KB of disk, not a 1 MB fill.
+// served: true fills the whole extent, false reads only the range. An
+// extent larger than the cache never fills, and a cache of capacity 0
+// fills nothing, so with no cache every read is a range read of its
+// bytes. While the extent fits beside the resident ones every miss
+// fills. Once filling would evict, a fragment must earn its fill: each
+// range read adds n to the fragment's running total, and the read that
+// brings the total to at least size fills. A whole-extent read
+// therefore fills at once, and so does fragio's header probe followed
+// by its payload fetch; a fragment read once in 4 KB costs 4 KB of
+// disk, not a 1 MB fill.
 func (rc *readCache) admit(fid wire.FID, unit int, gen uint64, n, size uint32) bool {
+	if rc.capBytes == 0 || int64(size) > rc.capBytes {
+		return false
+	}
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	if rc.bytes+int64(size) <= rc.capBytes {
@@ -302,14 +297,15 @@ const DefaultReadCacheBytes = 64 << 20
 // DefaultReadahead is the default readahead depth in fragments.
 const DefaultReadahead = 4
 
-// SetReadCache enables the serving-tier extent cache: reads are answered
+// SetReadCache sizes the serving-tier extent cache: reads are answered
 // from (and fill) an LRU of whole fragment extents bounded by capBytes,
 // and a miss on fragment i prefetches the next depth fragments of the
 // same log off the same disk pass (depth 0 disables readahead). While
 // the cache has room every miss fills; once it is full, a miss reads
 // only its range until the fragment's range reads add up to its size,
 // so capBytes should cover the hot set. Call it once, before serving
-// traffic; passing capBytes <= 0 leaves the cache disabled.
+// traffic; capBytes <= 0 keeps the cache at capacity 0, where every
+// read is a range read of its bytes.
 func (s *Store) SetReadCache(capBytes int64, depth int) {
 	if capBytes <= 0 {
 		return
@@ -326,45 +322,90 @@ func (s *Store) SetReadCache(capBytes int64, depth int) {
 // Idempotent; a Store that never started a worker closes trivially.
 func (s *Store) Close() {
 	rc := s.rcache
-	if rc == nil || rc.raDone == nil {
+	if rc.raDone == nil {
 		return
 	}
 	s.closeOnce.Do(func() { close(rc.raStop) })
 	<-rc.raDone
 }
 
-// readExtent is the cached read path: resolve fid under the metadata
-// lock, serve from the extent cache when the (unit, gen) identity still
-// holds, otherwise read from disk — outside any lock — and revalidate.
-// A miss the cache admits (admit) fills the whole extent and caches it;
-// the returned data aliases the extent's pooled buffer, and the caller
-// must release the extent exactly once after the bytes are on the wire
-// (or copied). A miss it does not admit is Read's range read: the data
-// is a pooled buffer of n bytes and the extent is nil. Range and ACL
-// checks happen on every request, cached or not, so readahead never
-// bypasses access control.
+// errRecycled reports that a fragment's units were freed, and maybe
+// reused, while load read them.
+var errRecycled = errors.New("server: units recycled during the read")
+
+// notFound is ErrNotFound for one FID, formatted only when printed:
+// readahead's locate misses most FIDs it tries, and formatting an error
+// on each miss made a try ~40x slower than the lookup itself.
+type notFound wire.FID
+
+func (e notFound) Error() string { return fmt.Sprintf("%v: %v", ErrNotFound, wire.FID(e)) }
+func (e notFound) Unwrap() error { return ErrNotFound }
+
+// locate resolves fid under the metadata lock for a read of [off,
+// off+n) by client: the fragment must be stored (not a reservation),
+// hold the range, and let client read it. It returns the extent's first
+// unit, that unit's generation and the fragment's size. The empty range
+// every fragment holds and no ACL covers resolves the fragment alone.
+func (s *Store) locate(client wire.ClientID, fid wire.FID, off, n uint32) (int, uint64, uint32, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	first, ok := s.bySID[fid]
+	if !ok || s.ents[first].prealloc() {
+		return 0, 0, 0, notFound(fid)
+	}
+	ent := &s.ents[first]
+	if off+n > ent.size || off+n < off {
+		return 0, 0, 0, fmt.Errorf("%w: [%d,%d) of %d", ErrBadRange, off, off+n, ent.size)
+	}
+	if err := s.checkAccess(ent, client, off, n); err != nil {
+		return 0, 0, 0, err
+	}
+	return first, s.gen[first], ent.size, nil
+}
+
+// load reads n bytes at off within the extent located at (first, gen)
+// into a pooled buffer — the one place fragment data leaves the disk.
+// The metadata lock is not held across the disk read, so a concurrent
+// Delete + Store may have recycled the units for another fragment
+// mid-read and handed us its bytes. The generation counter of the
+// extent's first unit (bumped whenever the extent is freed) detects
+// that: the read is discarded and load fails with errRecycled.
+func (s *Store) load(rc *readCache, fid wire.FID, first int, gen uint64, off, n uint32) ([]byte, error) {
+	buf := wire.GetBuffer(int(n))
+	if err := s.d.ReadAt(buf, s.unitOff(first)+int64(off)); err != nil {
+		wire.PutBuffer(buf)
+		return nil, fmt.Errorf("read fragment data: %w", err)
+	}
+	rc.bytesDisk.Add(int64(n))
+	s.mu.RLock()
+	cur, ok := s.bySID[fid]
+	valid := ok && cur == first && s.gen[first] == gen
+	s.mu.RUnlock()
+	if !valid {
+		wire.PutBuffer(buf)
+		return nil, errRecycled
+	}
+	return buf, nil
+}
+
+// Read returns n bytes at off within fragment fid, enforcing ACLs for
+// the requesting client on every request, cached or not, so readahead
+// never bypasses access control. A read the extent cache holds, or a
+// miss it admits (admit), returns bytes that alias the extent's pooled
+// buffer and the extent, whose reference the caller must release
+// exactly once after the bytes are on the wire (or copied). Any other
+// read is a range read: the data is a pooled buffer of n bytes and the
+// extent is nil. A read whose units were recycled mid-read retries
+// against the new state, which usually reports the FID gone; the cache
+// never keeps, nor serves, such bytes.
 // swarmlint:returns-ref
-func (s *Store) readExtent(rc *readCache, client wire.ClientID, fid wire.FID, off, n uint32) ([]byte, *Extent, error) {
+func (s *Store) Read(client wire.ClientID, fid wire.FID, off, n uint32) ([]byte, *Extent, error) {
+	rc := s.rcache
 	for {
-		s.mu.RLock()
-		first, ok := s.bySID[fid]
-		if !ok || s.ents[first].prealloc() {
-			s.mu.RUnlock()
-			return nil, nil, fmt.Errorf("%w: %v", ErrNotFound, fid)
-		}
-		ent := s.ents[first]
-		if off+n > ent.size || off+n < off {
-			s.mu.RUnlock()
-			return nil, nil, fmt.Errorf("%w: [%d,%d) of %d", ErrBadRange, off, off+n, ent.size)
-		}
-		if err := s.checkAccess(&ent, client, off, n); err != nil {
-			s.mu.RUnlock()
+		first, gen, size, err := s.locate(client, fid, off, n)
+		if err != nil {
 			return nil, nil, err
 		}
-		gen := s.gen[first]
-		dataOff := s.unitOff(first)
-		s.mu.RUnlock()
-
 		if ext := rc.get(fid, first, gen); ext != nil {
 			rc.hits.Add(1)
 			rc.bytesCached.Add(int64(n))
@@ -377,28 +418,18 @@ func (s *Store) readExtent(rc *readCache, client wire.ClientID, fid wire.FID, of
 		// header probe and payload fetch that follow it — and every
 		// later reader of this fragment — hit. Unadmitted, read just the
 		// requested bytes.
-		fill := rc.admit(fid, first, gen, n, ent.size)
-		at, size := dataOff, ent.size
-		if !fill {
-			at, size = dataOff+int64(off), n
+		fill := rc.admit(fid, first, gen, n, size)
+		at, want := off, n
+		if fill {
+			at, want = 0, size
 		}
-		buf := wire.GetBuffer(int(size))
-		if err := s.d.ReadAt(buf, at); err != nil {
-			wire.PutBuffer(buf)
-			return nil, nil, fmt.Errorf("read fragment data: %w", err)
-		}
-		rc.bytesDisk.Add(int64(size))
-		// Same revalidation as the uncached path (see Store.Read): the
-		// lock was dropped across the disk read, so the units may have
-		// been recycled mid-read. Never cache — or serve — such bytes.
-		s.mu.RLock()
-		cur, ok := s.bySID[fid]
-		valid := ok && cur == first && s.gen[first] == gen
-		s.mu.RUnlock()
-		if !valid {
-			wire.PutBuffer(buf)
+		buf, err := s.load(rc, fid, first, gen, at, want)
+		if errors.Is(err, errRecycled) {
 			rc.forget(fid, first, gen)
 			continue
+		}
+		if err != nil {
+			return nil, nil, err
 		}
 		rc.schedule(fid)
 		if !fill {
@@ -411,10 +442,8 @@ func (s *Store) readExtent(rc *readCache, client wire.ClientID, fid wire.FID, of
 
 // readaheadWorker serves the prefetch queue: for each scheduled FID it
 // loads the next depth fragments of the same client log into the cache.
-// All disk reads happen outside the store mutex, through the same
-// fill-and-revalidate protocol as foreground misses. The worker runs
-// until Store.Close closes raStop; hints already queued at shutdown are
-// dropped — readahead is advisory.
+// The worker runs until Store.Close closes raStop; hints already queued
+// at shutdown are dropped — readahead is advisory.
 func (s *Store) readaheadWorker(rc *readCache) {
 	defer close(rc.raDone)
 	for {
@@ -429,53 +458,20 @@ func (s *Store) readaheadWorker(rc *readCache) {
 	}
 }
 
-// prefetchExtent speculatively loads one fragment into the cache.
-// Absent fragments (this server doesn't hold every member of a stripe)
-// and races with Delete are silently skipped — readahead is advisory.
+// prefetchExtent speculatively loads one fragment into the cache, by
+// Read's locate and load. Absent fragments (this server doesn't hold
+// every member of a stripe), extents larger than the cache and races
+// with Delete are silently skipped — readahead is advisory.
 func (s *Store) prefetchExtent(rc *readCache, fid wire.FID) {
-	s.mu.RLock()
-	first, ok := s.bySID[fid]
-	if !ok || s.ents[first].prealloc() {
-		s.mu.RUnlock()
+	first, gen, size, err := s.locate(0, fid, 0, 0)
+	if err != nil || int64(size) > rc.capBytes || rc.contains(fid, first, gen) {
 		return
 	}
-	size := s.ents[first].size
-	gen := s.gen[first]
-	dataOff := s.unitOff(first)
-	s.mu.RUnlock()
-
-	if rc.contains(fid, first, gen) {
+	buf, err := s.load(rc, fid, first, gen, 0, size)
+	if err != nil {
 		return
 	}
-	buf := wire.GetBuffer(int(size))
-	if err := s.d.ReadAt(buf, dataOff); err != nil {
-		wire.PutBuffer(buf)
-		return
-	}
-	s.mu.RLock()
-	cur, ok := s.bySID[fid]
-	valid := ok && cur == first && s.gen[first] == gen
-	s.mu.RUnlock()
-	if !valid {
-		wire.PutBuffer(buf)
-		return
-	}
-	rc.bytesDisk.Add(int64(size))
 	rc.raLoads.Add(1)
-	rc.fill(fid, first, gen, buf)
-}
-
-// ReadExtent is Read with the serving tier in front: when the extent
-// cache is enabled the returned bytes alias a cached extent and the
-// second return value carries the reference the caller must release
-// once the payload has been written or copied. With the cache disabled
-// it behaves exactly like Read (pooled buffer, nil extent).
-// swarmlint:returns-ref
-func (s *Store) ReadExtent(client wire.ClientID, fid wire.FID, off, n uint32) ([]byte, *Extent, error) {
-	rc := s.rcache
-	if rc == nil {
-		data, err := s.Read(client, fid, off, n)
-		return data, nil, err
-	}
-	return s.readExtent(rc, client, fid, off, n)
+	ext := rc.insert(fid, first, gen, buf)
+	ext.Release() // nobody waits for a prefetch: the cache holds the only reference
 }

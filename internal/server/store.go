@@ -172,8 +172,9 @@ type Store struct {
 	stores     atomic.Int64 // committed fragment stores
 	storeNanos atomic.Int64 // cumulative wall time of committed stores
 
-	// rcache is the serving-tier extent read cache (nil = disabled).
-	// Set once by SetReadCache before traffic; see readcache.go.
+	// rcache is the serving-tier extent read cache, of capacity 0 (every
+	// read a range read) until SetReadCache sizes it before traffic; see
+	// readcache.go.
 	rcache    *readCache
 	closeOnce sync.Once // guards the readahead worker's stop signal
 
@@ -259,6 +260,7 @@ func open(d disk.Disk, fresh bool) (*Store, error) {
 		ents:     make([]fragEntry, numUnits),
 		gen:      make([]uint64, numUnits),
 		storing:  make(map[wire.FID]chan struct{}),
+		rcache:   newReadCache(0, 0),
 		acls:     NewACLDB(),
 	}
 	s.committer = newSyncCoalescer(d)
@@ -519,53 +521,6 @@ func (s *Store) checkAccess(ent *fragEntry, client wire.ClientID, off, n uint32)
 	return nil
 }
 
-// Read returns n bytes at off within fragment fid, enforcing ACLs for the
-// requesting client.
-func (s *Store) Read(client wire.ClientID, fid wire.FID, off, n uint32) ([]byte, error) {
-	for {
-		s.mu.RLock()
-		first, ok := s.bySID[fid]
-		if !ok || s.ents[first].prealloc() {
-			s.mu.RUnlock()
-			return nil, fmt.Errorf("%w: %v", ErrNotFound, fid)
-		}
-		ent := s.ents[first]
-		if off+n > ent.size || off+n < off {
-			s.mu.RUnlock()
-			return nil, fmt.Errorf("%w: [%d,%d) of %d", ErrBadRange, off, off+n, ent.size)
-		}
-		if err := s.checkAccess(&ent, client, off, n); err != nil {
-			s.mu.RUnlock()
-			return nil, err
-		}
-		gen := s.gen[first]
-		dataOff := s.unitOff(first) + int64(off)
-		s.mu.RUnlock()
-
-		// Pooled: the TCP server recycles the buffer once the response frame
-		// is written; other callers let it escape to the GC harmlessly.
-		buf := wire.GetBuffer(int(n))
-		if err := s.d.ReadAt(buf, dataOff); err != nil {
-			wire.PutBuffer(buf)
-			return nil, fmt.Errorf("read fragment data: %w", err)
-		}
-		// The lock is dropped during the disk read, so a concurrent
-		// Delete + Store may have recycled the units for another fragment
-		// mid-read and handed us its bytes. The generation counter of the
-		// extent's first unit (bumped whenever the extent is freed)
-		// detects that; discard the read and retry against the new state
-		// — which usually reports the FID gone.
-		s.mu.RLock()
-		cur, ok := s.bySID[fid]
-		valid := ok && cur == first && s.gen[first] == gen
-		s.mu.RUnlock()
-		if valid {
-			return buf, nil
-		}
-		wire.PutBuffer(buf)
-	}
-}
-
 // Delete removes a fragment and frees its units. Deleting requires write
 // access to every protected range of the fragment. The units return to
 // the free set only once the cleared entry is durable, so no crash can
@@ -590,9 +545,7 @@ func (s *Store) Delete(client wire.ClientID, fid wire.FID) error {
 	s.free.free(first, s.extentUnits(&ent))
 	// The generation bump already fences the read cache; dropping the
 	// entry eagerly just frees its memory sooner.
-	if rc := s.rcache; rc != nil {
-		rc.invalidate(fid)
-	}
+	s.rcache.invalidate(fid)
 	return nil
 }
 
@@ -694,7 +647,8 @@ type Stats struct {
 	StoreNanos     int64 // cumulative wall time of committed stores
 
 	// Read-path counters (all zero while the serving-tier extent cache
-	// is disabled), cumulative since open.
+	// has capacity 0, where every read is a range read), cumulative
+	// since open.
 	ReadHits        int64 // reads served from the extent cache
 	ReadMisses      int64 // reads not answered from the cache
 	ReadaheadLoads  int64 // extents prefetched by the readahead worker
@@ -705,15 +659,6 @@ type Stats struct {
 	// Per-tenant QoS accounting (empty while the fair scheduler is
 	// disabled), one entry per principal seen, ascending client order.
 	Tenants []TenantStat
-}
-
-// ReadHitRate is the fraction of cached-path reads served from memory.
-func (st Stats) ReadHitRate() float64 {
-	total := st.ReadHits + st.ReadMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(st.ReadHits) / float64(total)
 }
 
 // CoalescedSyncs is how many sync barriers were satisfied by another
@@ -774,7 +719,7 @@ func (s *Store) Stats() Stats {
 		StoreNanos:     s.storeNanos.Load(),
 	}
 	s.mu.RUnlock()
-	if rc := s.rcache; rc != nil {
+	if rc := s.rcache; rc.capBytes > 0 {
 		st.ReadHits = rc.hits.Load()
 		st.ReadMisses = rc.misses.Load()
 		st.ReadaheadLoads = rc.raLoads.Load()

@@ -30,6 +30,22 @@ func newTestStore(t *testing.T, slots int) (*Store, *disk.MemDisk) {
 	return s, d
 }
 
+// readCopy reads through Store.Read and returns a private copy of the
+// bytes, releasing the extent or the pooled buffer the read returned.
+func readCopy(s *Store, client wire.ClientID, fid wire.FID, off, n uint32) ([]byte, error) {
+	data, ext, err := s.Read(client, fid, off, n)
+	if err != nil {
+		return nil, err
+	}
+	out := bytes.Clone(data)
+	if ext != nil {
+		ext.Release()
+	} else {
+		wire.PutBuffer(data)
+	}
+	return out, nil
+}
+
 func TestStoreReadRoundTrip(t *testing.T) {
 	s, _ := newTestStore(t, 8)
 	fid := wire.MakeFID(1, 0)
@@ -37,7 +53,7 @@ func TestStoreReadRoundTrip(t *testing.T) {
 	if err := s.Store(fid, data, false, nil); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Read(1, fid, 0, 1000)
+	got, err := readCopy(s, 1, fid, 0, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +61,7 @@ func TestStoreReadRoundTrip(t *testing.T) {
 		t.Fatal("read data mismatch")
 	}
 	// Partial read.
-	got, err = s.Read(1, fid, 100, 50)
+	got, err = readCopy(s, 1, fid, 100, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +140,7 @@ func TestStoreOneUnitFragmentsFill(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		got, err := s2.Read(1, wire.MakeFID(1, uint64(i)), 0, uint32(unit))
+		got, err := readCopy(s2, 1, wire.MakeFID(1, uint64(i)), 0, uint32(unit))
 		if err != nil || !bytes.Equal(got, bytes.Repeat([]byte{byte(i)}, unit)) {
 			t.Fatalf("one-unit fragment %d after reopen: %v", i, err)
 		}
@@ -133,7 +149,7 @@ func TestStoreOneUnitFragmentsFill(t *testing.T) {
 
 func TestReadAbsentFragment(t *testing.T) {
 	s, _ := newTestStore(t, 4)
-	if _, err := s.Read(1, wire.MakeFID(1, 0), 0, 1); !errors.Is(err, ErrNotFound) {
+	if _, err := readCopy(s, 1, wire.MakeFID(1, 0), 0, 1); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("read absent: %v", err)
 	}
 }
@@ -144,7 +160,7 @@ func TestReadOutOfRange(t *testing.T) {
 	if err := s.Store(fid, make([]byte, 100), false, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Read(1, fid, 50, 51); !errors.Is(err, ErrBadRange) {
+	if _, err := readCopy(s, 1, fid, 50, 51); !errors.Is(err, ErrBadRange) {
 		t.Fatalf("read past end: %v", err)
 	}
 }
@@ -166,7 +182,7 @@ func TestPreallocThenStore(t *testing.T) {
 	if _, found := s.Has(fid); found {
 		t.Fatal("preallocated fragment visible")
 	}
-	if _, err := s.Read(1, fid, 0, 0); !errors.Is(err, ErrNotFound) {
+	if _, err := readCopy(s, 1, fid, 0, 0); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("read preallocated: %v", err)
 	}
 	if err := s.Store(fid, []byte("data"), false, nil); err != nil {
@@ -292,7 +308,7 @@ func TestStoreReopenRecoversState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := s2.Read(1, fidA, 0, 3)
+	data, err := readCopy(s2, 1, fidA, 0, 3)
 	if err != nil || string(data) != "aaa" {
 		t.Fatalf("reopened read = %q, %v", data, err)
 	}
@@ -448,134 +464,163 @@ func TestQuickSlotEntryRoundTrip(t *testing.T) {
 	}
 }
 
+// cacheCase is one extent cache size a read test runs under.
+type cacheCase struct {
+	name     string
+	capBytes int64
+}
+
+// guardCaches are the extent caches the read-after-free guards run
+// under: capacity 0 (every read a range read), one that holds the
+// fragment (a whole-extent fill, then hits), and one smaller than the
+// fragment (range reads only).
+func guardCaches(fragSize int) []cacheCase {
+	return []cacheCase{
+		{"capacity0", 0},
+		{"holds", int64(4 * fragSize)},
+		{"smaller", int64(fragSize / 2)},
+	}
+}
+
 // Regression for the read-after-free race: Store.Read used to drop the
 // lock before the disk read, so a concurrent Delete + Store could
 // recycle the slot and hand the reader another fragment's bytes. The
 // hook provokes exactly that interleaving; the generation check must
-// detect it and report the FID gone rather than return foreign data.
+// detect it and report the FID gone rather than return foreign data —
+// whether the read is a range read or a whole-extent fill.
 func TestReadAfterFreeSlotReuse(t *testing.T) {
 	fragSize := 4096
-	slots := 1
-	d := disk.NewMemDisk(storeDiskBytes(fragSize, slots))
-	hd := &hookDisk{Disk: d}
-	s, err := Format(hd, Config{FragmentSize: fragSize})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fidA := wire.MakeFID(1, 1)
-	fidB := wire.MakeFID(1, 2)
-	dataA := bytes.Repeat([]byte{'A'}, fragSize)
-	dataB := bytes.Repeat([]byte{'B'}, fragSize)
-	if err := s.Store(fidA, dataA, false, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	// Between Read's slot lookup and its disk read: delete A and store B
-	// into the (single) recycled slot.
-	var once sync.Once
-	hook := func(p []byte, off int64) {
-		if off < s.dataOff {
-			return // metadata read, not fragment data
-		}
-		once.Do(func() {
-			if err := s.Delete(1, fidA); err != nil {
-				t.Errorf("racing delete: %v", err)
+	for _, tc := range guardCaches(fragSize) {
+		t.Run(tc.name, func(t *testing.T) {
+			slots := 1
+			d := disk.NewMemDisk(storeDiskBytes(fragSize, slots))
+			hd := &hookDisk{Disk: d}
+			s, err := Format(hd, Config{FragmentSize: fragSize})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if err := s.Store(fidB, dataB, false, nil); err != nil {
-				t.Errorf("racing store: %v", err)
+			s.SetReadCache(tc.capBytes, 0)
+			fidA := wire.MakeFID(1, 1)
+			fidB := wire.MakeFID(1, 2)
+			dataA := bytes.Repeat([]byte{'A'}, fragSize)
+			dataB := bytes.Repeat([]byte{'B'}, fragSize)
+			if err := s.Store(fidA, dataA, false, nil); err != nil {
+				t.Fatal(err)
+			}
+
+			// Between Read's slot lookup and its disk read: delete A and
+			// store B into the (single) recycled slot.
+			var once sync.Once
+			hook := func(p []byte, off int64) {
+				if off < s.dataOff {
+					return // metadata read, not fragment data
+				}
+				once.Do(func() {
+					if err := s.Delete(1, fidA); err != nil {
+						t.Errorf("racing delete: %v", err)
+					}
+					if err := s.Store(fidB, dataB, false, nil); err != nil {
+						t.Errorf("racing store: %v", err)
+					}
+				})
+			}
+			hd.onRead.Store(&hook)
+
+			got, err := readCopy(s, 1, fidA, 0, uint32(fragSize))
+			if err == nil {
+				if bytes.Equal(got, dataB) {
+					t.Fatal("read-after-free: fragment A read returned fragment B's bytes")
+				}
+				t.Fatalf("read of deleted fragment succeeded with unexpected data %x..", got[0])
+			}
+			if !errors.Is(err, ErrNotFound) {
+				t.Fatalf("read across slot reuse = %v, want ErrNotFound", err)
+			}
+			// B must be readable and intact.
+			hd.onRead.Store(nil)
+			got, err = readCopy(s, 1, fidB, 0, uint32(fragSize))
+			if err != nil || !bytes.Equal(got, dataB) {
+				t.Fatalf("fragment B after reuse: %v", err)
 			}
 		})
-	}
-	hd.onRead.Store(&hook)
-
-	got, err := s.Read(1, fidA, 0, uint32(fragSize))
-	if err == nil {
-		if bytes.Equal(got, dataB) {
-			t.Fatal("read-after-free: fragment A read returned fragment B's bytes")
-		}
-		t.Fatalf("read of deleted fragment succeeded with unexpected data %x..", got[0])
-	}
-	if !errors.Is(err, ErrNotFound) {
-		t.Fatalf("read across slot reuse = %v, want ErrNotFound", err)
-	}
-	// B must be readable and intact.
-	hd.onRead.Store(nil)
-	got, err = s.Read(1, fidB, 0, uint32(fragSize))
-	if err != nil || !bytes.Equal(got, dataB) {
-		t.Fatalf("fragment B after reuse: %v", err)
 	}
 }
 
 // Stress variant for the race detector: one slot, a writer cycling
 // store→delete, and readers that must only ever observe a fragment's own
-// bytes or ErrNotFound.
+// bytes or ErrNotFound, through range reads, fills and hits alike.
 func TestReadDeleteStoreRaceStress(t *testing.T) {
 	fragSize := 512
-	slots := 1
-	d := disk.NewMemDisk(storeDiskBytes(fragSize, slots))
-	s, err := Format(d, Config{FragmentSize: fragSize})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pattern := func(seq uint64) []byte {
-		return bytes.Repeat([]byte{byte(seq*37 + 11)}, fragSize)
-	}
-	var cur atomic.Uint64 // latest stored seq, 0 = none yet
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
+	for _, tc := range guardCaches(fragSize) {
+		t.Run(tc.name, func(t *testing.T) {
+			slots := 1
+			d := disk.NewMemDisk(storeDiskBytes(fragSize, slots))
+			s, err := Format(d, Config{FragmentSize: fragSize})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.SetReadCache(tc.capBytes, 0)
+			pattern := func(seq uint64) []byte {
+				return bytes.Repeat([]byte{byte(seq*37 + 11)}, fragSize)
+			}
+			var cur atomic.Uint64 // latest stored seq, 0 = none yet
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
 
-	wg.Add(1)
-	go func() { // writer: store seq, publish, delete, next
-		defer wg.Done()
-		for seq := uint64(1); ; seq++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			fid := wire.MakeFID(1, seq)
-			if err := s.Store(fid, pattern(seq), false, nil); err != nil {
-				t.Errorf("store %d: %v", seq, err)
-				return
-			}
-			cur.Store(seq)
-			if err := s.Delete(1, fid); err != nil {
-				t.Errorf("delete %d: %v", seq, err)
-				return
-			}
-		}
-	}()
-
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				seq := cur.Load()
-				if seq == 0 {
-					continue
-				}
-				got, err := s.Read(1, wire.MakeFID(1, seq), 0, uint32(fragSize))
-				if err != nil {
-					if !errors.Is(err, ErrNotFound) {
-						t.Errorf("read %d: %v", seq, err)
+			wg.Add(1)
+			go func() { // writer: store seq, publish, delete, next
+				defer wg.Done()
+				for seq := uint64(1); ; seq++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					fid := wire.MakeFID(1, seq)
+					if err := s.Store(fid, pattern(seq), false, nil); err != nil {
+						t.Errorf("store %d: %v", seq, err)
 						return
 					}
-					continue
+					cur.Store(seq)
+					if err := s.Delete(1, fid); err != nil {
+						t.Errorf("delete %d: %v", seq, err)
+						return
+					}
 				}
-				if !bytes.Equal(got, pattern(seq)) {
-					t.Errorf("read %d returned foreign bytes %x..", seq, got[0])
-					return
-				}
+			}()
+
+			for r := 0; r < 4; r++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						seq := cur.Load()
+						if seq == 0 {
+							continue
+						}
+						got, err := readCopy(s, 1, wire.MakeFID(1, seq), 0, uint32(fragSize))
+						if err != nil {
+							if !errors.Is(err, ErrNotFound) {
+								t.Errorf("read %d: %v", seq, err)
+								return
+							}
+							continue
+						}
+						if !bytes.Equal(got, pattern(seq)) {
+							t.Errorf("read %d returned foreign bytes %x..", seq, got[0])
+							return
+						}
+					}
+				}()
 			}
-		}()
+			time.Sleep(50 * time.Millisecond)
+			close(stop)
+			wg.Wait()
+		})
 	}
-	time.Sleep(50 * time.Millisecond)
-	close(stop)
-	wg.Wait()
 }

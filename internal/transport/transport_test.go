@@ -110,6 +110,29 @@ func TestLocalConnContract(t *testing.T) {
 	exerciseConn(t, sc)
 }
 
+// The Stat RPC reports the units the store's extents hold, to the unit:
+// a short fragment holds one unit, a full-size one a whole slot's worth.
+func TestStatUnitsHeld(t *testing.T) {
+	st := newStore(t)
+	sc := NewLocal(1, st, 1)
+	unit := server.UnitSize(testFragSize)
+	for i, n := range []int{100, testFragSize, 3*unit + 1} {
+		if err := sc.Store(wire.MakeFID(1, uint64(i)), bytes.Repeat([]byte{1}, n), false, nil); err != nil {
+			t.Fatal(err)
+		}
+		rsp, err := sc.Stat()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := st.Stats().UnitsHeld; int(rsp.UnitsHeld) != want {
+			t.Fatalf("after a %d-byte store: Stat UnitsHeld = %d, Store.Stats = %d", n, rsp.UnitsHeld, want)
+		}
+	}
+	if rsp, _ := sc.Stat(); rsp.UnitsHeld != 1+16+4 {
+		t.Fatalf("UnitsHeld = %d, want 21 (1 + 16 + 4 units)", rsp.UnitsHeld)
+	}
+}
+
 func TestTCPConnContract(t *testing.T) {
 	srv, err := server.ListenAndServe(newStore(t), "127.0.0.1:0", nil)
 	if err != nil {

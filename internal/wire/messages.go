@@ -438,6 +438,10 @@ type StatResponse struct {
 	TotalSlots   uint32
 	FreeSlots    uint32
 	Fragments    uint32
+	// UnitsHeld counts the FragmentSize/16-byte units that extents
+	// (reservations included) hold: the space held to the unit, where
+	// TotalSlots − FreeSlots rounds it up to whole slots.
+	UnitsHeld uint32
 
 	// Commit-path counters (cumulative since the server opened its
 	// store): committed stores, logical sync barriers vs physical
@@ -450,10 +454,11 @@ type StatResponse struct {
 	EntriesBatched uint64
 	StoreNanos     uint64
 
-	// Read-path counters (the serving-tier extent cache; all zero when
-	// it is disabled): cache hits and misses, readahead prefetches,
-	// bytes served zero-copy from memory vs read from disk (extent fills
-	// and range reads), and current cache occupancy.
+	// Read-path counters (the serving-tier extent cache; all zero while
+	// it has capacity 0, where every read is a range read): cache hits
+	// and misses, readahead prefetches, bytes served zero-copy from
+	// memory vs read from disk (extent fills and range reads), and
+	// current cache occupancy.
 	ReadHits        uint64
 	ReadMisses      uint64
 	ReadaheadLoads  uint64
@@ -521,6 +526,7 @@ func (m *StatResponse) Encode(e *Encoder) {
 	e.U32(m.TotalSlots)
 	e.U32(m.FreeSlots)
 	e.U32(m.Fragments)
+	e.U32(m.UnitsHeld)
 	e.U64(m.Stores)
 	e.U64(m.SyncRequests)
 	e.U64(m.Syncs)
@@ -545,6 +551,7 @@ func (m *StatResponse) Decode(d *Decoder) error {
 	m.TotalSlots = d.U32()
 	m.FreeSlots = d.U32()
 	m.Fragments = d.U32()
+	m.UnitsHeld = d.U32()
 	m.Stores = d.U64()
 	m.SyncRequests = d.U64()
 	m.Syncs = d.U64()

@@ -199,7 +199,7 @@ func TestMessageRoundTrips(t *testing.T) {
 	roundTrip(t, &HasFragmentResponse{Found: true, Size: 999}, &HasFragmentResponse{})
 	roundTrip(t, &ListFIDsResponse{FIDs: []FID{1, 2, 3}}, &ListFIDsResponse{})
 	roundTrip(t, &ACLCreateResponse{AID: 42}, &ACLCreateResponse{})
-	roundTrip(t, &StatResponse{FragmentSize: 1 << 20, TotalSlots: 100, FreeSlots: 50, Fragments: 50}, &StatResponse{})
+	roundTrip(t, &StatResponse{FragmentSize: 1 << 20, TotalSlots: 100, FreeSlots: 50, Fragments: 50, UnitsHeld: 803}, &StatResponse{})
 }
 
 // Property: StoreRequest roundtrips for arbitrary contents.

@@ -27,7 +27,8 @@ type ServerOptions struct {
 	Reuse bool
 	// ReadCacheBytes sizes the server's fragment-extent read cache
 	// (DESIGN.md §3.13). Zero uses the default (64 MB); negative
-	// disables caching entirely.
+	// disables caching entirely: every read is a range read of its
+	// bytes.
 	ReadCacheBytes int64
 	// ReadaheadFragments is how many upcoming fragments a cache hit
 	// prefetches off the same disk pass. Zero uses the default (4);
@@ -89,9 +90,7 @@ func NewServer(opts ServerOptions) (*Server, error) {
 	if readahead < 0 {
 		readahead = 0
 	}
-	if cacheBytes > 0 {
-		st.SetReadCache(cacheBytes, readahead)
-	}
+	st.SetReadCache(cacheBytes, readahead)
 	if opts.QoS != nil {
 		st.SetQoS(*opts.QoS)
 	}
