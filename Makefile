@@ -62,7 +62,10 @@ race:
 # un-acked stores, degraded writes, rebuild and reclaim), its
 # reconstruction, rebuild and corruption tests (rebuilt members keep
 # the headers they were stored with, a corrupt survivor never reaches a
-# whole reconstruction), and the store's allocator churn, power-cut and
+# whole reconstruction), its stripe-record and reclaim tests (reclaiming
+# every stripe of a degraded log leaves no per-stripe state, a failed
+# reclaim keeps its stripe's record for the retry, the fragment cache
+# drops a fragment from its FIFO too), and the store's allocator churn, power-cut and
 # crash tests plus its one read path: the read-after-free guards under
 # each cache shape (capacity 0, one that holds the fragment, one smaller
 # than it), the oversized-extent rule, and the extent cache's fill,
@@ -70,7 +73,7 @@ race:
 chaos:
 	$(GO) test -race -v -run 'TestChaos|TestDegradedWrites' .
 	$(GO) test -race -run 'Resilient|Flaky|Retry' ./internal/transport
-	$(GO) test -race -run 'ShortStripe|RangeDecode|FrameLifetime|Reconstruct|Rebuild|Corrupt' ./internal/core
+	$(GO) test -race -run 'ShortStripe|RangeDecode|FrameLifetime|Reconstruct|Rebuild|Corrupt|Reclaim|StripeRecord|FragCache' ./internal/core
 	$(GO) test -race -run 'AllocatorChurn|PowerCut|Crash|ReadAfterFree|ReadDeleteStoreRace|Oversized|ReadExtent|ReadCache' ./internal/server
 
 # Statement coverage across all packages, with a floor: fails if the

@@ -14,7 +14,7 @@ import (
 // and mixed-format logs where old XOR stripes and new RS stripes
 // coexist.
 
-// TestDegradedSetPerStripe is the regression test for the Log.degraded
+// TestDegradedSetPerStripe is the regression test for the log's degraded
 // bookkeeping: each stripe absorbs up to m unreachable members (tracked
 // as a per-stripe server set), and the m+1'th failure is rejected
 // instead of silently absorbed past the redundancy budget.
@@ -53,17 +53,14 @@ func TestDegradedSetPerStripe(t *testing.T) {
 	}
 	// The degraded set holds fragments from BOTH dead servers.
 	servers := map[uint8]bool{}
-	l.mu.Lock()
-	for _, set := range l.degraded {
+	for _, set := range degradedSets(l) {
 		if len(set) > 2 {
-			l.mu.Unlock()
 			t.Fatalf("stripe degraded set holds %d members, cap is m=2", len(set))
 		}
 		for _, sid := range set {
 			servers[uint8(sid)] = true
 		}
 	}
-	l.mu.Unlock()
 	if !servers[2] || !servers[5] {
 		t.Fatalf("degraded sets name servers %v, want both 2 and 5", servers)
 	}

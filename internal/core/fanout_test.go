@@ -31,7 +31,7 @@ func TestConcurrentReadsShareOneReconstruction(t *testing.T) {
 	// Kill the server holding the first block's fragment and slow the
 	// survivors so the reconstruction flight stays open.
 	fid := addrs[0].FID
-	sid := l.locations[fid]
+	sid := serverOf(l, fid)
 	c.flaky[sid-1].SetDown(true)
 	for _, fl := range c.flaky {
 		fl.SetLatency(50 * time.Millisecond)
@@ -90,7 +90,7 @@ func TestReconstructionFanOutLatency(t *testing.T) {
 	}
 
 	fid := addrs[0].FID
-	sid := l.locations[fid]
+	sid := serverOf(l, fid)
 	c.flaky[sid-1].SetDown(true)
 	for _, fl := range c.flaky {
 		fl.SetLatency(lat)

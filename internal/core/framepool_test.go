@@ -436,12 +436,11 @@ func TestFrameLifetimeDegraded(t *testing.T) {
 			t.Fatalf("%v released %d times", fid, n)
 		}
 	}
-	l.mu.Lock()
-	held := len(l.inflight)
-	l.mu.Unlock()
+	held := heldFrames(l)
 	if held != 0 {
 		t.Fatalf("%d frames still held after rebuild and reclaim", held)
 	}
+	checkStripeRecords(t, l)
 }
 
 // discardConn acks every store without keeping it: the allocation pin

@@ -3,8 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 	"time"
 
@@ -106,27 +106,80 @@ type fragBuilder struct {
 
 // sealedFrag is a fragment ready to ship to its server. It owns frame,
 // a pool buffer: a parity frame goes back to the pool when its store
-// completes, a data frame when its store is acked and its inflight entry
-// is dropped (DESIGN.md §3.3).
+// completes, a data frame when its store is acked and its member slot
+// lets go of it (DESIGN.md §3.3).
 type sealedFrag struct {
 	conn  transport.ServerConn
 	fid   wire.FID
 	frame []byte // header + payload[:dataLen]
 	mark  bool
-	data  bool // a data member, held in inflight for read-your-writes
+	data  bool // a data member, held in its slot for read-your-writes
 }
 
-// heldFrame is a sealed data member's frame kept for read-your-writes
-// until its server acks the store. A member whose store failed (a
-// degraded write, or one past redundancy) keeps its frame: local reads
-// and RebuildServer serve the fragment from it.
-type heldFrame struct {
-	frame   []byte // header + payload, a pool buffer
-	storing bool   // a store of frame is in flight and releases it on completion if the entry is gone
+// stripeState is everything the log knows about one of its stripes
+// (DESIGN.md §3.3). The paths that learn about a stripe create its
+// record (stripeLocked); it dies in one place, dropStripeLocked. Paths
+// that only settle state (a store completing, a held frame let go, a
+// degraded member cleared) never create one, so a store that lands
+// after a reclaim cannot bring its stripe back. Guarded by Log.mu.
+type stripeState struct {
+	// epoch is the placement epoch the stripe opened under when pinned
+	// (it opened this session); epochOfLocked falls back to the head.
+	epoch  uint32
+	pinned bool
+	// geom is a header of the stripe carrying its MemberLens (zero until
+	// noteStripe learns one): everything the stripe decoder needs, so
+	// later reconstructions cost only their survivors' reads.
+	geom       Header
+	empty      uint16 // members the stripe closed without storing, bit i = member i
+	prealloced bool   // slots reserved (PreallocStripes), parity not yet sealed
+	members    [MaxWidth]memberSlot
 }
 
-// payload returns the member's payload bytes.
-func (h heldFrame) payload() []byte { return h.frame[HeaderSize:] }
+// memberSlot is what the log knows about one member of a stripe.
+type memberSlot struct {
+	// server is where the member is stored or, when degraded, where its
+	// store was sent; 0 when unknown (server IDs start at 1).
+	server wire.ServerID
+	// frame is a sealed data member's frame (a pool buffer) kept for
+	// read-your-writes until its store is acked. A member whose store
+	// failed keeps it: local reads and RebuildServer serve it from here.
+	frame    []byte
+	storing  bool // a store of frame is in flight; it releases frame if the slot has let go
+	degraded bool // store skipped, server unreachable, stripe still redundancy-covered
+}
+
+// release lets go of the slot's held frame and returns it for the
+// caller to release: nil while a store of it is in flight, whose
+// completion (storeDone) releases it instead.
+func (m *memberSlot) release() []byte {
+	frame, storing := m.frame, m.storing
+	m.frame, m.storing = nil, false
+	if storing {
+		return nil
+	}
+	return frame
+}
+
+// degradedMembers counts the stripe's degraded members.
+func (s *stripeState) degradedMembers() (n int) {
+	for _, m := range s.members {
+		if m.degraded {
+			n++
+		}
+	}
+	return n
+}
+
+// blank reports whether the record holds nothing a lookup would find.
+func (s *stripeState) blank() bool {
+	for _, m := range s.members {
+		if m.server != 0 || m.frame != nil || m.degraded {
+			return false
+		}
+	}
+	return !s.pinned && s.empty == 0 && !s.prealloced && !s.geom.HasMemberLens()
+}
 
 // Log is one client's striped log.
 type Log struct {
@@ -141,42 +194,24 @@ type Log struct {
 	payloadSize int
 
 	mu         sync.Mutex
-	closed     bool                                  // guarded by mu
-	seq        uint64                                // next fragment sequence number; guarded by mu
-	cur        *fragBuilder                          // guarded by mu
-	pacc       *parityAccum                          // guarded by mu
-	ckpts      map[ServiceID]BlockAddr               // guarded by mu
-	registered map[ServiceID]bool                    // guarded by mu
-	locations  map[wire.FID]wire.ServerID            // guarded by mu
-	inflight   map[wire.FID]heldFrame                // sealed data members not yet acked; guarded by mu
-	degraded   map[uint64]map[wire.FID]wire.ServerID // per-stripe set of stores skipped: server unreachable, stripe still redundancy-covered; guarded by mu
-	pendingDel map[wire.FID]wire.ServerID            // reclaim deletes deferred: server unreachable when its stripe died; guarded by mu
-	prealloced map[uint64]bool                       // stripes whose slots have been reserved; guarded by mu
-	needPre    []uint64                              // stripes awaiting preallocation; guarded by mu
-	unreserve  []wire.FID                            // reserved slots of empty members, awaiting release; guarded by mu
+	closed     bool                    // guarded by mu
+	seq        uint64                  // next fragment sequence number; guarded by mu
+	cur        *fragBuilder            // guarded by mu
+	pacc       *parityAccum            // guarded by mu
+	ckpts      map[ServiceID]BlockAddr // guarded by mu
+	registered map[ServiceID]bool      // guarded by mu
+	// stripes holds the record of every stripe of this log the session
+	// has opened or learned about (stripeState). Guarded by mu.
+	stripes map[uint64]*stripeState
+	// pendingDel holds orphans awaiting deletion on a server that was
+	// unreachable: members of reclaimed stripes, migrated-away source
+	// copies (NoteOrphan) and released reservations. Guarded by mu.
+	pendingDel map[wire.FID]wire.ServerID
+	needPre    []uint64   // stripes awaiting preallocation; guarded by mu
+	unreserve  []wire.FID // reserved slots of empty members, awaiting release; guarded by mu
 	// preMu orders reservations before releases: a stripe's empty
 	// members are released only after its reservations have been made.
 	preMu sync.Mutex
-	// empty records, per stripe closed before its data slots filled, the
-	// members it never stored (bit i = member i). Learned when this log
-	// closes a stripe short and from any fetched header that carries its
-	// stripe's MemberLens; entries die with their stripe. Guarded by mu.
-	empty map[uint64]uint16
-	// geoms holds, per stripe of this log, a header of it that carries
-	// its MemberLens: base, width, group, codec, m, epoch and member
-	// lengths in one value, everything the stripe decoder needs to
-	// rebuild a lost member or a range of one. Learned from any fetched
-	// header carrying MemberLens (stripeGeometry reads a parity header,
-	// or the last data member's, to get one), so a stripe's later
-	// reconstructions cost only their survivors' reads: no sibling
-	// search, no header read. Entries die with their stripe.
-	// Guarded by mu.
-	geoms map[uint64]Header
-	// stripeEpochs pins each live stripe written this session to the
-	// placement epoch it opened under; membership changes close the open
-	// stripe first, so a stripe is wholly placed under one view. Entries
-	// die with their stripe (ReclaimStripe). Guarded by mu.
-	stripeEpochs map[uint64]uint32
 	// acls is the per-server fragment protection, mutable because
 	// AddServer admits new servers with their own AIDs. Guarded by mu.
 	acls      map[wire.ServerID]wire.AID
@@ -316,14 +351,8 @@ func Open(cfg Config) (*Log, *Recovery, error) {
 		payloadSize:  cfg.FragmentSize - HeaderSize,
 		ckpts:        make(map[ServiceID]BlockAddr),
 		registered:   make(map[ServiceID]bool),
-		locations:    make(map[wire.FID]wire.ServerID),
-		inflight:     make(map[wire.FID]heldFrame),
-		degraded:     make(map[uint64]map[wire.FID]wire.ServerID),
+		stripes:      make(map[uint64]*stripeState),
 		pendingDel:   make(map[wire.FID]wire.ServerID),
-		prealloced:   make(map[uint64]bool),
-		empty:        make(map[uint64]uint16),
-		geoms:        make(map[uint64]Header),
-		stripeEpochs: make(map[uint64]uint32),
 		acls:         make(map[wire.ServerID]wire.AID, len(cfg.ACLs)),
 		usage:        NewUsageTable(),
 		recon:        newFragCache(max(8, 2*cfg.ReadaheadFragments)),
@@ -397,8 +426,8 @@ func (l *Log) Stats() LogStats {
 	defer l.mu.Unlock()
 	s := l.stats
 	s.MinSpareRedundancy = int64(l.nparity)
-	for _, set := range l.degraded {
-		if spare := int64(l.nparity - len(set)); spare < s.MinSpareRedundancy {
+	for _, st := range l.stripes {
+		if spare := int64(l.nparity - st.degradedMembers()); spare < s.MinSpareRedundancy {
 			s.MinSpareRedundancy = spare
 		}
 	}
@@ -481,10 +510,64 @@ func (l *Log) dataOrdinal(stripe uint64, idx int) int {
 // written under: the epoch pinned when the stripe opened this session,
 // else the head epoch. Callers hold mu.
 func (l *Log) epochOfLocked(stripe uint64) uint32 {
-	if epoch, ok := l.stripeEpochs[stripe]; ok {
-		return epoch
+	if s := l.stripes[stripe]; s != nil && s.pinned {
+		return s.epoch
 	}
 	return l.place.Epoch()
+}
+
+// stripeLocked returns stripe's record, creating it: the paths that
+// learn about a stripe call it. Callers hold mu.
+func (l *Log) stripeLocked(stripe uint64) *stripeState {
+	s := l.stripes[stripe]
+	if s == nil {
+		s = &stripeState{}
+		l.stripes[stripe] = s
+	}
+	return s
+}
+
+// dropStripeLocked forgets stripe: the one place a record dies.
+// Callers hold mu.
+func (l *Log) dropStripeLocked(stripe uint64) { delete(l.stripes, stripe) }
+
+// recordLocked returns the record of fid's stripe (nil for another
+// client's FID or a stripe without one) and fid's index in it. It never
+// creates a record. Callers hold mu.
+func (l *Log) recordLocked(fid wire.FID) (*stripeState, int) {
+	if fid.Client() != l.client {
+		return nil, 0
+	}
+	return l.stripes[l.stripeOf(fid.Seq())], int(fid.Seq() % uint64(l.width))
+}
+
+// slotLocked returns fid's slot, nil where recordLocked finds no record.
+func (l *Log) slotLocked(fid wire.FID) *memberSlot {
+	if s, i := l.recordLocked(fid); s != nil {
+		return &s.members[i]
+	}
+	return nil
+}
+
+// noteLocationLocked records that fid lives on server id, creating its
+// stripe's record, and returns fid's slot; nil for another client's FID,
+// which gets no record. Callers hold mu.
+func (l *Log) noteLocationLocked(fid wire.FID, id wire.ServerID) *memberSlot {
+	if fid.Client() != l.client {
+		return nil
+	}
+	m := &l.stripeLocked(l.stripeOf(fid.Seq())).members[fid.Seq()%uint64(l.width)]
+	m.server = id
+	return m
+}
+
+// serverOfLocked returns fid's recorded server, 0 when unknown.
+// Callers hold mu.
+func (l *Log) serverOfLocked(fid wire.FID) wire.ServerID {
+	if m := l.slotLocked(fid); m != nil {
+		return m.server
+	}
+	return 0
 }
 
 // connAtLocked resolves the server expected to hold member slot of
@@ -629,11 +712,12 @@ func (l *Log) openFragmentLocked() {
 	l.seq = l.nextDataSeq(l.seq)
 	fid := wire.MakeFID(l.client, l.seq)
 	stripe := l.stripeOf(l.seq)
-	if _, ok := l.stripeEpochs[stripe]; !ok {
+	s := l.stripeLocked(stripe)
+	if !s.pinned {
 		// Pin the stripe to the head epoch. Membership changes close the
 		// open stripe before publishing a new view, so the pin covers
 		// every member the stripe will ever seal.
-		l.stripeEpochs[stripe] = l.place.Epoch()
+		s.epoch, s.pinned = l.place.Epoch(), true
 	}
 	frame := wire.GetBuffer(l.fragSize)
 	l.cur = &fragBuilder{
@@ -644,8 +728,8 @@ func (l *Log) openFragmentLocked() {
 		payload: frame[HeaderSize:],
 	}
 	l.seq++
-	if l.cfg.PreallocStripes && !l.prealloced[stripe] {
-		l.prealloced[stripe] = true
+	if l.cfg.PreallocStripes && !s.prealloced {
+		s.prealloced = true
 		l.needPre = append(l.needPre, stripe)
 	}
 }
@@ -671,17 +755,7 @@ func (l *Log) sealCurrentLocked(mark bool) []sealedFrag {
 
 func (l *Log) makeSealedLocked(fb *fragBuilder, mark bool) sealedFrag {
 	dataLen := fb.off
-	h := Header{
-		Kind:       FragData,
-		Width:      uint8(l.width),
-		Index:      fb.index,
-		FID:        fb.fid,
-		StripeID:   fb.stripe,
-		DataLen:    uint32(dataLen),
-		PayloadCRC: crc32.ChecksumIEEE(fb.payload[:dataLen]),
-	}
-	l.stampGeometry(&h)
-	l.fillGroup(&h)
+	h := l.memberHeaderLocked(fb.fid, fb.payload[:dataLen])
 	if l.parity {
 		l.pacc.add(l.dataOrdinal(fb.stripe, int(fb.index)), int(fb.index), fb.payload[:dataLen])
 		l.usage.FragmentSealed(fb.stripe, false)
@@ -695,8 +769,8 @@ func (l *Log) makeSealedLocked(fb *fragBuilder, mark bool) sealedFrag {
 	putHeader(fb.frame, &h)
 	frame := fb.frame[:HeaderSize+dataLen]
 	conn := l.connAtLocked(fb.stripe, int(fb.index))
-	l.locations[fb.fid] = conn.ID()
-	l.inflight[fb.fid] = heldFrame{frame: frame, storing: true}
+	m := &l.stripeLocked(fb.stripe).members[fb.index]
+	m.server, m.frame, m.storing = conn.ID(), frame, true
 	l.stats.FragmentsSealed++
 	l.stats.BytesStored += int64(len(frame))
 	return sealedFrag{conn: conn, fid: fb.fid, frame: frame, mark: mark, data: true}
@@ -719,8 +793,8 @@ func (l *Log) stampGeometry(h *Header) {
 // to be empty: a data slot its stripe closed without filling, never
 // stored, read as zero bytes.
 func (l *Log) isEmptyLocked(fid wire.FID) bool {
-	seq := fid.Seq()
-	return fid.Client() == l.client && l.empty[l.stripeOf(seq)]&(1<<(seq%uint64(l.width))) != 0
+	s, i := l.recordLocked(fid)
+	return s != nil && s.empty&(1<<i) != 0
 }
 
 // isEmpty is isEmptyLocked for callers not holding mu.
@@ -733,17 +807,18 @@ func (l *Log) isEmpty(fid wire.FID) bool {
 // noteStripe learns what a fetched header of this log says about its
 // stripe when it carries the stripe's MemberLens (the parity headers
 // and the last data member's): the empty members, so later fetches of
-// those are served locally, and the stripe's geometry entry.
+// those are served locally, and the stripe's geometry.
 func (l *Log) noteStripe(h *Header) {
 	if h.FID.Client() != l.client || int(h.Width) != l.width || !h.HasMemberLens() {
 		return
 	}
 	mask, _ := h.EmptyMembers()
 	l.mu.Lock()
+	s := l.stripeLocked(h.StripeID)
 	if mask != 0 {
-		l.empty[h.StripeID] = mask
+		s.empty = mask
 	}
-	l.geoms[h.StripeID] = *h
+	s.geom = *h
 	l.mu.Unlock()
 }
 
@@ -758,31 +833,22 @@ func (l *Log) lastDataLocked(stripe uint64) bool {
 func (l *Log) sealParityLocked(stripe uint64) []sealedFrag {
 	lens := l.pacc.lens
 	frames, maxLen := l.pacc.take()
+	s := l.stripeLocked(stripe)
 	out := make([]sealedFrag, 0, l.nparity)
 	for j, buf := range frames {
 		pIdx := l.paritySlot(stripe, j)
 		fid := wire.MakeFID(l.client, stripe*uint64(l.width)+uint64(pIdx))
-		h := Header{
-			Kind:       FragParity,
-			Width:      uint8(l.width),
-			Index:      uint8(pIdx),
-			FID:        fid,
-			StripeID:   stripe,
-			DataLen:    uint32(maxLen),
-			MemberLens: lens,
-			PayloadCRC: crc32.ChecksumIEEE(buf[HeaderSize : HeaderSize+maxLen]),
-		}
-		l.stampGeometry(&h)
-		l.fillGroup(&h)
+		h := l.memberHeaderLocked(fid, buf[HeaderSize:HeaderSize+maxLen])
+		h.Kind, h.MemberLens = FragParity, lens
 		putHeader(buf, &h)
 		frame := buf[:HeaderSize+maxLen]
 		conn := l.connAtLocked(stripe, pIdx)
-		l.locations[fid] = conn.ID()
+		s.members[pIdx].server = conn.ID()
 		l.stats.ParityFragments++
 		l.stats.BytesStored += int64(len(frame))
 		out = append(out, sealedFrag{conn: conn, fid: fid, frame: frame})
 	}
-	delete(l.prealloced, stripe) // stripe complete: stop tracking
+	s.prealloced = false // stripe complete: stop tracking
 	l.usage.FragmentSealed(stripe, true)
 	return out
 }
@@ -814,17 +880,14 @@ func (l *Log) closeStripeLocked(mark bool) []sealedFrag {
 // one of them (PreallocStripes) is queued for release.
 func (l *Log) skipUnfilledLocked(stripe uint64) {
 	base, end := stripe*uint64(l.width), (stripe+1)*uint64(l.width)
-	var mask uint16
+	s := l.stripeLocked(stripe)
 	for seq := l.nextDataSeq(l.seq); seq < end; seq = l.nextDataSeq(seq + 1) {
-		mask |= 1 << (seq - base)
-		if l.prealloced[stripe] {
+		s.empty |= 1 << (seq - base)
+		if s.prealloced {
 			l.unreserve = append(l.unreserve, wire.MakeFID(l.client, seq))
 		}
 	}
 	l.seq = end
-	if mask != 0 {
-		l.empty[stripe] = mask
-	}
 }
 
 // ship sends sealed fragments to their servers through the engine's
@@ -846,16 +909,11 @@ func (l *Log) ship(frags []sealedFrag) {
 		}
 		ranges := l.rangesFor(f.conn, len(f.frame))
 		l.engine.StoreAsync(f.conn, f.fid, f.frame, f.mark, ranges, func(err error) {
-			// A failed store whose stripe is still redundancy-covered is a
-			// degraded write (§2.1.2, §3.3): the server is unreachable, the
-			// payload stays in the read-your-writes map, remote readers
-			// reconstruct from the stripe, and RebuildServer restores the
-			// fragment once the server is replaced or revived. Any other
-			// failure exhausts redundancy (no parity, a second member of
-			// the same stripe missing, or a definitive server error): the
-			// payload stays too — the fragment is not durable (Sync will
-			// report that), but local reads keep working.
-			if err != nil && !l.noteDegraded(f.fid, f.conn.ID(), err) {
+			// A failed store is a degraded write while its stripe stays
+			// redundancy-covered (noteDegraded); otherwise the fragment is
+			// not durable and Sync reports it. Either way a data member's
+			// payload stays in its slot, so local reads keep working.
+			if err != nil && !l.noteDegraded(f.fid, err) {
 				l.setErr(fmt.Errorf("store fragment %v on server %d: %w", f.fid, f.conn.ID(), err))
 			}
 			l.storeDone(f, err)
@@ -864,99 +922,85 @@ func (l *Log) ship(frags []sealedFrag) {
 }
 
 // storeDone settles a finished store of f and releases its frame unless
-// a read-your-writes entry still needs it: a data member whose store
-// failed keeps its frame in inflight until RebuildServer or
-// ReclaimStripe drops the entry. An acked member's entry is dropped
-// here; if RebuildServer or ReclaimStripe dropped it while the store was
-// in flight, they left the release to this call. swarmlint:owns-buffer
+// its member slot still needs it: a data member whose store failed
+// keeps its frame until RebuildServer or ReclaimStripe lets go of it.
+// An acked member's slot lets go here; if RebuildServer or ReclaimStripe
+// let go while the store was in flight, they left the release to this
+// call. swarmlint:owns-buffer
 func (l *Log) storeDone(f sealedFrag, err error) {
 	if f.data {
 		l.mu.Lock()
-		held, ok := l.inflight[f.fid]
-		if ok && err != nil {
-			held.storing = false
-			l.inflight[f.fid] = held
-			l.mu.Unlock()
-			return
+		if m := l.slotLocked(f.fid); m != nil && m.frame != nil {
+			if err != nil {
+				m.storing = false
+				l.mu.Unlock()
+				return
+			}
+			m.frame, m.storing = nil, false
 		}
-		delete(l.inflight, f.fid)
 		l.mu.Unlock()
 	}
 	l.releaseFrame(f.frame)
 }
 
-// dropInflightLocked removes fid's read-your-writes entry and returns
-// the frame the caller must release: none while a store of it is in
-// flight, whose completion (storeDone) releases it instead. Callers
-// hold mu.
-func (l *Log) dropInflightLocked(fid wire.FID) []byte {
-	held, ok := l.inflight[fid]
-	if !ok {
-		return nil
-	}
-	delete(l.inflight, fid)
-	if held.storing {
-		return nil
-	}
-	return held.frame
-}
-
 // noteDegraded records a failed fragment store as a degraded write when
-// the stripe stays redundancy-covered. A stripe tolerates up to m
+// the stripe stays redundancy-covered (§2.1.2, §3.3): remote readers
+// reconstruct the member from the stripe, and RebuildServer restores it
+// once the server is replaced or revived. A stripe tolerates up to m
 // missing members (one for the classic XOR parity), so the first m
 // unreachable-server failures in a stripe degrade the write; the next
 // (or any failure without parity, or any definitive server error like
 // no-space) exhausts redundancy and the caller must surface it.
-// Returns whether the failure was absorbed.
-func (l *Log) noteDegraded(fid wire.FID, server wire.ServerID, err error) bool {
+// Returns whether the failure was absorbed; a store whose stripe was
+// reclaimed meanwhile leaves nothing to cover.
+func (l *Log) noteDegraded(fid wire.FID, err error) bool {
 	if !l.parity || !errors.Is(err, transport.ErrUnavailable) {
 		return false
 	}
-	stripe := l.stripeOf(fid.Seq())
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	set := l.degraded[stripe]
-	if _, dup := set[fid]; dup {
+	s, i := l.recordLocked(fid)
+	if s == nil {
 		return true
 	}
-	if len(set) >= l.nparity {
+	m := &s.members[i]
+	if m.degraded {
+		return true
+	}
+	n := s.degradedMembers()
+	if n >= l.nparity {
 		return false // redundancy exhausted: stripe at risk
 	}
-	if set == nil {
-		set = make(map[wire.FID]wire.ServerID, l.nparity)
-		l.degraded[stripe] = set
+	if n == 0 {
 		l.stats.DegradedStripes++
 	}
-	set[fid] = server
+	m.degraded = true
 	l.stats.DegradedWrites++
 	return true
-}
-
-// clearDegradedLocked drops fid from its stripe's degraded set.
-func (l *Log) clearDegradedLocked(fid wire.FID) {
-	stripe := l.stripeOf(fid.Seq())
-	if set := l.degraded[stripe]; set != nil {
-		delete(set, fid)
-		if len(set) == 0 {
-			delete(l.degraded, stripe)
-		}
-	}
 }
 
 // DegradedFIDs returns the fragments whose store was skipped because
 // their server was unreachable, in sequence order. Their stripes remain
 // redundancy-covered; RebuildServer (or ReclaimStripe) clears the
-// entries it resolves.
+// members it resolves.
 func (l *Log) DegradedFIDs() []wire.FID {
+	return l.membersWhere(func(m *memberSlot) bool { return m.degraded })
+}
+
+// membersWhere returns, in sequence order, the members whose slot
+// satisfies keep.
+func (l *Log) membersWhere(keep func(m *memberSlot) bool) []wire.FID {
 	l.mu.Lock()
 	var out []wire.FID
-	for _, set := range l.degraded {
-		for fid := range set {
-			out = append(out, fid)
+	for stripe, s := range l.stripes {
+		for i := range s.members[:l.width] {
+			if keep(&s.members[i]) {
+				out = append(out, wire.MakeFID(l.client, stripe*uint64(l.width)+uint64(i)))
+			}
 		}
 	}
 	l.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -981,7 +1025,7 @@ func (l *Log) drainPreallocs() {
 	l.reserve(stripes)
 	for _, fid := range release {
 		conn := l.connAt(l.stripeOf(fid.Seq()), int(fid.Seq()%uint64(l.width)))
-		if err := conn.Delete(fid); err != nil && !wire.IsStatus(err, wire.StatusNotFound) {
+		if l.DeleteFrom(conn, fid) != nil {
 			l.mu.Lock()
 			l.pendingDel[fid] = conn.ID()
 			l.mu.Unlock()
@@ -1136,66 +1180,65 @@ func (l *Log) CheckpointFloor() Pos {
 }
 
 // ReclaimStripe deletes every stored fragment of a closed stripe from
-// the servers and drops its usage entry. The cleaner calls this after
-// moving the stripe's live blocks. Members known to be empty were never
-// stored and cost no delete.
+// the servers and drops its record and usage entry. The cleaner calls
+// this after moving the stripe's live blocks. Members known to be empty
+// were never stored and cost no delete. A member whose delete fails
+// stays in the record, with the stripe's epoch and empty members, so the
+// cleaner's retry resolves it where it is.
 func (l *Log) ReclaimStripe(stripe uint64) error {
 	l.mu.Lock()
-	if curStripe := l.stripeOf(l.nextDataSeq(l.seq)); stripe >= curStripe {
-		l.mu.Unlock()
+	active := stripe >= l.stripeOf(l.nextDataSeq(l.seq))
+	l.mu.Unlock()
+	if active {
 		return fmt.Errorf("core: stripe %d is still active", stripe)
 	}
-	base := stripe * uint64(l.width)
-	fids := make([]wire.FID, 0, l.width)
-	for i := 0; i < l.width; i++ {
-		if fid := wire.MakeFID(l.client, base+uint64(i)); !l.isEmptyLocked(fid) {
-			fids = append(fids, fid)
-		}
-	}
-	l.mu.Unlock()
-
 	var firstErr error
-	for _, fid := range fids {
-		conn := l.connAt(stripe, int(fid.Seq()-base))
-		err := conn.Delete(fid)
-		if err != nil && !wire.IsStatus(err, wire.StatusNotFound) {
+	for i := 0; i < l.width; i++ {
+		fid := wire.MakeFID(l.client, stripe*uint64(l.width)+uint64(i))
+		if l.isEmpty(fid) {
+			continue
+		}
+		conn := l.connAt(stripe, i)
+		err := l.DeleteFrom(conn, fid)
+		if err != nil {
 			// Try the recorded location before giving up (placement may
 			// predate a configuration change).
 			if alt := l.lookupConn(fid); alt != nil && alt != conn {
-				conn, err = alt, alt.Delete(fid)
+				conn, err = alt, l.DeleteFrom(alt, fid)
 			}
 		}
-		if err != nil && !wire.IsStatus(err, wire.StatusNotFound) {
-			if errors.Is(err, transport.ErrUnavailable) {
-				// The server is unreachable, not refusing: the stripe's
-				// data has already moved, so reclaim proceeds and the
-				// orphan fragment is deleted once the server answers
-				// again (FlushDeletes / RebuildServer).
-				l.mu.Lock()
-				l.pendingDel[fid] = conn.ID()
-				l.stats.DeferredDeletes++
-				l.mu.Unlock()
-			} else if firstErr == nil {
-				firstErr = fmt.Errorf("delete fragment %v: %w", fid, err)
+		if err != nil {
+			if !errors.Is(err, transport.ErrUnavailable) {
+				if firstErr == nil {
+					firstErr = fmt.Errorf("delete fragment %v: %w", fid, err)
+				}
+				continue
 			}
+			// The server is unreachable, not refusing: the stripe's data
+			// has already moved, so reclaim proceeds and the orphan
+			// fragment is deleted once the server answers again
+			// (FlushDeletes / RebuildServer).
+			l.mu.Lock()
+			l.pendingDel[fid] = conn.ID()
+			l.stats.DeferredDeletes++
+			l.mu.Unlock()
 		}
+		var frame []byte
 		l.mu.Lock()
-		delete(l.locations, fid)
-		delete(l.prealloced, stripe)
-		l.clearDegradedLocked(fid)
-		frame := l.dropInflightLocked(fid)
+		if m := l.slotLocked(fid); m != nil {
+			frame = m.release()
+			*m = memberSlot{}
+		}
 		l.mu.Unlock()
 		l.releaseFrame(frame)
 		l.recon.drop(fid)
 	}
-	l.mu.Lock()
-	delete(l.stripeEpochs, stripe) // the stripe no longer exists anywhere
-	delete(l.empty, stripe)
-	delete(l.geoms, stripe)
-	l.mu.Unlock()
 	if firstErr != nil {
 		return firstErr
 	}
+	l.mu.Lock()
+	l.dropStripeLocked(stripe) // the stripe no longer exists anywhere
+	l.mu.Unlock()
 	l.usage.Drop(stripe)
 	return nil
 }
@@ -1207,23 +1250,11 @@ func (l *Log) ReclaimStripe(stripe uint64) error {
 // so RebuildServer flushes them before surveying.
 func (l *Log) FlushDeletes() int {
 	l.mu.Lock()
-	pending := make(map[wire.FID]wire.ServerID, len(l.pendingDel))
-	for fid, id := range l.pendingDel {
-		pending[fid] = id
-	}
+	pending := maps.Clone(l.pendingDel)
 	l.mu.Unlock()
 	for fid, id := range pending {
-		conn := l.place.Conn(id)
-		if conn == nil {
-			// The server was removed from the cluster; the orphan died
-			// with it.
-			l.mu.Lock()
-			delete(l.pendingDel, fid)
-			l.mu.Unlock()
-			continue
-		}
-		err := conn.Delete(fid)
-		if err == nil || wire.IsStatus(err, wire.StatusNotFound) {
+		// An orphan on a server removed from the cluster died with it.
+		if conn := l.place.Conn(id); conn == nil || l.DeleteFrom(conn, fid) == nil {
 			l.mu.Lock()
 			delete(l.pendingDel, fid)
 			l.mu.Unlock()
@@ -1236,13 +1267,11 @@ func (l *Log) FlushDeletes() int {
 
 func (l *Log) lookupConn(fid wire.FID) transport.ServerConn {
 	l.mu.Lock()
-	id, ok := l.locations[fid]
+	id := l.serverOfLocked(fid)
 	l.mu.Unlock()
-	if !ok {
-		return nil
-	}
-	// A recorded location on a removed server resolves to nil; callers
-	// treat that as a miss and fall back to placement or discovery.
+	// No recorded location (0), or one on a removed server, resolves to
+	// nil; callers treat that as a miss and fall back to placement or
+	// discovery.
 	return l.place.Conn(id)
 }
 

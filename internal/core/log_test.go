@@ -172,7 +172,7 @@ func TestFragmentsLandOnRotatedServers(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every sealed fragment must live exactly where placement says.
-	for fid, sid := range l.locations {
+	for fid, sid := range locations(l) {
 		stripe := l.stripeOf(fid.Seq())
 		idx := int(fid.Seq() % uint64(l.width))
 		if want := l.connAt(stripe, idx).ID(); want != sid {
@@ -300,9 +300,7 @@ func TestReconstructParityFragment(t *testing.T) {
 				}
 				l, _ = c.open(t, Config{ParityShards: tc.parity})
 				c.flaky[l.connAt(0, l.paritySlot(0, 1)).ID()-1].SetDown(true)
-				l.mu.Lock()
-				l.geoms = make(map[uint64]Header)
-				l.mu.Unlock()
+				forgetGeometries(l)
 			}
 			defer l.Close()
 			// Find stripe 0's parity fragment and its server; kill it.
@@ -315,7 +313,7 @@ func TestReconstructParityFragment(t *testing.T) {
 			if h.Kind != FragParity || h.FID != pfid {
 				t.Fatalf("header = %+v", h)
 			}
-			if g, ok := l.geoms[0]; tc.otherDown && (!ok || g.Kind != FragData || int(g.Index) != g.LastData()) {
+			if g, ok := geometryOf(l, 0); tc.otherDown && (!ok || g.Kind != FragData || int(g.Index) != g.LastData()) {
 				t.Fatalf("stripe geometry %+v (known %v) is not the last data member's header", g, ok)
 			}
 			for _, f := range c.flaky {
@@ -346,9 +344,7 @@ func TestBroadcastFallbackFindsMislocatedFragment(t *testing.T) {
 	}
 	// Forget the fragment's location: FetchFragment must find it by
 	// broadcast (self-hosting discovery).
-	l.mu.Lock()
-	delete(l.locations, addr.FID)
-	l.mu.Unlock()
+	forgetLocation(l, addr.FID)
 	if _, _, err := l.FetchFragment(addr.FID); err != nil {
 		t.Fatalf("broadcast fetch: %v", err)
 	}
@@ -797,13 +793,11 @@ func TestShortStripePaddingOnSync(t *testing.T) {
 	// its empty members, even when it has to learn which they are from
 	// the stripe's stored headers.
 	l2, _ := c.open(t, Config{})
-	l2.mu.Lock()
-	delete(l2.empty, stripe)
-	l2.mu.Unlock()
+	forgetEmpty(l2, stripe)
 	var emptyServers []*transport.Flaky
 	for i := 0; i < l.width; i++ {
 		fid := wire.MakeFID(testClient, stripe*uint64(l.width)+uint64(i))
-		if _, stored := l.locations[fid]; !stored {
+		if serverOf(l, fid) == 0 {
 			emptyServers = append(emptyServers, c.flaky[l.connAt(stripe, i).ID()-1])
 		}
 	}
@@ -831,7 +825,7 @@ func TestShortStripePaddingOnSync(t *testing.T) {
 	l2.Close()
 	// Kill the server holding the block; it must still be readable, and
 	// the reconstruction decodes the empty members without fetching them.
-	sid := l.locations[addr.FID]
+	sid := serverOf(l, addr.FID)
 	c.flaky[sid-1].SetDown(true)
 	before = calls()
 	if got := mustRead(t, l, addr, 100); !bytes.Equal(got, blockPattern(0, 100)) {
@@ -897,6 +891,42 @@ func TestFragCacheEviction(t *testing.T) {
 	}
 }
 
+// TestFragCacheDropLeavesFIFO checks that a dropped fragment leaves the
+// FIFO as well as the map: drops must not grow the FIFO, and a fragment
+// put again after a drop is evicted in its new order.
+func TestFragCacheDropLeavesFIFO(t *testing.T) {
+	fid := func(seq uint64) wire.FID { return wire.MakeFID(testClient, seq) }
+	frag := cachedFrag{payload: []byte{1}}
+	t.Run("drops keep the FIFO bounded", func(t *testing.T) {
+		c := newFragCache(4)
+		for i := uint64(0); i < 1000; i++ {
+			c.put(fid(i), frag)
+			c.drop(fid(i))
+		}
+		if len(c.m) != 0 || len(c.fifo) != 0 {
+			t.Fatalf("after 1000 put+drop cycles: %d cached, %d FIFO entries, want 0 and 0", len(c.m), len(c.fifo))
+		}
+	})
+	t.Run("a fragment put again is evicted in its new order", func(t *testing.T) {
+		c := newFragCache(2)
+		a, b, d := fid(1), fid(2), fid(3)
+		c.put(a, frag)
+		c.drop(a)
+		c.put(b, frag)
+		c.put(a, frag)
+		c.put(d, frag)
+		if _, ok := c.get(b); ok {
+			t.Error("b, the oldest entry, survived the eviction")
+		}
+		if _, ok := c.get(a); !ok {
+			t.Error("a, put again after b, was evicted before it")
+		}
+		if _, ok := c.get(d); !ok {
+			t.Error("d, just put, is missing")
+		}
+	})
+}
+
 func TestWidthNarrowerThanServers(t *testing.T) {
 	c := newTestCluster(t, 6)
 	l, _ := c.open(t, Config{Width: 3})
@@ -909,7 +939,7 @@ func TestWidthNarrowerThanServers(t *testing.T) {
 	}
 	// Stripes rotate over all 6 servers even at width 3.
 	used := map[wire.ServerID]bool{}
-	for _, sid := range l.locations {
+	for _, sid := range locations(l) {
 		used[sid] = true
 	}
 	if len(used) != 6 {
@@ -1111,7 +1141,7 @@ func TestCorruptFragmentHealsFromParity(t *testing.T) {
 	// Corrupt one data fragment on its server: re-store a bit-flipped
 	// copy (delete + store of the same FID).
 	victim := addrs[0].FID
-	sid := l.locations[victim]
+	sid := serverOf(l, victim)
 	conn := c.conns[sid-1]
 	size, ok, err := conn.Has(victim)
 	if err != nil || !ok {
@@ -1175,7 +1205,7 @@ func TestCorruptSurvivorSkippedByReconstruction(t *testing.T) {
 	}
 	// Re-store the victim with one payload byte flipped (delete + store
 	// of the same FID).
-	conn := c.conns[l.locations[victim]-1]
+	conn := c.conns[serverOf(l, victim)-1]
 	size, ok, err := conn.Has(victim)
 	if err != nil || !ok {
 		t.Fatalf("victim missing: %v", err)
@@ -1191,7 +1221,7 @@ func TestCorruptSurvivorSkippedByReconstruction(t *testing.T) {
 	if err := conn.Store(victim, raw, false, nil); err != nil {
 		t.Fatal(err)
 	}
-	c.flaky[l.locations[wire.MakeFID(testClient, 1)]-1].SetLatency(20 * time.Millisecond)
+	c.flaky[serverOf(l, wire.MakeFID(testClient, 1))-1].SetLatency(20 * time.Millisecond)
 	downAt(c, l, lost)
 
 	h, got, err := l.FetchFragment(lost)

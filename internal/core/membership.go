@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"swarm/internal/placement"
 	"swarm/internal/transport"
@@ -114,10 +113,16 @@ func (l *Log) RemoveServer(id wire.ServerID) (uint32, error) {
 	if err == nil {
 		// State keyed on the departed server would only mislead:
 		// locations fall back to placement/discovery, and deferred
-		// deletes died with the server's disks.
-		for fid, sid := range l.locations {
-			if sid == id {
-				delete(l.locations, fid)
+		// deletes died with the server's disks. A degraded member sent
+		// there stays degraded. A record left holding nothing goes.
+		for stripe, s := range l.stripes {
+			for i := range s.members {
+				if s.members[i].server == id {
+					s.members[i].server = 0
+				}
+			}
+			if s.blank() {
+				l.dropStripeLocked(stripe)
 			}
 		}
 		for fid, sid := range l.pendingDel {
@@ -185,7 +190,7 @@ func (l *Log) MigrationTarget(h *Header, source wire.ServerID, avoid ...wire.Ser
 		if i == slot {
 			continue
 		}
-		if sid, ok := l.locations[h.MemberFID(i)]; ok {
+		if sid := l.serverOfLocked(h.MemberFID(i)); sid != 0 {
 			occupied[sid] = true
 		} else if g := h.Group[i]; g != 0 {
 			occupied[g] = true
@@ -214,8 +219,9 @@ func (l *Log) MigrationTarget(h *Header, source wire.ServerID, avoid ...wire.Ser
 // rebalance counters advance.
 func (l *Log) NoteMigrated(fid wire.FID, to wire.ServerID, bytes int) {
 	l.mu.Lock()
-	l.locations[fid] = to
-	l.clearDegradedLocked(fid)
+	if m := l.noteLocationLocked(fid, to); m != nil {
+		m.degraded = false
+	}
 	l.stats.RebalancedFragments++
 	l.stats.RebalancedBytes += int64(bytes)
 	l.mu.Unlock()
@@ -235,36 +241,16 @@ func (l *Log) NoteOrphan(fid wire.FID, id wire.ServerID) {
 // one server, in sequence order — the drain survey for a source that no
 // longer answers List.
 func (l *Log) LocationsOn(id wire.ServerID) []wire.FID {
-	l.mu.Lock()
-	var out []wire.FID
-	for fid, sid := range l.locations {
-		if sid == id {
-			out = append(out, fid)
-		}
-	}
-	l.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return l.membersWhere(func(m *memberSlot) bool { return m.server == id })
 }
 
 // DegradedOn returns the degraded-write fragments destined for one
 // server: sealed members whose store was skipped while the server was
-// unreachable. A drain migrates these too (served from the
-// read-your-writes map or stripe reconstruction), since the draining
-// server will never receive them.
+// unreachable: its recorded server is the one its store was sent to. A
+// drain migrates these too (served from the held frame or stripe
+// reconstruction), since the draining server will never receive them.
 func (l *Log) DegradedOn(id wire.ServerID) []wire.FID {
-	l.mu.Lock()
-	var out []wire.FID
-	for _, set := range l.degraded {
-		for fid, sid := range set {
-			if sid == id {
-				out = append(out, fid)
-			}
-		}
-	}
-	l.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return l.membersWhere(func(m *memberSlot) bool { return m.degraded && m.server == id })
 }
 
 // FetchFrameFrom reads and validates fragment fid from one specific

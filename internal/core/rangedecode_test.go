@@ -47,19 +47,13 @@ func writeRangeLog(t *testing.T, l *Log, rng *rand.Rand, n int) ([]BlockAddr, []
 // downAt takes the servers holding the given fragments away.
 func downAt(c *cluster, l *Log, fids ...wire.FID) {
 	for _, fid := range fids {
-		l.mu.Lock()
-		id := l.locations[fid]
-		l.mu.Unlock()
-		c.flaky[id-1].SetDown(true)
+		c.flaky[serverOf(l, fid)-1].SetDown(true)
 	}
 }
 
 // isDown reports whether fid's server is down.
 func isDown(c *cluster, l *Log, fid wire.FID) bool {
-	l.mu.Lock()
-	id := l.locations[fid]
-	l.mu.Unlock()
-	return c.flaky[id-1].Down()
+	return c.flaky[serverOf(l, fid)-1].Down()
 }
 
 // rangeStats tallies what checkRangeDecodes exercised.
@@ -214,9 +208,7 @@ func TestRangeDecodeParityNeighbour(t *testing.T) {
 			t.Fatalf("parity %d: no stripe with blocks beside it", j)
 		}
 		downAt(c, l, parityFID, lost[0].FID)
-		l.mu.Lock()
-		l.geoms = make(map[uint64]Header)
-		l.mu.Unlock()
+		forgetGeometries(l)
 		if st := checkRangeDecodes(t, c, l, lost, lostBlocks); st.blocks != len(lost) {
 			t.Fatalf("parity %d: checked %d of %d blocks", j, st.blocks, len(lost))
 		}
@@ -258,7 +250,7 @@ func TestRangeDecodeRentThenBuy(t *testing.T) {
 		}
 	}
 	mustRead(t, l, addrs[own[0]], len(blocks[own[0]])) // learns the geometry
-	g := l.geoms[l.stripeOf(fid.Seq())]
+	g, _ := geometryOf(l, l.stripeOf(fid.Seq()))
 	missIdx := int(fid.Seq() % 6)
 	fragLen := g.MemberLen(missIdx)
 
@@ -429,10 +421,7 @@ func TestRangeDecodeConcurrentChaos(t *testing.T) {
 	// A second member of the stripe fails: decodes still have k.
 	for i := uint64(1); i < 6; i++ {
 		second := wire.MakeFID(testClient, stripe*6+(fid.Seq()+i)%6)
-		l.mu.Lock()
-		_, stored := l.locations[second]
-		l.mu.Unlock()
-		if stored {
+		if serverOf(l, second) != 0 {
 			downAt(c, l, second)
 			break
 		}
@@ -539,9 +528,7 @@ func TestRangeDecodeReleasesBuffers(t *testing.T) {
 	defer l.Close()
 	addrs, blocks := writeRangeLog(t, l, rand.New(rand.NewSource(6)), 120)
 	downAt(c, l, addrs[0].FID)
-	l.mu.Lock()
-	l.geoms = make(map[uint64]Header)
-	l.mu.Unlock()
+	forgetGeometries(l)
 	tr.mu.Lock()
 	tr.on = true
 	tr.mu.Unlock()

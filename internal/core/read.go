@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sync"
 
 	"swarm/internal/fragio"
@@ -125,10 +126,16 @@ func (c *fragCache) put(fid wire.FID, f cachedFrag) {
 	c.fifo = append(c.fifo, fid)
 }
 
+// drop forgets fid. It leaves the FIFO too, so a fragment has one
+// position at most: a stale one would later evict the fragment put again
+// after it, out of order, and drops would grow the FIFO without bound.
 func (c *fragCache) drop(fid wire.FID) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	delete(c.m, fid)
+	if _, ok := c.m[fid]; ok {
+		delete(c.m, fid)
+		c.fifo = slices.DeleteFunc(c.fifo, func(f wire.FID) bool { return f == fid })
+	}
 	delete(c.rented, fid)
 }
 
@@ -141,7 +148,7 @@ func (l *Log) Read(addr BlockAddr, off, n uint32) ([]byte, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	// Local paths: open fragment or sealed-but-inflight payloads.
+	// Local paths: the open fragment or a member's held frame.
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
@@ -150,20 +157,13 @@ func (l *Log) Read(addr BlockAddr, off, n uint32) ([]byte, error) {
 	var local []byte
 	if l.cur != nil && l.cur.fid == addr.FID {
 		local = l.cur.payload[:l.cur.off]
-	} else if held, ok := l.inflight[addr.FID]; ok {
-		local = held.payload()
+	} else if m := l.slotLocked(addr.FID); m != nil && m.frame != nil {
+		local = m.frame[HeaderSize:]
 	}
 	if local != nil {
-		start := int(addr.Off) + EntryHdrSize + int(off)
-		end := start + int(n)
-		if end > len(local) {
-			l.mu.Unlock()
-			return nil, fmt.Errorf("%w: read [%d,%d) beyond fragment data %d", ErrBadFragment, start, end, len(local))
-		}
-		out := make([]byte, n)
-		copy(out, local[start:end])
+		out, err := sliceBlock(local, addr, off, n)
 		l.mu.Unlock()
-		return out, nil
+		return out, err
 	}
 	l.mu.Unlock()
 
@@ -276,7 +276,7 @@ func (l *Log) decode(g *Header, missIdx int, a, b uint32) ([]byte, error) {
 		if !whole {
 			m.Off, m.Len = a, end-a
 		}
-		if id, ok := l.locations[m.FID]; ok {
+		if id := l.serverOfLocked(m.FID); id != 0 {
 			m.Server = id
 		}
 		members = append(members, m)
@@ -323,7 +323,7 @@ func (l *Log) decode(g *Header, missIdx int, a, b uint32) ([]byte, error) {
 	for _, r := range results {
 		if r.Err == nil && r.From != r.Server {
 			// The gather located the member by broadcast: remember where.
-			l.locations[r.FID] = r.From
+			l.noteLocationLocked(r.FID, r.From)
 		}
 	}
 	l.stats.Reconstructions++
@@ -357,14 +357,14 @@ func sliceBlock(payload []byte, addr BlockAddr, off, n uint32) ([]byte, error) {
 func (l *Log) FetchFragment(fid wire.FID) (Header, []byte, error) {
 	// Local copies first: the open fragment, then sealed fragments whose
 	// store is in flight — or was skipped as a degraded write — from the
-	// read-your-writes map, so the cleaner and recovery never pay a
+	// member's held frame, so the cleaner and recovery never pay a
 	// reconstruction for data this client still holds. A member known to
 	// be empty is served the same way, as zero bytes: it was never stored.
 	// A held frame is served with the header encoded into it at seal.
 	l.mu.Lock()
-	if held, ok := l.inflight[fid]; ok {
-		h, err := DecodeHeader(held.frame)
-		payload := append([]byte(nil), held.payload()...)
+	if m := l.slotLocked(fid); m != nil && m.frame != nil {
+		h, err := DecodeHeader(m.frame)
+		payload := append([]byte(nil), m.frame[HeaderSize:]...)
 		l.mu.Unlock()
 		return h, payload, err
 	}
@@ -390,9 +390,11 @@ func (l *Log) FetchFragment(fid wire.FID) (Header, []byte, error) {
 	return l.reconstruct(fid)
 }
 
-// memberHeaderLocked builds the header of this log's data member fid
-// holding payload p, for a member served from local state that has no
-// encoded header: the open fragment, or an empty member (p nil).
+// memberHeaderLocked builds the header of this log's member fid holding
+// payload p, as a data member: the header a member is sealed with
+// (sealParityLocked makes it a parity header), and that of a member
+// served from local state with no encoded header, the open fragment or
+// an empty member (p nil).
 func (l *Log) memberHeaderLocked(fid wire.FID, p []byte) Header {
 	seq := fid.Seq()
 	h := Header{
@@ -449,7 +451,7 @@ func (l *Log) fetchSeqs(seqs []uint64, fetch func(wire.FID) (Header, []byte, err
 	var located, rest []uint64
 	l.mu.Lock()
 	for _, seq := range seqs {
-		if _, ok := l.locations[wire.MakeFID(l.client, seq)]; ok {
+		if l.serverOfLocked(wire.MakeFID(l.client, seq)) != 0 {
 			located = append(located, seq)
 		} else {
 			rest = append(rest, seq)
@@ -512,7 +514,7 @@ func (l *Log) discover(fid wire.FID) (transport.ServerConn, error) {
 		return nil, fmt.Errorf("%w: fragment %v not found on any server", ErrLost, fid)
 	}
 	l.mu.Lock()
-	l.locations[fid] = conn.ID()
+	l.noteLocationLocked(fid, conn.ID())
 	if !shared {
 		l.stats.BroadcastFallback++
 	}
@@ -581,21 +583,24 @@ func (l *Log) reconstructFragment(fid wire.FID) (Header, []byte, error) {
 }
 
 // stripeGeometry returns a header of fid's stripe that carries its
-// MemberLens: the stripe's geometry entry if this log holds one, else a
+// MemberLens: the geometry in the stripe's record if it holds one, else a
 // sibling's header (findSibling) if it carries them, else a parity
 // member's header, else the last data member's, sought from the highest
 // data index down. One of those m+1 copies survives in every stripe
 // that can be decoded: a lost data member needs a surviving parity
 // member, and a lost parity member with all parity gone needs every
 // stored data member, the last one included. The header found becomes
-// the stripe's entry, so only a stripe's first reconstruction pays for
-// the search.
+// the stripe's geometry, so only a stripe's first reconstruction pays
+// for the search.
 func (l *Log) stripeGeometry(fid wire.FID) (*Header, error) {
 	if fid.Client() == l.client {
+		var g Header
 		l.mu.Lock()
-		g, ok := l.geoms[l.stripeOf(fid.Seq())]
+		if s := l.stripes[l.stripeOf(fid.Seq())]; s != nil {
+			g = s.geom
+		}
 		l.mu.Unlock()
-		if ok {
+		if g.HasMemberLens() {
 			return &g, nil
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 
 	"swarm/internal/transport"
 	"swarm/internal/wire"
@@ -32,10 +33,7 @@ func (l *Log) RebuildServer(id wire.ServerID) (int, error) {
 	// mistaken for a live stripe member below.
 	l.FlushDeletes()
 	l.mu.Lock()
-	stale := make(map[wire.FID]bool, len(l.pendingDel))
-	for fid := range l.pendingDel {
-		stale[fid] = true
-	}
+	stale := maps.Clone(l.pendingDel)
 	l.mu.Unlock()
 	// What the server already has.
 	present := make(map[wire.FID]bool)
@@ -44,7 +42,7 @@ func (l *Log) RebuildServer(id wire.ServerID) (int, error) {
 		return 0, fmt.Errorf("list server %d: %w", id, err)
 	}
 	for _, fid := range fids {
-		if !stale[fid] {
+		if _, orphan := stale[fid]; !orphan {
 			present[fid] = true
 		}
 	}
@@ -59,21 +57,21 @@ func (l *Log) RebuildServer(id wire.ServerID) (int, error) {
 			continue
 		}
 		for _, fid := range all {
-			if !stale[fid] {
+			if _, orphan := stale[fid]; !orphan {
 				known[fid.Seq()] = true
 			}
 		}
 	}
-	l.mu.Lock()
-	for _, set := range l.degraded {
-		for fid := range set {
-			known[fid.Seq()] = true
-		}
+	for _, fid := range l.DegradedFIDs() {
+		known[fid.Seq()] = true
 	}
-	l.mu.Unlock()
 
+	stripes := make(map[uint64]bool)
+	for seq := range known {
+		stripes[l.stripeOf(seq)] = true
+	}
 	rebuilt := 0
-	for stripe := range l.stripesOf(known) {
+	for stripe := range stripes {
 		for idx := 0; idx < l.width; idx++ {
 			// A fragment belongs here if its stripe's placement assigns
 			// the slot to this server — under the stripe's own epoch for
@@ -86,7 +84,7 @@ func (l *Log) RebuildServer(id wire.ServerID) (int, error) {
 				continue
 			}
 			// Does the stripe have any surviving member to rebuild from?
-			if !l.stripeKnown(known, stripe, fid.Seq()) {
+			if !l.stripeHasSurvivors(known, fid.Seq()) {
 				continue
 			}
 			// FetchFragment serves degraded writes from the local
@@ -108,10 +106,12 @@ func (l *Log) RebuildServer(id wire.ServerID) (int, error) {
 			}
 			// The member is on its server now: a degraded write's held
 			// frame goes back to the pool.
+			var held []byte
 			l.mu.Lock()
-			l.locations[fid] = id
-			l.clearDegradedLocked(fid)
-			held := l.dropInflightLocked(fid)
+			if m := l.noteLocationLocked(fid, id); m != nil {
+				m.degraded = false
+				held = m.release()
+			}
 			l.mu.Unlock()
 			l.releaseFrame(held)
 			rebuilt++
@@ -130,26 +130,4 @@ func (l *Log) rangesFor(conn transport.ServerConn, frameLen int) []wire.ACLRange
 		return []wire.ACLRange{{Off: 0, Len: uint32(frameLen), AID: aid}}
 	}
 	return nil
-}
-
-// stripesOf collects the stripe IDs covered by a set of known sequence
-// numbers.
-func (l *Log) stripesOf(known map[uint64]bool) map[uint64]bool {
-	out := make(map[uint64]bool)
-	for seq := range known {
-		out[l.stripeOf(seq)] = true
-	}
-	return out
-}
-
-// stripeKnown reports whether the stripe has a surviving member other
-// than the missing sequence number.
-func (l *Log) stripeKnown(known map[uint64]bool, stripe uint64, missing uint64) bool {
-	base := stripe * uint64(l.width)
-	for i := uint64(0); i < uint64(l.width); i++ {
-		if base+i != missing && known[base+i] {
-			return true
-		}
-	}
-	return false
 }

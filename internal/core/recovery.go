@@ -76,7 +76,7 @@ func (l *Log) recover() (*Recovery, error) {
 		reachable++
 		for _, fid := range fids {
 			fidSet[fid.Seq()] = true
-			l.locations[fid] = sc.ID()
+			l.noteLocationLocked(fid, sc.ID())
 		}
 	}
 	if reachable == 0 {
@@ -375,7 +375,7 @@ func (l *Log) VerifyStripe(stripe uint64) error {
 			l.mu.Unlock()
 			return h, nil, nil
 		}
-		m := fragio.Member{FID: fid, Server: l.locations[fid]}
+		m := fragio.Member{FID: fid, Server: l.serverOfLocked(fid)}
 		l.mu.Unlock()
 		r := l.engine.FetchMember(m)
 		if r.Err != nil {

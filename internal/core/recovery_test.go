@@ -230,7 +230,7 @@ func TestRecoveryAppendsContinueOnFreshStripe(t *testing.T) {
 		t.Fatal(err)
 	}
 	var maxBefore uint64
-	for fid := range l.locations {
+	for fid := range locations(l) {
 		if fid.Seq() > maxBefore {
 			maxBefore = fid.Seq()
 		}
@@ -350,7 +350,7 @@ func TestRecoverySurvivesTornTailFragment(t *testing.T) {
 	// then also delete the parity so reconstruction fails.
 	var dataFID, parityFID wire.FID
 	found := false
-	for fid := range l.locations {
+	for fid := range locations(l) {
 		h, _, err := l.fetchDirect(fid)
 		if err != nil {
 			continue
@@ -364,10 +364,10 @@ func TestRecoverySurvivesTornTailFragment(t *testing.T) {
 	if !found {
 		t.Fatal("no data fragment found")
 	}
-	if err := l.place.Conn(l.locations[dataFID]).Delete(dataFID); err != nil {
+	if err := l.place.Conn(serverOf(l, dataFID)).Delete(dataFID); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.place.Conn(l.locations[parityFID]).Delete(parityFID); err != nil {
+	if err := l.place.Conn(serverOf(l, parityFID)).Delete(parityFID); err != nil {
 		t.Fatal(err)
 	}
 

@@ -142,7 +142,7 @@ func TestShortStripeLosses(t *testing.T) {
 				l.Close()
 				var down []wire.ServerID
 				for _, fid := range lost {
-					sid := l.locations[fid]
+					sid := serverOf(l, fid)
 					down = append(down, sid)
 					c.flaky[sid-1].SetDown(true)
 				}
@@ -422,7 +422,7 @@ func TestShortStripeDegradedRead(t *testing.T) {
 	if s, idx := l.stripeOf(addr.FID.Seq()), addr.FID.Seq()%6; s != 4 || idx != 0 {
 		t.Fatalf("block landed in stripe %d index %d, want stripe 4 index 0", s, idx)
 	}
-	c.flaky[l.locations[addr.FID]-1].SetDown(true)
+	c.flaky[serverOf(l, addr.FID)-1].SetDown(true)
 	before := l.EngineStats()
 	if got := mustRead(t, l, addr, len(b)); !bytes.Equal(got, b) {
 		t.Fatal("reconstructed read mismatch")
@@ -473,7 +473,7 @@ func TestShortStripeConcurrentSyncs(t *testing.T) {
 	}
 	shorts := 0
 	for _, s := range l.usage.Stripes() {
-		if l.empty[s] != 0 {
+		if emptyOf(l, s) != 0 {
 			shorts++
 		}
 		if err := l.VerifyStripe(s); err != nil {
@@ -516,6 +516,8 @@ func TestShortStripeConcurrentSyncs(t *testing.T) {
 			}
 		}
 	}
+	checkStripeRecords(t, l)
+	checkStripeRecords(t, l2)
 }
 
 // TestRebuildKeepsStoredHeaders rebuilds each server of an RS(4,2)
@@ -599,6 +601,7 @@ func TestRebuildKeepsStoredHeaders(t *testing.T) {
 					t.Fatalf("rebuilt %d members of server %d, it held %d", n, v+1, len(want))
 				}
 				check(t, c, v, want)
+				checkStripeRecords(t, l)
 				if err := l.Close(); err != nil {
 					t.Fatal(err)
 				}
@@ -630,13 +633,11 @@ func TestRebuildKeepsStoredHeaders(t *testing.T) {
 					want[fid] = frame[:HeaderSize]
 				}
 				recs[v].mu.Unlock()
-				l.mu.Lock()
 				for fid := range want {
-					if _, ok := l.inflight[fid]; ok {
+					if isHeld(l, fid) {
 						held++
 					}
 				}
-				l.mu.Unlock()
 				c.flaky[v].SetDown(false)
 				n, err := l.RebuildServer(wire.ServerID(v + 1))
 				if err != nil {
@@ -646,6 +647,7 @@ func TestRebuildKeepsStoredHeaders(t *testing.T) {
 					t.Fatalf("rebuilt %d members of server %d, %d were degraded", n, v+1, len(want))
 				}
 				check(t, c, v, want)
+				checkStripeRecords(t, l)
 				if err := l.Close(); err != nil {
 					t.Fatal(err)
 				}
