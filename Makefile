@@ -57,9 +57,10 @@ race:
 # retry, breaker and failure-injection tests, the log's short-stripe
 # loss, crash and power-cut tests, its range-decode equivalence tests
 # (degraded reads against the whole-fragment path, under concurrent
-# readers, a second failure and the cleaner), its frame-lifetime test
+# readers, a second failure and the cleaner), its frame-lifetime tests
 # (pooled fragment buffers held, read and released exactly once across
-# un-acked stores, degraded writes, rebuild and reclaim), its
+# un-acked stores, degraded writes, rebuild, a drain's migration and
+# reclaim), its
 # reconstruction, rebuild and corruption tests (rebuilt members keep
 # the headers they were stored with, a corrupt survivor never reaches a
 # whole reconstruction), its stripe-record and reclaim tests (reclaiming
@@ -69,12 +70,16 @@ race:
 # crash tests plus its one read path: the read-after-free guards under
 # each cache shape (capacity 0, one that holds the fragment, one smaller
 # than it), the oversized-extent rule, and the extent cache's fill,
-# hit, admission and eviction tests.
+# hit, admission and eviction tests. The store's group-commit tests
+# (shared fsyncs, barrier ordering, sync errors, concurrent and
+# same-FID stores, a delete behind an in-flight store) run here too:
+# data barriers, entry commits and ACL writes share one sync
+# coalescer, and these are the only tests that race its batches.
 chaos:
 	$(GO) test -race -v -run 'TestChaos|TestDegradedWrites' .
 	$(GO) test -race -run 'Resilient|Flaky|Retry' ./internal/transport
-	$(GO) test -race -run 'ShortStripe|RangeDecode|FrameLifetime|Reconstruct|Rebuild|Corrupt|Reclaim|StripeRecord|FragCache' ./internal/core
-	$(GO) test -race -run 'AllocatorChurn|PowerCut|Crash|ReadAfterFree|ReadDeleteStoreRace|Oversized|ReadExtent|ReadCache' ./internal/server
+	$(GO) test -race -run 'ShortStripe|RangeDecode|FrameLifetime|NoteMigrated|Reconstruct|Rebuild|Corrupt|Reclaim|StripeRecord|FragCache' ./internal/core
+	$(GO) test -race -run 'AllocatorChurn|PowerCut|Crash|ReadAfterFree|ReadDeleteStoreRace|Oversized|ReadExtent|ReadCache|GroupCommit|SyncCoalescer|ConcurrentStores|DeleteWaits' ./internal/server
 
 # Statement coverage across all packages, with a floor: fails if the
 # total drops below COVER_FLOOR percent.

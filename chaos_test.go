@@ -392,7 +392,7 @@ func chaosZipfReads(t *testing.T, cacheBytes int64) {
 	// The run must actually have exercised the server read caches.
 	var hits int64
 	for _, s := range servers {
-		hits += s.store.Stats().ReadHits
+		hits += int64(s.store.Stats().ReadHits)
 	}
 	if hits == 0 {
 		t.Fatal("chaos run never hit the server read caches")
@@ -407,9 +407,9 @@ func chaosZipfReads(t *testing.T, cacheBytes int64) {
 	var misses, raLoads, diskBytes int64
 	for _, s := range servers {
 		st := s.store.Stats()
-		misses += st.ReadMisses
-		raLoads += st.ReadaheadLoads
-		diskBytes += st.ReadBytesDisk
+		misses += int64(st.ReadMisses)
+		raLoads += int64(st.ReadaheadLoads)
+		diskBytes += int64(st.ReadBytesDisk)
 	}
 	if fg := diskBytes - raLoads*chaosZipfFragment; misses == 0 || fg >= misses*chaosZipfFragment/2 {
 		t.Fatalf("%d misses read %d disk bytes beside %d readahead loads: the range-read path was not exercised",

@@ -99,9 +99,9 @@ func run(addrs []string, client wire.ClientID, opts swarm.ClientOptions, args []
 			if st.Stores > 0 {
 				coalesced := st.SyncRequests - st.Syncs
 				avg := time.Duration(st.StoreNanos / st.Stores)
-				fmt.Printf("  commit path: %d stores, %.2f fsyncs/store (%d coalesced of %d barriers), mean entry batch %.1f, avg store latency %v\n",
+				fmt.Printf("  commit path: %d stores, %.2f fsyncs/store (%d coalesced of %d barriers), avg store latency %v\n",
 					st.Stores, float64(st.Syncs)/float64(st.Stores), coalesced, st.SyncRequests,
-					meanEntryBatch(st), avg.Round(time.Microsecond))
+					avg.Round(time.Microsecond))
 			}
 			if reads := st.ReadHits + st.ReadMisses; reads > 0 {
 				fmt.Printf("  read path: %d reads, %.1f%% cache hits, %d readahead loads, %d MB served from cache / %d MB from disk, %d MB resident\n",
@@ -356,13 +356,6 @@ func run(addrs []string, client wire.ClientID, opts swarm.ClientOptions, args []
 	default:
 		return fmt.Errorf("unknown command %q", cmd)
 	}
-}
-
-func meanEntryBatch(st wire.StatResponse) float64 {
-	if st.EntryBatches == 0 {
-		return 0
-	}
-	return float64(st.EntriesBatched) / float64(st.EntryBatches)
 }
 
 func parseFID(s string) (wire.FID, error) {

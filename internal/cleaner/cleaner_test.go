@@ -279,7 +279,7 @@ func TestCleanerFreesServerSlots(t *testing.T) {
 	}
 	before := 0
 	for _, st := range f.stores {
-		before += st.Stats().FreeSlots
+		before += int(st.Stats().FreeSlots)
 	}
 	c := New(f.log, f.reg, Config{UtilizationThreshold: 0.9, MaxStripesPerPass: 100})
 	if _, err := c.CleanOnce(); err != nil {
@@ -287,7 +287,7 @@ func TestCleanerFreesServerSlots(t *testing.T) {
 	}
 	after := 0
 	for _, st := range f.stores {
-		after += st.Stats().FreeSlots
+		after += int(st.Stats().FreeSlots)
 	}
 	if after <= before {
 		t.Fatalf("free slots %d -> %d, expected growth", before, after)

@@ -561,6 +561,19 @@ func (l *Log) noteLocationLocked(fid wire.FID, id wire.ServerID) *memberSlot {
 	return m
 }
 
+// noteStoredLocked records that fid is now stored on server id (a
+// rebuild or a migration put it there): the member is no longer
+// degraded, and its slot lets go of a held frame, which is returned for
+// the caller to release once mu is dropped. Callers hold mu.
+func (l *Log) noteStoredLocked(fid wire.FID, id wire.ServerID) []byte {
+	m := l.noteLocationLocked(fid, id)
+	if m == nil {
+		return nil
+	}
+	m.degraded = false
+	return m.release()
+}
+
 // serverOfLocked returns fid's recorded server, 0 when unknown.
 // Callers hold mu.
 func (l *Log) serverOfLocked(fid wire.FID) wire.ServerID {

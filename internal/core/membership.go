@@ -215,16 +215,16 @@ func (l *Log) MigrationTarget(h *Header, source wire.ServerID, avoid ...wire.Ser
 }
 
 // NoteMigrated records a verified rebalancer move: fid now lives on
-// server to. Reads follow the new location immediately and the
-// rebalance counters advance.
+// server to. Reads follow the new location immediately, a degraded
+// write's held frame goes back to the pool, and the rebalance counters
+// advance.
 func (l *Log) NoteMigrated(fid wire.FID, to wire.ServerID, bytes int) {
 	l.mu.Lock()
-	if m := l.noteLocationLocked(fid, to); m != nil {
-		m.degraded = false
-	}
+	held := l.noteStoredLocked(fid, to)
 	l.stats.RebalancedFragments++
 	l.stats.RebalancedBytes += int64(bytes)
 	l.mu.Unlock()
+	l.releaseFrame(held)
 }
 
 // NoteOrphan defers deletion of fid on an unreachable server until it

@@ -248,6 +248,76 @@ func TestManualDrainToRemoval(t *testing.T) {
 	}
 }
 
+// TestNoteMigratedReleasesHeldFrame drains a server that was down while
+// the log wrote, the way the rebalancer re-homes degraded writes
+// (FetchFragment → MigrationTarget → StoreFrame → NoteMigrated): once a
+// degraded data member is stored on its new home, its slot holds no
+// frame, the frame went back to the pool exactly once, and reads find
+// the member at its new home.
+func TestNoteMigratedReleasesHeldFrame(t *testing.T) {
+	c := newTestCluster(t, 7)
+	l, _ := c.open(t, Config{Width: 6, ParityShards: 2})
+	defer l.Close()
+	rc := &releaseCounter{n: make(map[wire.FID]int)}
+	l.releaseFrame = rc.release
+
+	victim := wire.ServerID(3)
+	var addrs []BlockAddr
+	for i := 0; i < 48; i++ {
+		if i == 8 {
+			c.flaky[victim-1].SetDown(true)
+		}
+		addrs = append(addrs, mustAppend(t, l, 7, blockPattern(i, 1024)))
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	var heldData []wire.FID
+	for _, fid := range l.DegradedOn(victim) {
+		if isHeld(l, fid) {
+			heldData = append(heldData, fid)
+		}
+	}
+	if len(heldData) == 0 {
+		t.Fatal("no degraded data member held while server 3 was down")
+	}
+
+	if _, err := l.DrainServer(victim); err != nil {
+		t.Fatal(err)
+	}
+	for _, fid := range l.DegradedOn(victim) {
+		h, payload, err := l.FetchFragment(fid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		target, err := l.MigrationTarget(&h, victim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.StoreFrame(target, &h, payload); err != nil {
+			t.Fatal(err)
+		}
+		l.NoteMigrated(fid, target.ID(), len(payload))
+	}
+	if left := l.DegradedFIDs(); len(left) != 0 {
+		t.Fatalf("still degraded after the drain: %v", left)
+	}
+	if held := heldFrames(l); held != 0 {
+		t.Fatalf("log still holds %d frame(s) after the drain", held)
+	}
+	for _, fid := range heldData {
+		if n := rc.count(fid); n != 1 {
+			t.Fatalf("migrated %v released %d times, want 1", fid, n)
+		}
+	}
+	for i, addr := range addrs {
+		if !bytes.Equal(mustRead(t, l, addr, 1024), blockPattern(i, 1024)) {
+			t.Fatalf("block %d wrong after the drain", i)
+		}
+	}
+	checkStripeRecords(t, l)
+}
+
 // TestMigrationTargetAvoidsStripeMembers: the chosen target never
 // already holds another member of the same stripe.
 func TestMigrationTargetAvoidsStripeMembers(t *testing.T) {

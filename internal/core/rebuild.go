@@ -106,12 +106,8 @@ func (l *Log) RebuildServer(id wire.ServerID) (int, error) {
 			}
 			// The member is on its server now: a degraded write's held
 			// frame goes back to the pool.
-			var held []byte
 			l.mu.Lock()
-			if m := l.noteLocationLocked(fid, id); m != nil {
-				m.degraded = false
-				held = m.release()
-			}
+			held := l.noteStoredLocked(fid, id)
 			l.mu.Unlock()
 			l.releaseFrame(held)
 			rebuilt++

@@ -71,7 +71,7 @@ func slotsHeld(c *cluster) int {
 	n := 0
 	for _, st := range c.stores {
 		s := st.Stats()
-		n += s.TotalSlots - s.FreeSlots
+		n += int(s.TotalSlots - s.FreeSlots)
 	}
 	return n
 }
@@ -355,7 +355,7 @@ func TestShortStripePowerCutBesideNeighbours(t *testing.T) {
 	if len(before[victim-1]) == 0 {
 		t.Fatalf("server %d holds no earlier fragment to sit beside", victim)
 	}
-	if st := c.stores[victim-1].Stats(); st.UnitsHeld >= st.FragmentSize/server.UnitSize(st.FragmentSize) {
+	if st := c.stores[victim-1].Stats(); int(st.UnitsHeld) >= int(st.FragmentSize)/server.UnitSize(int(st.FragmentSize)) {
 		t.Fatalf("server %d's earlier fragments fill %d units: the next one would not share their span", victim, st.UnitsHeld)
 	}
 	cuts[victim-1].armed.Store(true)
@@ -489,9 +489,9 @@ func TestShortStripeConcurrentSyncs(t *testing.T) {
 	fragments, units, memberUnits := 0, 0, 0
 	for _, st := range c.stores {
 		s := st.Stats()
-		fragments += s.Fragments
-		units += s.UnitsHeld
-		unit := server.UnitSize(s.FragmentSize)
+		fragments += int(s.Fragments)
+		units += int(s.UnitsHeld)
+		unit := server.UnitSize(int(s.FragmentSize))
 		for _, fid := range st.List(testClient) {
 			size, _ := st.Has(fid)
 			memberUnits += max(1, (int(size)+unit-1)/unit)

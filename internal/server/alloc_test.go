@@ -149,7 +149,7 @@ func churn(t *testing.T, seed uint64) {
 					stores++
 				}
 			}
-			if st := s.Stats(); st.UnitsHeld != heldUnits() || st.Fragments != len(model) {
+			if st := s.Stats(); int(st.UnitsHeld) != heldUnits() || int(st.Fragments) != len(model) {
 				t.Fatalf("batch %d op %d: store holds %d units in %d extents, model %d in %d",
 					batch, op, st.UnitsHeld, st.Fragments, heldUnits(), len(model))
 			}
@@ -452,7 +452,7 @@ func TestPowerCutBetweenDeleteAndReuse(t *testing.T) {
 					}
 				}
 			}
-			if st := s2.Stats(); st.Fragments != len(want) || st.UnitsHeld != 3*len(want) {
+			if st := s2.Stats(); int(st.Fragments) != len(want) || int(st.UnitsHeld) != 3*len(want) {
 				t.Fatalf("after recovery: %+v", st)
 			}
 		})

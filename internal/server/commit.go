@@ -2,28 +2,22 @@ package server
 
 import (
 	"runtime"
-	"sort"
 	"sync"
 
 	"swarm/internal/disk"
 )
 
-// This file implements the store's group-commit machinery (DESIGN.md
-// §3.10). Two cooperating pieces move the commit path off the old
-// one-lock-two-fsyncs-per-store design:
+// This file implements the store's group commit (DESIGN.md §3.10):
+// syncCoalescer shares physical d.Sync calls between concurrent
+// committers (classic WAL group commit). A caller whose writes are
+// already on the disk's queue registers and is satisfied by any barrier
+// sync that *starts* after registration. Both barriers of a store — the
+// data barrier and the entry commit — and the ACL barrier go through the
+// one coalescer, so waiters of every kind share one physical fsync.
 //
-//   - syncCoalescer shares physical d.Sync calls between concurrent
-//     committers (classic WAL group commit): a caller whose writes are
-//     already on the disk's queue registers and is satisfied by any
-//     barrier sync that *starts* after registration.
-//
-//   - entryCommitter batches slot-entry writes: concurrent commits that
-//     overlap in time are written by a single leader (sorted by disk
-//     offset) and made durable by one shared sync.
-//
-// Ownership rule: neither structure ever takes the store mutex, so
-// callers may hold it (Delete, Prealloc do) or not (Store does not)
-// while waiting on a barrier — the leader of a batch never needs s.mu.
+// Ownership rule: the coalescer never takes the store mutex, so callers
+// may hold it (Delete, Prealloc do) or not (Store does not) while
+// waiting on a barrier — the leader of a batch never needs s.mu.
 
 // syncCoalescer shares fsyncs among concurrent committers. A caller must
 // finish its own WriteAt calls before calling Sync; the coalescer then
@@ -104,91 +98,4 @@ func (c *syncCoalescer) counters() (requests, syncs int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.requests, c.syncs
-}
-
-// entryReq is one slot-entry write queued for a batched commit.
-type entryReq struct {
-	off int64
-	buf []byte
-	err error
-}
-
-type entryBatch struct {
-	done chan struct{}
-	reqs []*entryReq
-}
-
-// entryCommitter batches slot-entry writes. Entries from commits that
-// overlap in time are written together by one leader — sorted by offset,
-// so adjacent slots become near-sequential disk writes — and committed
-// by a single coalesced sync. Per-entry write errors stay with their
-// entry; a sync failure fails every entry in the batch (none is provably
-// durable).
-type entryCommitter struct {
-	d    disk.Disk
-	sync *syncCoalescer // shared with the data-barrier path
-
-	mu      sync.Mutex
-	idle    *sync.Cond
-	writing bool        // guarded by mu
-	pending *entryBatch // guarded by mu
-
-	batches int64 // batches written; guarded by mu
-	entries int64 // entries across all batches; guarded by mu
-}
-
-func newEntryCommitter(d disk.Disk, sc *syncCoalescer) *entryCommitter {
-	c := &entryCommitter{d: d, sync: sc}
-	c.idle = sync.NewCond(&c.mu)
-	return c
-}
-
-// commit durably writes one encoded slot entry at off, sharing the write
-// pass and the fsync with any concurrent commits.
-func (c *entryCommitter) commit(off int64, buf []byte) error {
-	req := &entryReq{off: off, buf: buf}
-	c.mu.Lock()
-	if b := c.pending; b != nil {
-		b.reqs = append(b.reqs, req)
-		c.mu.Unlock()
-		<-b.done
-		return req.err
-	}
-	b := &entryBatch{done: make(chan struct{}), reqs: []*entryReq{req}}
-	c.pending = b
-	for c.writing {
-		c.idle.Wait()
-	}
-	c.pending = nil
-	c.writing = true
-	c.mu.Unlock()
-
-	sort.Slice(b.reqs, func(i, j int) bool { return b.reqs[i].off < b.reqs[j].off })
-	for _, r := range b.reqs {
-		if err := c.d.WriteAt(r.buf, r.off); err != nil {
-			r.err = err
-		}
-	}
-	serr := c.sync.Sync()
-	for _, r := range b.reqs {
-		if r.err == nil {
-			r.err = serr
-		}
-	}
-
-	c.mu.Lock()
-	c.writing = false
-	c.batches++
-	c.entries += int64(len(b.reqs))
-	c.idle.Broadcast()
-	c.mu.Unlock()
-	close(b.done)
-	return req.err
-}
-
-// counters returns (batches, entries batched).
-func (c *entryCommitter) counters() (batches, entries int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.batches, c.entries
 }

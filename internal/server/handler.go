@@ -162,40 +162,7 @@ func (s *Store) handle(client wire.ClientID, op wire.Op, body []byte) (wire.Stat
 
 	case wire.OpStat:
 		st := s.Stats()
-		var tenants []wire.TenantStat
-		for _, t := range st.Tenants {
-			tenants = append(tenants, wire.TenantStat{
-				Client:      t.Client,
-				Weight:      uint32(t.Weight),
-				Ops:         t.Ops,
-				Bytes:       t.Bytes,
-				Sheds:       t.Sheds,
-				Queued:      uint32(t.Queued),
-				QueuedBytes: uint64(t.QueuedBytes),
-				P50Micros:   uint64(t.P50.Microseconds()),
-				P99Micros:   uint64(t.P99.Microseconds()),
-			})
-		}
-		return wire.StatusOK, &wire.StatResponse{
-			FragmentSize:    uint32(st.FragmentSize),
-			TotalSlots:      uint32(st.TotalSlots),
-			FreeSlots:       uint32(st.FreeSlots),
-			Fragments:       uint32(st.Fragments),
-			UnitsHeld:       uint32(st.UnitsHeld),
-			Stores:          uint64(st.Stores),
-			SyncRequests:    uint64(st.SyncRequests),
-			Syncs:           uint64(st.Syncs),
-			EntryBatches:    uint64(st.EntryBatches),
-			EntriesBatched:  uint64(st.EntriesBatched),
-			StoreNanos:      uint64(st.StoreNanos),
-			ReadHits:        uint64(st.ReadHits),
-			ReadMisses:      uint64(st.ReadMisses),
-			ReadaheadLoads:  uint64(st.ReadaheadLoads),
-			ReadBytesCached: uint64(st.ReadBytesCached),
-			ReadBytesDisk:   uint64(st.ReadBytesDisk),
-			ReadCacheBytes:  uint64(st.ReadCacheBytes),
-			Tenants:         tenants,
-		}
+		return wire.StatusOK, &st
 
 	default:
 		return wire.StatusBadRequest, errMsgStr("unknown op")

@@ -105,7 +105,7 @@ func TestHandleAccessDenied(t *testing.T) {
 func TestHandleNoSpace(t *testing.T) {
 	s := handlerStore(t)
 	full := make([]byte, s.FragmentSize())
-	total := s.Stats().TotalSlots
+	total := int(s.Stats().TotalSlots)
 	for i := 0; i < total; i++ {
 		if status, _ := s.Handle(1, wire.OpStore, encodeReq(&wire.StoreRequest{FID: wire.MakeFID(1, uint64(i)), Data: full})); status != wire.StatusOK {
 			t.Fatalf("fill store %d failed", i)

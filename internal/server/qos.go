@@ -351,35 +351,22 @@ func (q *qosSched) dispatchLocked() {
 	}
 }
 
-// TenantStat is one principal's accounting snapshot.
-type TenantStat struct {
-	Client      wire.ClientID
-	Weight      int
-	Ops         uint64        // requests served
-	Bytes       uint64        // byte-weighted cost served
-	Sheds       uint64        // requests shed at admission
-	Queued      int           // requests waiting now
-	QueuedBytes int64         // cost waiting now
-	P50         time.Duration // median service latency (enqueue → completion)
-	P99         time.Duration // tail service latency
-}
-
 // TenantStats snapshots every class, in ascending client order.
-func (q *qosSched) TenantStats() []TenantStat {
+func (q *qosSched) TenantStats() []wire.TenantStat {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	out := make([]TenantStat, 0, len(q.classes))
+	out := make([]wire.TenantStat, 0, len(q.classes))
 	for _, c := range q.classes {
-		out = append(out, TenantStat{
+		out = append(out, wire.TenantStat{
 			Client:      c.client,
-			Weight:      int(c.weight),
+			Weight:      uint32(c.weight),
 			Ops:         c.servedOps,
 			Bytes:       c.servedBytes,
 			Sheds:       c.sheds,
-			Queued:      len(c.queue),
-			QueuedBytes: c.queuedBytes,
-			P50:         c.hist.quantile(0.50),
-			P99:         c.hist.quantile(0.99),
+			Queued:      uint32(len(c.queue)),
+			QueuedBytes: uint64(c.queuedBytes),
+			P50Micros:   uint64(c.hist.quantile(0.50).Microseconds()),
+			P99Micros:   uint64(c.hist.quantile(0.99).Microseconds()),
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Client < out[j].Client })

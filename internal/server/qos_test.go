@@ -15,7 +15,7 @@ func qosWaitQueued(t *testing.T, q *qosSched, client wire.ClientID, depth int) {
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		for _, ts := range q.TenantStats() {
-			if ts.Client == client && ts.Queued >= depth {
+			if ts.Client == client && int(ts.Queued) >= depth {
 				return
 			}
 		}

@@ -166,8 +166,7 @@ type Store struct {
 	gen     []uint64                   // per-unit generation, bumped when the extent starting there is freed; guarded by mu
 	storing map[wire.FID]chan struct{} // FIDs with an uncommitted store in flight; guarded by mu
 
-	committer *syncCoalescer  // shared-fsync barrier (data + entry syncs)
-	entries   *entryCommitter // batched entry commits
+	committer *syncCoalescer // shared-fsync barrier (data, entry and ACL syncs)
 
 	stores     atomic.Int64 // committed fragment stores
 	storeNanos atomic.Int64 // cumulative wall time of committed stores
@@ -264,7 +263,6 @@ func open(d disk.Disk, fresh bool) (*Store, error) {
 		acls:     NewACLDB(),
 	}
 	s.committer = newSyncCoalescer(d)
-	s.entries = newEntryCommitter(d, s.committer)
 	if err := s.loadACLs(); err != nil {
 		return nil, err
 	}
@@ -316,8 +314,8 @@ func (s *Store) loadEntries() error {
 	}
 	s.free.free(next, s.numUnits-next)
 	for _, u := range dups {
-		if err := s.entries.commit(s.entryOff(u), (&fragEntry{}).encode(s.nonce)); err != nil {
-			return fmt.Errorf("clear duplicate entry: %w", err)
+		if err := s.commitEntry(u, fragEntry{}); err != nil {
+			return fmt.Errorf("clear duplicate: %w", err)
 		}
 	}
 	return nil
@@ -396,15 +394,17 @@ func (s *Store) loadACLs() error {
 func (s *Store) entryOff(unit int) int64 { return entryTableOff + int64(unit)*entrySize }
 func (s *Store) unitOff(unit int) int64  { return s.dataOff + int64(unit)*int64(s.unitSize) }
 
-// writeEntry durably rewrites the entry of the extent starting at unit
-// and mirrors it in memory. The write goes through the batched entry
-// committer, which never takes s.mu, so callers may hold it while
-// waiting on a shared batch. Callers hold s.mu. swarmlint:locked
-func (s *Store) writeEntry(unit int, ent fragEntry) error {
-	if err := s.entries.commit(s.entryOff(unit), ent.encode(s.nonce)); err != nil {
+// commitEntry durably rewrites the entry of the extent starting at unit:
+// one entry write, then a barrier shared through the sync coalescer with
+// every concurrent data and entry barrier. It takes no lock, so Delete
+// and Prealloc call it holding s.mu and Store calls it without.
+func (s *Store) commitEntry(unit int, ent fragEntry) error {
+	if err := s.d.WriteAt(ent.encode(s.nonce), s.entryOff(unit)); err != nil {
 		return fmt.Errorf("write entry: %w", err)
 	}
-	s.ents[unit] = ent
+	if err := s.committer.Sync(); err != nil {
+		return fmt.Errorf("sync entry: %w", err)
+	}
 	return nil
 }
 
@@ -489,8 +489,8 @@ func (s *Store) Store(fid wire.FID, data []byte, mark bool, ranges []wire.ACLRan
 		flags |= flagMarked
 	}
 	ent := fragEntry{fid: fid, size: uint32(len(data)), flags: flags, ranges: ranges}
-	if err := s.entries.commit(s.entryOff(first), ent.encode(s.nonce)); err != nil {
-		return fail(fmt.Errorf("write entry: %w", err), false)
+	if err := s.commitEntry(first, ent); err != nil {
+		return fail(err, false)
 	}
 	s.mu.Lock()
 	s.ents[first] = ent
@@ -537,9 +537,10 @@ func (s *Store) Delete(client wire.ClientID, fid wire.FID) error {
 	if err := s.checkAccess(&ent, client, 0, ent.size); err != nil {
 		return err
 	}
-	if err := s.writeEntry(first, fragEntry{}); err != nil {
+	if err := s.commitEntry(first, fragEntry{}); err != nil {
 		return err
 	}
+	s.ents[first] = fragEntry{}
 	delete(s.bySID, fid)
 	s.gen[first]++ // invalidate in-flight lockless reads of this extent
 	s.free.free(first, s.extentUnits(&ent))
@@ -566,9 +567,10 @@ func (s *Store) Prealloc(fid wire.FID) error {
 	// A failed entry commit keeps the units: the reservation may have
 	// reached the disk (see Store).
 	ent := fragEntry{fid: fid, flags: flagUsed | flagPrealloc}
-	if err := s.writeEntry(first, ent); err != nil {
+	if err := s.commitEntry(first, ent); err != nil {
 		return err
 	}
+	s.ents[first] = ent
 	s.bySID[fid] = first
 	return nil
 }
@@ -624,108 +626,36 @@ func (s *Store) List(client wire.ClientID) []wire.FID {
 	return out
 }
 
-// Stats describes store occupancy and commit-path activity.
+// Stats returns current occupancy and the commit- and read-path
+// counters (see wire.StatResponse).
 //
 // Slots are units of FragmentSize capacity, not places: TotalSlots is the
 // store's units / 16, and FreeSlots is how many full-size fragments fit
 // in the free runs right now (a full-size Store succeeds exactly when it
 // is at least one). TotalSlots − FreeSlots thus counts the capacity held,
 // fragmentation included.
-type Stats struct {
-	FragmentSize int
-	TotalSlots   int
-	FreeSlots    int
-	Fragments    int // stored fragments and reservations
-	UnitsHeld    int // FragmentSize/16-byte units that extents (reservations included) hold
-
-	// Commit-path counters, cumulative since open.
-	Stores         int64 // committed fragment stores
-	SyncRequests   int64 // logical sync barriers requested by the commit path
-	Syncs          int64 // physical d.Sync calls issued for them
-	EntryBatches   int64 // batched entry commit rounds
-	EntriesBatched int64 // entries written across those rounds
-	StoreNanos     int64 // cumulative wall time of committed stores
-
-	// Read-path counters (all zero while the serving-tier extent cache
-	// has capacity 0, where every read is a range read), cumulative
-	// since open.
-	ReadHits        int64 // reads served from the extent cache
-	ReadMisses      int64 // reads not answered from the cache
-	ReadaheadLoads  int64 // extents prefetched by the readahead worker
-	ReadBytesCached int64 // payload bytes served zero-copy from cache
-	ReadBytesDisk   int64 // bytes read from disk: extent fills and range reads
-	ReadCacheBytes  int64 // current extent cache occupancy
-
-	// Per-tenant QoS accounting (empty while the fair scheduler is
-	// disabled), one entry per principal seen, ascending client order.
-	Tenants []TenantStat
-}
-
-// CoalescedSyncs is how many sync barriers were satisfied by another
-// waiter's fsync instead of issuing their own.
-func (st Stats) CoalescedSyncs() int64 { return st.SyncRequests - st.Syncs }
-
-// SyncsPerStore is the physical fsyncs paid per committed fragment
-// (2.0 when every store pays its own data and entry barriers; < 1
-// under effective group commit).
-func (st Stats) SyncsPerStore() float64 {
-	if st.Stores == 0 {
-		return 0
-	}
-	return float64(st.Syncs) / float64(st.Stores)
-}
-
-// MeanSyncBatch is the mean number of barriers one physical fsync
-// satisfied.
-func (st Stats) MeanSyncBatch() float64 {
-	if st.Syncs == 0 {
-		return 0
-	}
-	return float64(st.SyncRequests) / float64(st.Syncs)
-}
-
-// MeanEntryBatch is the mean entries committed per batch round.
-func (st Stats) MeanEntryBatch() float64 {
-	if st.EntryBatches == 0 {
-		return 0
-	}
-	return float64(st.EntriesBatched) / float64(st.EntryBatches)
-}
-
-// AvgStoreLatency is the mean wall time of a committed store.
-func (st Stats) AvgStoreLatency() time.Duration {
-	if st.Stores == 0 {
-		return 0
-	}
-	return time.Duration(st.StoreNanos / st.Stores)
-}
-
-// Stats returns current occupancy and commit-path counters.
-func (s *Store) Stats() Stats {
+func (s *Store) Stats() wire.StatResponse {
 	req, syncs := s.committer.counters()
-	batches, entries := s.entries.counters()
 	s.mu.RLock()
-	st := Stats{
-		FragmentSize:   s.fragSize,
-		TotalSlots:     s.numUnits / unitsPerFragment,
-		FreeSlots:      s.free.fullSlots(),
-		Fragments:      len(s.bySID),
-		UnitsHeld:      s.numUnits - s.free.units(),
-		Stores:         s.stores.Load(),
-		SyncRequests:   req,
-		Syncs:          syncs,
-		EntryBatches:   batches,
-		EntriesBatched: entries,
-		StoreNanos:     s.storeNanos.Load(),
+	st := wire.StatResponse{
+		FragmentSize: uint32(s.fragSize),
+		TotalSlots:   uint32(s.numUnits / unitsPerFragment),
+		FreeSlots:    uint32(s.free.fullSlots()),
+		Fragments:    uint32(len(s.bySID)),
+		UnitsHeld:    uint32(s.numUnits - s.free.units()),
+		Stores:       uint64(s.stores.Load()),
+		SyncRequests: uint64(req),
+		Syncs:        uint64(syncs),
+		StoreNanos:   uint64(s.storeNanos.Load()),
 	}
 	s.mu.RUnlock()
 	if rc := s.rcache; rc.capBytes > 0 {
-		st.ReadHits = rc.hits.Load()
-		st.ReadMisses = rc.misses.Load()
-		st.ReadaheadLoads = rc.raLoads.Load()
-		st.ReadBytesCached = rc.bytesCached.Load()
-		st.ReadBytesDisk = rc.bytesDisk.Load()
-		st.ReadCacheBytes = rc.curBytes()
+		st.ReadHits = uint64(rc.hits.Load())
+		st.ReadMisses = uint64(rc.misses.Load())
+		st.ReadaheadLoads = uint64(rc.raLoads.Load())
+		st.ReadBytesCached = uint64(rc.bytesCached.Load())
+		st.ReadBytesDisk = uint64(rc.bytesDisk.Load())
+		st.ReadCacheBytes = uint64(rc.curBytes())
 	}
 	if q := s.qos; q != nil {
 		st.Tenants = q.TenantStats()

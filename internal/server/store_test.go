@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -91,7 +92,7 @@ func TestStoreTooLarge(t *testing.T) {
 func TestStoreNoSpace(t *testing.T) {
 	s, _ := newTestStore(t, 2)
 	full := make([]byte, s.FragmentSize())
-	total := s.Stats().TotalSlots
+	total := int(s.Stats().TotalSlots)
 	if total != 2 {
 		t.Fatalf("TotalSlots = %d, want 2", total)
 	}
@@ -121,7 +122,7 @@ func TestStoreNoSpace(t *testing.T) {
 func TestStoreOneUnitFragmentsFill(t *testing.T) {
 	s, d := newTestStore(t, 2)
 	unit := UnitSize(s.FragmentSize())
-	n := unitsPerFragment * s.Stats().TotalSlots
+	n := unitsPerFragment * int(s.Stats().TotalSlots)
 	for i := 0; i < n; i++ {
 		fid := wire.MakeFID(1, uint64(i))
 		if err := s.Store(fid, bytes.Repeat([]byte{byte(i)}, unit), false, nil); err != nil {
@@ -132,7 +133,7 @@ func TestStoreOneUnitFragmentsFill(t *testing.T) {
 		t.Fatalf("store past %d one-unit fragments: %v", n, err)
 	}
 	st := s.Stats()
-	if st.FreeSlots != 0 || st.UnitsHeld != n || st.Fragments != n {
+	if st.FreeSlots != 0 || int(st.UnitsHeld) != n || int(st.Fragments) != n {
 		t.Fatalf("stats after filling: %+v", st)
 	}
 	s2, err := Open(d)
@@ -200,7 +201,7 @@ func TestPreallocThenStore(t *testing.T) {
 func TestPreallocReservesSpace(t *testing.T) {
 	s, _ := newTestStore(t, 2)
 	full := make([]byte, s.FragmentSize())
-	total := s.Stats().TotalSlots
+	total := int(s.Stats().TotalSlots)
 	for i := 0; i < total; i++ {
 		if err := s.Prealloc(wire.MakeFID(1, uint64(i))); err != nil {
 			t.Fatal(err)
@@ -548,14 +549,18 @@ func TestReadAfterFreeSlotReuse(t *testing.T) {
 
 // Stress variant for the race detector: one slot, a writer cycling
 // store→delete, and readers that must only ever observe a fragment's own
-// bytes or ErrNotFound, through range reads, fills and hits alike.
+// bytes or ErrNotFound, through range reads, fills and hits alike. Every
+// fourth fragment-data read waits, between the reader's lookup and its
+// disk read, until the writer has recycled the slot (or 20 ms passed), so
+// the run reaches the read-after-free window the generation check
+// guards rather than hoping the scheduler finds it.
 func TestReadDeleteStoreRaceStress(t *testing.T) {
 	fragSize := 512
 	for _, tc := range guardCaches(fragSize) {
 		t.Run(tc.name, func(t *testing.T) {
 			slots := 1
-			d := disk.NewMemDisk(storeDiskBytes(fragSize, slots))
-			s, err := Format(d, Config{FragmentSize: fragSize})
+			hd := &hookDisk{Disk: disk.NewMemDisk(storeDiskBytes(fragSize, slots))}
+			s, err := Format(hd, Config{FragmentSize: fragSize})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -564,6 +569,21 @@ func TestReadDeleteStoreRaceStress(t *testing.T) {
 				return bytes.Repeat([]byte{byte(seq*37 + 11)}, fragSize)
 			}
 			var cur atomic.Uint64 // latest stored seq, 0 = none yet
+			var reads, recycled atomic.Int64
+			hook := func(p []byte, off int64) {
+				if off < s.dataOff || reads.Add(1)%4 != 0 {
+					return
+				}
+				seen := cur.Load()
+				for deadline := time.Now().Add(20 * time.Millisecond); time.Now().Before(deadline); {
+					if cur.Load() != seen {
+						recycled.Add(1)
+						return
+					}
+					runtime.Gosched()
+				}
+			}
+			hd.onRead.Store(&hook)
 			stop := make(chan struct{})
 			var wg sync.WaitGroup
 
@@ -582,6 +602,7 @@ func TestReadDeleteStoreRaceStress(t *testing.T) {
 						return
 					}
 					cur.Store(seq)
+					runtime.Gosched() // let readers find seq before it goes
 					if err := s.Delete(1, fid); err != nil {
 						t.Errorf("delete %d: %v", seq, err)
 						return
@@ -599,6 +620,12 @@ func TestReadDeleteStoreRaceStress(t *testing.T) {
 							return
 						default:
 						}
+						// Readers never block, and the writer's sync
+						// coalescer yields to other goroutines: without
+						// this, readers hold both CPUs of a small machine
+						// for whole time slices and the writer finishes a
+						// handful of cycles per run.
+						runtime.Gosched()
 						seq := cur.Load()
 						if seq == 0 {
 							continue
@@ -618,9 +645,17 @@ func TestReadDeleteStoreRaceStress(t *testing.T) {
 					}
 				}()
 			}
+			// Run 50 ms, longer on a loaded machine until some read has
+			// reached the window.
 			time.Sleep(50 * time.Millisecond)
+			for deadline := time.Now().Add(5 * time.Second); recycled.Load() == 0 && time.Now().Before(deadline); {
+				time.Sleep(5 * time.Millisecond)
+			}
 			close(stop)
 			wg.Wait()
+			if recycled.Load() == 0 {
+				t.Fatalf("no read saw its slot recycled between lookup and disk read (%d reads, %d writer cycles)", reads.Load(), cur.Load())
+			}
 		})
 	}
 }

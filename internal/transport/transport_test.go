@@ -124,7 +124,7 @@ func TestStatUnitsHeld(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := st.Stats().UnitsHeld; int(rsp.UnitsHeld) != want {
+		if want := st.Stats().UnitsHeld; rsp.UnitsHeld != want {
 			t.Fatalf("after a %d-byte store: Stat UnitsHeld = %d, Store.Stats = %d", n, rsp.UnitsHeld, want)
 		}
 	}

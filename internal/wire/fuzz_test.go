@@ -226,8 +226,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			{OpACLCreate, &ACLCreateResponse{AID: AID(n)}},
 			{OpStat, &StatResponse{
 				FragmentSize: n, TotalSlots: n + 1, FreeSlots: n + 2, Fragments: n + 3, UnitsHeld: n + 4,
-				Stores: id, SyncRequests: id + 1, Syncs: id + 2,
-				EntryBatches: id + 3, EntriesBatched: id + 4, StoreNanos: id + 5,
+				Stores: id, SyncRequests: id + 1, Syncs: id + 2, StoreNanos: id + 3,
 				Tenants: tenants,
 			}},
 		}

@@ -437,7 +437,7 @@ type StatResponse struct {
 	FragmentSize uint32
 	TotalSlots   uint32
 	FreeSlots    uint32
-	Fragments    uint32
+	Fragments    uint32 // stored fragments and reservations
 	// UnitsHeld counts the FragmentSize/16-byte units that extents
 	// (reservations included) hold: the space held to the unit, where
 	// TotalSlots − FreeSlots rounds it up to whole slots.
@@ -445,14 +445,12 @@ type StatResponse struct {
 
 	// Commit-path counters (cumulative since the server opened its
 	// store): committed stores, logical sync barriers vs physical
-	// fsyncs (the gap is group-commit coalescing), slot-entry commit
-	// batching, and cumulative store latency.
-	Stores         uint64
-	SyncRequests   uint64
-	Syncs          uint64
-	EntryBatches   uint64
-	EntriesBatched uint64
-	StoreNanos     uint64
+	// fsyncs (the gap is group-commit coalescing), and cumulative
+	// store latency.
+	Stores       uint64
+	SyncRequests uint64
+	Syncs        uint64
+	StoreNanos   uint64
 
 	// Read-path counters (the serving-tier extent cache; all zero while
 	// it has capacity 0, where every read is a range read): cache hits
@@ -530,8 +528,6 @@ func (m *StatResponse) Encode(e *Encoder) {
 	e.U64(m.Stores)
 	e.U64(m.SyncRequests)
 	e.U64(m.Syncs)
-	e.U64(m.EntryBatches)
-	e.U64(m.EntriesBatched)
 	e.U64(m.StoreNanos)
 	e.U64(m.ReadHits)
 	e.U64(m.ReadMisses)
@@ -555,8 +551,6 @@ func (m *StatResponse) Decode(d *Decoder) error {
 	m.Stores = d.U64()
 	m.SyncRequests = d.U64()
 	m.Syncs = d.U64()
-	m.EntryBatches = d.U64()
-	m.EntriesBatched = d.U64()
 	m.StoreNanos = d.U64()
 	m.ReadHits = d.U64()
 	m.ReadMisses = d.U64()

@@ -120,7 +120,7 @@ func (s *Server) Addr() string {
 // fragments fit in its free space right now.
 func (s *Server) Stats() (fragmentSize, totalSlots, freeSlots, fragments int) {
 	st := s.store.Stats()
-	return st.FragmentSize, st.TotalSlots, st.FreeSlots, st.Fragments
+	return int(st.FragmentSize), int(st.TotalSlots), int(st.FreeSlots), int(st.Fragments)
 }
 
 // Close stops serving and releases the disk. It also stops the store's
