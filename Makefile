@@ -3,7 +3,7 @@ GO ?= go
 # Total statement coverage (make cover) must not drop below this.
 COVER_FLOOR ?= 75
 
-.PHONY: ci check fmt vet lint build cross test race chaos cover bench-strict bench-smoke fuzz-smoke
+.PHONY: ci check fmt vet lint build cross test race chaos cover bench-strict bench-smoke fuzz-smoke loc
 
 .DEFAULT_GOAL := ci
 
@@ -25,8 +25,8 @@ vet:
 	$(GO) vet ./...
 
 # Project-specific static analysis (DESIGN.md §7): buffer-pool
-# ownership (bufpool), extent refcounts (refcount) and no I/O under a
-# held mutex (lockio), all three path-sensitive on one flow walker;
+# ownership (bufpool) and no I/O under a held mutex (lockio), both
+# path-sensitive on one flow walker;
 # guarded-by fields, error classification, placement indexing,
 # wire.Status switch exhaustiveness (statuscase), mixed atomic/plain
 # field access (atomicmix), and goroutine lifecycle (goroleak). The
@@ -68,9 +68,10 @@ race:
 # reclaim keeps its stripe's record for the retry, the fragment cache
 # drops a fragment from its FIFO too), and the store's allocator churn, power-cut and
 # crash tests plus its one read path: the read-after-free guards under
-# each cache shape (capacity 0, one that holds the fragment, one smaller
-# than it), the oversized-extent rule, and the extent cache's fill,
-# hit, admission and eviction tests. The store's group-commit tests
+# each cache shape (capacity 0, one that holds the fragment, one that
+# holds exactly one extent, so each fill evicts an extent other readers
+# are copying from, one smaller than it), the oversized-extent rule,
+# and the extent cache's fill, hit, admission and eviction tests. The store's group-commit tests
 # (shared fsyncs, barrier ordering, sync errors, concurrent and
 # same-FID stores, a delete behind an in-flight store) run here too:
 # data barriers, entry commits and ACL writes share one sync
@@ -121,3 +122,11 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeBucket -fuzztime 10s ./internal/sting
 	$(GO) test -run '^$$' -fuzz FuzzRestoreCheckpoint -fuzztime 10s ./internal/sting
 	$(GO) test -run '^$$' -fuzz FuzzDecodeHint -fuzztime 10s ./internal/sting
+
+# Non-test Go lines (wc -l) per package directory and in total, leaving
+# out _test.go files, testdata/ and perfbench/: the size a change to
+# the program's code is measured by.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './perfbench/*' -exec wc -l {} + | \
+		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); sub(/^\.\//, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d  total\n", t }'

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"swarm"
+	"swarm/internal/core"
 	"swarm/internal/wire"
 )
 
@@ -119,6 +121,10 @@ func TestSwarmctlErrors(t *testing.T) {
 	}
 	if err := run(addrs, 1, swarm.ClientOptions{FragmentSize: 64 << 10}, []string{"get", "nonsense", "0", "1"}); err == nil {
 		t.Fatal("malformed fid accepted")
+	}
+	// Nothing was stored: a get is not found, not lost.
+	if err := run(addrs, 1, swarm.ClientOptions{FragmentSize: 64 << 10}, []string{"get", "1/1", "0", "10"}); !errors.Is(err, core.ErrNotFound) || errors.Is(err, core.ErrLost) {
+		t.Fatalf("get of a never-written fid = %v, want core.ErrNotFound", err)
 	}
 	if err := run([]string{"127.0.0.1:1"}, 1, swarm.ClientOptions{FragmentSize: 64 << 10}, []string{"ping"}); err == nil {
 		t.Fatal("ping to dead server should fail at dial")

@@ -1,10 +1,9 @@
 // Command swarmlint runs Swarm's project-specific static analyzers
 // over the repository: buffer-pool ownership (bufpool), lock/I-O
 // discipline (lockio), guarded-field locking (guardedby), error
-// classification (errclass), placement indexing (placement), extent
-// reference counting (refcount), wire.Status exhaustiveness
-// (statuscase), mixed atomic/plain field access (atomicmix), and
-// goroutine lifecycle (goroleak). See internal/lint and DESIGN.md §7.
+// classification (errclass), placement indexing (placement),
+// wire.Status exhaustiveness (statuscase), mixed atomic/plain field
+// access (atomicmix), and goroutine lifecycle (goroleak). See internal/lint and DESIGN.md §7.
 //
 // Usage:
 //

@@ -29,7 +29,7 @@ func TestListOutput(t *testing.T) {
 	}
 	for _, name := range []string{
 		"bufpool", "lockio", "guardedby", "errclass", "placement",
-		"refcount", "statuscase", "atomicmix", "goroleak",
+		"statuscase", "atomicmix", "goroleak",
 	} {
 		if !strings.Contains(stdout, name) {
 			t.Errorf("-list output missing analyzer %q:\n%s", name, stdout)

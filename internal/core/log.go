@@ -23,6 +23,10 @@ var (
 	// ErrLost is returned when a fragment is unavailable and cannot be
 	// reconstructed (more failures than parity tolerates).
 	ErrLost = errors.New("core: fragment lost")
+	// ErrNotFound is returned for a fragment that no server holds, in a
+	// stripe no server holds a member of, by broadcasts every server
+	// answered: it was never written, or its stripe was reclaimed.
+	ErrNotFound = errors.New("core: fragment not found")
 	// ErrConfig is returned for invalid configurations.
 	ErrConfig = errors.New("core: invalid config")
 )

@@ -262,6 +262,24 @@ func TestTwoFailuresInStripeAreFatal(t *testing.T) {
 	}
 }
 
+// TestReadNeverWrittenIsNotFound: a read of a FID no server holds, in a
+// stripe no server holds a member of, is not found, which errors.Is
+// tells apart from a lost fragment. With a server down the fragment may
+// be on it, so the same read is lost.
+func TestReadNeverWrittenIsNotFound(t *testing.T) {
+	c := newTestCluster(t, 3)
+	l, _ := c.open(t, Config{})
+	defer l.Close()
+	addr := BlockAddr{FID: wire.MakeFID(testClient, 1)}
+	if _, err := l.Read(addr, 0, 10); !errors.Is(err, ErrNotFound) || errors.Is(err, ErrLost) {
+		t.Fatalf("read of a never-written FID: %v, want ErrNotFound", err)
+	}
+	c.flaky[2].SetDown(true)
+	if _, err := l.Read(addr, 0, 10); !errors.Is(err, ErrLost) || errors.Is(err, ErrNotFound) {
+		t.Fatalf("read of an unknown FID with a server down: %v, want ErrLost", err)
+	}
+}
+
 // TestReconstructParityFragment rebuilds a stripe's parity member from
 // its data members and compares it with the stored one. The RS(4,2)
 // cases do it with the other parity server down too, from a freshly
@@ -595,7 +613,7 @@ func TestReclaimStripe(t *testing.T) {
 	base := victim * uint64(l.width)
 	for i := 0; i < l.width; i++ {
 		fid := wire.MakeFID(testClient, base+uint64(i))
-		if found := transport.Broadcast(l.Servers(), fid); len(found) != 0 {
+		if found, _ := transport.Broadcast(l.Servers(), fid); len(found) != 0 {
 			t.Fatalf("fragment %v survives on %d servers", fid, len(found))
 		}
 	}
@@ -650,7 +668,7 @@ func TestReclaimStripeDefersDeletesOnDeadServer(t *testing.T) {
 	base := victim * uint64(l.width)
 	for i := 0; i < l.width; i++ {
 		fid := wire.MakeFID(testClient, base+uint64(i))
-		if found := transport.Broadcast(l.Servers(), fid); len(found) != 0 {
+		if found, _ := transport.Broadcast(l.Servers(), fid); len(found) != 0 {
 			t.Fatalf("fragment %v survives on %d servers", fid, len(found))
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"slices"
@@ -184,6 +185,12 @@ func (l *Log) Read(addr BlockAddr, off, n uint32) ([]byte, error) {
 		return sliceBlock(payload, addr, off, n)
 	}
 	conn := l.lookupConn(addr.FID)
+	if conn == nil {
+		// No recorded location: look for the fragment by broadcast, as
+		// fetchDirect does. If no server has it, readLost decides
+		// whether it is lost or was never there.
+		conn, _ = l.discover(addr.FID)
+	}
 	if conn != nil {
 		data, err := l.engine.ReadAt(conn, addr.FID, HeaderSize+addr.Off+EntryHdrSize+off, n)
 		if err == nil {
@@ -644,9 +651,12 @@ func (l *Log) stripeGeometry(fid wire.FID) (*Header, error) {
 // either fragment N-1 or fragment N+1 is in the same stripe. A client
 // finds fragment N-1 and N+1 by broadcasting to all storage servers."
 // Members known to be empty are skipped: they were never stored, so
-// looking for one would cost a broadcast that cannot succeed.
+// looking for one would cost a broadcast that cannot succeed. When every
+// candidate's broadcast was answered by every server and found nothing,
+// the stripe is not found (ErrNotFound) rather than lost.
 func (l *Log) findSibling(fid wire.FID) (*Header, error) {
 	seq := fid.Seq()
+	absent := true
 	for delta := uint64(1); delta < MaxWidth; delta++ {
 		for _, cand := range []int64{int64(seq) - int64(delta), int64(seq) + int64(delta)} {
 			if cand < 0 {
@@ -658,6 +668,7 @@ func (l *Log) findSibling(fid wire.FID) (*Header, error) {
 			}
 			h, err := l.fetchHeader(cfid, 0)
 			if err != nil {
+				absent = absent && errors.Is(err, fragio.ErrNotFound)
 				continue
 			}
 			base := h.BaseSeq()
@@ -665,6 +676,9 @@ func (l *Log) findSibling(fid wire.FID) (*Header, error) {
 				return h, nil
 			}
 		}
+	}
+	if absent {
+		return nil, fmt.Errorf("%w: no server holds %v or any member of its stripe", ErrNotFound, fid)
 	}
 	return nil, fmt.Errorf("%w: no stripe sibling found for %v", ErrLost, fid)
 }

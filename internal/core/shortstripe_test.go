@@ -269,14 +269,11 @@ func serverImages(t *testing.T, c *cluster) []map[wire.FID][]byte {
 		out[i] = make(map[wire.FID][]byte)
 		for _, fid := range st.List(0) {
 			size, _ := st.Has(fid)
-			data, ext, err := st.Read(testClient, fid, 0, size)
+			data, _, err := st.Read(testClient, fid, 0, size)
 			if err != nil {
 				t.Fatalf("server %d: read %v: %v", i+1, fid, err)
 			}
-			out[i][fid] = bytes.Clone(data)
-			if ext != nil {
-				ext.Release()
-			}
+			out[i][fid] = data
 		}
 	}
 	return out

@@ -43,8 +43,8 @@ import (
 	"swarm/internal/wire"
 )
 
-// ErrNotFound is returned by Locate when no reachable server stores the
-// fragment.
+// ErrNotFound is returned by Locate when every server answered and none
+// stores the fragment.
 var ErrNotFound = errors.New("fragio: fragment not found on any server")
 
 // ErrSkipped marks a GatherK member that was not waited for because the
@@ -422,11 +422,15 @@ func (e *Engine) Locate(fid wire.FID) (conn transport.ServerConn, shared bool, e
 		servers := append([]transport.ServerConn(nil), e.servers...)
 		e.stats.Broadcasts++
 		e.mu.Unlock()
-		found := transport.Broadcast(servers, fid)
-		if len(found) == 0 {
+		found, all := transport.Broadcast(servers, fid)
+		switch {
+		case len(found) > 0:
+			return found[0], nil // swarmlint:placement-ok (any holder serves a broadcast discovery; no slot is being resolved)
+		case all:
 			return nil, fmt.Errorf("%w: %v", ErrNotFound, fid)
+		default:
+			return nil, fmt.Errorf("%w: %v is on none of the servers that answered", transport.ErrUnavailable, fid)
 		}
-		return found[0], nil // swarmlint:placement-ok (any holder serves a broadcast discovery; no slot is being resolved)
 	})
 	if shared {
 		e.bump(func(s *Stats) { s.SharedLocates++ })

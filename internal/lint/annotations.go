@@ -28,14 +28,6 @@ const (
 	// DirectiveClassified on an error construction asserts the error is
 	// intentionally outside the transient/permanent classification.
 	DirectiveClassified = "swarmlint:classified"
-	// DirectiveReturnsRef on a function declaration asserts the function
-	// hands its caller a counted reference to its refcounted result: the
-	// caller must discharge it (Release or hand-off) on every path.
-	DirectiveReturnsRef = "swarmlint:returns-ref"
-	// DirectiveRefcountOK on an acquisition site or a refcounted struct
-	// field asserts the reference's lifecycle is managed in a way the
-	// refcount analyzer cannot see (say who releases it).
-	DirectiveRefcountOK = "swarmlint:refcount-ok"
 	// DirectiveStatusCaseOK on a switch's default clause asserts the
 	// default intentionally absorbs the unlisted status values (say why
 	// the collapse is safe for future statuses).

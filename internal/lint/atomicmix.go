@@ -13,8 +13,8 @@ import (
 // other code reads or writes plainly (s.n++, v := s.n). Mixed access is
 // a data race the moment the plain side runs concurrently with the
 // atomic side, and it is invisible to guardedby because there is no
-// mutex to match against — the qos books, blockcache counters, and
-// extent refcounts all keep hot counters this way. Typed atomics
+// mutex to match against — the qos books and blockcache counters keep
+// hot counters this way. Typed atomics
 // (atomic.Int64 fields) are immune by construction — the type system
 // forbids plain access — so the analyzer's scope is exactly the
 // untyped-integer-plus-atomic-call pattern.

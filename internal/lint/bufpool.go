@@ -18,10 +18,9 @@ import (
 //     too — stored, sent, or captured by a closure or goroutine), or
 //   - carry a // swarmlint:owns-buffer annotation at the call site.
 //
-// It is a discipline on the ownership engine refcount also uses
-// (ownership.go), so it proves release on every path: a buffer
-// released on the error branch and leaked on the fall-through is a
-// finding. A PutBuffer of a buffer the path has already released is a
+// It runs on the ownership engine (ownership.go), so it proves release
+// on every path: a buffer released on the error branch and leaked on
+// the fall-through is a finding. A PutBuffer of a buffer the path has already released is a
 // double put: the pool would hand it to two owners.
 //
 // A GetBuffer result that is not bound to a variable is checked where
@@ -70,7 +69,9 @@ func (b *BufPool) getBuffer(p *Package, e ast.Expr) *ast.CallExpr {
 	}
 }
 
-// acquire implements discipline: a GetBuffer result bound to a
+// acquire interprets the assignment of rhs to lhs at pos (lhs is nil
+// for an expression statement) and reports whether it handled the
+// statement: a GetBuffer result bound to a
 // function-local variable is tracked; one bound to nothing or to _ is
 // reported; one stored in a field, element or outer variable escapes.
 func (b *BufPool) acquire(h *ownFlow, st *flowState, lhs, rhs []ast.Expr, pos token.Pos) bool {
@@ -95,8 +96,9 @@ func (b *BufPool) acquire(h *ownFlow, st *flowState, lhs, rhs []ast.Expr, pos to
 	return handled
 }
 
-// call implements discipline: a GetBuffer result passed straight to a
-// call must be passed to one that takes ownership.
+// call checks that a GetBuffer result passed straight to a call is
+// passed to one that takes ownership; it never finishes the call's
+// interpretation, so it reports false.
 func (b *BufPool) call(h *ownFlow, _ *flowState, call *ast.CallExpr) bool {
 	for _, a := range call.Args {
 		if get := b.getBuffer(h.p, a); get != nil && !b.transfers(h, call) {
@@ -106,8 +108,8 @@ func (b *BufPool) call(h *ownFlow, _ *flowState, call *ast.CallExpr) bool {
 	return false
 }
 
-// release implements discipline: wire.PutBuffer(v), v possibly
-// re-sliced.
+// release returns the variable call releases — wire.PutBuffer(v), v
+// possibly re-sliced — or nil.
 func (b *BufPool) release(h *ownFlow, call *ast.CallExpr) *types.Var {
 	if !isFunc(h.p.Info, call, b.wirePath, "PutBuffer") || len(call.Args) != 1 {
 		return nil
@@ -122,12 +124,15 @@ func (b *BufPool) release(h *ownFlow, call *ast.CallExpr) *types.Var {
 	}
 }
 
-// transfers implements discipline: wire.PutBuffer itself, or a
-// same-package callee whose doc carries swarmlint:owns-buffer.
+// transfers reports whether passing a buffer to call hands it over:
+// wire.PutBuffer itself, or a same-package callee whose doc carries
+// swarmlint:owns-buffer.
 func (b *BufPool) transfers(h *ownFlow, call *ast.CallExpr) bool {
 	return isFunc(h.p.Info, call, b.wirePath, "PutBuffer") || h.p.Annotations().calleeHas(h.p.Info, call, DirectiveOwnsBuffer)
 }
 
+// leak words the finding for v still held at some exit (maybe: not at
+// every exit).
 func (b *BufPool) leak(v *types.Var, maybe bool) string {
 	if maybe {
 		return fmt.Sprintf("wire.GetBuffer result %q does not reach wire.PutBuffer, an ownership-transfer call, or an escape on every path; add one or annotate with %s", v.Name(), DirectiveOwnsBuffer)
@@ -135,6 +140,7 @@ func (b *BufPool) leak(v *types.Var, maybe bool) string {
 	return fmt.Sprintf("wire.GetBuffer result %q never reaches wire.PutBuffer, an ownership-transfer call, or an escape; add one or annotate with %s", v.Name(), DirectiveOwnsBuffer)
 }
 
+// double words a second release of v.
 func (b *BufPool) double(v *types.Var) string {
 	return fmt.Sprintf("double wire.PutBuffer of %q: the pool would hand the same buffer to two owners", v.Name())
 }

@@ -8,9 +8,9 @@ import (
 )
 
 // This file is the lint suite's one flow walker: a small symbolic
-// executor over Go's structured control flow. Three analyzers are hooks
-// on it: refcount and bufpool through the ownership engine
-// (ownership.go), and lockio, whose state is the set of held mutexes.
+// executor over Go's structured control flow. Two analyzers are hooks
+// on it: bufpool through the ownership engine (ownership.go), and
+// lockio, whose state is the set of held mutexes.
 // It is deliberately not a real CFG library. Go bodies in this tree are
 // structured — if/else, loops, switch, select, defer, early returns —
 // so an AST-directed walk with explicit state merging at joins covers

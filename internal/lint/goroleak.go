@@ -186,3 +186,23 @@ func isWaitGroupDone(info *types.Info, call *ast.CallExpr) bool {
 	}
 	return typeFromPkg(info.TypeOf(sel.X), "sync")
 }
+
+// rootIdentVar walks selector/index/star chains down to the base
+// identifier's variable: s.ch -> s. A channel's root variable says
+// which function it belongs to.
+func rootIdentVar(info *types.Info, e ast.Expr) *types.Var {
+	for {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.SelectorExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.Ident:
+			return varOf(info, x)
+		default:
+			return nil
+		}
+	}
+}

@@ -165,8 +165,7 @@ func Run(pkgs []*Package, analyzers []Analyzer) []Diagnostic {
 // and fragment-I/O packages, the placement-indexing invariant over the
 // packages that resolve server placement at runtime (harnesses and
 // CLIs build their connection slices before a log exists, so they are
-// out of scope), the refcounted extent type, the wire.Status enum's
-// exhaustiveness boundary, and the goroutine-lifecycle discipline over
+// out of scope), the wire.Status enum's exhaustiveness boundary, and the goroutine-lifecycle discipline over
 // the packages that run background workers.
 func Default() []Analyzer {
 	dataPath := []string{
@@ -192,7 +191,6 @@ func Default() []Analyzer {
 			"swarm/internal/cleaner",
 			"swarm/internal/service",
 		}),
-		NewRefCount([]string{"swarm/internal/server.Extent"}),
 		NewStatusCase("swarm/internal/wire.Status", append([]string{"swarm/internal/wire"}, dataPath...)),
 		NewAtomicMix(),
 		NewGoroLeak(dataPath),

@@ -118,10 +118,6 @@ func TestPlacementFixture(t *testing.T) {
 	checkFixture(t, "placement", NewPlacement([]string{"fixture/placement"}))
 }
 
-func TestRefCountFixture(t *testing.T) {
-	checkFixture(t, "refcount", NewRefCount([]string{"fixture/refcount.Extent"}))
-}
-
 func TestStatusCaseFixture(t *testing.T) {
 	checkFixture(t, "statuscase", NewStatusCase("fixture/statuscase.Status", []string{"fixture/statuscase"}))
 }

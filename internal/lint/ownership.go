@@ -4,56 +4,30 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
-// This file is the ownership engine: the flow-walker hooks shared by
-// the analyzers whose obligation is "every acquired value is
-// discharged on every control-flow path". A discipline says what
-// acquires an obligation, what releases it and which calls take it
-// over; the engine does the rest. A value is discharged when it is
-// released, returned (a named result by a bare return too), stored
-// (assignment, composite literal, field, map, channel send), handed to
-// a goroutine, captured by a function literal, or passed to a call the
-// discipline accepts as a transfer. Nil refinement keeps error paths
-// quiet: on an `err != nil` branch of the acquiring call, or a
-// `v == nil` branch, nothing is held. A release of a value the path has
-// already released is a double release.
+// This file is the ownership engine: bufpool's flow-walker hooks,
+// whose obligation is "every acquired buffer is discharged on every
+// control-flow path". BufPool says what acquires a buffer, what
+// releases it and which calls take it over; the engine does the rest. A
+// value is discharged when it is released, returned (a named result by
+// a bare return too), stored (assignment, composite literal, field,
+// map, channel send), handed to a goroutine, captured by a function
+// literal, or passed to a call that takes ownership. Nil refinement
+// keeps empty paths quiet: on a `v == nil` branch nothing is held. A
+// release of a value the path has already released is a double release.
 
-// discipline is one ownership rule on the engine (refcount, bufpool).
-type discipline interface {
-	Name() string
-	// acquire interprets the assignment of rhs to lhs at pos (lhs is
-	// nil for an expression statement), tracking what it acquires, and
-	// reports whether it handled the statement.
-	acquire(h *ownFlow, st *flowState, lhs, rhs []ast.Expr, pos token.Pos) bool
-	// call interprets a discipline-specific call and reports whether
-	// the call needs no further interpretation.
-	call(h *ownFlow, st *flowState, call *ast.CallExpr) bool
-	// release returns the variable call releases, or nil.
-	release(h *ownFlow, call *ast.CallExpr) *types.Var
-	// transfers reports whether passing an owned value to call hands
-	// the obligation over.
-	transfers(h *ownFlow, call *ast.CallExpr) bool
-	// leak words the finding for a value still held at some exit (maybe:
-	// not at every exit); double words a second release.
-	leak(v *types.Var, maybe bool) string
-	double(v *types.Var) string
-}
-
-// checkOwnership walks every function of p under discipline d.
-func checkOwnership(p *Package, d discipline) []Diagnostic {
+// checkOwnership walks every function of p under b's rules.
+func checkOwnership(p *Package, b *BufPool) []Diagnostic {
 	var diags []Diagnostic
 	eachFunc(p, func(ft *ast.FuncType, body *ast.BlockStmt) {
 		h := &ownFlow{
-			d:        d,
+			b:        b,
 			p:        p,
 			body:     body,
 			lo:       ft.Pos(),
 			hi:       body.End(),
 			acquires: make(map[*types.Var]token.Pos),
-			errBuddy: make(map[*types.Var][]*types.Var),
-			source:   make(map[*types.Var]*types.Var),
 		}
 		if ft.Results != nil {
 			for _, fld := range ft.Results.List {
@@ -66,7 +40,7 @@ func checkOwnership(p *Package, d discipline) []Diagnostic {
 		walkFlow(body, p.Info, h, func(st *flowState, _ ast.Node) { exits = mergeFlow(exits, st.clone()) })
 		for v, pos := range h.acquires {
 			if exits != nil && exits.Get(v).held() {
-				h.report(pos, d.leak(v, exits.Get(v) == flowMaybeHeld))
+				h.report(pos, b.leak(v, exits.Get(v) == flowMaybeHeld))
 			}
 		}
 		diags = append(diags, h.diags...)
@@ -76,21 +50,19 @@ func checkOwnership(p *Package, d discipline) []Diagnostic {
 
 // ownFlow is the engine's flowHooks implementation for one function.
 type ownFlow struct {
-	d       discipline
+	b       *BufPool
 	p       *Package
 	body    *ast.BlockStmt
 	lo, hi  token.Pos    // the analyzed function's extent: vars outside are free
 	results []*types.Var // named results: a bare return hands them to the caller
 
-	acquires map[*types.Var]token.Pos    // tracked var -> acquisition site
-	errBuddy map[*types.Var][]*types.Var // error var -> values from the same call
-	source   map[*types.Var]*types.Var   // extracted var -> container element var
+	acquires map[*types.Var]token.Pos // tracked var -> acquisition site
 	diags    []Diagnostic
 }
 
 // report records one finding at pos.
 func (h *ownFlow) report(pos token.Pos, msg string) {
-	h.diags = append(h.diags, h.p.diag(pos, h.d.Name(), msg))
+	h.diags = append(h.diags, h.p.diag(pos, h.b.Name(), msg))
 }
 
 // Transfer implements flowHooks.
@@ -111,7 +83,7 @@ func (h *ownFlow) Transfer(st *flowState, stmt ast.Stmt) {
 			}
 		}
 	case *ast.ExprStmt:
-		if !h.d.acquire(h, st, nil, []ast.Expr{s.X}, s.Pos()) {
+		if !h.b.acquire(h, st, nil, []ast.Expr{s.X}, s.Pos()) {
 			h.calls(st, s.X)
 		}
 	case *ast.ReturnStmt:
@@ -168,12 +140,12 @@ func (h *ownFlow) calls(st *flowState, n ast.Node) {
 // Call implements flowHooks: the effect of one call expression, direct
 // or replayed from a defer.
 func (h *ownFlow) Call(st *flowState, call *ast.CallExpr) {
-	if h.d.call(h, st, call) {
+	if h.b.call(h, st, call) {
 		return
 	}
-	if v := h.d.release(h, call); v != nil {
+	if v := h.b.release(h, call); v != nil {
 		if st.Get(v) == flowReleased {
-			h.report(call.Pos(), h.d.double(v))
+			h.report(call.Pos(), h.b.double(v))
 		}
 		st.Set(v, flowReleased)
 		return
@@ -183,21 +155,12 @@ func (h *ownFlow) Call(st *flowState, call *ast.CallExpr) {
 		h.markAllMentions(st, lit.Body)
 		return
 	}
-	if isBuiltinCall(h.p.Info, call, "panic") || !h.d.transfers(h, call) {
+	if isBuiltinCall(h.p.Info, call, "panic") || !h.b.transfers(h, call) {
 		return
 	}
-	// Passing the value (or, to a same-package call, its source
-	// container element) transfers the obligation.
-	samePkg := h.samePackageCallee(call)
+	// Passing the value transfers the obligation.
 	for _, arg := range call.Args {
-		for v := range h.acquires {
-			if !st.Get(v).held() {
-				continue
-			}
-			if src := h.source[v]; mentionsOwned(h.p.Info, arg, v) || (src != nil && samePkg && mentions(h.p.Info, arg, src)) {
-				st.Set(v, flowDone)
-			}
-		}
+		h.markOwnedMentions(st, arg)
 	}
 }
 
@@ -230,20 +193,9 @@ func (h *ownFlow) Refine(st *flowState, cond ast.Expr, truth bool) {
 			if v == nil {
 				return
 			}
-			isNil := (c.Op == token.EQL) == truth
-			if _, tracked := h.acquires[v]; tracked && isNil {
-				// The acquiring call returned nil: nothing was acquired.
+			if _, tracked := h.acquires[v]; tracked && (c.Op == token.EQL) == truth {
+				// v is nil on this branch: nothing was acquired.
 				st.Set(v, flowNone)
-				return
-			}
-			// err != nil on the acquiring call's error: the convention is
-			// error => nothing handed out.
-			if buddies, ok := h.errBuddy[v]; ok && !isNil {
-				for _, b := range buddies {
-					if st.Get(b).held() {
-						st.Set(b, flowNone)
-					}
-				}
 			}
 		}
 	}
@@ -268,7 +220,7 @@ func (h *ownFlow) discharge(st *flowState, v *types.Var) {
 // right-hand side, then stores of tracked values somewhere new
 // (anything but a self-reassignment or _), then v = nil.
 func (h *ownFlow) assign(st *flowState, lhs, rhs []ast.Expr, pos token.Pos) {
-	if h.d.acquire(h, st, lhs, rhs, pos) {
+	if h.b.acquire(h, st, lhs, rhs, pos) {
 		return
 	}
 	for _, r := range rhs {
@@ -314,13 +266,6 @@ func (h *ownFlow) markAllMentions(st *flowState, n ast.Node) {
 			st.Set(v, flowDone)
 		}
 	}
-}
-
-// samePackageCallee reports whether call resolves to a function declared
-// in the analyzed package (an ownership-transfer candidate).
-func (h *ownFlow) samePackageCallee(call *ast.CallExpr) bool {
-	fn, ok := calleeObject(h.p.Info, call).(*types.Func)
-	return ok && fn.Pkg() == h.p.Types
 }
 
 // identVar resolves a plain identifier expression to its variable whose
@@ -398,26 +343,6 @@ func nilComparand(info *types.Info, b *ast.BinaryExpr) (*ast.Ident, bool) {
 	return nil, false
 }
 
-// rootIdentVar walks selector/index/star chains down to the base
-// identifier's variable: el.Value -> el. Used to record the container
-// element a refcounted value was extracted from.
-func rootIdentVar(info *types.Info, e ast.Expr) *types.Var {
-	for {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.Ident:
-			return varOf(info, x)
-		default:
-			return nil
-		}
-	}
-}
-
 func isNilIdent(e ast.Expr) bool {
 	id, ok := e.(*ast.Ident)
 	return ok && id.Name == "nil"
@@ -426,12 +351,4 @@ func isNilIdent(e ast.Expr) bool {
 func isBlank(e ast.Expr) bool {
 	id, ok := ast.Unparen(e).(*ast.Ident)
 	return ok && id.Name == "_"
-}
-
-// isErrorType reports whether t is the built-in error interface.
-func isErrorType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	return strings.TrimPrefix(t.String(), "untyped ") == "error" || types.Identical(t, types.Universe.Lookup("error").Type())
 }

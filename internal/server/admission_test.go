@@ -38,8 +38,8 @@ func newFullCacheStore(t testing.TB, slots int) *Store {
 	return s
 }
 
-// mustReadExtent reads through the serving tier, releases the extent if
-// one came back, and reports whether the read was served from an extent.
+// mustReadExtent reads through the serving tier, recycles the buffer the
+// read returned, and reports whether the read was served from an extent.
 func mustReadExtent(t testing.TB, s *Store, fid wire.FID, off, n uint32) ([]byte, bool) {
 	t.Helper()
 	data, ext, err := s.Read(1, fid, off, n)
@@ -47,11 +47,7 @@ func mustReadExtent(t testing.TB, s *Store, fid wire.FID, off, n uint32) ([]byte
 		t.Fatal(err)
 	}
 	out := bytes.Clone(data)
-	if ext != nil {
-		ext.Release()
-	} else {
-		wire.PutBuffer(data)
-	}
+	wire.PutBuffer(data)
 	return out, ext != nil
 }
 
@@ -90,7 +86,6 @@ func TestFullCacheMissIsRangeRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ext != nil {
-		ext.Release()
 		t.Fatal("range read of a full cache returned an extent")
 	}
 	if !bytes.Equal(got, data[off:off+n]) {
@@ -302,7 +297,7 @@ func TestConcurrentPartialReadsRacingDelete(t *testing.T) {
 				}
 				seq := uint64((i + r) % frags)
 				off := uint32(i*4<<10) % admissionFrag
-				data, ext, err := s.Read(1, wire.MakeFID(1, seq), off, 4<<10)
+				data, _, err := s.Read(1, wire.MakeFID(1, seq), off, 4<<10)
 				if errors.Is(err, ErrNotFound) {
 					continue
 				}
@@ -312,11 +307,7 @@ func TestConcurrentPartialReadsRacingDelete(t *testing.T) {
 				}
 				first := data[0]
 				torn := first>>4 != byte(seq) || bytes.Count(data, []byte{first}) != len(data)
-				if ext != nil {
-					ext.Release()
-				} else {
-					wire.PutBuffer(data)
-				}
+				wire.PutBuffer(data)
 				if torn {
 					errc <- fmt.Errorf("fragment %d: torn or foreign read (first byte %#x)", seq, first)
 					return

@@ -32,7 +32,7 @@ func newSizedStore(t testing.TB, fragSize int, cacheBytes int64) *Store {
 }
 
 // encodeRead runs one read request through Handle and returns the
-// encoded response frame, releasing the response's payload as the TCP
+// encoded response frame, recycling the response's payload as the TCP
 // front end does once the frame is written.
 func encodeRead(s *Store, fid wire.FID, off, n uint32) ([]byte, error) {
 	req := wire.NewEncoder(16)
@@ -43,9 +43,7 @@ func encodeRead(s *Store, fid wire.FID, off, n uint32) ([]byte, error) {
 	}
 	var buf bytes.Buffer
 	err := wire.WriteResponse(&buf, wire.OpRead, 1, msg)
-	if m, ok := msg.(wire.PayloadReleaser); ok {
-		m.ReleasePayload()
-	}
+	wire.PutBuffer(msg.(wire.PayloadMessage).Payload())
 	return buf.Bytes(), err
 }
 
@@ -113,12 +111,12 @@ func TestCorruptedExtentFailsFrameCheck(t *testing.T) {
 		t.Fatalf("intact extent: %v", err)
 	}
 
-	_, ext, err := s.Read(1, fid, 0, size)
+	data, ext, err := s.Read(1, fid, 0, size)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ext.buf[size/2] ^= 0x01
-	ext.Release()
+	wire.PutBuffer(data)
 
 	frame = mustEncodeRead(t, s, fid, crcHeaderSize, size-crcHeaderSize)
 	if _, err := wire.ReadResponseFrame(bytes.NewReader(frame)); !errors.Is(err, wire.ErrBadCRC) {
@@ -137,10 +135,8 @@ func TestConcurrentFirstReadsAgreeOnCRC(t *testing.T) {
 	want := crc32.ChecksumIEEE(data[crcHeaderSize:])
 
 	// Fill the extent without touching its CRC: an interior read.
-	if _, ext, err := s.Read(1, fid, 0, 1); err != nil {
+	if _, _, err := s.Read(1, fid, 0, 1); err != nil {
 		t.Fatal(err)
-	} else {
-		ext.Release()
 	}
 	crcs := make([]uint32, readers)
 	var wg sync.WaitGroup
@@ -185,6 +181,6 @@ func BenchmarkCachedReadResponse(b *testing.B) {
 		if err := wire.WriteResponse(io.Discard, wire.OpRead, 1, msg); err != nil {
 			b.Fatal(err)
 		}
-		msg.(wire.PayloadReleaser).ReleasePayload()
+		wire.PutBuffer(msg.(wire.PayloadMessage).Payload())
 	}
 }

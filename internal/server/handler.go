@@ -77,10 +77,6 @@ func (s *Store) handle(client wire.ClientID, op wire.Op, body []byte) (wire.Stat
 			return mapErr(err)
 		}
 		if ext != nil {
-			// Zero-copy cached read: the payload aliases the cache
-			// extent and rides to the wire as-is. The transport's
-			// ReleasePayload call (instead of PutBuffer) returns the
-			// response's reference once the frame is written.
 			return wire.StatusOK, &cachedReadResponse{
 				ReadResponse: wire.ReadResponse{Data: data},
 				ext:          ext,
@@ -169,19 +165,14 @@ func (s *Store) handle(client wire.ClientID, op wire.Op, body []byte) (wire.Stat
 	}
 }
 
-// cachedReadResponse is a ReadResponse whose Data aliases a read-cache
-// extent rather than an exclusively-owned pooled buffer. It implements
-// wire.PayloadReleaser so transports return the reference (possibly
-// recycling the buffer, if the cache has since evicted it) instead of
-// force-recycling a buffer other readers may still be serving from.
+// cachedReadResponse is a ReadResponse whose Data was copied out of a
+// read-cache extent. Data is a pooled buffer like any other response
+// payload; the extent is kept only for its checksum.
 type cachedReadResponse struct {
 	wire.ReadResponse
 	ext *Extent
-	off int // Data == ext.buf[off : off+len(Data)]
+	off int // Data holds a copy of ext.buf[off : off+len(Data)]
 }
-
-// ReleasePayload implements wire.PayloadReleaser.
-func (m *cachedReadResponse) ReleasePayload() { m.ext.Release() }
 
 // PayloadCRC implements wire.PayloadChecksummer for a range that ends at
 // the extent's end and starts before its middle — fragio's payload fetch

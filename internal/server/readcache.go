@@ -32,12 +32,11 @@ import (
 // is never filled, so a store with no cache is one of capacity 0, where
 // every read is a range read of its bytes.
 //
-// Extent buffers come from the wire buffer pool and flow to the network
-// with zero copies: a cached read's response payload aliases the extent,
-// so the buffer cannot return to the pool until both the cache and every
-// in-flight response are done with it. Each extent carries a reference
-// count — one reference for the cache's residency, one per in-flight
-// response — and the last release recycles the buffer.
+// A read owns what it returns: a hit copies its range out of the extent
+// into a pooled buffer of its own. An extent's buffer is immutable once
+// filled and is left to the garbage collector when evicted, never put
+// back in the pool, so a reader still copying from an evicted extent
+// reads the bytes it looked up.
 type readCache struct {
 	capBytes int64 // 0 is no cache: every read is a range read of its bytes
 	depth    int   // readahead depth in fragments (0 = no readahead)
@@ -45,7 +44,7 @@ type readCache struct {
 	hits        atomic.Int64
 	misses      atomic.Int64
 	raLoads     atomic.Int64 // extents filled by the readahead worker
-	bytesCached atomic.Int64 // payload bytes served from cache (zero-copy)
+	bytesCached atomic.Int64 // payload bytes served from cache
 	bytesDisk   atomic.Int64 // bytes read from disk: fills and range reads
 
 	mu    sync.Mutex
@@ -73,14 +72,12 @@ type readCache struct {
 }
 
 // Extent is one cached fragment: the full stored payload plus the
-// identity it was validated against. refs counts the cache's residency
-// reference and every response whose payload aliases buf.
+// identity it was validated against.
 type Extent struct {
 	fid  wire.FID
 	unit int
 	gen  uint64
-	buf  []byte // pooled; len == the fragment's stored size
-	refs atomic.Int32
+	buf  []byte // immutable once filled; len == the fragment's stored size
 	// crc is crcValid|crc32.ChecksumIEEE(buf) once a response needed it,
 	// zero before. It is computed on first use, not at fill: most
 	// extents a miss fills serve only small interior reads, which never
@@ -113,15 +110,6 @@ func (e *Extent) tailCRC(off int) uint32 {
 	return wire.SuffixCRC(uint32(v), crc32.ChecksumIEEE(e.buf[:off]), len(e.buf)-off)
 }
 
-// Release drops one reference; the last one returns the pooled buffer.
-func (e *Extent) Release() {
-	if n := e.refs.Add(-1); n == 0 {
-		wire.PutBuffer(e.buf)
-	} else if n < 0 {
-		panic(fmt.Sprintf("server: extent %v over-released", e.fid))
-	}
-}
-
 func newReadCache(capBytes int64, depth int) *readCache {
 	return &readCache{
 		capBytes: capBytes,
@@ -135,10 +123,9 @@ func newReadCache(capBytes int64, depth int) *readCache {
 }
 
 // get returns the extent for fid if it is cached AND still describes the
-// live (unit, gen) the caller just resolved under the store mutex. The
-// returned extent carries a reference the caller must release. A stale
-// entry (unit recycled since the fill) is dropped and reported as a miss.
-// swarmlint:returns-ref
+// live (unit, gen) the caller just resolved under the store mutex. A
+// stale entry (unit recycled since the fill) is dropped and reported as
+// a miss.
 func (rc *readCache) get(fid wire.FID, unit int, gen uint64) *Extent {
 	rc.mu.Lock()
 	el, ok := rc.index[fid]
@@ -153,24 +140,22 @@ func (rc *readCache) get(fid wire.FID, unit int, gen uint64) *Extent {
 		return nil
 	}
 	rc.lru.MoveToFront(el)
-	ext.refs.Add(1)
 	rc.mu.Unlock()
 	return ext
 }
 
 // insert adds a freshly filled extent, taking ownership of buf (a pooled
 // buffer) that fits the cache (admit). It returns the canonical extent
-// for fid with a caller reference held: if a concurrent fill won the
-// race the newcomer's buffer is recycled and the resident entry is
+// for fid: if a concurrent fill won the race the newcomer's buffer,
+// which no reader has seen, is recycled and the resident entry is
 // returned instead.
-// swarmlint:returns-ref swarmlint:owns-buffer
+// swarmlint:owns-buffer
 func (rc *readCache) insert(fid wire.FID, unit int, gen uint64, buf []byte) *Extent {
 	rc.mu.Lock()
 	delete(rc.partial, fid)
 	if el, ok := rc.index[fid]; ok {
 		ext := el.Value.(*Extent)
 		if ext.unit == unit && ext.gen == gen {
-			ext.refs.Add(1)
 			rc.lru.MoveToFront(el)
 			rc.mu.Unlock()
 			wire.PutBuffer(buf)
@@ -179,7 +164,6 @@ func (rc *readCache) insert(fid wire.FID, unit int, gen uint64, buf []byte) *Ext
 		rc.removeLocked(el) // recycled unit: the resident entry is stale
 	}
 	ext := &Extent{fid: fid, unit: unit, gen: gen, buf: buf}
-	ext.refs.Store(2) // cache residency + caller
 	rc.index[fid] = rc.lru.PushFront(ext)
 	rc.bytes += int64(len(buf))
 	rc.evictLocked()
@@ -255,14 +239,14 @@ func (rc *readCache) forget(fid wire.FID, unit int, gen uint64) {
 	rc.mu.Unlock()
 }
 
-// removeLocked unlinks an entry and drops the cache's reference; readers
-// still holding the extent keep it alive until their responses drain.
+// removeLocked unlinks an entry. Its buffer goes to the garbage
+// collector, not the pool: readers that looked it up may still be
+// copying from it.
 func (rc *readCache) removeLocked(el *list.Element) {
 	ext := el.Value.(*Extent)
 	rc.lru.Remove(el)
 	delete(rc.index, ext.fid)
 	rc.bytes -= int64(len(ext.buf))
-	ext.Release()
 }
 
 func (rc *readCache) evictLocked() {
@@ -388,17 +372,15 @@ func (s *Store) load(rc *readCache, fid wire.FID, first int, gen uint64, off, n 
 	return buf, nil
 }
 
-// Read returns n bytes at off within fragment fid, enforcing ACLs for
-// the requesting client on every request, cached or not, so readahead
-// never bypasses access control. A read the extent cache holds, or a
-// miss it admits (admit), returns bytes that alias the extent's pooled
-// buffer and the extent, whose reference the caller must release
-// exactly once after the bytes are on the wire (or copied). Any other
-// read is a range read: the data is a pooled buffer of n bytes and the
-// extent is nil. A read whose units were recycled mid-read retries
-// against the new state, which usually reports the FID gone; the cache
-// never keeps, nor serves, such bytes.
-// swarmlint:returns-ref
+// Read returns n bytes at off within fragment fid in a pooled buffer
+// the caller owns, enforcing ACLs for the requesting client on every
+// request, cached or not, so readahead never bypasses access control.
+// A read the extent cache holds, or a miss it admits (admit), copies its
+// range out of the extent and also returns the extent, whose checksum
+// can stand in for the copy's (cachedReadResponse). Any other read is a
+// range read, and the extent is nil. A read whose units were recycled
+// mid-read retries against the new state, which usually reports the FID
+// gone; the cache never keeps, nor serves, such bytes.
 func (s *Store) Read(client wire.ClientID, fid wire.FID, off, n uint32) ([]byte, *Extent, error) {
 	rc := s.rcache
 	for {
@@ -410,7 +392,7 @@ func (s *Store) Read(client wire.ClientID, fid wire.FID, off, n uint32) ([]byte,
 			rc.hits.Add(1)
 			rc.bytesCached.Add(int64(n))
 			rc.schedule(fid)
-			return ext.buf[off : off+n : off+n], ext, nil
+			return ext.copyRange(off, n), ext, nil
 		}
 		rc.misses.Add(1)
 
@@ -436,8 +418,15 @@ func (s *Store) Read(client wire.ClientID, fid wire.FID, off, n uint32) ([]byte,
 			return buf, nil, nil
 		}
 		ext := rc.insert(fid, first, gen, buf)
-		return ext.buf[off : off+n : off+n], ext, nil
+		return ext.copyRange(off, n), ext, nil
 	}
+}
+
+// copyRange returns extent bytes [off, off+n) in a pooled buffer.
+func (e *Extent) copyRange(off, n uint32) []byte {
+	buf := wire.GetBuffer(int(n))
+	copy(buf, e.buf[off:off+n])
+	return buf
 }
 
 // readaheadWorker serves the prefetch queue: for each scheduled FID it
@@ -472,6 +461,5 @@ func (s *Store) prefetchExtent(rc *readCache, fid wire.FID) {
 		return
 	}
 	rc.raLoads.Add(1)
-	ext := rc.insert(fid, first, gen, buf)
-	ext.Release() // nobody waits for a prefetch: the cache holds the only reference
+	rc.insert(fid, first, gen, buf)
 }

@@ -17,49 +17,35 @@ func newCachedStore(t *testing.T, slots int, capBytes int64, depth int) *Store {
 	return s
 }
 
-func TestReadExtentHitAliasesCachedBuffer(t *testing.T) {
+// TestReadExtentHitOwnsItsBuffer: a miss that fills and the hits after
+// it each return a buffer of their own, copied out of the extent, so a
+// caller that writes into (or recycles) what it read changes nothing
+// another reader sees.
+func TestReadExtentHitOwnsItsBuffer(t *testing.T) {
 	s := newCachedStore(t, 8, 1<<20, 0)
 	fid := wire.MakeFID(1, 0)
 	data := bytes.Repeat([]byte{0xAB}, 1000)
 	if err := s.Store(fid, data, false, nil); err != nil {
 		t.Fatal(err)
 	}
-
-	d1, e1, err := s.Read(1, fid, 0, 1000)
-	if err != nil {
-		t.Fatal(err)
+	reads := []struct{ off, n uint32 }{{0, 1000}, {0, 1000}, {100, 50}}
+	for i, r := range reads {
+		got, ext, err := s.Read(1, fid, r.off, r.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ext == nil {
+			t.Fatalf("read %d: cache enabled but extent is nil", i)
+		}
+		if !bytes.Equal(got, data[r.off:r.off+r.n]) {
+			t.Fatalf("read %d: data mismatch", i)
+		}
+		if &got[0] == &ext.buf[r.off] {
+			t.Fatalf("read %d returned the extent's own bytes", i)
+		}
+		clear(got) // the caller's buffer: the extent must not see this
+		wire.PutBuffer(got)
 	}
-	if e1 == nil {
-		t.Fatal("cache enabled but extent is nil")
-	}
-	if !bytes.Equal(d1, data) {
-		t.Fatal("miss data mismatch")
-	}
-	d2, e2, err := s.Read(1, fid, 0, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(d2, data) {
-		t.Fatal("hit data mismatch")
-	}
-	// The zero-copy claim, concretely: both reads alias one backing array.
-	if &d1[0] != &d2[0] {
-		t.Fatal("hit did not alias the cached extent (payload was copied)")
-	}
-	// Partial reads subslice the same extent.
-	d3, e3, err := s.Read(1, fid, 100, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(d3, data[100:150]) {
-		t.Fatal("partial hit mismatch")
-	}
-	if &d3[0] != &d2[100] {
-		t.Fatal("partial hit did not alias the cached extent")
-	}
-	e1.Release()
-	e2.Release()
-	e3.Release()
 
 	st := s.Stats()
 	if st.ReadMisses != 1 || st.ReadHits != 2 {
@@ -82,10 +68,10 @@ func TestReadExtentGenerationGuard(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Populate the cache with the old fragment.
-	if _, ext, err := s.Read(1, oldFID, 0, 512); err != nil {
+	if data, _, err := s.Read(1, oldFID, 0, 512); err != nil {
 		t.Fatal(err)
 	} else {
-		ext.Release()
+		wire.PutBuffer(data)
 	}
 	if err := s.Delete(1, oldFID); err != nil {
 		t.Fatal(err)
@@ -101,39 +87,38 @@ func TestReadExtentGenerationGuard(t *testing.T) {
 		t.Fatalf("deleted fragment read: %v, want ErrNotFound", err)
 	}
 	// The recycled slot's new fragment must serve ITS bytes.
-	got, ext, err := s.Read(1, newFID, 0, 512)
+	got, _, err := s.Read(1, newFID, 0, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, newData) {
 		t.Fatal("recycled slot served stale bytes")
 	}
-	ext.Release()
+	wire.PutBuffer(got)
 }
 
 // TestReadExtentZeroCopyAllocs pins the warm cached-read path at zero
-// heap allocations: a hit returns a subslice of the resident extent —
-// no payload copy, no per-request buffers.
+// heap allocations: a hit copies its range into a pooled buffer, and a
+// caller that hands the buffer back through wire.PutBuffer gets it again
+// on the next read, so a hit allocates neither a buffer nor anything
+// else.
 func TestReadExtentZeroCopyAllocs(t *testing.T) {
-	s := newCachedStore(t, 8, 1<<20, 0)
+	const size, off, n = 16 << 10, 4 << 10, 4 << 10
+	s := newSizedStore(t, size, 1<<20)
 	fid := wire.MakeFID(1, 0)
-	data := bytes.Repeat([]byte{0xCD}, 2048)
-	if err := s.Store(fid, data, false, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, ext, err := s.Read(1, fid, 0, 2048); err != nil {
-		t.Fatal(err)
-	} else {
-		ext.Release()
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		_, ext, err := s.Read(1, fid, 0, 2048)
+	data := storeRandom(t, s, fid, size)
+	read := func() {
+		got, ext, err := s.Read(1, fid, off, n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ext.Release()
-	})
-	if allocs != 0 {
+		if ext == nil || !bytes.Equal(got, data[off:off+n]) {
+			t.Fatal("warm read missed the cache or returned the wrong bytes")
+		}
+		wire.PutBuffer(got)
+	}
+	read() // fills the extent
+	if allocs := testing.AllocsPerRun(200, read); allocs != 0 {
 		t.Fatalf("cached read allocates %.1f objects/op, want 0", allocs)
 	}
 }
@@ -148,10 +133,10 @@ func TestReadaheadPrefetchesNeighbors(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, ext, err := s.Read(1, wire.MakeFID(1, 0), 0, 256); err != nil {
+	if data, _, err := s.Read(1, wire.MakeFID(1, 0), 0, 256); err != nil {
 		t.Fatal(err)
 	} else {
-		ext.Release()
+		wire.PutBuffer(data)
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for {
@@ -166,14 +151,14 @@ func TestReadaheadPrefetchesNeighbors(t *testing.T) {
 	// The prefetched neighbors now hit without touching the disk counter.
 	diskBefore := s.Stats().ReadBytesDisk
 	for seq := uint64(1); seq <= 2; seq++ {
-		got, ext, err := s.Read(1, wire.MakeFID(1, seq), 0, 256)
+		got, _, err := s.Read(1, wire.MakeFID(1, seq), 0, 256)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, data) {
 			t.Fatalf("prefetched fragment %d mismatch", seq)
 		}
-		ext.Release()
+		wire.PutBuffer(got)
 	}
 	if got := s.Stats().ReadBytesDisk; got != diskBefore {
 		t.Fatalf("reads of prefetched fragments went to disk (%d -> %d bytes)", diskBefore, got)
@@ -191,10 +176,10 @@ func TestReadCacheEvictionBound(t *testing.T) {
 		if err := s.Store(wire.MakeFID(1, seq), data, false, nil); err != nil {
 			t.Fatal(err)
 		}
-		if _, ext, err := s.Read(1, wire.MakeFID(1, seq), 0, 1000); err != nil {
+		if data, _, err := s.Read(1, wire.MakeFID(1, seq), 0, 1000); err != nil {
 			t.Fatal(err)
 		} else {
-			ext.Release()
+			wire.PutBuffer(data)
 		}
 		if cur := s.rcache.curBytes(); cur > 2500 {
 			t.Fatalf("cache occupancy %d exceeds cap 2500", cur)
@@ -206,10 +191,10 @@ func TestReadCacheEvictionBound(t *testing.T) {
 	}
 	// The first fragment was evicted: rereading it is a miss.
 	missesBefore := st.ReadMisses
-	if _, ext, err := s.Read(1, wire.MakeFID(1, 0), 0, 1000); err != nil {
+	if data, _, err := s.Read(1, wire.MakeFID(1, 0), 0, 1000); err != nil {
 		t.Fatal(err)
 	} else {
-		ext.Release()
+		wire.PutBuffer(data)
 	}
 	if got := s.Stats().ReadMisses; got != missesBefore+1 {
 		t.Fatal("evicted extent served as a hit")
@@ -239,38 +224,6 @@ func TestReadExtentDisabledFallsBack(t *testing.T) {
 	if st := s.Stats(); st.ReadHits+st.ReadMisses != 0 {
 		t.Fatalf("disabled cache counted traffic: %+v", st)
 	}
-}
-
-// TestExtentRefcountLifecycle: an extent evicted while a response is in
-// flight stays valid until that response releases it.
-func TestExtentRefcountLifecycle(t *testing.T) {
-	s, _ := newTestStore(t, 8)
-	s.SetReadCache(1200, 0) // exactly one 1000-byte extent resident
-	data0 := bytes.Repeat([]byte{0x55}, 1000)
-	data1 := bytes.Repeat([]byte{0x66}, 1000)
-	if err := s.Store(wire.MakeFID(1, 0), data0, false, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Store(wire.MakeFID(1, 1), data1, false, nil); err != nil {
-		t.Fatal(err)
-	}
-	// Hold fragment 0's extent as an in-flight response would.
-	held, ext0, err := s.Read(1, wire.MakeFID(1, 0), 0, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Reading fragment 1 evicts fragment 0 from the cache.
-	if _, ext1, err := s.Read(1, wire.MakeFID(1, 1), 0, 1000); err != nil {
-		t.Fatal(err)
-	} else {
-		ext1.Release()
-	}
-	// The held payload is still intact: eviction dropped the cache's
-	// reference, not ours.
-	if !bytes.Equal(held, data0) {
-		t.Fatal("held extent corrupted by eviction")
-	}
-	ext0.Release() // last reference; buffer returns to the pool
 }
 
 // TestCloseStopsReadaheadWorker pins the shutdown fix: before it, the

@@ -32,18 +32,14 @@ func newTestStore(t *testing.T, slots int) (*Store, *disk.MemDisk) {
 }
 
 // readCopy reads through Store.Read and returns a private copy of the
-// bytes, releasing the extent or the pooled buffer the read returned.
+// bytes, recycling the pooled buffer the read returned.
 func readCopy(s *Store, client wire.ClientID, fid wire.FID, off, n uint32) ([]byte, error) {
-	data, ext, err := s.Read(client, fid, off, n)
+	data, _, err := s.Read(client, fid, off, n)
 	if err != nil {
 		return nil, err
 	}
 	out := bytes.Clone(data)
-	if ext != nil {
-		ext.Release()
-	} else {
-		wire.PutBuffer(data)
-	}
+	wire.PutBuffer(data)
 	return out, nil
 }
 
@@ -473,12 +469,14 @@ type cacheCase struct {
 
 // guardCaches are the extent caches the read-after-free guards run
 // under: capacity 0 (every read a range read), one that holds the
-// fragment (a whole-extent fill, then hits), and one smaller than the
-// fragment (range reads only).
+// fragment (a whole-extent fill, then hits), one that holds exactly one
+// extent (each fill evicts the extent other readers may be copying
+// from), and one smaller than the fragment (range reads only).
 func guardCaches(fragSize int) []cacheCase {
 	return []cacheCase{
 		{"capacity0", 0},
 		{"holds", int64(4 * fragSize)},
+		{"one", int64(fragSize)},
 		{"smaller", int64(fragSize / 2)},
 	}
 }

@@ -165,19 +165,12 @@ func (s *TCPServer) handleRequest(conn net.Conn, cw *connWriter, req *wire.Reque
 	status, msg := s.store.Handle(req.Client, req.Op, req.Body)
 	werr := cw.write(status, req.Op, req.ID, msg, ErrText(msg))
 	// The request body (and for store ops the fragment payload aliasing
-	// it) is dead once Handle returned; a ReadResponse payload is dead
-	// once the response frame is on the wire. Recycle the exclusively
-	// owned pooled buffers; a reference-counted payload (a read-cache
-	// extent spliced zero-copy into the frame) instead has its reference
-	// released — the cache may still be serving it to other readers.
+	// it) is dead once Handle returned; a response payload is dead once
+	// the response frame is on the wire. Both are pooled buffers this
+	// request owns.
 	wire.PutBuffer(req.Body)
-	if status == wire.StatusOK {
-		switch m := msg.(type) {
-		case wire.PayloadReleaser:
-			m.ReleasePayload()
-		case wire.PayloadMessage:
-			wire.PutBuffer(m.Payload())
-		}
+	if m, ok := msg.(wire.PayloadMessage); ok && status == wire.StatusOK {
+		wire.PutBuffer(m.Payload())
 	}
 	if werr != nil && !cw.failed.Swap(true) {
 		s.log.Printf("write response: %v", werr)

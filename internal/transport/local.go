@@ -23,13 +23,9 @@ func (l *localRPC) call(op wire.Op, req wire.Message, rsp wire.Message) error {
 	be := wire.NewEncoder(64)
 	msg.Encode(be)
 	// Encode copied any bulk payload into the response buffer, so the
-	// server-owned original is dead: drop a cached extent's reference,
-	// or recycle an exclusively-owned pooled payload — mirroring what
-	// the TCP front end does after writing a frame.
-	switch m := msg.(type) {
-	case wire.PayloadReleaser:
-		m.ReleasePayload()
-	case wire.PayloadMessage:
+	// server's pooled original is dead: recycle it, as the TCP front end
+	// does after writing a frame.
+	if m, ok := msg.(wire.PayloadMessage); ok {
 		wire.PutBuffer(m.Payload())
 	}
 	return rsp.Decode(wire.NewDecoder(be.Bytes()))

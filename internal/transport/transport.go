@@ -204,27 +204,31 @@ func (a connRPC) call(op wire.Op, req wire.Message, rsp wire.Message) error {
 func (a connRPC) close() error { return a.sc.Close() }
 
 // Broadcast queries every connection for fid concurrently and returns the
-// connections that have it. Unreachable servers are skipped: broadcast is
-// exactly the mechanism that must work when a server is down.
-func Broadcast(conns []ServerConn, fid wire.FID) []ServerConn {
+// connections that have it, and whether every connection answered.
+// Unreachable servers are skipped: broadcast is exactly the mechanism
+// that must work when a server is down.
+func Broadcast(conns []ServerConn, fid wire.FID) (found []ServerConn, all bool) {
 	var (
-		mu    sync.Mutex
-		found []ServerConn
-		wg    sync.WaitGroup
+		mu sync.Mutex
+		wg sync.WaitGroup
 	)
+	all = true
 	for _, sc := range conns {
 		wg.Add(1)
 		go func(sc ServerConn) {
 			defer wg.Done()
-			if _, ok, err := sc.Has(fid); err == nil && ok {
-				mu.Lock()
+			_, ok, err := sc.Has(fid)
+			mu.Lock()
+			if err != nil {
+				all = false
+			} else if ok {
 				found = append(found, sc)
-				mu.Unlock()
 			}
+			mu.Unlock()
 		}(sc)
 	}
 	wg.Wait()
-	return found
+	return found, all
 }
 
 // ByID returns the connection with the given server ID, or an error.

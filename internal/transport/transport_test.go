@@ -270,7 +270,10 @@ func TestBroadcastFindsHolders(t *testing.T) {
 		t.Fatal(err)
 	}
 	conns := []ServerConn{NewLocal(1, stA, 1), NewLocal(2, stB, 1), NewLocal(3, stC, 1)}
-	found := Broadcast(conns, fid)
+	found, all := Broadcast(conns, fid)
+	if !all {
+		t.Fatal("broadcast over live servers reports a server that did not answer")
+	}
 	ids := map[wire.ServerID]bool{}
 	for _, sc := range found {
 		ids[sc.ID()] = true
@@ -289,7 +292,10 @@ func TestBroadcastSkipsDeadServers(t *testing.T) {
 	dead := NewFlaky(NewLocal(1, stA, 1))
 	dead.SetDown(true)
 	conns := []ServerConn{dead, NewLocal(2, stB, 1)}
-	found := Broadcast(conns, fid)
+	found, all := Broadcast(conns, fid)
+	if all {
+		t.Fatal("broadcast reports that a dead server answered")
+	}
 	if len(found) != 1 || found[0].ID() != 2 {
 		t.Fatalf("broadcast = %v", found)
 	}

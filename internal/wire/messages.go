@@ -46,19 +46,6 @@ type PayloadChecksummer interface {
 	PayloadCRC() (uint32, bool)
 }
 
-// PayloadReleaser is implemented by responses whose payload aliases a
-// shared, reference-counted buffer (a server read-cache extent) instead
-// of an exclusively-owned pooled buffer. After the payload has been
-// written to the wire or copied, transports must call ReleasePayload
-// exactly once INSTEAD of PutBuffer(Payload()): the implementation drops
-// its reference, and the buffer is recycled only when the last holder
-// lets go. The bufpool ownership rules (DESIGN.md §7) treat a
-// ReleasePayload call as the buffer's disposal.
-type PayloadReleaser interface {
-	// ReleasePayload releases the response's reference on the payload.
-	ReleasePayload()
-}
-
 func finish(d *Decoder) error {
 	if err := d.Err(); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadMessage, err)
@@ -454,8 +441,8 @@ type StatResponse struct {
 
 	// Read-path counters (the serving-tier extent cache; all zero while
 	// it has capacity 0, where every read is a range read): cache hits
-	// and misses, readahead prefetches, bytes served zero-copy from
-	// memory vs read from disk (extent fills and range reads), and
+	// and misses, readahead prefetches, bytes served from cached
+	// extents vs read from disk (extent fills and range reads), and
 	// current cache occupancy.
 	ReadHits        uint64
 	ReadMisses      uint64

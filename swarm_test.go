@@ -487,15 +487,12 @@ func TestPublicAPILogicalDiskWithCodec(t *testing.T) {
 			if !ok {
 				continue
 			}
-			raw, ext, err := s.store.Read(1, fid, 0, size)
+			raw, _, err := s.store.Read(1, fid, 0, size)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if bytes.Contains(raw, []byte("compress me, then hide me.")) {
 				t.Fatal("plaintext leaked to server storage")
-			}
-			if ext != nil {
-				ext.Release()
 			}
 		}
 	}
