@@ -53,7 +53,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The chaos harness alone, under the race detector, plus the transport's
+# The chaos harness alone, under the race detector, plus the race of
+# GrantAccess against joining servers (the ACL IDs live in the log
+# alone and a grant reads them under its lock), the fragment engine's
+# membership and discovery tests (its queues outlive a departed server,
+# it reads the broadcast set from the placement map, and a Locate that
+# joined a stale broadcast runs its own), the transport's
 # retry, breaker and failure-injection tests, the log's short-stripe
 # loss, crash and power-cut tests, its range-decode equivalence tests
 # (degraded reads against the whole-fragment path, under concurrent
@@ -77,7 +82,8 @@ race:
 # data barriers, entry commits and ACL writes share one sync
 # coalescer, and these are the only tests that race its batches.
 chaos:
-	$(GO) test -race -v -run 'TestChaos|TestDegradedWrites' .
+	$(GO) test -race -v -run 'TestChaos|TestDegradedWrites|GrantAccess' .
+	$(GO) test -race -run 'Membership|Straggler|Churn|Locate' ./internal/fragio
 	$(GO) test -race -run 'Resilient|Flaky|Retry' ./internal/transport
 	$(GO) test -race -run 'ShortStripe|RangeDecode|FrameLifetime|NoteMigrated|Reconstruct|Rebuild|Corrupt|Reclaim|StripeRecord|FragCache' ./internal/core
 	$(GO) test -race -run 'AllocatorChurn|PowerCut|Crash|ReadAfterFree|ReadDeleteStoreRace|Oversized|ReadExtent|ReadCache|GroupCommit|SyncCoalescer|ConcurrentStores|DeleteWaits' ./internal/server

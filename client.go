@@ -83,8 +83,6 @@ type Client struct {
 	opts ClientOptions
 
 	mu     sync.Mutex
-	conns  []transport.ServerConn
-	acls   map[ServerID]wire.AID
 	drains map[ServerID]*drainJob
 
 	cleaner *cleaner.Cleaner
@@ -184,13 +182,11 @@ func connect(id ClientID, conns []transport.ServerConn, opts ClientOptions) (*Cl
 		return nil, err
 	}
 	return &Client{
-		id:    id,
-		log:   l,
-		reg:   service.NewRegistry(l),
-		rec:   rec,
-		opts:  opts,
-		conns: conns,
-		acls:  acls,
+		id:   id,
+		log:  l,
+		reg:  service.NewRegistry(l),
+		rec:  rec,
+		opts: opts,
 	}, nil
 }
 
@@ -198,52 +194,25 @@ func connect(id ClientID, conns []transport.ServerConn, opts ClientOptions) (*Cl
 // server: "once the client has been added to the appropriate ACLs, all
 // data protected by those ACLs will be accessible" (§2.3.2). Only valid
 // on clients connected with Protect.
-func (c *Client) GrantAccess(ids ...ClientID) error {
-	if len(c.acls) == 0 {
-		return errors.New("swarm: client was not connected with Protect")
-	}
-	for _, sc := range c.servers() {
-		aid, ok := c.aclOf(sc.ID())
-		if !ok {
-			continue
-		}
-		if err := sc.ACLModify(aid, ids, nil); err != nil {
-			return fmt.Errorf("modify ACL on server %d: %w", sc.ID(), err)
-		}
-	}
-	return nil
-}
+func (c *Client) GrantAccess(ids ...ClientID) error { return c.modifyACLs(ids, nil) }
 
 // RevokeAccess removes clients from this client's fragment ACLs.
-func (c *Client) RevokeAccess(ids ...ClientID) error {
-	if len(c.acls) == 0 {
+func (c *Client) RevokeAccess(ids ...ClientID) error { return c.modifyACLs(nil, ids) }
+
+func (c *Client) modifyACLs(add, remove []ClientID) error {
+	if !c.opts.Protect {
 		return errors.New("swarm: client was not connected with Protect")
 	}
-	for _, sc := range c.servers() {
-		aid, ok := c.aclOf(sc.ID())
+	for _, sc := range c.log.Servers() {
+		aid, ok := c.log.ACL(sc.ID())
 		if !ok {
 			continue
 		}
-		if err := sc.ACLModify(aid, nil, ids); err != nil {
+		if err := sc.ACLModify(aid, add, remove); err != nil {
 			return fmt.Errorf("modify ACL on server %d: %w", sc.ID(), err)
 		}
 	}
 	return nil
-}
-
-// servers snapshots the connection list (it changes under AddServer and
-// RemoveServer).
-func (c *Client) servers() []transport.ServerConn {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]transport.ServerConn(nil), c.conns...)
-}
-
-func (c *Client) aclOf(id ServerID) (wire.AID, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	aid, ok := c.acls[id]
-	return aid, ok
 }
 
 // ID returns the client's identity.
@@ -331,7 +300,7 @@ func (c *Client) RebuildServer(id ServerID) (int, error) {
 // without a resilience layer report nothing, so an in-process cluster
 // returns an empty slice.
 func (c *Client) Health() []Health {
-	return transport.HealthOf(c.servers())
+	return transport.HealthOf(c.log.Servers())
 }
 
 // Sync flushes the log.
@@ -347,7 +316,7 @@ func (c *Client) Close() error {
 	}
 	c.stopDrains()
 	err := c.log.Close()
-	for _, sc := range c.servers() {
+	for _, sc := range c.log.Servers() {
 		cerr := sc.Close()
 		if cerr == nil || errors.Is(cerr, transport.ErrUnavailable) {
 			continue

@@ -370,7 +370,7 @@ func Open(cfg Config) (*Log, *Recovery, error) {
 		l.nparity = cfg.ParityShards
 		l.pacc = newParityAccum(code, l.payloadSize)
 	}
-	l.engine = fragio.New(cfg.Servers, fragio.Options{
+	l.engine = fragio.New(place, fragio.Options{
 		Format:     frameFormat{},
 		StoreDepth: cfg.PipelineDepth,
 	})

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"swarm/internal/disk"
+	"swarm/internal/erasure"
 	"swarm/internal/server"
 	"swarm/internal/transport"
 	"swarm/internal/wire"
@@ -1320,5 +1321,45 @@ func TestFailedStoreKeepsLocalReads(t *testing.T) {
 		if err := l.VerifyStripe(s); err != nil {
 			t.Fatalf("stripe %d after rebuild: %v", s, err)
 		}
+	}
+}
+
+// TestLogReadRemoteAllocs pins the allocations of a warm 4 KB Log.Read
+// of a synced block: 6 servers over transport.NewLocal, RS(4,2), 64 KB
+// fragments, the returned buffer given back through wire.PutBuffer. The
+// read resolves the block's server through the placement map, queues
+// on the engine's fetch semaphore and crosses the local transport.
+func TestLogReadRemoteAllocs(t *testing.T) {
+	const fragSize = 64 << 10
+	var conns []transport.ServerConn
+	for i := 0; i < 6; i++ {
+		st, err := server.Format(disk.NewMemDisk(4<<20), server.Config{FragmentSize: fragSize})
+		if err != nil {
+			t.Fatal(err)
+		}
+		conns = append(conns, transport.NewLocal(wire.ServerID(i+1), st, testClient))
+	}
+	l, _, err := Open(Config{
+		Client: testClient, Servers: conns, FragmentSize: fragSize,
+		Width: 6, ParityShards: 2, Codec: erasure.KindRS,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	addr := mustAppend(t, l, 7, blockPattern(1, 4096))
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	read := func() {
+		data, err := l.Read(addr, 0, 4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire.PutBuffer(data)
+	}
+	read()
+	if allocs := testing.AllocsPerRun(200, read); allocs > 10 {
+		t.Fatalf("warm remote 4 KB read: %.1f allocations, want ≤ 10", allocs)
 	}
 }

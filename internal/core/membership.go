@@ -22,13 +22,12 @@ import (
 // this client's fragments (the drain has not finished).
 var ErrNotEmpty = errors.New("core: server still holds fragments, drain first")
 
-// AddServer admits a new storage server: the I/O engine gains its
-// bounded queues, and the placement map publishes a new epoch whose
-// active set includes it, so stripes opened from now on may place
-// members there. The open stripe (if any) is sealed under its own epoch
-// first. aid, when nonzero, is the ACL protecting fragments this log
-// stores on the new server (mirroring Config.ACLs for the construction
-// set). Returns the new head epoch.
+// AddServer admits a new storage server: the placement map publishes a
+// new epoch whose active set includes it, so stripes opened from now on
+// may place members there. The open stripe (if any) is sealed under its
+// own epoch first. aid, when nonzero, is the ACL protecting fragments
+// this log stores on the new server (mirroring Config.ACLs for the
+// construction set). Returns the new head epoch.
 func (l *Log) AddServer(conn transport.ServerConn, aid wire.AID) (uint32, error) {
 	// The same fragment-size sanity check Open applies to the
 	// construction set; an unreachable server is admitted (it may be
@@ -37,27 +36,25 @@ func (l *Log) AddServer(conn transport.ServerConn, aid wire.AID) (uint32, error)
 		return 0, fmt.Errorf("%w: server %d uses %d-byte fragments, client configured for %d",
 			ErrConfig, conn.ID(), st.FragmentSize, l.fragSize)
 	}
-	if err := l.engine.AddServer(conn); err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrConfig, err)
-	}
 	l.mu.Lock()
+	// Every Join runs under mu, so a duplicate is refused here before
+	// the open stripe is sealed for nothing.
+	if l.place.Conn(conn.ID()) != nil {
+		l.mu.Unlock()
+		return 0, fmt.Errorf("%w: server %d already in configuration", ErrConfig, conn.ID())
+	}
 	if l.closed {
 		l.mu.Unlock()
-		l.engine.RemoveServer(conn.ID())
 		return 0, ErrClosed
-	}
-	if aid != 0 {
-		l.acls[conn.ID()] = aid
 	}
 	sealed := l.closeStripeLocked(false)
 	epoch, err := l.place.Join(conn)
-	if err != nil {
-		delete(l.acls, conn.ID())
+	if err == nil && aid != 0 {
+		l.acls[conn.ID()] = aid
 	}
 	l.mu.Unlock()
 	l.ship(sealed)
 	if err != nil {
-		l.engine.RemoveServer(conn.ID())
 		return 0, fmt.Errorf("%w: %v", ErrConfig, err)
 	}
 	return epoch, nil
@@ -137,7 +134,6 @@ func (l *Log) RemoveServer(id wire.ServerID) (uint32, error) {
 	if err != nil {
 		return 0, fmt.Errorf("%w: %v", ErrConfig, err)
 	}
-	l.engine.RemoveServer(id)
 	return epoch, nil
 }
 
@@ -156,6 +152,15 @@ func (l *Log) Placement() placement.Info { return l.place.Snapshot() }
 
 // ServerConn returns the connection for a current member, or nil.
 func (l *Log) ServerConn(id wire.ServerID) transport.ServerConn { return l.place.Conn(id) }
+
+// ACL returns the ACL protecting this log's fragments on server id, and
+// whether there is one.
+func (l *Log) ACL(id wire.ServerID) (wire.AID, bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	aid, ok := l.acls[id]
+	return aid, ok
+}
 
 // ListServer enumerates this client's fragments on one server.
 func (l *Log) ListServer(id wire.ServerID) ([]wire.FID, error) {

@@ -689,7 +689,7 @@ func (l *Log) findSibling(fid wire.FID) (*Header, error) {
 func (l *Log) fetchHeader(fid wire.FID, hint wire.ServerID) (*Header, error) {
 	conn := l.lookupConn(fid)
 	if conn == nil {
-		conn = l.engine.Conn(hint)
+		conn = l.place.Conn(hint)
 	}
 	if conn == nil {
 		found, _, err := l.engine.Locate(fid)

@@ -119,10 +119,7 @@ func (l *Log) RebuildServer(id wire.ServerID) (int, error) {
 // rangesFor returns the ACL ranges to apply when storing a whole frame to
 // conn, mirroring the write path's protection.
 func (l *Log) rangesFor(conn transport.ServerConn, frameLen int) []wire.ACLRange {
-	l.mu.Lock()
-	aid, ok := l.acls[conn.ID()]
-	l.mu.Unlock()
-	if ok {
+	if aid, ok := l.ACL(conn.ID()); ok {
 		return []wire.ACLRange{{Off: 0, Len: uint32(frameLen), AID: aid}}
 	}
 	return nil

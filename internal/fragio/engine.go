@@ -39,6 +39,7 @@ import (
 	"fmt"
 	"sync"
 
+	"swarm/internal/placement"
 	"swarm/internal/transport"
 	"swarm/internal/wire"
 )
@@ -103,9 +104,11 @@ type Stats struct {
 	// Broadcasts counts broadcast discoveries actually performed.
 	Broadcasts int64
 	// SharedFlights counts Single calls that joined an in-flight
-	// execution instead of running their own.
+	// execution instead of running their own, as they join.
 	SharedFlights int64
-	// SharedLocates counts Locate calls deduplicated the same way.
+	// SharedLocates counts Locate calls that joined an in-flight
+	// broadcast, the same way; one that then re-broadcasts counts here
+	// and in Broadcasts.
 	SharedLocates int64
 	// KGathers counts quorum fan-outs (GatherK calls with k below the
 	// member count, which can return early).
@@ -124,92 +127,48 @@ type span struct {
 }
 
 // Engine is the fragment I/O engine for one client over one cluster.
-// All methods are safe for concurrent use, including the membership
-// mutations AddServer/RemoveServer: the server set is read under the
-// engine mutex, while blocking work (semaphore waits, I/O) always
-// happens outside it, so an in-flight gather racing a removal completes
-// against the channels it captured.
+// All methods are safe for concurrent use. The engine keeps no server
+// list of its own: the placement map is the one registry of who is in
+// the cluster, read for hints (Conn) and the broadcast set (Conns).
+// Blocking work (semaphore waits, I/O) always happens outside the
+// engine mutex, so an op racing a membership change completes against
+// the connection and queue it captured.
 type Engine struct {
 	format     Format
 	storeDepth int
+	place      *placement.Map
 
 	flights singleflight[span]     // reconstruction and range decodes
 	locates singleflight[wire.FID] // broadcast discovery
 
-	mu        sync.Mutex
-	servers   []transport.ServerConn                 // guarded by mu
-	byID      map[wire.ServerID]transport.ServerConn // guarded by mu
-	storeSems map[wire.ServerID]chan struct{}        // guarded by mu
-	fetchSems map[wire.ServerID]chan struct{}        // guarded by mu
-	inflight  int                                    // dispatched async stores not yet complete; guarded by mu
+	mu sync.Mutex
+	// storeSems and fetchSems are the per-server bounded queues, created
+	// on a server's first use and never deleted: IDs are never reused
+	// (placement.NextID), so a departed server's queue is only a few
+	// idle bytes. Guarded by mu.
+	storeSems map[wire.ServerID]chan struct{}
+	fetchSems map[wire.ServerID]chan struct{}
+	inflight  int // dispatched async stores not yet complete; guarded by mu
 	cond      *sync.Cond
 	stats     Stats // guarded by mu
 }
 
-// New builds an engine over the cluster's connections.
-func New(servers []transport.ServerConn, opts Options) *Engine {
+// New builds an engine over the cluster's placement map.
+func New(place *placement.Map, opts Options) *Engine {
 	if opts.StoreDepth <= 0 {
 		opts.StoreDepth = 2
 	}
 	e := &Engine{
 		format:     opts.Format,
 		storeDepth: opts.StoreDepth,
-		byID:       make(map[wire.ServerID]transport.ServerConn, len(servers)),
-		storeSems:  make(map[wire.ServerID]chan struct{}, len(servers)),
-		fetchSems:  make(map[wire.ServerID]chan struct{}, len(servers)),
+		place:      place,
+		storeSems:  make(map[wire.ServerID]chan struct{}),
+		fetchSems:  make(map[wire.ServerID]chan struct{}),
 	}
 	e.cond = sync.NewCond(&e.mu)
-	e.flights.init()
-	e.locates.init()
-	for _, sc := range servers {
-		e.servers = append(e.servers, sc)
-		e.addLocked(sc)
-	}
+	e.flights.init(func() { e.bump(func(s *Stats) { s.SharedFlights++ }) })
+	e.locates.init(func() { e.bump(func(s *Stats) { s.SharedLocates++ }) })
 	return e
-}
-
-// addLocked installs sc's lookup entry and semaphores.
-func (e *Engine) addLocked(sc transport.ServerConn) {
-	id := sc.ID()
-	e.byID[id] = sc
-	e.storeSems[id] = make(chan struct{}, e.storeDepth)
-	e.fetchSems[id] = make(chan struct{}, fetchDepth)
-}
-
-// AddServer admits a new server to the engine: it becomes a valid
-// store/fetch target with fresh bounded queues and joins the broadcast
-// set. Adding an ID that is already present is an error.
-func (e *Engine) AddServer(sc transport.ServerConn) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if _, dup := e.byID[sc.ID()]; dup {
-		return fmt.Errorf("fragio: server %d already in engine", sc.ID()) // swarmlint:classified (configuration error, not an RPC outcome)
-	}
-	e.servers = append(append([]transport.ServerConn(nil), e.servers...), sc)
-	e.addLocked(sc)
-	return nil
-}
-
-// RemoveServer drops a server from the engine. Operations already in
-// flight against it run to completion on the channels they captured;
-// new fetches naming the ID miss the lookup and fall back to broadcast
-// discovery over the remaining servers. Unknown IDs are a no-op.
-func (e *Engine) RemoveServer(id wire.ServerID) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if _, ok := e.byID[id]; !ok {
-		return
-	}
-	next := make([]transport.ServerConn, 0, len(e.servers)-1)
-	for _, sc := range e.servers {
-		if sc.ID() != id {
-			next = append(next, sc)
-		}
-	}
-	e.servers = next
-	delete(e.byID, id)
-	delete(e.storeSems, id)
-	delete(e.fetchSems, id)
 }
 
 // Stats returns a snapshot of the engine's counters.
@@ -219,23 +178,25 @@ func (e *Engine) Stats() Stats {
 	return e.stats
 }
 
-// Conn returns the connection for a server ID, or nil if the server is
-// not (or no longer) in the configuration.
-func (e *Engine) Conn(id wire.ServerID) transport.ServerConn {
+// queue returns server id's store or fetch semaphore, creating it on
+// first use.
+func (e *Engine) queue(id wire.ServerID, store bool) chan struct{} {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.byID[id]
+	sems, depth := e.fetchSems, fetchDepth
+	if store {
+		sems, depth = e.storeSems, e.storeDepth
+	}
+	sem, ok := sems[id]
+	if !ok {
+		sem = make(chan struct{}, depth)
+		sems[id] = sem
+	}
+	return sem
 }
 
 func (e *Engine) acquireFetch(id wire.ServerID) func() {
-	e.mu.Lock()
-	sem, ok := e.fetchSems[id]
-	e.mu.Unlock()
-	if !ok {
-		// Unknown or just-removed server: no queue to respect. The fetch
-		// itself will fail or succeed on the connection's own terms.
-		return func() {}
-	}
+	sem := e.queue(id, false)
 	sem <- struct{}{}
 	return func() { <-sem }
 }
@@ -293,7 +254,7 @@ func (e *Engine) Fetch(conn transport.ServerConn, fid wire.FID) (any, []byte, er
 
 // Member names one fragment to gather: its FID and the server believed
 // to hold it (the stripe group from a sibling header, or a recorded
-// location). A server outside the configuration — including the zero
+// location). A server not in the placement map — including the zero
 // value for "unknown" — sends the fetch straight to broadcast discovery.
 //
 // With Len > 0 the member is the payload byte range [Off, Off+Len): one
@@ -382,7 +343,7 @@ func (e *Engine) GatherK(members []Member, k int) []Result {
 // discovery as the fallback.
 func (e *Engine) FetchMember(m Member) Result {
 	res := Result{Member: m}
-	if conn := e.Conn(m.Server); conn != nil {
+	if conn := e.place.Conn(m.Server); conn != nil {
 		res.Decoded, res.Payload, res.Err = e.fetchFrom(conn, m)
 		if res.Err == nil {
 			res.From = m.Server
@@ -412,28 +373,19 @@ func (e *Engine) fetchFrom(conn transport.ServerConn, m Member) (any, []byte, er
 	return e.Fetch(conn, m.FID)
 }
 
-// Locate finds a server holding fid by broadcasting to the cluster —
-// the self-hosting discovery of §2.3.3. Concurrent Locate calls for the
-// same FID share one broadcast; shared reports whether this caller
-// joined an in-flight discovery rather than performing its own.
+// Locate finds a server holding fid by broadcasting to every member of
+// the placement map — the self-hosting discovery of §2.3.3. Concurrent
+// Locate calls for the same FID share one broadcast; shared reports
+// whether this caller got an in-flight discovery's answer rather than
+// performing its own. A joiner handed "not every server answered" runs
+// one broadcast of its own: the flight may have begun while a server
+// that has since come back was down. A not-found answer, which every
+// server gave, is shared as is.
 func (e *Engine) Locate(fid wire.FID) (conn transport.ServerConn, shared bool, err error) {
-	v, shared, err := e.locates.do(fid, func() (any, error) {
-		e.mu.Lock()
-		servers := append([]transport.ServerConn(nil), e.servers...)
-		e.stats.Broadcasts++
-		e.mu.Unlock()
-		found, all := transport.Broadcast(servers, fid)
-		switch {
-		case len(found) > 0:
-			return found[0], nil // swarmlint:placement-ok (any holder serves a broadcast discovery; no slot is being resolved)
-		case all:
-			return nil, fmt.Errorf("%w: %v", ErrNotFound, fid)
-		default:
-			return nil, fmt.Errorf("%w: %v is on none of the servers that answered", transport.ErrUnavailable, fid)
-		}
-	})
-	if shared {
-		e.bump(func(s *Stats) { s.SharedLocates++ })
+	v, shared, err := e.locates.do(fid, func() (any, error) { return e.broadcast(fid) })
+	if shared && errors.Is(err, transport.ErrUnavailable) {
+		v, err = e.broadcast(fid)
+		shared = false
 	}
 	if err != nil {
 		return nil, shared, err
@@ -441,12 +393,26 @@ func (e *Engine) Locate(fid wire.FID) (conn transport.ServerConn, shared bool, e
 	return v.(transport.ServerConn), shared, nil
 }
 
+// broadcast asks every member whether it holds fid.
+func (e *Engine) broadcast(fid wire.FID) (any, error) {
+	e.bump(func(s *Stats) { s.Broadcasts++ })
+	found, all := transport.Broadcast(e.place.Conns(), fid)
+	switch {
+	case len(found) > 0:
+		return found[0], nil // swarmlint:placement-ok (any holder serves a broadcast discovery; no slot is being resolved)
+	case all:
+		return nil, fmt.Errorf("%w: %v", ErrNotFound, fid)
+	default:
+		return nil, fmt.Errorf("%w: %v is on none of the servers that answered", transport.ErrUnavailable, fid)
+	}
+}
+
 // Single runs fn once per concurrently-requested FID: callers that
 // arrive while fn is in flight wait for and share its result instead of
 // executing their own copy. Reconstruction uses this so N concurrent
 // readers of the same lost fragment pay one stripe fan-out.
 func (e *Engine) Single(fid wire.FID, fn func() (any, error)) (v any, shared bool, err error) {
-	return e.single(span{fid: fid}, fn)
+	return e.flights.do(span{fid: fid}, fn)
 }
 
 // SingleRange is Single for one payload byte range [off, off+n) of
@@ -454,15 +420,7 @@ func (e *Engine) Single(fid wire.FID, fn func() (any, error)) (v any, shared boo
 // decode, while reads of other ranges, and a whole-fragment flight of
 // the same FID, run their own.
 func (e *Engine) SingleRange(fid wire.FID, off, n uint32, fn func() (any, error)) (v any, shared bool, err error) {
-	return e.single(span{fid: fid, off: off, n: n}, fn)
-}
-
-func (e *Engine) single(key span, fn func() (any, error)) (v any, shared bool, err error) {
-	v, shared, err = e.flights.do(key, fn)
-	if shared {
-		e.bump(func(s *Stats) { s.SharedFlights++ })
-	}
-	return v, shared, err
+	return e.flights.do(span{fid: fid, off: off, n: n}, fn)
 }
 
 // -------------------------------------------------------------- storing
@@ -487,21 +445,15 @@ func (e *Engine) Store(conn transport.ServerConn, fid wire.FID, frame []byte, ma
 // counted complete, so a Wait that returns has observed every done
 // callback's effects.
 func (e *Engine) StoreAsync(conn transport.ServerConn, fid wire.FID, frame []byte, mark bool, ranges []wire.ACLRange, done func(error)) {
-	e.mu.Lock()
-	sem := e.storeSems[conn.ID()]
-	e.mu.Unlock()
-	if sem != nil {
-		sem <- struct{}{}
-	}
+	sem := e.queue(conn.ID(), true)
+	sem <- struct{}{}
 	e.mu.Lock()
 	e.inflight++
 	e.mu.Unlock()
 	go func() {
 		err := e.Store(conn, fid, frame, mark, ranges)
 		done(err)
-		if sem != nil {
-			<-sem
-		}
+		<-sem
 		e.mu.Lock()
 		e.inflight--
 		e.cond.Broadcast()

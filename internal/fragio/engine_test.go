@@ -4,11 +4,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"swarm/internal/placement"
 	"swarm/internal/transport"
 	"swarm/internal/wire"
 )
@@ -156,7 +158,16 @@ type retryingConn struct{ *fakeConn }
 func (retryingConn) Health() transport.Health { return transport.Health{} }
 
 func newEngine(conns ...transport.ServerConn) *Engine {
-	return New(conns, Options{Format: testFormat{}})
+	return newEngineOpts(Options{Format: testFormat{}}, conns...)
+}
+
+// newEngineOpts builds an engine over a placement map of conns.
+func newEngineOpts(opts Options, conns ...transport.ServerConn) *Engine {
+	m, err := placement.New(conns)
+	if err != nil {
+		panic(err)
+	}
+	return New(m, opts)
 }
 
 func fid(seq uint64) wire.FID { return wire.MakeFID(1, seq) }
@@ -295,6 +306,104 @@ func TestLocateNotFound(t *testing.T) {
 	}
 }
 
+// gatedConn is a server that is down when a broadcast first asks it:
+// its first Has signals entered, blocks until release, then answers
+// with fail (or, when fail is nil, with what it holds by then).
+type gatedConn struct {
+	*fakeConn
+	fail             error
+	entered, release chan struct{}
+	once             sync.Once
+}
+
+func newGatedConn(id wire.ServerID, fail error) *gatedConn {
+	return &gatedConn{fakeConn: newFakeConn(id), fail: fail, entered: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (c *gatedConn) Has(fid wire.FID) (uint32, bool, error) {
+	first := false
+	c.once.Do(func() { first = true })
+	if first {
+		close(c.entered)
+		<-c.release
+		if c.fail != nil {
+			return 0, false, c.fail
+		}
+	}
+	return c.fakeConn.Has(fid)
+}
+
+// awaitSharedLocates spins until n Locate calls have joined a flight.
+func awaitSharedLocates(t *testing.T, e *Engine, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for e.Stats().SharedLocates < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("no Locate joined the flight (SharedLocates = %d, want %d)", e.Stats().SharedLocates, n)
+		}
+		runtime.Gosched()
+	}
+}
+
+type located struct {
+	conn transport.ServerConn
+	err  error
+}
+
+func locateAsync(e *Engine, f wire.FID) chan located {
+	ch := make(chan located, 1)
+	go func() {
+		conn, _, err := e.Locate(f)
+		ch <- located{conn, err}
+	}()
+	return ch
+}
+
+// TestLocateJoinerRebroadcastsAfterStaleUnavailable: caller A's
+// broadcast waits on server 2, which is down; server 2 comes back
+// holding the fragment; caller B joins A's flight; A's probe of server 2
+// then fails. A's "not every server answered" is stale for B, which must
+// run its own broadcast and find the fragment.
+func TestLocateJoinerRebroadcastsAfterStaleUnavailable(t *testing.T) {
+	s2 := newGatedConn(2, transport.ErrUnavailable)
+	e := newEngine(newFakeConn(1), s2)
+	a := locateAsync(e, fid(4))
+	<-s2.entered
+	s2.put(fid(4), []byte("back"))
+	b := locateAsync(e, fid(4))
+	awaitSharedLocates(t, e, 1)
+	close(s2.release)
+	if r := <-a; !errors.Is(r.err, transport.ErrUnavailable) {
+		t.Fatalf("caller A: %v, want ErrUnavailable", r.err)
+	}
+	if r := <-b; r.err != nil || r.conn.ID() != 2 {
+		t.Fatalf("caller B: conn %v, err %v; want server 2", r.conn, r.err)
+	}
+	if st := e.Stats(); st.Broadcasts != 2 {
+		t.Fatalf("broadcasts = %d, want 2 (A's and B's own)", st.Broadcasts)
+	}
+}
+
+// TestLocateSharesNotFound: an answer every server gave is not stale, so
+// a joiner shares a not-found result without broadcasting again.
+func TestLocateSharesNotFound(t *testing.T) {
+	s1 := newGatedConn(1, nil)
+	e := newEngine(s1)
+	a := locateAsync(e, fid(4))
+	<-s1.entered
+	b := locateAsync(e, fid(4))
+	awaitSharedLocates(t, e, 1)
+	close(s1.release)
+	for _, ch := range []chan located{a, b} {
+		if r := <-ch; !errors.Is(r.err, ErrNotFound) {
+			t.Fatalf("err = %v, want ErrNotFound", r.err)
+		}
+	}
+	if st := e.Stats(); st.Broadcasts != 1 {
+		t.Fatalf("broadcasts = %d, want 1", st.Broadcasts)
+	}
+}
+
 func TestStoreDoesNotStackRetries(t *testing.T) {
 	// Re-sending belongs to the resilient transport alone: the engine
 	// makes exactly one attempt and surfaces the error as-is, whether or
@@ -345,7 +454,7 @@ func TestStoreExistsIsSuccess(t *testing.T) {
 func TestStoreAsyncFlowControlAndWait(t *testing.T) {
 	c := newFakeConn(1)
 	c.setLatency(10 * time.Millisecond)
-	e := New([]transport.ServerConn{c}, Options{Format: testFormat{}, StoreDepth: 1})
+	e := newEngineOpts(Options{Format: testFormat{}, StoreDepth: 1}, c)
 	var done atomic.Int64
 	for i := 0; i < 3; i++ {
 		e.StoreAsync(c, fid(uint64(i)), frame([]byte{byte(i)}), false, nil, func(err error) {
@@ -399,7 +508,7 @@ func TestFetchRecyclesPayloadOnVerifyFailure(t *testing.T) {
 	inner.mu.Unlock()
 
 	conn := pooledConn{inner}
-	e := New([]transport.ServerConn{conn}, Options{Format: testFormat{}})
+	e := newEngine(conn)
 
 	// Seed the pool with a marker buffer. Bins are stacks, so the fetch
 	// path's GetBuffer(payloadLen) draws the marker; if the verify

@@ -1,28 +1,28 @@
 package fragio
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"time"
 
+	"swarm/internal/placement"
 	"swarm/internal/transport"
 	"swarm/internal/wire"
 )
 
-// Dynamic-membership behavior of the engine: servers can be added and
-// removed while gathers, stores, and straggler drains are in flight.
+// Dynamic-membership behavior of the engine: servers can join and leave
+// the placement map while gathers, stores, and straggler drains are in
+// flight.
 
-func TestAddServerDuplicateRejected(t *testing.T) {
-	a, b := newFakeConn(1), newFakeConn(2)
-	e := newEngine(a, b)
-	if err := e.AddServer(newFakeConn(1)); err == nil {
-		t.Fatal("duplicate ID admitted")
+// removeServer retires id from the engine's placement map the way
+// core.Log does: a drain, then the removal.
+func removeServer(t testing.TB, e *Engine, id wire.ServerID) {
+	if _, err := e.place.Drain(id, 0); err != nil {
+		t.Error(err)
 	}
-	if err := e.AddServer(newFakeConn(3)); err != nil {
-		t.Fatal(err)
-	}
-	if e.Conn(3) == nil {
-		t.Fatal("added server not resolvable")
+	if _, err := e.place.Remove(id); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -31,24 +31,26 @@ func TestRemoveServerLeavesBroadcastSet(t *testing.T) {
 	a.put(fid(1), []byte("x"))
 	b.put(fid(1), []byte("x"))
 	e := newEngine(a, b)
-	e.RemoveServer(2)
-	if e.Conn(2) != nil {
+	removeServer(t, e, 2)
+	if e.place.Conn(2) != nil {
 		t.Fatal("removed server still resolvable")
 	}
 	// Discovery must still work through the survivor.
-	if _, _, err := e.Locate(fid(1)); err != nil {
-		t.Fatal(err)
+	if conn, _, err := e.Locate(fid(1)); err != nil || conn.ID() != 1 {
+		t.Fatalf("locate after removal: %v, %v", conn, err)
 	}
-	// Removing an unknown ID is a no-op, not a panic.
-	e.RemoveServer(99)
+	// Removing an unknown ID is refused, not a panic.
+	if _, err := e.place.Remove(99); !errors.Is(err, placement.ErrUnknownServer) {
+		t.Fatalf("remove unknown: %v", err)
+	}
 }
 
 // TestGatherKStragglerVsRemoveServer is the S3 regression test: a
 // GatherK returns at quorum while slow members are still fetching, and
-// the straggler's server is concurrently removed from the engine. The
-// in-flight fetch must complete (or fail) on its captured connection
-// without racing the membership change, and later operations against
-// the removed ID must degrade gracefully. Run under -race.
+// the straggler's server is concurrently removed from the placement
+// map. The in-flight fetch must complete (or fail) on its captured
+// connection without racing the membership change, and later operations
+// against the removed ID must degrade gracefully. Run under -race.
 func TestGatherKStragglerVsRemoveServer(t *testing.T) {
 	const rounds = 20
 	for round := 0; round < rounds; round++ {
@@ -86,13 +88,13 @@ func TestGatherKStragglerVsRemoveServer(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			// Remove a straggler while its fetch is (likely) in flight.
-			e.RemoveServer(4)
+			removeServer(t, e, 4)
 		}()
 		wg.Wait()
 
 		// The removed ID is gone; operations against it are no-ops or
-		// clean errors, never lookups into freed queues.
-		if e.Conn(4) != nil {
+		// clean errors.
+		if e.place.Conn(4) != nil {
 			t.Fatalf("round %d: removed server still resolvable", round)
 		}
 		res := e.GatherK([]Member{{FID: fid(3), Server: 4}}, 1)
@@ -102,12 +104,12 @@ func TestGatherKStragglerVsRemoveServer(t *testing.T) {
 		done := make(chan error, 1)
 		e.StoreAsync(conns[3], fid(9), append([]byte(nil), payload...), false, nil,
 			func(err error) { done <- err })
-		<-done // must complete, not hang on a deleted semaphore
+		<-done // must complete, not hang
 	}
 }
 
 // TestGatherVsMembershipChurn hammers gathers against concurrent
-// add/remove cycles of a rotating victim server. Run under -race.
+// drain/remove/join cycles of a victim server. Run under -race.
 func TestGatherVsMembershipChurn(t *testing.T) {
 	var conns []transport.ServerConn
 	var members []Member
@@ -130,8 +132,11 @@ func TestGatherVsMembershipChurn(t *testing.T) {
 				return
 			default:
 			}
-			e.RemoveServer(5)
-			e.AddServer(conns[4])
+			removeServer(t, e, 5)
+			if _, err := e.place.Join(conns[4]); err != nil {
+				t.Error(err)
+				return
+			}
 		}
 	}()
 	var gg sync.WaitGroup
@@ -157,9 +162,9 @@ func TestGatherVsMembershipChurn(t *testing.T) {
 	gg.Wait()
 	close(stop)
 	churn.Wait()
-	// Leave the engine with server 5 present for a final full gather.
-	e.RemoveServer(5)
-	if err := e.AddServer(conns[4]); err != nil {
+	// Leave the map with server 5 present for a final full gather.
+	removeServer(t, e, 5)
+	if _, err := e.place.Join(conns[4]); err != nil {
 		t.Fatal(err)
 	}
 	for i, r := range e.GatherK(members, len(members)) {

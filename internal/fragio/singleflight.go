@@ -9,8 +9,9 @@ import "sync"
 // the next caller starts a fresh one (the layers above have their own
 // caches for results worth keeping).
 type singleflight[K comparable] struct {
-	mu sync.Mutex
-	m  map[K]*flight
+	mu      sync.Mutex
+	m       map[K]*flight
+	onShare func() // called as a caller joins an in-flight execution
 }
 
 type flight struct {
@@ -19,8 +20,9 @@ type flight struct {
 	err  error
 }
 
-func (g *singleflight[K]) init() {
+func (g *singleflight[K]) init(onShare func()) {
 	g.m = make(map[K]*flight)
+	g.onShare = onShare
 }
 
 // do executes fn for key, deduplicating against in-flight executions.
@@ -29,6 +31,7 @@ func (g *singleflight[K]) do(key K, fn func() (any, error)) (v any, shared bool,
 	g.mu.Lock()
 	if f, ok := g.m[key]; ok {
 		g.mu.Unlock()
+		g.onShare()
 		<-f.done
 		return f.val, true, f.err
 	}

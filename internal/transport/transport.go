@@ -14,7 +14,6 @@ package transport
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 
 	"swarm/internal/wire"
@@ -229,14 +228,4 @@ func Broadcast(conns []ServerConn, fid wire.FID) (found []ServerConn, all bool) 
 	}
 	wg.Wait()
 	return found, all
-}
-
-// ByID returns the connection with the given server ID, or an error.
-func ByID(conns []ServerConn, id wire.ServerID) (ServerConn, error) {
-	for _, sc := range conns {
-		if sc.ID() == id {
-			return sc, nil
-		}
-	}
-	return nil, fmt.Errorf("%w: server %d not in configuration", ErrUnavailable, id)
 }

@@ -301,17 +301,6 @@ func TestBroadcastSkipsDeadServers(t *testing.T) {
 	}
 }
 
-func TestByID(t *testing.T) {
-	conns := []ServerConn{NewLocal(1, newStore(t), 1), NewLocal(5, newStore(t), 1)}
-	sc, err := ByID(conns, 5)
-	if err != nil || sc.ID() != 5 {
-		t.Fatalf("ByID = (%v,%v)", sc, err)
-	}
-	if _, err := ByID(conns, 9); !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("ByID missing = %v", err)
-	}
-}
-
 func TestFlakyDownAndFailNext(t *testing.T) {
 	sc := NewFlaky(NewLocal(1, newStore(t), 1))
 	if err := sc.Ping(); err != nil {

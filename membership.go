@@ -66,19 +66,8 @@ func (c *Client) admit(sc transport.ServerConn) error {
 			return fmt.Errorf("create ACL on server %d: %w", sc.ID(), err)
 		}
 	}
-	if _, err := c.log.AddServer(sc, aid); err != nil {
-		return err
-	}
-	c.mu.Lock()
-	c.conns = append(c.conns, sc)
-	if aid != 0 {
-		if c.acls == nil {
-			c.acls = make(map[ServerID]wire.AID)
-		}
-		c.acls[sc.ID()] = aid
-	}
-	c.mu.Unlock()
-	return nil
+	_, err := c.log.AddServer(sc, aid)
+	return err
 }
 
 // DrainServer excludes a server from new placement and starts a
@@ -166,18 +155,12 @@ func (c *Client) RemoveServer(id ServerID) error {
 		}
 	}
 	c.mu.Unlock()
+	sc := c.log.ServerConn(id)
 	if _, err := c.log.RemoveServer(id); err != nil {
 		return err
 	}
+	sc.Close()
 	c.mu.Lock()
-	for i, sc := range c.conns {
-		if sc.ID() == id {
-			c.conns = append(c.conns[:i], c.conns[i+1:]...)
-			sc.Close()
-			break
-		}
-	}
-	delete(c.acls, id)
 	delete(c.drains, id)
 	c.mu.Unlock()
 	return nil

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"swarm/internal/transport"
+	"swarm/internal/wire"
 )
 
 // membershipBlock derives a deterministic block body from its index.
@@ -292,5 +294,89 @@ func TestChaosKillDuringOwnDrain(t *testing.T) {
 		if !bytes.Equal(got, chaosBlock(uint64(i), 0, 1024)) {
 			t.Fatalf("block %d corrupted after kill-during-drain", i)
 		}
+	}
+}
+
+// TestGrantAccessDuringAddServer races GrantAccess against AddLocalServer
+// on a Protect client. The ACL IDs live in the log alone, so a grant
+// reads them under the log's lock while a join writes them; every server
+// admitted before the last grant must then let client 2 read. Run under
+// -race; the rounds give the detector many interleavings to catch an
+// unguarded read of the ACL map.
+func TestGrantAccessDuringAddServer(t *testing.T) {
+	for round := 0; round < 64; round++ {
+		grantDuringAddServer(t)
+	}
+}
+
+func grantDuringAddServer(t *testing.T) {
+	const fragSize = 16 << 10
+	opts := ServerOptions{DiskBytes: 8 << 20, FragmentSize: fragSize}
+	cluster, err := NewLocalCluster(3, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	c, err := cluster.Connect(1, ClientOptions{FragmentSize: fragSize, Protect: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	stores := cluster.Servers()
+	for i := 0; i < 3; i++ {
+		s, err := NewServer(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		stores = append(stores, s)
+	}
+
+	// The granter's last grant begins after every join has returned.
+	var admitted atomic.Int32
+	granted := make(chan error, 1)
+	go func() {
+		for {
+			n := admitted.Load()
+			if err := c.GrantAccess(2); err != nil || n == 3 {
+				granted <- err
+				return
+			}
+		}
+	}()
+	for _, s := range stores[3:] {
+		if _, err := c.AddLocalServer(s); err != nil {
+			t.Fatal(err)
+		}
+		admitted.Add(1)
+	}
+	if err := <-granted; err != nil {
+		t.Fatal(err)
+	}
+
+	// Width-3 stripes rotate over all six servers.
+	for i := 0; i < 256; i++ {
+		if _, err := c.Log().AppendBlock(7, membershipBlock(i), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	servers := c.log.Servers()
+	if len(servers) != len(stores) {
+		t.Fatalf("%d servers in the log, want %d", len(servers), len(stores))
+	}
+	for _, sc := range servers {
+		fids, err := c.Log().ListServer(sc.ID())
+		if err != nil || len(fids) == 0 {
+			t.Fatalf("server %d holds %d fragments (%v); test is vacuous", sc.ID(), len(fids), err)
+		}
+		reader := transport.NewLocal(sc.ID(), stores[sc.ID()-1].store, 2)
+		data, err := reader.Read(fids[0], 0, 16)
+		if err != nil {
+			t.Fatalf("client 2 denied on server %d: %v", sc.ID(), err)
+		}
+		wire.PutBuffer(data)
 	}
 }
